@@ -10,12 +10,13 @@ config and seed produce byte-identical CSV.
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,27 +47,17 @@ from .superselection import (
     sector_probabilities,
 )
 
-EXPERIMENTS = ("araki_zurek", "spin", "spin_asymptotics", "chi_scan", "decompose_demo")
-_TIMED = ("araki_zurek", "spin", "spin_asymptotics", "chi_scan")
-
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario: experiment kind plus the objects it runs on."""
+    """Validated scenario: experiment kind plus the inputs its runner takes."""
 
     experiment: str
     raw: dict
     out_csv: str
     out_report: str
     seed: Optional[int] = None
-    t_grid: Optional[np.ndarray] = None
-    env: Optional[SpectralDensity] = None
-    model: Optional[object] = None
-    initial_state: Optional[DensityOperator] = None
-    initial_bloch: Optional[np.ndarray] = None
-    fit_delta: float = 1.0
-    fit_window: Optional[tuple] = None
-    demo_dim: int = 4
+    inputs: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -111,6 +102,12 @@ def _parse_lines(text: str) -> dict:
     return entries
 
 
+def _finite(key, values):
+    if not all(abs(v) < math.inf for v in values):
+        raise ValidationError(key, "expected finite numbers, not inf or nan")
+    return values
+
+
 class _Entries:
     """Typed, consumed-key-tracking view of the raw key/value map."""
 
@@ -135,14 +132,14 @@ class _Entries:
             raise ValidationError(key, f"expected comma-separated numbers, got {text!r}")
         if count is not None and len(values) != count:
             raise ValidationError(key, f"expected {count} values, got {len(values)}")
-        return values
+        return _finite(key, values)
 
     def number(self, key, kind=float, default=None):
         if key not in self.raw and default is not None:
             return default
         text = self.require(key)
         try:
-            return kind(text)
+            return _finite(key, [kind(text)])[0]
         except ValueError:
             raise ValidationError(key, f"expected a {kind.__name__}, got {text!r}")
 
@@ -165,7 +162,7 @@ def _parse_env(e: _Entries) -> SpectralDensity:
             pairs = []
             for chunk in text.split(","):
                 v, _, w = chunk.partition(":")
-                pairs.append((float(v), float(w)))
+                pairs.append(_finite("env.points", [float(v), float(w)]))
             return SpectralDensity.discrete(np.asarray(pairs))
     except ValidationError:
         raise
@@ -182,7 +179,7 @@ def _parse_complex_matrix(e: _Entries, key: str, dim: int) -> np.ndarray:
         raise ValidationError(key, f"expected comma-separated complex numbers, got {text!r}")
     if len(entries) != dim * dim:
         raise ValidationError(key, f"expected {dim * dim} entries for a {dim}x{dim} matrix")
-    return np.asarray(entries, dtype=complex).reshape(dim, dim)
+    return np.asarray(_finite(key, entries), dtype=complex).reshape(dim, dim)
 
 
 def _parse_t_grid(e: _Entries) -> np.ndarray:
@@ -198,23 +195,75 @@ def _parse_t_grid(e: _Entries) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _parse_initial(e: _Entries, cfg: ScenarioConfig, dim: int, bloch_only: bool):
-    has_matrix = "initial.matrix" in e.raw
-    has_bloch = "initial.bloch" in e.raw
-    if bloch_only or (has_bloch and not has_matrix):
-        p = np.asarray(e.floats("initial.bloch", 3))
-        if np.linalg.norm(p) > 1 + 1e-12:
-            raise ValidationError("initial.bloch", "polarization vector outside the unit ball")
-        cfg.initial_bloch = p
-        cfg.initial_state = bloch_to_density(p)
-        return
-    if not has_matrix:
-        raise ValidationError("initial.matrix", "missing required key")
+def _parse_bloch(e: _Entries) -> np.ndarray:
+    p = np.asarray(e.floats("initial.bloch", 3))
+    if np.linalg.norm(p) > 1 + 1e-12:
+        raise ValidationError("initial.bloch", "polarization vector outside the unit ball")
+    return p
+
+
+def _parse_initial(e: _Entries, dim: int) -> DensityOperator:
+    if "initial.bloch" in e.raw and "initial.matrix" not in e.raw:
+        return bloch_to_density(_parse_bloch(e))
     mat = _parse_complex_matrix(e, "initial.matrix", dim)
     try:
-        cfg.initial_state = DensityOperator(mat)
+        return DensityOperator(mat)
     except DeclabError as exc:
         raise ValidationError("initial.matrix", str(exc))
+
+
+def _parse_araki_zurek(e: _Entries, t_grid, env) -> dict:
+    dims = e.floats("model.sector_dims")
+    if not all(d >= 1 and d.is_integer() for d in dims):
+        raise ValidationError("model.sector_dims", "sector dimensions must be positive integers")
+    dims = [int(d) for d in dims]
+    lambdas = e.floats("model.lambdas")
+    if len(lambdas) != len(dims):
+        raise ValidationError("model.lambdas", "need one eigenvalue per sector")
+    delta = e.number("model.delta")
+    dim = sum(dims)
+    if "model.h_s" in e.raw:
+        h_s = _parse_complex_matrix(e, "model.h_s", dim)
+    else:
+        h_s = np.zeros((dim, dim))
+    try:
+        model = ArakiZurekModel(block_diagonal_sectors(dims), lambdas, h_s, env, delta)
+    except (DeclabError, ValueError) as exc:
+        raise ValidationError("model", str(exc))
+    return {"t_grid": t_grid, "model": model, "initial_state": _parse_initial(e, dim)}
+
+
+def _parse_spin(e: _Entries, t_grid, env) -> dict:
+    a = e.floats("model.a", 3)
+    b = e.number("model.b")
+    lam = e.number("model.lam")
+    try:
+        model = SpinModel(a=np.asarray(a), b=b, lam=lam, env_diag=env)
+    except ValueError as exc:
+        raise ValidationError("model.b", str(exc))
+    return {"t_grid": t_grid, "model": model, "initial_bloch": _parse_bloch(e)}
+
+
+def _parse_spin_asymptotics(e: _Entries, t_grid, env) -> dict:
+    inputs = _parse_spin(e, t_grid, env)
+    inputs["fit_delta"] = e.number("fit.delta", default=1.0)
+    if inputs["fit_delta"] <= 0:
+        raise ValidationError("fit.delta", "delta must be positive")
+    inputs["fit_window"] = tuple(e.floats("fit.window", 2)) if "fit.window" in e.raw else None
+    return inputs
+
+
+def _parse_chi_scan(e: _Entries, t_grid, env) -> dict:
+    return {"t_grid": t_grid, "env": env}
+
+
+def _parse_decompose_demo(e: _Entries) -> dict:
+    dim = e.number("demo.dim", kind=int, default=4)
+    if dim < 2:
+        raise ValidationError("demo.dim", "dimension must be at least 2")
+    if "seed" not in e.raw:
+        raise ValidationError("seed", "decompose_demo draws random states; a seed is required")
+    return {"seed": e.number("seed", kind=int), "dim": dim}
 
 
 def parse_config(text) -> ScenarioConfig:
@@ -231,62 +280,17 @@ def parse_config(text) -> ScenarioConfig:
     experiment = e.require("experiment")
     if experiment not in EXPERIMENTS:
         raise ValidationError("experiment", f"unknown experiment {experiment!r}")
+    spec = EXPERIMENTS[experiment]
 
     cfg = ScenarioConfig(
         experiment=experiment,
         raw=dict(raw),
         out_csv=e.get("out.csv", f"{experiment}.csv"),
         out_report=e.get("out.report", f"{experiment}_report.json"),
+        seed=e.number("seed", kind=int) if "seed" in raw else None,
     )
-    if "seed" in raw:
-        cfg.seed = e.number("seed", kind=int)
-
-    if experiment in _TIMED:
-        cfg.t_grid = _parse_t_grid(e)
-        cfg.env = _parse_env(e)
-
-    if experiment == "araki_zurek":
-        dims = [int(v) for v in e.floats("model.sector_dims")]
-        if any(d < 1 for d in dims):
-            raise ValidationError("model.sector_dims", "sector dimensions must be positive")
-        lambdas = e.floats("model.lambdas")
-        if len(lambdas) != len(dims):
-            raise ValidationError("model.lambdas", "need one eigenvalue per sector")
-        delta = e.number("model.delta")
-        dim = sum(dims)
-        if "model.h_s" in raw:
-            h_s = _parse_complex_matrix(e, "model.h_s", dim)
-        else:
-            h_s = np.zeros((dim, dim))
-        try:
-            cfg.model = ArakiZurekModel(
-                block_diagonal_sectors(dims), lambdas, h_s, cfg.env, delta
-            )
-        except (DeclabError, ValueError) as exc:
-            raise ValidationError("model", str(exc))
-        _parse_initial(e, cfg, dim, bloch_only=False)
-    elif experiment in ("spin", "spin_asymptotics"):
-        a = e.floats("model.a", 3)
-        b = e.number("model.b")
-        lam = e.number("model.lam")
-        try:
-            cfg.model = SpinModel(a=np.asarray(a), b=b, lam=lam, env_diag=cfg.env)
-        except ValueError as exc:
-            raise ValidationError("model.b", str(exc))
-        _parse_initial(e, cfg, 2, bloch_only=True)
-        if experiment == "spin_asymptotics":
-            cfg.fit_delta = e.number("fit.delta", default=1.0)
-            if cfg.fit_delta <= 0:
-                raise ValidationError("fit.delta", "delta must be positive")
-            if "fit.window" in raw:
-                lo, hi = e.floats("fit.window", 2)
-                cfg.fit_window = (lo, hi)
-    elif experiment == "decompose_demo":
-        cfg.demo_dim = e.number("demo.dim", kind=int, default=4)
-        if cfg.demo_dim < 2:
-            raise ValidationError("demo.dim", "dimension must be at least 2")
-        if cfg.seed is None:
-            raise ValidationError("seed", "decompose_demo draws random states; a seed is required")
+    timed = (_parse_t_grid(e), _parse_env(e)) if spec.timed else ()
+    cfg.inputs = spec.parse(e, *timed)
 
     leftover = e.unknown()
     if leftover:
@@ -326,32 +330,21 @@ def _write_csv(path: str, header, rows):
 def _series_summary(header, rows) -> dict:
     summary = {}
     for j, name in enumerate(header):
-        values = []
-        for row in rows:
-            if isinstance(row[j], str):
-                break
+        column = [row[j] for row in rows]
+        if column and not any(isinstance(v, str) for v in column):
             # Summarize what lands in the file: round-trip the formatted text.
-            values.append(float(_fmt(row[j])))
-        else:
-            if values:
-                summary[name] = {
-                    "min": min(values),
-                    "max": max(values),
-                    "final": values[-1],
-                }
+            values = [float(_fmt(v)) for v in column]
+            summary[name] = {"min": min(values), "max": max(values), "final": values[-1]}
     return summary
 
 
-def _run_araki_zurek(cfg):
-    model = cfg.model
-    rho0 = cfg.initial_state
-    header = ["t", "offdiag_hs", "offdiag_tr"]
-    header += [f"prob_{i}" for i in range(len(model.sectors))]
-    header += ["chi_re", "chi_im"]
+def _run_araki_zurek(t_grid, model, initial_state):
+    prob_columns = [f"prob_{i}" for i in range(len(model.sectors))]
+    header = ["t", "offdiag_hs", "offdiag_tr", *prob_columns, "chi_re", "chi_im"]
     gap = model.lambdas[0] - model.lambdas[1] if len(model.lambdas) > 1 else 0.0
     rows = []
-    for t in cfg.t_grid:
-        rho_t = az_evolve(model, rho0, t)
+    for t in t_grid:
+        rho_t = az_evolve(model, initial_state, t)
         norms = off_diagonal_norms(rho_t, model.sectors)
         probs = sector_probabilities(rho_t, model.sectors)
         chi = decoherence_function(model.env, gap * t)
@@ -359,68 +352,58 @@ def _run_araki_zurek(cfg):
     return header, rows, None
 
 
-def _run_spin(cfg):
-    header = ["t", "p_x", "p_y", "p_z"]
-    rows = []
-    for t in cfg.t_grid:
-        p = density_to_bloch(spin_evolve(cfg.model, cfg.initial_bloch, t))
-        rows.append([t, *p])
-    return header, rows, None
+def _run_spin(t_grid, model, initial_bloch):
+    rows = [[t, *density_to_bloch(spin_evolve(model, initial_bloch, t))] for t in t_grid]
+    return ["t", "p_x", "p_y", "p_z"], rows, None
 
 
-def _run_spin_asymptotics(cfg):
-    samples = spin_asymptotics(cfg.model, cfg.initial_bloch, cfg.t_grid)
+def _run_spin_asymptotics(t_grid, model, initial_bloch, fit_delta, fit_window):
+    samples = spin_asymptotics(model, initial_bloch, t_grid)
     rows = [[t, d] for t, d in samples]
-    fit = fit_power_law_decay(samples, cfg.fit_delta, cfg.fit_window)
-    fit_dict = {
-        "C": fit.C,
-        "delta": fit.delta,
-        "gamma": fit.gamma,
-        "window": list(fit.window),
-        "residual": fit.residual,
-        "superpolynomial": fit.superpolynomial,
-    }
-    return ["t", "trace_dist"], rows, fit_dict
+    fit = fit_power_law_decay(samples, fit_delta, fit_window)
+    return ["t", "trace_dist"], rows, {**asdict(fit), "window": list(fit.window)}
 
 
-def _run_chi_scan(cfg):
-    rows = []
-    for t in cfg.t_grid:
-        chi = decoherence_function(cfg.env, t)
-        rows.append([t, chi.real, chi.imag, abs(chi)])
+def _run_chi_scan(t_grid, env):
+    chis = [decoherence_function(env, t) for t in t_grid]
+    rows = [[t, chi.real, chi.imag, abs(chi)] for t, chi in zip(t_grid, chis)]
     return ["t", "chi_re", "chi_im", "chi_abs"], rows, None
 
 
-def _run_decompose_demo(cfg):
-    rng = np.random.default_rng(cfg.seed)
-    w = random_density(cfg.demo_dim, rng)
-    unitary = haar_unitary(cfg.demo_dim, rng)
+def _run_decompose_demo(seed, dim):
+    rng = np.random.default_rng(seed)
+    w = random_density(dim, rng)
+    unitary = haar_unitary(dim, rng)
     spectral = spectral_decomposition(w)
     alternate = alternate_decomposition(w, unitary)
-    rows = []
-    for i, weight in enumerate(spectral.weights):
-        rows.append(["spectral", i, weight, 0.0])
+    rows = [["spectral", i, weight, 0.0] for i, weight in enumerate(spectral.weights)]
     for i, (weight, proj) in enumerate(zip(alternate.weights, alternate.projectors)):
-        dist = min(
-            float(np.linalg.norm(proj.matrix - sp.matrix)) for sp in spectral.projectors
-        )
+        dist = min(float(np.linalg.norm(proj.matrix - sp.matrix)) for sp in spectral.projectors)
         rows.append(["alternate", i, weight, dist])
     return ["kind", "index", "weight", "min_dist_to_spectral"], rows, None
 
 
-_RUNNERS = {
-    "araki_zurek": _run_araki_zurek,
-    "spin": _run_spin,
-    "spin_asymptotics": _run_spin_asymptotics,
-    "chi_scan": _run_chi_scan,
-    "decompose_demo": _run_decompose_demo,
+class Experiment(NamedTuple):
+    """parse(entries[, t_grid, env if timed]) -> inputs; run(**inputs) -> header, rows, fit."""
+
+    timed: bool
+    parse: Callable[..., dict]
+    run: Callable[..., tuple]
+
+
+EXPERIMENTS = {
+    "araki_zurek": Experiment(True, _parse_araki_zurek, _run_araki_zurek),
+    "spin": Experiment(True, _parse_spin, _run_spin),
+    "spin_asymptotics": Experiment(True, _parse_spin_asymptotics, _run_spin_asymptotics),
+    "chi_scan": Experiment(True, _parse_chi_scan, _run_chi_scan),
+    "decompose_demo": Experiment(False, _parse_decompose_demo, _run_decompose_demo),
 }
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunReport:
     """Run the configured experiment; write its CSV and JSON report."""
     started = time.perf_counter()
-    header, rows, fit_dict = _RUNNERS[cfg.experiment](cfg)
+    header, rows, fit_dict = EXPERIMENTS[cfg.experiment].run(**cfg.inputs)
 
     if out_dir is not None:
         csv_path = os.path.join(out_dir, os.path.basename(cfg.out_csv))

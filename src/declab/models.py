@@ -33,7 +33,7 @@ from .operators import (
 )
 from .quadrature import gauss_legendre_adaptive, oscillation_panels
 from .states import PAULI, DensityOperator, bloch_to_density, trace_distance
-from .superselection import SectorStructure, validate_sectors
+from .superselection import SectorStructure, sector_mask, validate_sectors
 
 NORMALIZATION_TOL = 1e-10
 GAUSSIAN_TAIL_SIGMAS = 10.0
@@ -236,25 +236,19 @@ class ArakiZurekModel:
     @property
     def v_s(self) -> np.ndarray:
         """Coupling operator rebuilt from its eigenvalues and projectors."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for lam, p in zip(self.lambdas, self.sectors.projectors):
-            total += lam * p
-        return total
+        return sector_mask(np.eye(self.dim, dtype=complex), self.sectors, np.diag(self.lambdas))
 
 
-def _az_blocks(model: ArakiZurekModel, rho, t: float, chi_fn) -> np.ndarray:
+def _dephased(model: ArakiZurekModel, rho, t: float, env: SpectralDensity,
+              tol: float) -> np.ndarray:
     """sum_{m,n} chi((l_m - l_n) t) P_m rho P_n, conjugate-symmetric in chi."""
-    projectors = model.sectors.projectors
-    k = len(projectors)
-    out = np.zeros_like(rho)
-    for m in range(k):
-        out += projectors[m] @ rho @ projectors[m]
-    for m in range(k):
-        for n in range(m + 1, k):
-            chi = chi_fn((model.lambdas[m] - model.lambdas[n]) * t)
-            block = projectors[m] @ rho @ projectors[n]
-            out += chi * block + np.conj(chi) * block.conj().T
-    return out
+    k = len(model.lambdas)
+    m, n = np.triu_indices(k, 1)
+    taus = (model.lambdas[m] - model.lambdas[n]) * t
+    chi = np.ones((k, k), dtype=complex)
+    chi[m, n] = [decoherence_function(env, tau, tol) for tau in taus]
+    chi[n, m] = np.conj(chi[m, n])
+    return sector_mask(rho, model.sectors, chi)
 
 
 def az_evolve(model: ArakiZurekModel, rho0: DensityOperator, t: float,
@@ -267,7 +261,7 @@ def az_evolve(model: ArakiZurekModel, rho0: DensityOperator, t: float,
     """
     if rho0.dim != model.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} does not match model dim {model.dim}")
-    damped = _az_blocks(model, rho0.matrix, t, lambda tau: decoherence_function(model.env, tau, tol))
+    damped = _dephased(model, rho0.matrix, t, model.env, tol)
     u = propagator(model.h_s, t)
     return DensityOperator(u @ damped @ u.conj().T)
 
@@ -320,7 +314,7 @@ def az_evolve_correlated(model: ArakiZurekModel, w0: CorrelatedInitialState, t: 
     for rho_mu, env_mu in w0.terms:
         if rho_mu.shape[0] != model.dim:
             raise DimensionMismatch("initial-state terms do not match the model dimension")
-        total += _az_blocks(model, rho_mu, t, lambda tau: decoherence_function(env_mu, tau, tol))
+        total += _dephased(model, rho_mu, t, env_mu, tol)
     u = propagator(model.h_s, t)
     return DensityOperator(u @ total @ u.conj().T)
 

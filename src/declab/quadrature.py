@@ -13,6 +13,7 @@ import numpy as np
 from .errors import QuadratureFailure
 
 MAX_PANELS = 2**14
+MIN_PANELS = 8
 
 _rule_cache: dict = {}
 
@@ -85,13 +86,14 @@ def gauss_legendre_adaptive(f, a, b, tol=1e-9, order=16, initial_panels=8,
     return total
 
 
-def oscillation_panels(a, b, rate, panels_per_quarter_period=1, minimum=8):
-    """Initial panel count so each panel spans at most a quarter oscillation.
+def oscillation_panels(a, b, rate):
+    """Initial panel count so each panel spans at most an eighth of an oscillation.
 
     ``rate`` is the phase advance per unit abscissa (e.g. |t| for a factor
-    exp(-ivt)); the quarter-period rule keeps panel width below pi/(4 rate).
+    exp(-ivt)); panels of width pi/(4 rate) advance the phase by pi/4, an
+    eighth of the period 2 pi/rate.  Never fewer than MIN_PANELS.
     """
     if rate <= 0:
-        return minimum
-    width = np.pi / (4.0 * rate) / panels_per_quarter_period
-    return int(max(minimum, np.ceil((b - a) / width)))
+        return MIN_PANELS
+    width = np.pi / (4.0 * rate)
+    return int(max(MIN_PANELS, np.ceil((b - a) / width)))

@@ -21,7 +21,7 @@ from .errors import (
     NotIdempotent,
     NotOrthogonal,
 )
-from .operators import hs_norm, schatten_norms
+from .operators import hermitian_eig, hs_norm, schatten_norms
 from .states import DensityOperator
 
 PROJECTOR_TOL = 1e-10
@@ -30,7 +30,7 @@ PROJECTOR_TOL = 1e-10
 class SectorStructure:
     """Complete family of mutually orthogonal projectors with labels."""
 
-    __slots__ = ("projectors", "labels")
+    __slots__ = ("projectors", "labels", "_frame")
 
     def __init__(self, projectors, labels=None):
         mats = tuple(np.asarray(p, dtype=complex) for p in projectors)
@@ -43,10 +43,24 @@ class SectorStructure:
             raise DimensionMismatch("need one label per projector")
         self.projectors = mats
         self.labels = labels
+        self._frame = None
 
     @property
     def dim(self) -> int:
         return self.projectors[0].shape[0]
+
+    def _adapted_frame(self) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """Sector-adapted orthonormal basis F, None if exactly the identity, and
+        the sector of each column.  P_m = F_m F_m^H with F_m from ``hermitian_eig``
+        of P_m; derived once, after the family passes ``validate_sectors``."""
+        if self._frame is None:
+            validate_sectors(self)
+            ranks = [int(round(np.trace(p).real)) for p in self.projectors]
+            frame = np.hstack([hermitian_eig(p).eigenvectors[:, :r]
+                               for p, r in zip(self.projectors, ranks)])
+            identity = np.array_equal(frame, np.eye(self.dim))
+            self._frame = (None if identity else frame, np.repeat(np.arange(len(self)), ranks))
+        return self._frame
 
     def __len__(self):
         return len(self.projectors)
@@ -57,14 +71,8 @@ class SectorStructure:
 
 def block_diagonal_sectors(block_dims: Sequence[int], labels=None) -> SectorStructure:
     """Sectors projecting onto consecutive basis blocks of the given sizes."""
-    dim = int(sum(block_dims))
-    projectors = []
-    offset = 0
-    for size in block_dims:
-        p = np.zeros((dim, dim), dtype=complex)
-        p[offset:offset + size, offset:offset + size] = np.eye(size)
-        projectors.append(p)
-        offset += size
+    sector_of = np.repeat(np.arange(len(block_dims)), block_dims)
+    projectors = [np.diag((sector_of == m).astype(complex)) for m in range(len(block_dims))]
     return SectorStructure(projectors, labels)
 
 
@@ -98,11 +106,21 @@ def _check_dims(w: DensityOperator, s: SectorStructure):
         raise DimensionMismatch(f"state dim {w.dim} does not match sector dim {s.dim}")
 
 
-def _projected_matrix(w: DensityOperator, s: SectorStructure) -> np.ndarray:
-    out = np.zeros_like(w.matrix)
-    for p in s.projectors:
-        out += p @ w.matrix @ p
-    return out
+def sector_mask(x, s: SectorStructure, c) -> np.ndarray:
+    """sum_{m,n} c[m, n] P_m x P_n for a k x k coefficient array c.
+
+    Computed as the Hadamard product F (C * F^H x F) F^H in the sector-adapted
+    frame F, with C[i, j] = c[sector(i), sector(j)]; as C * x when F = 1.
+    """
+    c = np.asarray(c)
+    if np.shape(x) != (s.dim, s.dim) or c.shape != (len(s), len(s)):
+        raise DimensionMismatch(f"need a {s.dim}x{s.dim} matrix and a {len(s)}x{len(s)} "
+                                f"coefficient array, got shapes {np.shape(x)} and {c.shape}")
+    frame, index = s._adapted_frame()
+    mask = c[np.ix_(index, index)]
+    if frame is None:
+        return mask * x
+    return frame @ (mask * (frame.conj().T @ x @ frame)) @ frame.conj().T
 
 
 def sector_project(w: DensityOperator, s: SectorStructure) -> DensityOperator:
@@ -111,8 +129,7 @@ def sector_project(w: DensityOperator, s: SectorStructure) -> DensityOperator:
     Trace preserving, positivity preserving and idempotent; states already
     compatible with the sectors pass through unchanged.
     """
-    _check_dims(w, s)
-    return DensityOperator(_projected_matrix(w, s))
+    return DensityOperator(sector_mask(w.matrix, s, np.eye(len(s))))
 
 
 class OffDiagonalNorms(NamedTuple):
@@ -122,8 +139,7 @@ class OffDiagonalNorms(NamedTuple):
 
 def off_diagonal_norms(w: DensityOperator, s: SectorStructure) -> OffDiagonalNorms:
     """Hilbert-Schmidt and trace norms of the intersector coherence part."""
-    _check_dims(w, s)
-    residual = w.matrix - _projected_matrix(w, s)
+    residual = sector_mask(w.matrix, s, 1.0 - np.eye(len(s)))
     norms = schatten_norms(residual)
     return OffDiagonalNorms(norms.hs, norms.trace)
 
@@ -135,7 +151,9 @@ def sector_probabilities(w: DensityOperator, s: SectorStructure) -> np.ndarray:
     state; they are untouched by the projection channel.
     """
     _check_dims(w, s)
-    return np.array([np.trace(w.matrix @ p).real for p in s.projectors])
+    frame, index = s._adapted_frame()
+    x = w.matrix if frame is None else frame.conj().T @ w.matrix @ frame
+    return np.bincount(index, weights=np.diagonal(x).real, minlength=len(s))
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,9 @@ def test_parse_minimal_az_scenario_applies_defaults():
     assert cfg.experiment == "araki_zurek"
     assert cfg.out_csv == "araki_zurek.csv"
     assert cfg.out_report == "araki_zurek_report.json"
-    assert cfg.t_grid.size == 9
-    assert cfg.model.dim == 2
-    assert cfg.initial_state.dim == 2
+    assert cfg.inputs["t_grid"].size == 9
+    assert cfg.inputs["model"].dim == 2
+    assert cfg.inputs["initial_state"].dim == 2
 
 
 def test_parse_accepts_str_and_bytes():
@@ -131,7 +131,7 @@ def test_parse_matrix_initial_state():
     cfg = parse_config(
         AZ_CONFIG.replace("initial.bloch = 1,0,0", "initial.matrix = 0.5,0.5,0.5,0.5")
     )
-    assert np.allclose(cfg.initial_state.matrix, np.full((2, 2), 0.5))
+    assert np.allclose(cfg.inputs["initial_state"].matrix, np.full((2, 2), 0.5))
 
 
 def test_parse_rejects_non_state_matrix():
@@ -146,8 +146,8 @@ def test_parse_discrete_env_points():
         CHI_CONFIG.replace("env.kind = uniform\nenv.a = -1.0\nenv.b = 1.0",
                            "env.kind = discrete\nenv.points = -0.5:0.5, 0.5:0.5")
     )
-    assert cfg.env.is_discrete
-    assert np.allclose(cfg.env.points, [[-0.5, 0.5], [0.5, 0.5]])
+    assert cfg.inputs["env"].is_discrete
+    assert np.allclose(cfg.inputs["env"].points, [[-0.5, 0.5], [0.5, 0.5]])
 
 
 # --- running
@@ -272,3 +272,25 @@ def test_main_run_reports_runtime_failure(tmp_path, capsys):
     code = main(["run", "--config", str(cfg), "--out", "/proc/definitely/not/writable"])
     assert code == 2
     assert "run failed" in capsys.readouterr().err
+
+
+# Non-finite numbers and fractional sector sizes fail validate, naming their key.
+BAD_NUMBERS = [
+    (AZ_CONFIG, "t_grid.stop = 2.0", "t_grid.stop = inf", "t_grid.stop"),
+    (CHI_CONFIG, "env.b = 1.0", "env.b = inf", "env.b"),
+    (AZ_CONFIG, "model.lambdas = 1,-1", "model.lambdas = 1,nan", "model.lambdas"),
+    (SPIN_ASYMPTOTICS_CONFIG, "model.a = 1,0,2", "model.a = 1,nan,0", "model.a"),
+    (CHI_CONFIG, "env.kind = uniform\nenv.a = -1.0\nenv.b = 1.0",
+     "env.kind = discrete\nenv.points = -0.5:nan, 0.5:0.5", "env.points"),
+    (AZ_CONFIG, "model.delta = 2.0", "model.delta = 2.0\nmodel.h_s = 0,0,0,nan", "model.h_s"),
+    (AZ_CONFIG, "model.sector_dims = 1,1", "model.sector_dims = 1.5,1", "model.sector_dims"),
+]
+
+
+@pytest.mark.parametrize("base, old, new, key", BAD_NUMBERS, ids=[c[3] for c in BAD_NUMBERS])
+def test_main_validate_names_key_of_bad_number(tmp_path, capsys, base, old, new, key):
+    assert old in base
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(base.replace(old, new))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert f"invalid config: {key}:" in capsys.readouterr().err
