@@ -27,15 +27,14 @@ from .models import (
     SpectralDensity,
     SpinModel,
     az_evolve,
-    decoherence_function,
+    chi_trajectory,
     spin_asymptotics,
-    spin_evolve,
+    spin_trajectory,
 )
 from .states import (
     DensityOperator,
     alternate_decomposition,
     bloch_to_density,
-    density_to_bloch,
     haar_unitary,
     random_density,
     spectral_decomposition,
@@ -204,6 +203,10 @@ def _parse_bloch(e: _Entries) -> np.ndarray:
 
 def _parse_initial(e: _Entries, dim: int) -> DensityOperator:
     if "initial.bloch" in e.raw and "initial.matrix" not in e.raw:
+        if dim != 2:
+            raise ValidationError(
+                "initial.bloch", f"a polarization vector needs a 2-dimensional system, not {dim}"
+            )
         return bloch_to_density(_parse_bloch(e))
     mat = _parse_complex_matrix(e, "initial.matrix", dim)
     try:
@@ -343,17 +346,16 @@ def _run_araki_zurek(t_grid, model, initial_state):
     header = ["t", "offdiag_hs", "offdiag_tr", *prob_columns, "chi_re", "chi_im"]
     gap = model.lambdas[0] - model.lambdas[1] if len(model.lambdas) > 1 else 0.0
     rows = []
-    for t in t_grid:
+    for t, chi in zip(t_grid, chi_trajectory(model.env, gap * t_grid)):
         rho_t = az_evolve(model, initial_state, t)
         norms = off_diagonal_norms(rho_t, model.sectors)
         probs = sector_probabilities(rho_t, model.sectors)
-        chi = decoherence_function(model.env, gap * t)
         rows.append([t, norms.hs, norms.trace, *probs, chi.real, chi.imag])
     return header, rows, None
 
 
 def _run_spin(t_grid, model, initial_bloch):
-    rows = [[t, *density_to_bloch(spin_evolve(model, initial_bloch, t))] for t in t_grid]
+    rows = [[t, *pol] for t, pol in zip(t_grid, spin_trajectory(model, initial_bloch, t_grid))]
     return ["t", "p_x", "p_y", "p_z"], rows, None
 
 
@@ -365,7 +367,7 @@ def _run_spin_asymptotics(t_grid, model, initial_bloch, fit_delta, fit_window):
 
 
 def _run_chi_scan(t_grid, env):
-    chis = [decoherence_function(env, t) for t in t_grid]
+    chis = chi_trajectory(env, t_grid)
     rows = [[t, chi.real, chi.imag, abs(chi)] for t, chi in zip(t_grid, chis)]
     return ["t", "chi_re", "chi_im", "chi_abs"], rows, None
 

@@ -31,13 +31,15 @@ from .operators import (
     require_hermitian,
     tensor_product,
 )
-from .quadrature import gauss_legendre_adaptive, oscillation_panels
+from .quadrature import NODES_PER_PANEL, gauss_legendre_adaptive, oscillation_panels
 from .states import PAULI, DensityOperator, bloch_to_density, trace_distance
 from .superselection import SectorStructure, sector_mask, validate_sectors
 
 NORMALIZATION_TOL = 1e-10
 GAUSSIAN_TAIL_SIGMAS = 10.0
 MAX_DENSE_DIM = 1024
+# Bound on initial panels x nodes per panel x times for one trajectory block.
+TRAJECTORY_BLOCK_ELEMENTS = 2**18
 
 
 class SpectralDensity:
@@ -75,6 +77,9 @@ class SpectralDensity:
             pts = np.asarray(points, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
                 raise ValueError("discrete points must be a nonempty sequence of (v, w) pairs")
+            for column, field in ((0, "points"), (1, "weights")):
+                if not np.all(np.isfinite(pts[:, column])):
+                    raise ValueError(f"discrete {field} must be finite")
             if np.any(np.diff(pts[:, 0]) <= 0):
                 raise ValueError("discrete points must be sorted by v and distinct")
             if pts[:, 1].min() < 0:
@@ -154,24 +159,76 @@ class SpectralDensity:
         return f"SpectralDensity.{self.kind}(a={self.a!r}, b={self.b!r})"
 
 
+def _blocks(lo, hi, rate, ts):
+    """Split times into blocks sharing one adaptive call, with their pre-splits.
+
+    Times are taken in ascending |t|; each block is pre-split for its largest
+    |t| and grows only while initial panels x nodes x block size stays within
+    TRAJECTORY_BLOCK_ELEMENTS, which bounds the integrand's memory.  Yields
+    (indices into ts, initial panel count).
+    """
+    order = np.argsort(np.abs(ts), kind="stable")
+    panels = [oscillation_panels(lo, hi, rate * abs(ts[i])) for i in order]
+    start = 0
+    while start < order.size:
+        stop = start + 1
+        while (stop < order.size and panels[stop] * NODES_PER_PANEL * (stop + 1 - start)
+               <= TRAJECTORY_BLOCK_ELEMENTS):
+            stop += 1
+        yield order[start:stop], panels[stop - 1]
+        start = stop
+
+
+def _trajectory(env, ts, rate, integrand, tol):
+    """Sum or integral over x of integrand(x, t, weight(x)) for every t in ts.
+
+    ``integrand(x, tb, weight)`` maps (m,) abscissae, a block of times and the
+    (m,) environment weights at x to a weighted (m, len(tb), ...) array.  A
+    discrete environment is summed exactly over its points; otherwise each
+    block of times is one adaptive call over the support, pre-split for the
+    block's largest phase rate ``rate * |t|``.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("times must be a nonempty 1-d sequence")
+    if env.is_discrete:
+        # Points last and contiguous: numpy's pairwise summation runs over them.
+        vals = integrand(env.points[:, 0], ts, env.points[:, 1])
+        return np.ascontiguousarray(np.moveaxis(vals, 0, -1)).sum(axis=-1)
+    lo, hi = env.support()
+    out = None
+    for idx, n0 in _blocks(lo, hi, rate, ts):
+        tb = ts[idx]
+        part = gauss_legendre_adaptive(
+            lambda x: integrand(x, tb, env.density(x)), lo, hi, tol=tol, initial_panels=n0
+        )
+        if out is None:
+            out = np.empty((ts.size,) + part.shape[1:], dtype=part.dtype)
+        out[idx] = part
+    return out
+
+
+def chi_trajectory(env: SpectralDensity, ts, tol: float = 1e-9) -> np.ndarray:
+    """chi(t) for every t in ``ts`` (any order, sign or repetition), shape (T,).
+
+    One adaptive quadrature serves a whole block of times; the density is
+    evaluated once per node and only exp(-ivt) per (node, t) pair.
+    """
+    def phases(v, tb, weight):
+        return weight[:, None] * np.exp(-1j * np.multiply.outer(v, tb))
+
+    return _trajectory(env, ts, 1.0, phases, tol)
+
+
 def decoherence_function(env: SpectralDensity, t: float, tol: float = 1e-9) -> complex:
     """Environment overlap chi(t): the Fourier transform of the density.
 
     chi(0) = 1 and |chi(t)| <= 1 for every density; its decay rate is what
     suppresses intersector coherence.  Continuous kinds are integrated with
-    adaptive Gauss-Legendre panels pre-split for the oscillation rate |t|.
+    adaptive Gauss-Legendre panels pre-split for the oscillation rate |t|;
+    this is the single-time case of ``chi_trajectory``.
     """
-    t = float(t)
-    if env.is_discrete:
-        v = env.points[:, 0]
-        w = env.points[:, 1]
-        return complex(np.sum(w * np.exp(-1j * v * t)))
-    lo, hi = env.support()
-    n0 = oscillation_panels(lo, hi, abs(t))
-    value = gauss_legendre_adaptive(
-        lambda v: env.density(v) * np.exp(-1j * v * t), lo, hi, tol=tol, initial_panels=n0
-    )
-    return complex(value)
+    return complex(chi_trajectory(env, [float(t)], tol)[0])
 
 
 def recurrence_window(env: SpectralDensity) -> float:
@@ -209,6 +266,8 @@ class ArakiZurekModel:
         lambdas = np.asarray(self.lambdas, dtype=float)
         if lambdas.ndim != 1 or lambdas.size != len(self.sectors):
             raise DimensionMismatch("need one coupling eigenvalue per sector")
+        if not np.all(np.isfinite(lambdas)):
+            raise ValueError("lambdas must be finite")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
         gaps = np.abs(lambdas[:, None] - lambdas[None, :])
@@ -244,9 +303,9 @@ def _dephased(model: ArakiZurekModel, rho, t: float, env: SpectralDensity,
     """sum_{m,n} chi((l_m - l_n) t) P_m rho P_n, conjugate-symmetric in chi."""
     k = len(model.lambdas)
     m, n = np.triu_indices(k, 1)
-    taus = (model.lambdas[m] - model.lambdas[n]) * t
     chi = np.ones((k, k), dtype=complex)
-    chi[m, n] = [decoherence_function(env, tau, tol) for tau in taus]
+    if m.size:
+        chi[m, n] = chi_trajectory(env, (model.lambdas[m] - model.lambdas[n]) * t, tol)
     chi[n, m] = np.conj(chi[m, n])
     return sector_mask(rho, model.sectors, chi)
 
@@ -339,8 +398,10 @@ class SpinModel:
         a = np.asarray(self.a, dtype=float)
         if a.shape != (3,) or not np.all(np.isfinite(a)):
             raise ValueError("field must be a finite 3-vector")
-        if not self.b > 0:
-            raise ValueError("environment frequency coefficient b must be positive")
+        if not 0 < self.b < np.inf:
+            raise ValueError("environment frequency coefficient b must be positive and finite")
+        if not np.isfinite(self.lam):
+            raise ValueError("coupling lam must be finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "lam", float(self.lam))
 
@@ -383,31 +444,27 @@ def rotation_axis(model: SpinModel, x: float):
     return n[0], float(omega[0])
 
 
-def _rotated(model: SpinModel, x: np.ndarray, t: float, p: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation of p about n(x) by angle omega(x) t, shape (m, 3)."""
-    n, omega = _axes(model, x)
-    phi = omega * float(t)
-    c = np.cos(phi)[:, None]
-    s = np.sin(phi)[:, None]
-    along = (n @ p)[:, None] * n
-    return c * p[None, :] + (1.0 - c) * along + s * np.cross(n, p[None, :])
+def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
+    """Averaged rotated polarization for every t in ``ts``, shape (T, 3).
 
+    Conditioned on x the polarization is rotated (Rodrigues) about n(x) by
+    omega(x) t.  Everything but cos/sin(omega t) is computed once per node,
+    and one adaptive quadrature serves a whole block of times (an exact sum
+    for a discrete environment).
+    """
+    p = np.asarray(p, dtype=float)
 
-def _averaged_rotation(model: SpinModel, t: float, p: np.ndarray, tol: float) -> np.ndarray:
-    """Density-weighted average of the rotated polarization vector."""
-    env = model.env_diag
-    if env.is_discrete:
-        x = env.points[:, 0]
-        w = env.points[:, 1]
-        return w @ _rotated(model, x, t, p)
-    lo, hi = env.support()
-    rate = 2.0 * abs(model.lam) * abs(t)
-    n0 = oscillation_panels(lo, hi, rate)
+    def rotated(x, tb, weight):
+        # weight * (along + cos(phi) (p - along) + sin(phi) n x p)
+        n, omega = _axes(model, x)
+        along = (n @ p)[:, None] * n
+        phi = np.multiply.outer(omega, tb)[..., None]
+        out = np.cos(phi) * (weight[:, None] * (p - along))[:, None, :]
+        out += np.sin(phi) * (weight[:, None] * np.cross(n, p))[:, None, :]
+        out += (weight[:, None] * along)[:, None, :]
+        return out
 
-    def integrand(x):
-        return env.density(x)[:, None] * _rotated(model, x, t, p)
-
-    return np.real(gauss_legendre_adaptive(integrand, lo, hi, tol=tol, initial_panels=n0))
+    return _trajectory(model.env_diag, ts, 2.0 * abs(model.lam), rotated, tol)
 
 
 def spin_evolve(model: SpinModel, p, t: float, tol: float = 1e-9) -> DensityOperator:
@@ -415,12 +472,9 @@ def spin_evolve(model: SpinModel, p, t: float, tol: float = 1e-9) -> DensityOper
 
     Conditioned on the environment coordinate x the spin precesses rigidly;
     the reduced state is the density-weighted average of those rotations
-    applied to p, evaluated by quadrature (or exactly for a discrete
-    environment).
+    applied to p; this is the single-time case of ``spin_trajectory``.
     """
-    p = np.asarray(p, dtype=float)
-    avg = _averaged_rotation(model, t, p, tol)
-    return bloch_to_density(avg)
+    return bloch_to_density(spin_trajectory(model, p, [float(t)], tol)[0])
 
 
 def asymptotic_map(model: SpinModel, tol: float = 1e-9) -> np.ndarray:
@@ -454,10 +508,10 @@ def spin_asymptotics(model: SpinModel, p, t_grid, tol: float = 1e-9) -> np.ndarr
     """
     p = np.asarray(p, dtype=float)
     target = bloch_to_density(asymptotic_map(model, tol) @ p)
+    pols = spin_trajectory(model, p, t_grid, tol)
     rows = np.empty((len(t_grid), 2))
-    for i, t in enumerate(t_grid):
-        rows[i, 0] = t
-        rows[i, 1] = trace_distance(spin_evolve(model, p, t, tol), target)
+    rows[:, 0] = t_grid
+    rows[:, 1] = [trace_distance(bloch_to_density(q), target) for q in pols]
     return rows
 
 

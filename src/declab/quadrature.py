@@ -1,11 +1,19 @@
 """Adaptive panel-based Gauss-Legendre integration.
 
 Built for smooth, possibly highly oscillatory integrands (Fourier-type
-factors exp(-ivt)).  Panels are bisected until the discrepancy between the
-order-n and order-2n rules falls below the error budget.  Integrands may be
-scalar or array valued; everything is evaluated vectorized over the nodes of
-all pending panels at once, and panel contributions are summed in a fixed
-order so results do not depend on evaluation scheduling.
+factors exp(-ivt)).  Callers pre-split the interval into half-period panels
+(``oscillation_panels``); panels are then bisected until the discrepancy
+between the order-n and order-2n rules falls below their share of the error
+budget.  Integrands may be scalar or array valued; everything is evaluated
+vectorized over the nodes of all pending panels at once, and panel
+contributions are summed in the order of their left edges so results do not
+depend on evaluation scheduling.
+
+An order-16 rule is exact to round-off over a full period of exp(-ivt), but
+full-period panels are not used: their per-panel phase errors add up
+coherently over thousands of panels (chi of a uniform density at t = 1e4 is
+then off by ~2e-14 instead of <1e-15).  Half-period panels are as accurate
+as eighth-period ones at a quarter of the nodes.
 """
 
 import numpy as np
@@ -14,6 +22,9 @@ from .errors import QuadratureFailure
 
 MAX_PANELS = 2**14
 MIN_PANELS = 8
+ORDER = 16
+# Integrand nodes per panel and round: the order-n and order-2n rules.
+NODES_PER_PANEL = 3 * ORDER
 
 _rule_cache: dict = {}
 
@@ -31,16 +42,17 @@ def _panel_values(f, lo, hi, order):
     nodes = lo[:, None] + half[:, None] * (x[None, :] + 1.0)
     vals = np.asarray(f(nodes.ravel()))
     vals = vals.reshape(nodes.shape + vals.shape[1:])
-    return np.tensordot(vals, w, axes=([1], [0])) * half.reshape((-1,) + (1,) * (vals.ndim - 2))
+    return np.einsum("pk...,k->p...", vals, w) * half.reshape((-1,) + (1,) * (vals.ndim - 2))
 
 
-def gauss_legendre_adaptive(f, a, b, tol=1e-9, order=16, initial_panels=8,
+def gauss_legendre_adaptive(f, a, b, tol=1e-9, order=ORDER, initial_panels=MIN_PANELS,
                             max_panels=MAX_PANELS):
     """Integrate ``f`` over [a, b] to an estimated absolute tolerance.
 
     ``f`` maps an (m,) array of abscissae to an (m, ...) array of values
-    (complex allowed).  ``initial_panels`` lets callers pre-split for known
-    oscillation rates before adaptive bisection takes over.
+    (complex allowed); for array values every component must meet ``tol``.
+    ``initial_panels`` lets callers pre-split for known oscillation rates
+    before adaptive bisection takes over.
 
     Raises QuadratureFailure when the panel budget is exhausted before the
     error estimate drops below ``tol``.
@@ -51,49 +63,40 @@ def gauss_legendre_adaptive(f, a, b, tol=1e-9, order=16, initial_panels=8,
         raise ValueError(f"empty integration interval [{a}, {b}]")
     n0 = int(min(max(initial_panels, 1), max_panels))
     edges = np.linspace(a, b, n0 + 1)
-    pending = [(edges[i], edges[i + 1]) for i in range(n0)]
-    accepted = []  # (left edge, panel integral) for deterministic summation
+    lo, hi = edges[:-1], edges[1:]
+    accepted_lo, accepted = [], []
     n_panels = n0
 
-    while pending:
-        lo = np.array([p[0] for p in pending])
-        hi = np.array([p[1] for p in pending])
+    while lo.size:
         coarse = _panel_values(f, lo, hi, order)
         fine = _panel_values(f, lo, hi, 2 * order)
-        err = np.abs(fine - coarse)
-        if err.ndim > 1:
-            err = err.reshape(err.shape[0], -1).max(axis=1)
-        budget = tol * (hi - lo) / (b - a)
-        next_pending = []
-        for i in range(len(pending)):
-            if err[i] <= budget[i]:
-                accepted.append((lo[i], fine[i]))
-            else:
-                mid = (lo[i] + hi[i]) / 2.0
-                next_pending.append((lo[i], mid))
-                next_pending.append((mid, hi[i]))
-                n_panels += 1
-        if next_pending and n_panels > max_panels:
+        err = np.abs(fine - coarse).reshape(lo.size, -1).max(axis=1)
+        ok = err <= tol * (hi - lo) / (b - a)
+        accepted_lo.append(lo[ok])
+        accepted.append(fine[ok])
+        lo, hi = lo[~ok], hi[~ok]
+        n_panels += lo.size
+        if lo.size and n_panels > max_panels:
             raise QuadratureFailure(
                 f"needed more than {max_panels} panels for tolerance {tol:g}"
             )
-        pending = next_pending
+        mid = (lo + hi) / 2.0
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
-    accepted.sort(key=lambda pair: pair[0])
-    total = accepted[0][1]
-    for _, val in accepted[1:]:
-        total = total + val
-    return total
+    by_left_edge = np.argsort(np.concatenate(accepted_lo), kind="stable")
+    return np.concatenate(accepted)[by_left_edge].sum(axis=0)
 
 
 def oscillation_panels(a, b, rate):
-    """Initial panel count so each panel spans at most an eighth of an oscillation.
+    """Initial panel count so each panel spans at most half an oscillation.
 
     ``rate`` is the phase advance per unit abscissa (e.g. |t| for a factor
-    exp(-ivt)); panels of width pi/(4 rate) advance the phase by pi/4, an
-    eighth of the period 2 pi/rate.  Never fewer than MIN_PANELS.
+    exp(-ivt)); panels of width pi/rate advance the phase by pi, half of the
+    period 2 pi/rate.  A full period per panel would also be resolved by the
+    order-16 rule, but the phase errors of neighbouring panels then add up
+    coherently (see the module docstring).  Never fewer than MIN_PANELS.
     """
     if rate <= 0:
         return MIN_PANELS
-    width = np.pi / (4.0 * rate)
+    width = np.pi / rate
     return int(max(MIN_PANELS, np.ceil((b - a) / width)))

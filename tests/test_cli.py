@@ -294,3 +294,10 @@ def test_main_validate_names_key_of_bad_number(tmp_path, capsys, base, old, new,
     cfg.write_text(base.replace(old, new))
     assert main(["validate", "--config", str(cfg)]) == 1
     assert f"invalid config: {key}:" in capsys.readouterr().err
+
+
+def test_main_validate_rejects_bloch_vector_on_non_qubit_system(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(AZ_CONFIG.replace("model.sector_dims = 1,1", "model.sector_dims = 2,1"))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert "invalid config: initial.bloch:" in capsys.readouterr().err

@@ -76,6 +76,31 @@ def test_discrete_density_validation():
         SpectralDensity.discrete([[0.0, 1.5], [1.0, -0.5]])  # negative weight
 
 
+@pytest.mark.parametrize(
+    "points, field",
+    [
+        ([[np.nan, 0.5], [1.0, 0.5]], "points"),
+        ([[0.0, 0.5], [np.inf, 0.5]], "points"),
+        ([[0.0, np.nan], [1.0, 0.5]], "weights"),
+        ([[0.0, np.nan], [1.0, np.nan]], "weights"),
+    ],
+    ids=["nan_point", "inf_point", "nan_weight", "all_nan_weights"],
+)
+def test_discrete_density_rejects_non_finite(points, field):
+    with pytest.raises(ValueError, match=f"discrete {field} must be finite"):
+        SpectralDensity.discrete(points)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_model_parameters_must_be_finite(bad):
+    with pytest.raises(ValueError, match="lambdas"):
+        ArakiZurekModel(Z_SECTORS, [1.0, bad], np.zeros((2, 2)), GAUSS, 2.0)
+    with pytest.raises(ValueError, match="lam"):
+        SpinModel(a=[1, 0, 2], b=0.3, lam=bad, env_diag=GAUSS)
+    with pytest.raises(ValueError, match="b must be positive and finite"):
+        SpinModel(a=[1, 0, 2], b=abs(bad), lam=1.0, env_diag=GAUSS)
+
+
 def test_discretize_matches_quadrature_weighting():
     grid = GAUSS.discretize(64)
     assert grid.is_discrete
