@@ -13,6 +13,7 @@ environment, evolves unitarily and partial-traces, sharing no code path with
 the closed forms.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ from .errors import (
 )
 from .operators import (
     hs_norm,
-    partial_trace_env,
     propagator,
     require_hermitian,
     tensor_product,
@@ -140,11 +140,12 @@ class SpectralDensity:
         Weights are the quadrature weights times the density, renormalized so
         they sum to one exactly.
         """
+        n = operator.index(n)
         if self.is_discrete:
             raise ValueError("density is already discrete")
         if n < 2:
             raise ValueError("need at least 2 grid points")
-        x, w = np.polynomial.legendre.leggauss(int(n))
+        x, w = np.polynomial.legendre.leggauss(n)
         lo, hi = self.support()
         v = (hi + lo) / 2.0 + (hi - lo) / 2.0 * x
         weights = w * (hi - lo) / 2.0 * self.density(v)
@@ -191,6 +192,10 @@ def _trajectory(env, ts, rate, integrand, tol):
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("times must be a nonempty 1-d sequence")
+    bad = np.flatnonzero(~np.isfinite(ts))
+    if bad.size:
+        more = f" and {bad.size - 1} more" if bad.size > 1 else ""
+        raise ValueError(f"times must be finite: t[{bad[0]}] = {float(ts[bad[0]])!r}{more}")
     if env.is_discrete:
         # Points last and contiguous: numpy's pairwise summation runs over them.
         vals = integrand(env.points[:, 0], ts, env.points[:, 1])
@@ -534,6 +539,7 @@ def full_simulation_oracle(model, rho0: DensityOperator, t: float, n_grid: int) 
     the environment.  No closed forms enter, so agreement with ``az_evolve``
     or ``spin_evolve`` validates those paths end to end.
     """
+    n_grid = operator.index(n_grid)
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
     if isinstance(model, ArakiZurekModel):
@@ -559,7 +565,9 @@ def full_simulation_oracle(model, rho0: DensityOperator, t: float, n_grid: int) 
             + model.b * tensor_product(np.eye(2), np.diag(v**2))
             + model.lam * tensor_product(PAULI[2], np.diag(v))
         )
-    w0 = tensor_product(rho0.matrix, np.diag(w.astype(complex)))
+    # tr_E U (rho0 x diag w) U^dagger, contracted without forming the joint state:
+    # M = U (rho0 x diag w), then r_ij = sum_(k,m,l) M[i,k,m,l] conj(U[j,k,m,l]).
     u = propagator(h_joint, t)
-    reduced = partial_trace_env(u @ w0 @ u.conj().T, dim_s, v.size)
+    m = np.einsum("ikjl,jm,l->ikml", u.reshape(dim_s, v.size, dim_s, v.size), rho0.matrix, w)
+    reduced = m.reshape(dim_s, -1) @ u.reshape(dim_s, -1).conj().T
     return DensityOperator(reduced)

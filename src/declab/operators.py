@@ -1,10 +1,14 @@
 """Dense complex-matrix substrate: eigendecomposition, propagators, Schatten
 norms, tensor products and the partial trace over the environment factor.
 
-All functions are pure and operate on square ``numpy`` arrays.  Dense storage
-only; the supported dimension is documented up to 1024.
+All functions are pure and operate on square ``numpy`` arrays; the spectra
+``propagator`` keeps for reuse never change a result.  Dense storage only; the
+supported dimension is documented up to 1024.
 """
 
+import hashlib
+import threading
+from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
@@ -13,6 +17,13 @@ from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 
 HERMITICITY_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-10
+# Spectra kept by ``propagator``: checking a closed form against the oracle
+# alternates two Hamiltonians (the system's and the joint one).
+SPECTRUM_CACHE_SIZE = 2
+# (shape, blake2b-128 of the symmetrized bytes) -> read-only (vals, vecs), least
+# recently used first.  Keyed by a digest so no copy of H is pinned.
+_spectra = OrderedDict()
+_spectra_lock = threading.Lock()
 
 
 def _as_square_matrix(m, name="matrix"):
@@ -93,14 +104,43 @@ def hermitian_eig(m) -> HermitianEig:
     return HermitianEig(vals, vecs)
 
 
+def _spectrum(h):
+    """Eigenvalues and eigenvectors of the symmetrized h, from the cache or eigh."""
+    key = (h.shape, hashlib.blake2b(np.ascontiguousarray(h), digest_size=16).digest())
+    with _spectra_lock:
+        hit = _spectra.get(key)
+        if hit is not None:
+            _spectra.move_to_end(key)
+            return hit
+    # Outside the lock, so threads on other Hamiltonians are not serialized.
+    try:
+        vals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    vals.flags.writeable = False
+    vecs.flags.writeable = False
+    with _spectra_lock:
+        _spectra[key] = (vals, vecs)
+        _spectra.move_to_end(key)
+        while len(_spectra) > SPECTRUM_CACHE_SIZE:
+            _spectra.popitem(last=False)
+    return vals, vecs
+
+
 def propagator(h, t: float) -> np.ndarray:
     """Unitary exp(-iHt) for Hermitian H, built from the eigendecomposition.
 
     The spectral route keeps the result unitary to roundoff, unlike a
-    truncated series.
+    truncated series.  exp(-iHt) does not depend on the eigenbasis, so the
+    plain ``eigh`` output is used, and the spectra of the last
+    ``SPECTRUM_CACHE_SIZE`` Hamiltonians (matched by content) are reused: a
+    time grid over one H costs one eigendecomposition.
     """
-    vals, vecs = hermitian_eig(h)
-    phases = np.exp(-1j * vals * float(t))
+    t = float(t)
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
+    vals, vecs = _spectrum(require_hermitian(h))
+    phases = np.exp(-1j * vals * t)
     return (vecs * phases[np.newaxis, :]) @ vecs.conj().T
 
 

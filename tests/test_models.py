@@ -23,12 +23,15 @@ from declab import (
     fit_power_law_decay,
     full_simulation_oracle,
     off_diagonal_norms,
+    partial_trace_env,
+    propagator,
     random_density,
     recurrence_window,
     rotation_axis,
     sector_probabilities,
     spin_asymptotics,
     spin_evolve,
+    tensor_product,
     trace_distance,
 )
 
@@ -109,6 +112,12 @@ def test_discretize_matches_quadrature_weighting():
     # Weighted mean of v^2 reproduces the gaussian second moment.
     second = np.sum(grid.points[:, 1] * grid.points[:, 0] ** 2)
     assert second == pytest.approx(1.0, abs=1e-10)
+
+
+def test_discretize_requires_an_integer_size():
+    with pytest.raises(TypeError):
+        GAUSS.discretize(2.7)
+    assert GAUSS.discretize(np.int64(3)).points.shape == (3, 2)
 
 
 def test_gaussian_width_must_be_positive():
@@ -467,6 +476,41 @@ def test_oracle_matches_az_closed_form_on_discrete_spectrum():
         closed = az_evolve(model, rho0, t)
         oracle = full_simulation_oracle(model, rho0, t, 32)
         assert trace_distance(closed, oracle) < 1e-11
+
+
+def test_oracle_contracts_the_joint_state_exactly():
+    rng = np.random.default_rng(41)
+    env = GAUSS.discretize(24)
+    sectors = block_diagonal_sectors([2, 1])
+    h_s = np.zeros((3, 3), dtype=complex)
+    h_s[:2, :2] = [[0.4, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]]
+    h_s[2, 2] = 0.7
+    model = ArakiZurekModel(sectors, [1.0, -1.0], h_s, env, 2.0)
+    rho0 = random_density(3, rng)
+    v, w = env.points[:, 0], env.points[:, 1]
+    h_joint = tensor_product(h_s, np.eye(v.size)) + tensor_product(model.v_s, np.diag(v))
+    for t in (0.0, 1.3, 7.9):
+        u = propagator(h_joint, t)
+        w0 = tensor_product(rho0.matrix, np.diag(w))
+        expected = partial_trace_env(u @ w0 @ u.conj().T, 3, v.size)
+        got = full_simulation_oracle(model, rho0, t, v.size).matrix
+        assert np.abs(got - expected).max() < 1e-13
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_oracle_and_az_reject_non_finite_time(t):
+    model = simple_az(env=GAUSS.discretize(8))
+    rho0 = random_density(2, np.random.default_rng(42))
+    with pytest.raises(ValueError, match="finite"):
+        az_evolve(model, rho0, t)
+    with pytest.raises(ValueError, match="t must be finite"):
+        full_simulation_oracle(model, rho0, t, 8)
+
+
+def test_oracle_requires_an_integer_grid():
+    rho0 = random_density(2, np.random.default_rng(43))
+    with pytest.raises(TypeError):
+        full_simulation_oracle(simple_az(), rho0, 1.0, 16.5)
 
 
 def test_oracle_discrete_env_must_match_grid():

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import declab.operators as operators
 from declab import (
     DimensionMismatch,
     NotHermitian,
@@ -114,6 +118,100 @@ def test_propagator_matches_scipy_expm():
 def test_propagator_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_propagator_rejects_non_finite_time(t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        propagator(SZ, t)
+
+
+# --- spectrum cache
+
+
+def count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_propagator_cache_hit_is_bit_identical_to_cold_call(monkeypatch):
+    rng = np.random.default_rng(13)
+    h = random_hermitian(12, rng)
+    calls = count_eigh(monkeypatch)
+    propagator(h, 0.3)
+    hit = propagator(h.copy(), 1.7)
+    assert len(calls) == 1
+    operators._spectra.clear()
+    cold = propagator(h, 1.7)
+    assert len(calls) == 2
+    assert np.array_equal(hit, cold)
+    assert np.linalg.norm(cold - scipy.linalg.expm(-1.7j * h)) < 1e-11
+
+
+def test_propagator_sees_in_place_change():
+    rng = np.random.default_rng(14)
+    h = random_hermitian(6, rng)
+    before = propagator(h, 0.9)
+    h[2, 2] += 0.5
+    after = propagator(h, 0.9)
+    assert np.linalg.norm(after - before) > 1e-3
+    assert np.linalg.norm(after - scipy.linalg.expm(-0.9j * h)) < 1e-11
+
+
+def test_propagator_cache_keeps_last_two_read_only_spectra(monkeypatch):
+    rng = np.random.default_rng(15)
+    hs = [random_hermitian(4, rng) for _ in range(3)]
+    operators._spectra.clear()
+    calls = count_eigh(monkeypatch)
+    for h in hs + hs[1:]:
+        propagator(h, 1.0)
+    # The third H evicted the first; the second and third were hits.
+    assert len(calls) == 3
+    assert operators.SPECTRUM_CACHE_SIZE == 2
+    assert len(operators._spectra) == 2
+    for vals, vecs in operators._spectra.values():
+        assert not vals.flags.writeable and not vecs.flags.writeable
+    propagator(hs[0], 1.0)
+    assert len(calls) == 4
+
+
+def test_propagator_cache_under_alternating_threads():
+    # More threads than cores and more Hamiltonians than cache entries, so
+    # lookups, misses and evictions interleave.
+    rng = np.random.default_rng(16)
+    hs = [random_hermitian(8, rng) for _ in range(3)]
+    times = [0.0, 0.4, -1.1, 2.5]
+    expected = [[scipy.linalg.expm(-1j * t * h) for t in times] for h in hs]
+    errors = []
+
+    def worker(offset):
+        for i in range(60):
+            k = (offset + i) % len(hs)
+            j = i % len(times)
+            err = np.linalg.norm(propagator(hs[k], times[j]) - expected[k][j])
+            if not err < 1e-11:
+                errors.append((k, j, err))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(operators._spectra) <= operators.SPECTRUM_CACHE_SIZE
 
 
 def test_schatten_diagonal():

@@ -138,6 +138,16 @@ SPIN_ENVS = [SpectralDensity.gaussian(1.0), SpectralDensity.gaussian(1.0).discre
 
 
 @pytest.mark.parametrize("env", SPIN_ENVS, ids=["gaussian", "discrete"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trajectories_reject_non_finite_times(env, bad):
+    model = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=env)
+    with pytest.raises(ValueError, match=r"times must be finite: t\[2\]"):
+        chi_trajectory(env, [0.0, 1.0, bad])
+    with pytest.raises(ValueError, match=r"times must be finite: t\[2\]"):
+        spin_trajectory(model, [0.6, -0.3, 0.4], [0.0, 1.0, bad, 2.0])
+
+
+@pytest.mark.parametrize("env", SPIN_ENVS, ids=["gaussian", "discrete"])
 def test_spin_trajectory_matches_pointwise(env):
     model = SpinModel(a=[1.0, 0.4, 2.0], b=0.3, lam=0.8, env_diag=env)
     p = np.array([0.6, -0.3, 0.4])
