@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import DeclabError, ParseError, ValidationError
 from .models import (
+    MAX_DENSE_DIM,
     ArakiZurekModel,
     SpectralDensity,
     SpinModel,
@@ -220,11 +221,13 @@ def _parse_araki_zurek(e: _Entries, t_grid, env) -> dict:
     if not all(d >= 1 and d.is_integer() for d in dims):
         raise ValidationError("model.sector_dims", "sector dimensions must be positive integers")
     dims = [int(d) for d in dims]
+    dim = sum(dims)
+    if dim > MAX_DENSE_DIM:
+        raise ValidationError("model.sector_dims", f"system dimension {dim} exceeds {MAX_DENSE_DIM}")
     lambdas = e.floats("model.lambdas")
     if len(lambdas) != len(dims):
         raise ValidationError("model.lambdas", "need one eigenvalue per sector")
     delta = e.number("model.delta")
-    dim = sum(dims)
     if "model.h_s" in e.raw:
         h_s = _parse_complex_matrix(e, "model.h_s", dim)
     else:
@@ -264,6 +267,8 @@ def _parse_decompose_demo(e: _Entries) -> dict:
     dim = e.number("demo.dim", kind=int, default=4)
     if dim < 2:
         raise ValidationError("demo.dim", "dimension must be at least 2")
+    if dim > MAX_DENSE_DIM:
+        raise ValidationError("demo.dim", f"dimension {dim} exceeds {MAX_DENSE_DIM}")
     if "seed" not in e.raw:
         raise ValidationError("seed", "decompose_demo draws random states; a seed is required")
     return {"seed": e.number("seed", kind=int), "dim": dim}

@@ -1,8 +1,12 @@
 """Dense complex-matrix substrate: eigendecomposition, propagators, Schatten
 norms, tensor products and the partial trace over the environment factor.
 
-All functions are pure and operate on square ``numpy`` arrays; the spectra
-``propagator`` keeps for reuse never change a result.  Dense storage only; the
+All functions are pure and operate on square ``numpy`` arrays.  ``propagator``
+diagonalises a Hamiltonian one connected block at a time: the blocks are the
+connected components of the pattern of its exact nonzero entries, so a joint
+Hamiltonian whose coupling commutes with the environment splits into one small
+block per environment point, while a dense irreducible one is a single block.
+The spectra it keeps for reuse never change a result.  Dense storage only; the
 supported dimension is documented up to 1024.
 """
 
@@ -20,8 +24,9 @@ DEGENERACY_RTOL = 1e-10
 # Spectra kept by ``propagator``: checking a closed form against the oracle
 # alternates two Hamiltonians (the system's and the joint one).
 SPECTRUM_CACHE_SIZE = 2
-# (shape, blake2b-128 of the symmetrized bytes) -> read-only (vals, vecs), least
-# recently used first.  Keyed by a digest so no copy of H is pinned.
+# (shape, blake2b-128 of the symmetrized bytes) -> tuple of read-only
+# (indices, vals, vecs) block groups, least recently used first.  Keyed by a
+# digest so no copy of H is pinned.
 _spectra = OrderedDict()
 _spectra_lock = threading.Lock()
 
@@ -47,10 +52,10 @@ def require_hermitian(m, rtol=HERMITICITY_RTOL, name="matrix"):
     further than ``rtol`` (relative, HS norm) from Hermitian are rejected.
     """
     a = _as_square_matrix(m, name)
-    scale = hs_norm(a)
-    if hs_norm(a - a.conj().T) > rtol * max(scale, 1e-300):
+    adjoint = a.conj().T
+    if hs_norm(a - adjoint) > rtol * max(hs_norm(a), 1e-300):
         raise NotHermitian(f"{name} is not Hermitian within {rtol:g} relative")
-    return (a + a.conj().T) / 2.0
+    return (a + adjoint) / 2.0
 
 
 class HermitianEig(NamedTuple):
@@ -104,8 +109,35 @@ def hermitian_eig(m) -> HermitianEig:
     return HermitianEig(vals, vecs)
 
 
+def _components(h):
+    """Connected component of each index in the graph of h's exact nonzero
+    entries (h Hermitian, so the graph is undirected), labelled by the
+    component's smallest index."""
+    n = h.shape[0]
+    linked = h != 0
+    np.fill_diagonal(linked, True)  # every row non-empty, so reduceat sees each index
+    rows, cols = np.nonzero(linked)
+    starts = np.searchsorted(rows, np.arange(n))
+    labels = np.arange(n)
+    while True:
+        # Hook each index to its smallest neighbouring label, then jump to roots.
+        # Labels only fall and stay inside their component, so a fixed point is
+        # one label per component.
+        hooked = np.minimum.reduceat(labels[cols], starts)
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            return labels
+        labels = hooked
+
+
 def _spectrum(h):
-    """Eigenvalues and eigenvectors of the symmetrized h, from the cache or eigh."""
+    """Spectra of the connected blocks of the symmetrized h, from the cache or eigh.
+
+    Returns one read-only (indices, vals, vecs) triple per block size d, with
+    indices (K, d) ascending within each of the K blocks, vals (K, d) and vecs
+    (K, d, d) from one batched ``eigh`` of the K blocks.
+    """
     key = (h.shape, hashlib.blake2b(np.ascontiguousarray(h), digest_size=16).digest())
     with _spectra_lock:
         hit = _spectra.get(key)
@@ -113,35 +145,52 @@ def _spectrum(h):
             _spectra.move_to_end(key)
             return hit
     # Outside the lock, so threads on other Hamiltonians are not serialized.
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    vals.flags.writeable = False
-    vecs.flags.writeable = False
+    labels = _components(h)
+    sizes = np.bincount(labels, minlength=labels.size)[labels]
+    order = np.lexsort((labels, sizes))  # stable: by size, then block, then index
+    sizes = sizes[order]
+    groups = []
+    for d in sorted(set(sizes.tolist())):
+        idx = order[sizes == d].reshape(-1, d)
+        try:
+            vals, vecs = np.linalg.eigh(h[idx[:, :, np.newaxis], idx[:, np.newaxis, :]])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+        for a in (idx, vals, vecs):
+            a.flags.writeable = False
+        groups.append((idx, vals, vecs))
+    groups = tuple(groups)
     with _spectra_lock:
-        _spectra[key] = (vals, vecs)
+        _spectra[key] = groups
         _spectra.move_to_end(key)
         while len(_spectra) > SPECTRUM_CACHE_SIZE:
             _spectra.popitem(last=False)
-    return vals, vecs
+    return groups
 
 
 def propagator(h, t: float) -> np.ndarray:
     """Unitary exp(-iHt) for Hermitian H, built from the eigendecomposition.
 
     The spectral route keeps the result unitary to roundoff, unlike a
-    truncated series.  exp(-iHt) does not depend on the eigenbasis, so the
-    plain ``eigh`` output is used, and the spectra of the last
-    ``SPECTRUM_CACHE_SIZE`` Hamiltonians (matched by content) are reused: a
+    truncated series.  H is diagonalised block by block: indices linked by
+    exact nonzero entries form a block, blocks of one size share one batched
+    ``eigh``, and each block's exp(-iH_k t) is scattered into an otherwise
+    zero matrix, so a dense irreducible H costs one ``eigh`` of the whole
+    matrix.  exp(-iHt) does not depend on the eigenbasis, so the plain
+    ``eigh`` output is used.  The block spectra of the last
+    ``SPECTRUM_CACHE_SIZE`` Hamiltonians (matched by content) are reused, one
+    cache entry per H holding its tuple of (indices, vals, vecs) groups: a
     time grid over one H costs one eigendecomposition.
     """
     t = float(t)
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    vals, vecs = _spectrum(require_hermitian(h))
-    phases = np.exp(-1j * vals * t)
-    return (vecs * phases[np.newaxis, :]) @ vecs.conj().T
+    h = require_hermitian(h)
+    u = np.zeros(h.shape, dtype=complex)
+    for idx, vals, vecs in _spectrum(h):
+        phased = vecs * np.exp(-1j * vals * t)[:, np.newaxis, :]
+        u[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] = phased @ vecs.conj().swapaxes(1, 2)
+    return u
 
 
 class SchattenNorms(NamedTuple):

@@ -301,3 +301,37 @@ def test_main_validate_rejects_bloch_vector_on_non_qubit_system(tmp_path, capsys
     cfg.write_text(AZ_CONFIG.replace("model.sector_dims = 1,1", "model.sector_dims = 2,1"))
     assert main(["validate", "--config", str(cfg)]) == 1
     assert "invalid config: initial.bloch:" in capsys.readouterr().err
+
+
+DENSE_CAP = [
+    (AZ_CONFIG, "model.sector_dims = 1,1", "model.sector_dims = 1025", "model.sector_dims"),
+    (AZ_CONFIG, "model.sector_dims = 1,1", "model.sector_dims = 1000,25", "model.sector_dims"),
+    (DEMO_CONFIG, "demo.dim = 4", "demo.dim = 1500", "demo.dim"),
+]
+
+
+@pytest.mark.parametrize("base, old, new, key", DENSE_CAP, ids=[c[2] for c in DENSE_CAP])
+def test_main_validate_rejects_dimension_above_dense_cap(tmp_path, capsys, base, old, new, key):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(base.replace(old, new))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid config: {key}:" in err and "1024" in err
+
+
+def test_parse_checks_sector_dims_before_building_projectors(monkeypatch):
+    def forbidden(dims, labels=None):
+        raise AssertionError("projectors built for an over-cap system")
+
+    monkeypatch.setattr("declab.cli.block_diagonal_sectors", forbidden)
+    # 1025 sectors of size 1: the projectors alone would take 1025 x 1025^2 entries.
+    dims = ",".join(["1"] * 1025)
+    text = AZ_CONFIG.replace("model.sector_dims = 1,1", f"model.sector_dims = {dims}")
+    text = text.replace("model.lambdas = 1,-1", "model.lambdas = " + ",".join(["0"] * 1025))
+    with pytest.raises(ValidationError) as info:
+        parse_config(text)
+    assert info.value.key == "model.sector_dims"
+
+
+def test_parse_accepts_dimension_at_dense_cap():
+    assert parse_config(DEMO_CONFIG.replace("demo.dim = 4", "demo.dim = 1024")).inputs["dim"] == 1024

@@ -497,6 +497,28 @@ def test_oracle_contracts_the_joint_state_exactly():
         assert np.abs(got - expected).max() < 1e-13
 
 
+def test_oracle_matches_closed_forms_at_the_dense_cap():
+    # Joint dimension 1024 for both models, within criterion 7's tolerances.
+    rng = np.random.default_rng(44)
+    grid512 = GAUSS.discretize(512)
+    spin = SpinModel(a=[0.8, -0.4, 1.5], b=0.3, lam=1.0, env_diag=grid512)
+    p = np.array([0.5, 0.4, -0.6])
+    for t in (2.5, 8.0):
+        oracle = full_simulation_oracle(spin, bloch_to_density(p), t, 512)
+        assert trace_distance(spin_evolve(spin, p, t), oracle) < 1e-8
+
+    grid256 = GAUSS.discretize(256)
+    h_s = np.zeros((4, 4), dtype=complex)
+    h_s[:2, :2] = [[0.3, 0.2 - 0.4j], [0.2 + 0.4j, -0.1]]
+    h_s[2:, 2:] = [[-0.5, 0.1j], [-0.1j, 0.2]]
+    az = ArakiZurekModel(block_diagonal_sectors([2, 2]), [1.0, -1.0], h_s, grid256, 2.0)
+    rho0 = random_density(4, rng)
+    for t in (0.3, 0.7):
+        t = t * recurrence_window(grid256)
+        oracle = full_simulation_oracle(az, rho0, t, 256)
+        assert trace_distance(az_evolve(az, rho0, t), oracle) < 1e-9
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf])
 def test_oracle_and_az_reject_non_finite_time(t):
     model = simple_az(env=GAUSS.discretize(8))

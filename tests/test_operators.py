@@ -176,8 +176,9 @@ def test_propagator_cache_keeps_last_two_read_only_spectra(monkeypatch):
     assert len(calls) == 3
     assert operators.SPECTRUM_CACHE_SIZE == 2
     assert len(operators._spectra) == 2
-    for vals, vecs in operators._spectra.values():
-        assert not vals.flags.writeable and not vecs.flags.writeable
+    for groups in operators._spectra.values():
+        for _, vals, vecs in groups:
+            assert not vals.flags.writeable and not vecs.flags.writeable
     propagator(hs[0], 1.0)
     assert len(calls) == 4
 
@@ -212,6 +213,75 @@ def test_propagator_cache_under_alternating_threads():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert len(operators._spectra) <= operators.SPECTRUM_CACHE_SIZE
+
+
+# --- block-by-block diagonalisation
+
+
+def permuted_direct_sum(sizes, rng):
+    """Direct sum of random Hermitian blocks with interleaved indices."""
+    h = scipy.linalg.block_diag(*(random_hermitian(d, rng) for d in sizes))
+    perm = rng.permutation(h.shape[0])
+    return h[np.ix_(perm, perm)]
+
+
+def test_propagator_on_permuted_direct_sum_batches_blocks_by_size(monkeypatch):
+    rng = np.random.default_rng(17)
+    h = permuted_direct_sum([1, 2, 3, 5, 2, 3, 1, 5], rng)
+    operators._spectra.clear()
+    calls = count_eigh(monkeypatch)
+    u = propagator(h, 0.8)
+    assert np.linalg.norm(u - scipy.linalg.expm(-0.8j * h)) < 1e-12
+    # One batched eigh per distinct block size, each over all blocks of that size.
+    assert sorted(calls) == [(2, 1, 1), (2, 2, 2), (2, 3, 3), (2, 5, 5)]
+
+
+def test_propagator_diagonal_and_zero_matrices(monkeypatch):
+    operators._spectra.clear()
+    calls = count_eigh(monkeypatch)
+    d = np.diag([0.5, -1.0, 2.0, 0.0, 3.5])
+    assert np.linalg.norm(propagator(d, 1.1) - scipy.linalg.expm(-1.1j * d)) < 1e-14
+    assert calls == [(5, 1, 1)]
+    zero = np.zeros((6, 6))
+    assert np.array_equal(propagator(zero, 2.0), scipy.linalg.expm(-2.0j * zero))
+    assert calls == [(5, 1, 1), (6, 1, 1)]
+
+
+def test_propagator_dense_irreducible_matrix_costs_one_eigh(monkeypatch):
+    rng = np.random.default_rng(18)
+    h = random_hermitian(16, rng)
+    operators._spectra.clear()
+    calls = count_eigh(monkeypatch)
+    u = propagator(h, -0.6)
+    assert np.linalg.norm(u - scipy.linalg.expm(0.6j * h)) < 1e-11
+    assert len(calls) == 1 and calls[0][-2:] == (16, 16)
+
+
+def test_propagator_blocks_follow_exact_zeros_only(monkeypatch):
+    # A coupling far below any tolerance still joins two blocks into one.
+    rng = np.random.default_rng(19)
+    h = scipy.linalg.block_diag(random_hermitian(3, rng), random_hermitian(3, rng))
+    h[0, 5] = h[5, 0] = 1e-300
+    calls = count_eigh(monkeypatch)
+    propagator(h, 1.0)
+    assert len(calls) == 1 and calls[0][-2:] == (6, 6)
+
+
+def test_propagator_reducible_cache_hit_is_bit_identical_to_cold_call(monkeypatch):
+    rng = np.random.default_rng(20)
+    h = permuted_direct_sum([1, 2, 3, 5, 3], rng)
+    operators._spectra.clear()
+    calls = count_eigh(monkeypatch)
+    propagator(h, 0.2)
+    hit = propagator(h.copy(), 2.3)
+    assert len(calls) == 4
+    for idx, vals, vecs in next(iter(operators._spectra.values())):
+        assert not (idx.flags.writeable or vals.flags.writeable or vecs.flags.writeable)
+    operators._spectra.clear()
+    cold = propagator(h, 2.3)
+    assert len(calls) == 8
+    assert np.array_equal(hit, cold)
+    assert np.linalg.norm(cold - scipy.linalg.expm(-2.3j * h)) < 1e-12
 
 
 def test_schatten_diagonal():
