@@ -30,6 +30,7 @@ from .models import (
     az_evolve,
     chi_trajectory,
     spin_asymptotics,
+    spin_horizon,
     spin_trajectory,
 )
 from .states import (
@@ -247,6 +248,12 @@ def _parse_spin(e: _Entries, t_grid, env) -> dict:
         model = SpinModel(a=np.asarray(a), b=b, lam=lam, env_diag=env)
     except ValueError as exc:
         raise ValidationError("model.b", str(exc))
+    horizon = spin_horizon(model)
+    if t_grid[-1] > horizon:
+        raise ValidationError(
+            "t_grid.stop", f"stop {t_grid[-1]:g} is beyond the spin horizon {horizon:g} "
+            "of this environment and coupling"
+        )
     return {"t_grid": t_grid, "model": model, "initial_bloch": _parse_bloch(e)}
 
 

@@ -31,7 +31,15 @@ from .operators import (
     require_hermitian,
     tensor_product,
 )
-from .quadrature import NODES_PER_PANEL, gauss_legendre_adaptive, oscillation_panels
+from .quadrature import (
+    MAX_PANELS,
+    NODES_PER_PANEL,
+    LegendrePanels,
+    gauss_legendre_adaptive,
+    legendre_fourier,
+    legendre_panels,
+    oscillation_panels,
+)
 from .states import PAULI, DensityOperator, bloch_to_density, trace_distance
 from .superselection import SectorStructure, sector_mask, validate_sectors
 
@@ -52,7 +60,7 @@ class SpectralDensity:
     explicit (point, weight) pairs and models a finite environment.
     """
 
-    __slots__ = ("kind", "s", "a", "b", "points", "_bump_norm")
+    __slots__ = ("kind", "s", "a", "b", "points", "_bump_norm", "_expansion")
 
     def __init__(self, kind, s=None, a=None, b=None, points=None):
         self.kind = kind
@@ -61,18 +69,13 @@ class SpectralDensity:
         self.b = b
         self.points = points
         self._bump_norm = None
+        self._expansion = None
         if kind == "gaussian":
             if not s > 0:
                 raise ValueError("gaussian width must be positive")
         elif kind in ("uniform", "bump"):
             if not b > a:
                 raise ValueError(f"support must satisfy b > a, got [{a}, {b}]")
-            if kind == "bump":
-                # Gauss-Legendre nodes are interior, so 1 - u^2 never hits 0.
-                plain = gauss_legendre_adaptive(
-                    lambda u: np.exp(-1.0 / (1.0 - u**2)), -1.0, 1.0, tol=1e-13
-                )
-                self._bump_norm = 1.0 / (float(np.real(plain)) * (b - a) / 2.0)
         elif kind == "discrete":
             pts = np.asarray(points, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
@@ -128,11 +131,38 @@ class SpectralDensity:
             inside = (v >= self.a) & (v <= self.b)
             return np.where(inside, 1.0 / (self.b - self.a), 0.0)
         if self.kind == "bump":
-            u = (2.0 * v - self.a - self.b) / (self.b - self.a)
-            inside = np.abs(u) < 1.0
-            safe = np.where(inside, u, 0.0)
-            return np.where(inside, self._bump_norm * np.exp(-1.0 / (1.0 - safe**2)), 0.0)
+            if self._bump_norm is None:
+                self.expansion()
+            return self._bump_norm * self._bump_shape(v)
         raise NotDiscrete("a discrete density has weights, not a density function")
+
+    def _bump_shape(self, v):
+        """exp(-1/(1-u^2)) with the support mapped onto u in (-1, 1), zero outside."""
+        u = (2.0 * v - self.a - self.b) / (self.b - self.a)
+        inside = np.abs(u) < 1.0
+        safe = np.where(inside, u, 0.0)
+        return np.where(inside, np.exp(-1.0 / (1.0 - safe**2)), 0.0)
+
+    def expansion(self) -> LegendrePanels:
+        """Legendre panels of a continuous density, built on first use and kept.
+
+        They depend on the density alone and serve every chi evaluation.  The
+        bump is expanded unnormalized; its normalization is the integral of
+        that expansion, the sum of its panel integrals 2h a_0.
+        """
+        if self.is_discrete:
+            raise NotDiscrete("a discrete density has weights, not a Legendre expansion")
+        if self._expansion is None:
+            lo, hi = self.support()
+            if self.kind == "bump":
+                shape = legendre_panels(self._bump_shape, lo, hi)
+                norm = 1.0 / float(shape.coeffs[:, 0].sum())
+                self._bump_norm = norm
+                self._expansion = shape._replace(coeffs=shape.coeffs * norm,
+                                                 tail=shape.tail * norm)
+            else:
+                self._expansion = legendre_panels(self.density, lo, hi)
+        return self._expansion
 
     def discretize(self, n: int) -> "SpectralDensity":
         """Discrete density on n Gauss-Legendre nodes of the support.
@@ -180,6 +210,17 @@ def _blocks(lo, hi, rate, ts):
         start = stop
 
 
+def _times(ts) -> np.ndarray:
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("times must be a nonempty 1-d sequence")
+    bad = np.flatnonzero(~np.isfinite(ts))
+    if bad.size:
+        more = f" and {bad.size - 1} more" if bad.size > 1 else ""
+        raise ValueError(f"times must be finite: t[{bad[0]}] = {float(ts[bad[0]])!r}{more}")
+    return ts
+
+
 def _trajectory(env, ts, rate, integrand, tol):
     """Sum or integral over x of integrand(x, t, weight(x)) for every t in ts.
 
@@ -189,13 +230,7 @@ def _trajectory(env, ts, rate, integrand, tol):
     block of times is one adaptive call over the support, pre-split for the
     block's largest phase rate ``rate * |t|``.
     """
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("times must be a nonempty 1-d sequence")
-    bad = np.flatnonzero(~np.isfinite(ts))
-    if bad.size:
-        more = f" and {bad.size - 1} more" if bad.size > 1 else ""
-        raise ValueError(f"times must be finite: t[{bad[0]}] = {float(ts[bad[0]])!r}{more}")
+    ts = _times(ts)
     if env.is_discrete:
         # Points last and contiguous: numpy's pairwise summation runs over them.
         vals = integrand(env.points[:, 0], ts, env.points[:, 1])
@@ -216,9 +251,15 @@ def _trajectory(env, ts, rate, integrand, tol):
 def chi_trajectory(env: SpectralDensity, ts, tol: float = 1e-9) -> np.ndarray:
     """chi(t) for every t in ``ts`` (any order, sign or repetition), shape (T,).
 
-    One adaptive quadrature serves a whole block of times; the density is
-    evaluated once per node and only exp(-ivt) per (node, t) pair.
+    A continuous density is integrated term by term from its Legendre
+    expansion (``SpectralDensity.expansion``), built once per density: the
+    cost per time does not depend on |t|, and the expansion's tail estimate
+    bounds the error at every t.  Raises QuadratureFailure when ``tol`` is
+    below that estimate.  A discrete density is one exact sum over its points.
     """
+    if not env.is_discrete:
+        return legendre_fourier(env.expansion(), _times(ts), tol)
+
     def phases(v, tb, weight):
         return weight[:, None] * np.exp(-1j * np.multiply.outer(v, tb))
 
@@ -229,9 +270,10 @@ def decoherence_function(env: SpectralDensity, t: float, tol: float = 1e-9) -> c
     """Environment overlap chi(t): the Fourier transform of the density.
 
     chi(0) = 1 and |chi(t)| <= 1 for every density; its decay rate is what
-    suppresses intersector coherence.  Continuous kinds are integrated with
-    adaptive Gauss-Legendre panels pre-split for the oscillation rate |t|;
-    this is the single-time case of ``chi_trajectory``.
+    suppresses intersector coherence.  Continuous kinds are integrated
+    exactly term by term from the density's Legendre expansion, at a cost
+    that does not depend on t; this is the single-time case of
+    ``chi_trajectory``.
     """
     return complex(chi_trajectory(env, [float(t)], tol)[0])
 
@@ -447,6 +489,22 @@ def rotation_axis(model: SpinModel, x: float):
     """
     n, omega = _axes(model, np.array([float(x)]))
     return n[0], float(omega[0])
+
+
+def spin_horizon(model: SpinModel) -> float:
+    """Largest |t| at which ``spin_trajectory``'s pre-split still resolves the phase.
+
+    The pre-split gives each panel at most half a period of the fastest
+    rotation rate 2 |lam| |t| over the support [lo, hi], and it is capped at
+    MAX_PANELS panels, which it reaches at MAX_PANELS pi / (2 |lam| (hi - lo)).
+    Beyond that the adaptive rule may run out of panels.  A discrete
+    environment (an exact sum) and lam = 0 have no horizon.
+    """
+    env = model.env_diag
+    if env.is_discrete or model.lam == 0.0:
+        return float("inf")
+    lo, hi = env.support()
+    return MAX_PANELS * np.pi / (2.0 * abs(model.lam) * (hi - lo))
 
 
 def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:

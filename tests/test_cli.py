@@ -335,3 +335,51 @@ def test_parse_checks_sector_dims_before_building_projectors(monkeypatch):
 
 def test_parse_accepts_dimension_at_dense_cap():
     assert parse_config(DEMO_CONFIG.replace("demo.dim = 4", "demo.dim = 1024")).inputs["dim"] == 1024
+
+
+SPIN_CONFIG = """
+experiment = spin
+t_grid.start = 0.0
+t_grid.stop = 20000.0
+t_grid.count = 3
+env.kind = gaussian
+env.s = 1.0
+model.a = 1,0,2
+model.b = 0.3
+model.lam = 1.0
+initial.bloch = 0.7,0.2,0.5
+"""
+
+
+@pytest.mark.parametrize("base", [SPIN_CONFIG, SPIN_ASYMPTOTICS_CONFIG.replace(
+    "t_grid.stop = 14.0", "t_grid.stop = 20000.0")], ids=["spin", "spin_asymptotics"])
+def test_main_validate_rejects_spin_grid_beyond_horizon(tmp_path, capsys, base):
+    # A unit gaussian with lam = 1 has the horizon 2**14 pi / (2 * 20) ~ 1286.8;
+    # at 2e4 the run used to fail with exit 2 after validate had passed.
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(base)
+    assert main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid config: t_grid.stop:" in err and "1286.8" in err
+
+
+def test_spin_grid_inside_horizon_or_on_discrete_env_validates():
+    assert parse_config(SPIN_CONFIG.replace("t_grid.stop = 20000.0", "t_grid.stop = 1286.0"))
+    # A discrete environment is an exact sum at every t: no horizon.
+    discrete = SPIN_CONFIG.replace("env.kind = gaussian\nenv.s = 1.0",
+                                   "env.kind = discrete\nenv.points = -0.5:0.5, 0.5:0.5")
+    assert parse_config(discrete).inputs["t_grid"][-1] == 20000.0
+
+
+def test_main_run_chi_scan_beyond_old_panel_budget(tmp_path):
+    # t = 1.01e5 needed more than the adaptive rule's 2**14 panels (exit 2).
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(CHI_CONFIG.replace("t_grid.stop = 6.0", "t_grid.stop = 101000.0")
+                   .replace("t_grid.count = 13", "t_grid.count = 3")
+                   .replace("env.kind = uniform\nenv.a = -1.0\nenv.b = 1.0",
+                            "env.kind = gaussian\nenv.s = 1.0"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "chi_scan.csv")
+    ts = np.array([float(row[0]) for row in rows])
+    chi = np.array([complex(float(row[1]), float(row[2])) for row in rows])
+    assert np.abs(chi - np.exp(-(ts**2) / 2.0)).max() < 1e-14

@@ -13,9 +13,16 @@ from declab import (
     density_to_bloch,
     gauss_legendre_adaptive,
     spin_evolve,
+    spin_horizon,
     spin_trajectory,
 )
-from declab.quadrature import MIN_PANELS, oscillation_panels
+from declab.quadrature import (
+    LEGENDRE_ORDER,
+    MIN_PANELS,
+    legendre_panels,
+    oscillation_panels,
+    spherical_jn,
+)
 
 # --- kernel
 
@@ -110,23 +117,34 @@ def test_chi_trajectory_closed_forms():
     assert np.abs(uniform - np.sinc(ts / np.pi)).max() < 1e-10
 
 
-def test_chi_trajectory_spans_several_blocks(monkeypatch):
-    # At t = 400 one time alone fills half of a block, so seven large times
-    # need several adaptive calls; the result must not depend on the split.
+def test_far_chi_trajectory_makes_no_adaptive_calls(monkeypatch):
+    # Large times used to need several adaptive calls; the Legendre-Filon
+    # rule needs none, and the result still matches pointwise calls.
     env = SpectralDensity.gaussian(1.0)
     ts = np.array([250.0, 100.0, 400.0, 150.0, 300.0, 200.0, 350.0])
     calls = count_calls(monkeypatch)
     got = chi_trajectory(env, ts)
-    assert len(calls) > 1
     expected = np.array([decoherence_function(env, t) for t in ts])
+    assert not calls
     assert np.abs(got - expected).max() < 1e-12
     assert np.abs(got - np.exp(-(ts**2) / 2.0)).max() < 1e-10
 
 
-def test_small_times_share_one_call(monkeypatch):
+FRESH_CONTINUOUS = {
+    "gaussian": lambda: SpectralDensity.gaussian(1.0),
+    "uniform": lambda: SpectralDensity.uniform(-1.0, 1.0),
+    "bump": lambda: SpectralDensity.bump(-2.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", FRESH_CONTINUOUS)
+def test_continuous_chi_makes_no_adaptive_calls(kind, monkeypatch):
     calls = count_calls(monkeypatch)
-    chi_trajectory(SpectralDensity.uniform(-1.0, 1.0), np.linspace(0.0, 5.0, 51))
-    assert len(calls) == 1
+    env = FRESH_CONTINUOUS[kind]()  # built after patching: the bump normalizes lazily
+    chi_trajectory(env, np.linspace(0.0, 5.0, 51))
+    decoherence_function(env, 1e5)
+    env.density(np.linspace(-3.0, 3.0, 7))
+    assert not calls
 
 
 def test_trajectories_reject_empty_times():
@@ -167,3 +185,144 @@ def test_spin_trajectory_spans_several_blocks(monkeypatch):
     assert len(calls) > 1
     expected = np.array([density_to_bloch(spin_evolve(model, p, t)) for t in ts])
     assert np.abs(got - expected).max() < 1e-12
+
+
+def test_spin_horizon_is_where_the_pre_split_reaches_the_budget():
+    gaussian = SpectralDensity.gaussian(1.0)
+    model = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=gaussian)
+    horizon = spin_horizon(model)
+    assert horizon == pytest.approx(2**14 * np.pi / 40.0, rel=1e-15)
+    assert oscillation_panels(-10.0, 10.0, 2.0 * horizon) == 2**14
+    # Still resolved at the horizon itself.
+    assert np.all(np.isfinite(spin_trajectory(model, [0.7, 0.2, 0.5], [horizon])))
+    assert spin_horizon(SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=-4.0, env_diag=gaussian)) == (
+        pytest.approx(horizon / 4.0, rel=1e-15))
+    for env, lam in [(gaussian.discretize(16), 1.0), (gaussian, 0.0)]:
+        assert spin_horizon(SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=lam, env_diag=env)) == np.inf
+
+
+# --- Legendre-Filon chi
+
+FAR_TIMES = np.array([0.0, 0.5, -0.5, 1.0, 10.0, 1e3, 1e4, 1.005e5, 1e6, 1e8])
+
+
+def test_filon_chi_matches_closed_forms_at_any_time():
+    gauss = chi_trajectory(SpectralDensity.gaussian(1.0), FAR_TIMES)
+    assert np.abs(gauss - np.exp(-(FAR_TIMES**2) / 2.0)).max() < 1e-14
+    uniform = chi_trajectory(SpectralDensity.uniform(-1.0, 1.0), FAR_TIMES)
+    assert np.abs(uniform - np.sinc(FAR_TIMES / np.pi)).max() < 1e-14
+    # A shifted support only adds the phase exp(-i c t).
+    shifted = chi_trajectory(SpectralDensity.uniform(0.5, 2.5), FAR_TIMES)
+    assert np.abs(shifted - np.exp(-1.5j * FAR_TIMES) * np.sinc(FAR_TIMES / np.pi)).max() < 1e-14
+    # On a dense grid both stay within 2 ulps of 1 (the adaptive rule was at
+    # 3.4e-16; Legendre coefficients built from numpy's double-precision
+    # Gauss-Legendre nodes and weights put them at ~7e-16).
+    ts = np.linspace(-60.0, 60.0, 1201)
+    assert np.abs(chi_trajectory(SpectralDensity.gaussian(1.0), ts)
+                  - np.exp(-(ts**2) / 2.0)).max() <= 2 * np.finfo(float).eps
+    assert np.abs(chi_trajectory(SpectralDensity.uniform(-1.0, 1.0), ts)
+                  - np.sinc(ts / np.pi)).max() <= 2 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("env", ENVS, ids=ENV_IDS)
+def test_chi_of_negative_time_is_the_conjugate(env):
+    ts = np.concatenate([np.linspace(0.0, 40.0, 81), [1e3, 1.005e5, 1e8]])
+    assert np.array_equal(chi_trajectory(env, -ts), np.conj(chi_trajectory(env, ts)))
+
+
+def test_bump_matches_direct_adaptive_integral():
+    # Normalization and transform both taken independently of the expansion.
+    a, b = -2.0, 1.0
+    env = SpectralDensity.bump(a, b)
+
+    def shape(v):
+        u = (2.0 * v - a - b) / (b - a)
+        return np.exp(-1.0 / (1.0 - u**2))
+
+    norm = gauss_legendre_adaptive(shape, a, b, tol=1e-14)
+    ts = np.array([0.0, 0.3, 1.0, 7.5, 20.0, 55.0, 100.0])
+    direct = [
+        gauss_legendre_adaptive(lambda v: shape(v) * np.exp(-1j * v * t), a, b, tol=1e-14,
+                                initial_panels=oscillation_panels(a, b, t)) / norm
+        for t in ts
+    ]
+    assert np.abs(chi_trajectory(env, ts) - direct).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", FRESH_CONTINUOUS)
+def test_panels_do_not_depend_on_the_requested_times(kind):
+    near, far = FRESH_CONTINUOUS[kind](), FRESH_CONTINUOUS[kind]()
+    chi_trajectory(near, [0.5])
+    chi_trajectory(far, [1e8, 3.0, 1e4])
+    first = near.expansion()
+    chi_trajectory(near, np.linspace(0.0, 1e6, 7))
+    assert near.expansion() is first
+    for got, want in zip(far.expansion(), first):
+        assert np.array_equal(got, want)
+
+
+def test_constant_density_is_one_term_on_one_panel():
+    # Round-off in its higher coefficients would otherwise keep all of them.
+    expansion = SpectralDensity.uniform(-1.5, 0.5).expansion()
+    assert expansion.coeffs.shape == (1, 1)
+    assert expansion.coeffs[0, 0] == 1.0
+
+
+def test_tolerance_below_the_tail_estimate_raises():
+    env = SpectralDensity.gaussian(1.0)
+    tail = env.expansion().tail
+    assert 0.0 < tail < 1e-14
+    assert chi_trajectory(env, [2.0], tol=tail)[0] == pytest.approx(np.exp(-2.0), abs=1e-15)
+    with pytest.raises(QuadratureFailure, match=f"tolerance {tail / 10:g} .* estimate {tail:g}"):
+        chi_trajectory(env, [2.0], tol=tail / 10)
+    with pytest.raises(QuadratureFailure):
+        decoherence_function(env, 2.0, tol=0.0)
+
+
+def test_legendre_panels_report_their_budget_failure():
+    # ~3e5 oscillations need more than 2**14 panels of 16 terms each.
+    with pytest.raises(QuadratureFailure, match="more than 16384 Legendre panels"):
+        legendre_panels(lambda v: np.cos(1e6 * v), -1.0, 1.0)
+
+
+# z near every k (where the forward and backward recurrences meet), near the
+# zeros of j_0, tiny and huge.
+_INTS = np.arange(1.0, LEGENDRE_ORDER + 2.0)
+_ZEROS = np.pi * np.arange(1.0, 8.0)
+JN_Z = np.unique(np.concatenate([
+    [0.0, 1e-300, 1e-10, 1e-3, 0.5], np.linspace(0.01, LEGENDRE_ORDER + 2.0, 400),
+    _INTS, np.nextafter(_INTS, 0.0), _INTS + 1e-9, _INTS - 0.5,
+    _ZEROS, np.nextafter(_ZEROS, 0.0), np.nextafter(_ZEROS, 10.0),
+    np.geomspace(LEGENDRE_ORDER + 2.0, 1e6, 60),
+]))
+KMAX = LEGENDRE_ORDER - 1
+EPS = np.finfo(float).eps
+
+
+def test_spherical_jn_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    got = spherical_jn(KMAX, JN_Z)
+    assert got.shape == (KMAX + 1, JN_Z.size)
+    ref = np.array([special.spherical_jn(k, JN_Z) for k in range(KMAX + 1)])
+    # |j_k| <= 1.  scipy's own error reaches ~7 ulps of 1 near z ~ k (against
+    # 40-digit mpmath), so that is the bound here; see the mpmath test.
+    assert np.abs(got - ref).max() <= 8 * EPS
+    # Same shape in, same shape out.
+    assert spherical_jn(3, JN_Z[:6].reshape(2, 3)).shape == (4, 2, 3)
+
+
+def test_spherical_jn_matches_mpmath_to_a_few_ulps():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    z = JN_Z[::4]
+    got = spherical_jn(KMAX, z)
+    ref = np.array([
+        [float(mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(x))) * mpmath.besselj(k + 0.5, mpmath.mpf(x)))
+         if x else float(k == 0) for x in z]
+        for k in range(KMAX + 1)
+    ])
+    assert np.abs(got - ref).max() <= 2 * EPS
+    # Tiny values below z = 1 keep their relative accuracy.
+    small = (z > 1e-200) & (z < 1.0)
+    rel = np.abs(got[:, small] - ref[:, small]) / np.abs(ref[:, small])
+    assert rel.max() <= 4 * (KMAX + 1) * EPS
