@@ -133,35 +133,31 @@ class SpectralDensity:
         if self.kind == "bump":
             if self._bump_norm is None:
                 self.expansion()
-            return self._bump_norm * self._bump_shape(v)
+            return self._bump_norm * _bump((2.0 * v - self.a - self.b) / (self.b - self.a))
         raise NotDiscrete("a discrete density has weights, not a density function")
-
-    def _bump_shape(self, v):
-        """exp(-1/(1-u^2)) with the support mapped onto u in (-1, 1), zero outside."""
-        u = (2.0 * v - self.a - self.b) / (self.b - self.a)
-        inside = np.abs(u) < 1.0
-        safe = np.where(inside, u, 0.0)
-        return np.where(inside, np.exp(-1.0 / (1.0 - safe**2)), 0.0)
 
     def expansion(self) -> LegendrePanels:
         """Legendre panels of a continuous density, built on first use and kept.
 
         They depend on the density alone and serve every chi evaluation.  The
-        bump is expanded unnormalized; its normalization is the integral of
-        that expansion, the sum of its panel integrals 2h a_0.
+        bump is expanded in u on [-1, 1], the same for every support, and
+        its panels are then mapped onto [a, b]: sampling it at points of a
+        far-off or wide support would put rounding of the abscissae into
+        its steep flanks.  Its normalization is the integral of that
+        expansion, the sum of its panel integrals 2h a_0.
         """
         if self.is_discrete:
             raise NotDiscrete("a discrete density has weights, not a Legendre expansion")
         if self._expansion is None:
-            lo, hi = self.support()
             if self.kind == "bump":
-                shape = legendre_panels(self._bump_shape, lo, hi)
-                norm = 1.0 / float(shape.coeffs[:, 0].sum())
-                self._bump_norm = norm
-                self._expansion = shape._replace(coeffs=shape.coeffs * norm,
-                                                 tail=shape.tail * norm)
+                unit = legendre_panels(_bump, -1.0, 1.0)
+                total = float(unit.coeffs[:, 0].sum())
+                mid, half = (self.a + self.b) / 2.0, (self.b - self.a) / 2.0
+                self._bump_norm = 1.0 / (half * total)
+                self._expansion = LegendrePanels(mid + half * unit.centres, half * unit.halves,
+                                                 unit.coeffs / total, unit.tail / total)
             else:
-                self._expansion = legendre_panels(self.density, lo, hi)
+                self._expansion = legendre_panels(self.density, *self.support())
         return self._expansion
 
     def discretize(self, n: int) -> "SpectralDensity":
@@ -188,6 +184,13 @@ class SpectralDensity:
         if self.kind == "discrete":
             return f"SpectralDensity.discrete(<{self.points.shape[0]} points>)"
         return f"SpectralDensity.{self.kind}(a={self.a!r}, b={self.b!r})"
+
+
+def _bump(u):
+    """exp(-1/(1-u^2)) on |u| < 1, zero elsewhere."""
+    inside = np.abs(u) < 1.0
+    safe = np.where(inside, u, 0.0)
+    return np.where(inside, np.exp(-1.0 / (1.0 - safe**2)), 0.0)
 
 
 def _blocks(lo, hi, rate, ts):

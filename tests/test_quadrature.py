@@ -261,6 +261,20 @@ def test_panels_do_not_depend_on_the_requested_times(kind):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("a, b", [(5.0, 1e4), (1e6, 1e6 + 1.0), (-1e-4, 1e-4)])
+def test_bump_on_any_support_is_the_unit_bump_moved_and_scaled(a, b):
+    # Sampling at points of a far-off or wide support used to run the
+    # panel bisection out of budget; the expansion does not depend on it.
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    unit, env = SpectralDensity.bump(-1.0, 1.0), SpectralDensity.bump(a, b)
+    assert np.array_equal(env.expansion().coeffs, unit.expansion().coeffs)
+    ts = np.array([0.0, 0.5, 3.0, 40.0])
+    moved = np.exp(-1j * mid * ts / half) * chi_trajectory(unit, ts)
+    assert np.abs(chi_trajectory(env, ts / half) - moved).max() < 1e-12
+    assert env.density(np.array([mid]))[0] == pytest.approx(unit.density(np.array([0.0]))[0] / half,
+                                                           rel=1e-15)
+
+
 def test_constant_density_is_one_term_on_one_panel():
     # Round-off in its higher coefficients would otherwise keep all of them.
     expansion = SpectralDensity.uniform(-1.5, 0.5).expansion()
