@@ -21,13 +21,13 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .errors import DeclabError, ParseError, ValidationError
+from .errors import DeclabError, InsufficientData, NonDecaying, ParseError, ValidationError
 from .models import (
     MAX_DENSE_DIM,
     ArakiZurekModel,
     SpectralDensity,
     SpinModel,
-    az_evolve,
+    az_trajectory,
     chi_trajectory,
     spin_asymptotics,
     spin_horizon,
@@ -42,11 +42,15 @@ from .states import (
     spectral_decomposition,
 )
 from .superselection import (
+    MIN_ENVELOPE_POINTS,
     block_diagonal_sectors,
     fit_power_law_decay,
     off_diagonal_norms,
     sector_probabilities,
 )
+
+# Largest t_grid.count a config may ask for; the checked-in scenarios use at most 601.
+MAX_TIME_POINTS = 10**6
 
 
 @dataclass
@@ -189,6 +193,8 @@ def _parse_t_grid(e: _Entries) -> np.ndarray:
     count = e.number("t_grid.count", kind=int)
     if count < 2:
         raise ValidationError("t_grid.count", "need at least 2 grid points")
+    if count > MAX_TIME_POINTS:
+        raise ValidationError("t_grid.count", f"{count} grid points exceed {MAX_TIME_POINTS}")
     if start < 0:
         raise ValidationError("t_grid.start", "start must be nonnegative")
     if not stop > start:
@@ -263,6 +269,13 @@ def _parse_spin_asymptotics(e: _Entries, t_grid, env) -> dict:
     if inputs["fit_delta"] <= 0:
         raise ValidationError("fit.delta", "delta must be positive")
     inputs["fit_window"] = tuple(e.floats("fit.window", 2)) if "fit.window" in e.raw else None
+    # The fit's own default window: the last half of the grid.
+    lo, hi = inputs["fit_window"] or (t_grid[0] + (t_grid[-1] - t_grid[0]) / 2.0, t_grid[-1])
+    inside = np.count_nonzero((t_grid >= lo) & (t_grid <= hi))
+    if inside < MIN_ENVELOPE_POINTS:
+        raise ValidationError("fit.window" if inputs["fit_window"] else "t_grid.count",
+                              f"{inside} grid points in the fit window [{lo:g}, {hi:g}], "
+                              f"the fit needs {MIN_ENVELOPE_POINTS}")
     return inputs
 
 
@@ -358,8 +371,8 @@ def _run_araki_zurek(t_grid, model, initial_state):
     header = ["t", "offdiag_hs", "offdiag_tr", *prob_columns, "chi_re", "chi_im"]
     gap = model.lambdas[0] - model.lambdas[1] if len(model.lambdas) > 1 else 0.0
     rows = []
-    for t, chi in zip(t_grid, chi_trajectory(model.env, gap * t_grid)):
-        rho_t = az_evolve(model, initial_state, t)
+    states = az_trajectory(model, initial_state, t_grid)
+    for t, chi, rho_t in zip(t_grid, chi_trajectory(model.env, gap * t_grid), states):
         norms = off_diagonal_norms(rho_t, model.sectors)
         probs = sector_probabilities(rho_t, model.sectors)
         rows.append([t, norms.hs, norms.trace, *probs, chi.real, chi.imag])
@@ -374,7 +387,11 @@ def _run_spin(t_grid, model, initial_bloch):
 def _run_spin_asymptotics(t_grid, model, initial_bloch, fit_delta, fit_window):
     samples = spin_asymptotics(model, initial_bloch, t_grid)
     rows = [[t, d] for t, d in samples]
-    fit = fit_power_law_decay(samples, fit_delta, fit_window)
+    try:
+        fit = fit_power_law_decay(samples, fit_delta, fit_window)
+    except (InsufficientData, NonDecaying, np.linalg.LinAlgError) as exc:
+        # Whether the series decays and fits is known only once it is computed.
+        return ["t", "trace_dist"], rows, {"error": str(exc)}
     return ["t", "trace_dist"], rows, {**asdict(fit), "window": list(fit.window)}
 
 

@@ -26,8 +26,10 @@ from .errors import (
     NotHermitian,
 )
 from .operators import (
+    finite_times,
     hs_norm,
     propagator,
+    propagators,
     require_hermitian,
     tensor_product,
 )
@@ -46,6 +48,9 @@ from .superselection import SectorStructure, sector_mask, validate_sectors
 NORMALIZATION_TOL = 1e-10
 GAUSSIAN_TAIL_SIGMAS = 10.0
 MAX_DENSE_DIM = 1024
+# Support widths of a continuous density: beyond them its peak value, or the
+# products of its abscissae, leave the double range.
+SUPPORT_WIDTHS = (1e-300, 1e300)
 # Bound on initial panels x nodes per panel x times for one trajectory block.
 TRAJECTORY_BLOCK_ELEMENTS = 2**18
 
@@ -92,6 +97,10 @@ class SpectralDensity:
             self.points = pts
         else:
             raise ValueError(f"unknown spectral density kind {kind!r}")
+        if kind != "discrete":
+            lo, hi = self.support()
+            if not SUPPORT_WIDTHS[0] <= hi - lo <= SUPPORT_WIDTHS[1]:
+                raise ValueError(f"support width {hi - lo:g} is outside {SUPPORT_WIDTHS}")
 
     @classmethod
     def gaussian(cls, s: float) -> "SpectralDensity":
@@ -126,7 +135,8 @@ class SpectralDensity:
         """Weight density at v; vectorized, zero outside the support."""
         v = np.asarray(v, dtype=float)
         if self.kind == "gaussian":
-            return np.exp(-(v**2) / (2.0 * self.s**2)) / (self.s * np.sqrt(2.0 * np.pi))
+            z = v / self.s  # not v**2 / s**2, which under- or overflows for extreme s
+            return np.exp(-(z**2) / 2.0) / (self.s * np.sqrt(2.0 * np.pi))
         if self.kind == "uniform":
             inside = (v >= self.a) & (v <= self.b)
             return np.where(inside, 1.0 / (self.b - self.a), 0.0)
@@ -213,17 +223,6 @@ def _blocks(lo, hi, rate, ts):
         start = stop
 
 
-def _times(ts) -> np.ndarray:
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("times must be a nonempty 1-d sequence")
-    bad = np.flatnonzero(~np.isfinite(ts))
-    if bad.size:
-        more = f" and {bad.size - 1} more" if bad.size > 1 else ""
-        raise ValueError(f"times must be finite: t[{bad[0]}] = {float(ts[bad[0]])!r}{more}")
-    return ts
-
-
 def _trajectory(env, ts, rate, integrand, tol):
     """Sum or integral over x of integrand(x, t, weight(x)) for every t in ts.
 
@@ -233,7 +232,7 @@ def _trajectory(env, ts, rate, integrand, tol):
     block of times is one adaptive call over the support, pre-split for the
     block's largest phase rate ``rate * |t|``.
     """
-    ts = _times(ts)
+    ts = finite_times(ts)
     if env.is_discrete:
         # Points last and contiguous: numpy's pairwise summation runs over them.
         vals = integrand(env.points[:, 0], ts, env.points[:, 1])
@@ -261,7 +260,7 @@ def chi_trajectory(env: SpectralDensity, ts, tol: float = 1e-9) -> np.ndarray:
     below that estimate.  A discrete density is one exact sum over its points.
     """
     if not env.is_discrete:
-        return legendre_fourier(env.expansion(), _times(ts), tol)
+        return legendre_fourier(env.expansion(), finite_times(ts), tol)
 
     def phases(v, tb, weight):
         return weight[:, None] * np.exp(-1j * np.multiply.outer(v, tb))
@@ -360,19 +359,26 @@ def _dephased(model: ArakiZurekModel, rho, t: float, env: SpectralDensity,
     return sector_mask(rho, model.sectors, chi)
 
 
-def az_evolve(model: ArakiZurekModel, rho0: DensityOperator, t: float,
-              tol: float = 1e-9) -> DensityOperator:
-    """Reduced state at time t for a factorized initial state.
+def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float = 1e-9):
+    """Reduced states at every t in ``ts``, yielded one DensityOperator at a time.
 
     Each intersector block of rho0 is damped by chi((l_m - l_n) t) and the
     whole result is conjugated by exp(-i h_s t).  Diagonal blocks carry
-    chi(0) = 1, so sector probabilities are conserved exactly.
+    chi(0) = 1, so sector probabilities are conserved exactly.  The inputs
+    are checked and h_s diagonalised at the call; each state is built as it
+    is taken.
     """
     if rho0.dim != model.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} does not match model dim {model.dim}")
-    damped = _dephased(model, rho0.matrix, t, model.env, tol)
-    u = propagator(model.h_s, t)
-    return DensityOperator(u @ damped @ u.conj().T)
+    ts = finite_times(ts)
+    return (DensityOperator(u @ _dephased(model, rho0.matrix, t, model.env, tol) @ u.conj().T)
+            for t, u in zip(ts, propagators(model.h_s, ts)))
+
+
+def az_evolve(model: ArakiZurekModel, rho0: DensityOperator, t: float,
+              tol: float = 1e-9) -> DensityOperator:
+    """Reduced state at time t: the single-time case of ``az_trajectory``."""
+    return next(az_trajectory(model, rho0, [t], tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,23 +466,16 @@ class SpinModel:
         return self.a[0] * PAULI[0] + self.a[1] * PAULI[1] + self.a[2] * PAULI[2]
 
 
-def _fields(model: SpinModel, x: np.ndarray):
-    """Effective field (a_1, a_2, a_3 + lam x) and its norm, per point."""
+def _axes(model: SpinModel, x: np.ndarray):
+    """Unit axis of the effective field (a_1, a_2, a_3 + lam x), e_3 where it
+    vanishes, and twice the field's norm, per point."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h = np.empty((x.size, 3))
-    h[:, 0] = model.a[0]
-    h[:, 1] = model.a[1]
+    h[:, :2] = model.a[:2]
     h[:, 2] = model.a[2] + model.lam * x
     norms = np.linalg.norm(h, axis=1)
-    return h, norms
-
-
-def _axes(model: SpinModel, x: np.ndarray):
-    h, norms = _fields(model, x)
-    n = np.empty_like(h)
     zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
-    n[:] = h / safe[:, None]
+    n = h / np.where(zero, 1.0, norms)[:, None]
     n[zero] = (0.0, 0.0, 1.0)
     return n, 2.0 * norms
 
@@ -504,10 +503,11 @@ def spin_horizon(model: SpinModel) -> float:
     environment (an exact sum) and lam = 0 have no horizon.
     """
     env = model.env_diag
-    if env.is_discrete or model.lam == 0.0:
+    if env.is_discrete:
         return float("inf")
     lo, hi = env.support()
-    return MAX_PANELS * np.pi / (2.0 * abs(model.lam) * (hi - lo))
+    rate = 2.0 * abs(model.lam) * (hi - lo)  # 0 for lam = 0, and where the product underflows
+    return MAX_PANELS * np.pi / rate if rate > 0 else float("inf")
 
 
 def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
@@ -551,19 +551,13 @@ def asymptotic_map(model: SpinModel, tol: float = 1e-9) -> np.ndarray:
     a density-weighted average of rank-one projectors, so its eigenvalues
     lie in [0, 1].
     """
-    env = model.env_diag
-    if env.is_discrete:
-        x = env.points[:, 0]
-        w = env.points[:, 1]
-        n, _ = _axes(model, x)
-        return np.einsum("m,mi,mj->ij", w, n, n)
-    lo, hi = env.support()
 
-    def integrand(x):
+    def projectors(x, tb, weight):
         n, _ = _axes(model, x)
-        return env.density(x)[:, None, None] * (n[:, :, None] * n[:, None, :])
+        return (weight[:, None, None] * (n[:, :, None] * n[:, None, :]))[:, None]
 
-    return np.real(gauss_legendre_adaptive(integrand, lo, hi, tol=tol, initial_panels=8))
+    # The trajectory integral at the one time t = 0: no oscillation to pre-split for.
+    return np.real(_trajectory(model.env_diag, [0.0], 0.0, projectors, tol)[0])
 
 
 def spin_asymptotics(model: SpinModel, p, t_grid, tol: float = 1e-9) -> np.ndarray:

@@ -1,18 +1,15 @@
 """Dense complex-matrix substrate: eigendecomposition, propagators, Schatten
 norms, tensor products and the partial trace over the environment factor.
 
-All functions are pure and operate on square ``numpy`` arrays.  ``propagator``
-diagonalises a Hamiltonian one connected block at a time: the blocks are the
-connected components of the pattern of its exact nonzero entries, so a joint
-Hamiltonian whose coupling commutes with the environment splits into one small
-block per environment point, while a dense irreducible one is a single block.
-The spectra it keeps for reuse never change a result.  Dense storage only; the
-supported dimension is documented up to 1024.
+All functions are pure and operate on square ``numpy`` arrays.  ``propagators``
+diagonalises a Hamiltonian once per time grid, one connected block at a time:
+the blocks are the connected components of the pattern of its exact nonzero
+entries, so a joint Hamiltonian whose coupling commutes with the environment
+splits into one small block per environment point, while a dense irreducible
+one is a single block.  Dense storage only; the supported dimension is
+documented up to 1024.
 """
 
-import hashlib
-import threading
-from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
@@ -21,14 +18,6 @@ from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 
 HERMITICITY_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-10
-# Spectra kept by ``propagator``: checking a closed form against the oracle
-# alternates two Hamiltonians (the system's and the joint one).
-SPECTRUM_CACHE_SIZE = 2
-# (shape, blake2b-128 of the symmetrized bytes) -> tuple of read-only
-# (indices, vals, vecs) block groups, least recently used first.  Keyed by a
-# digest so no copy of H is pinned.
-_spectra = OrderedDict()
-_spectra_lock = threading.Lock()
 
 
 def _as_square_matrix(m, name="matrix"):
@@ -38,6 +27,18 @@ def _as_square_matrix(m, name="matrix"):
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def finite_times(ts) -> np.ndarray:
+    """A nonempty 1-d grid of finite times as floats, or ValueError naming the first bad t."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("times must be a nonempty 1-d sequence")
+    bad = np.flatnonzero(~np.isfinite(ts))
+    if bad.size:
+        more = f" and {bad.size - 1} more" if bad.size > 1 else ""
+        raise ValueError(f"times must be finite: t[{bad[0]}] = {float(ts[bad[0]])!r}{more}")
+    return ts
 
 
 def hs_norm(a):
@@ -132,19 +133,12 @@ def _components(h):
 
 
 def _spectrum(h):
-    """Spectra of the connected blocks of the symmetrized h, from the cache or eigh.
+    """Spectra of the connected blocks of the symmetrized h.
 
-    Returns one read-only (indices, vals, vecs) triple per block size d, with
-    indices (K, d) ascending within each of the K blocks, vals (K, d) and vecs
+    Returns one (indices, vals, vecs) triple per block size d, with indices
+    (K, d) ascending within each of the K blocks, vals (K, d) and vecs
     (K, d, d) from one batched ``eigh`` of the K blocks.
     """
-    key = (h.shape, hashlib.blake2b(np.ascontiguousarray(h), digest_size=16).digest())
-    with _spectra_lock:
-        hit = _spectra.get(key)
-        if hit is not None:
-            _spectra.move_to_end(key)
-            return hit
-    # Outside the lock, so threads on other Hamiltonians are not serialized.
     labels = _components(h)
     sizes = np.bincount(labels, minlength=labels.size)[labels]
     order = np.lexsort((labels, sizes))  # stable: by size, then block, then index
@@ -156,41 +150,40 @@ def _spectrum(h):
             vals, vecs = np.linalg.eigh(h[idx[:, :, np.newaxis], idx[:, np.newaxis, :]])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-        for a in (idx, vals, vecs):
-            a.flags.writeable = False
         groups.append((idx, vals, vecs))
-    groups = tuple(groups)
-    with _spectra_lock:
-        _spectra[key] = groups
-        _spectra.move_to_end(key)
-        while len(_spectra) > SPECTRUM_CACHE_SIZE:
-            _spectra.popitem(last=False)
     return groups
 
 
-def propagator(h, t: float) -> np.ndarray:
-    """Unitary exp(-iHt) for Hermitian H, built from the eigendecomposition.
+def propagators(h, ts):
+    """Unitaries exp(-iHt) for every t in ``ts``, yielded one at a time.
 
-    The spectral route keeps the result unitary to roundoff, unlike a
-    truncated series.  H is diagonalised block by block: indices linked by
-    exact nonzero entries form a block, blocks of one size share one batched
-    ``eigh``, and each block's exp(-iH_k t) is scattered into an otherwise
-    zero matrix, so a dense irreducible H costs one ``eigh`` of the whole
-    matrix.  exp(-iHt) does not depend on the eigenbasis, so the plain
-    ``eigh`` output is used.  The block spectra of the last
-    ``SPECTRUM_CACHE_SIZE`` Hamiltonians (matched by content) are reused, one
-    cache entry per H holding its tuple of (indices, vals, vecs) groups: a
-    time grid over one H costs one eigendecomposition.
+    H and the times are checked, and H diagonalised, at the call: a grid
+    costs one eigendecomposition.  Indices linked by exact nonzero entries
+    form a block, blocks of one size share one batched ``eigh``, and each
+    block's exp(-iH_k t) is scattered into an otherwise zero matrix.  The
+    spectral route keeps each result unitary to roundoff; exp(-iHt) does not
+    depend on the eigenbasis, so the plain ``eigh`` output is used.
     """
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
+    ts = finite_times(ts)
     h = require_hermitian(h)
-    u = np.zeros(h.shape, dtype=complex)
-    for idx, vals, vecs in _spectrum(h):
-        phased = vecs * np.exp(-1j * vals * t)[:, np.newaxis, :]
-        u[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] = phased @ vecs.conj().swapaxes(1, 2)
-    return u
+    groups = _spectrum(h)
+
+    def unitaries():
+        for t in ts:
+            u = np.zeros(h.shape, dtype=complex)
+            for idx, vals, vecs in groups:
+                phased = vecs * np.exp(-1j * vals * t)[:, np.newaxis, :]
+                u[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] = phased @ vecs.conj().swapaxes(1, 2)
+            yield u
+
+    return unitaries()
+
+
+def propagator(h, t: float) -> np.ndarray:
+    """Unitary exp(-iHt) for Hermitian H: the single-time case of ``propagators``."""
+    if not np.isfinite(float(t)):
+        raise ValueError("t must be finite")
+    return next(propagators(h, [t]))
 
 
 class SchattenNorms(NamedTuple):

@@ -135,11 +135,11 @@ def spherical_jn(kmax, z):
     backward continued fraction r_k = z / (2k + 1 - z r_(k+1)) (Miller's
     algorithm in ratio form), started at index kmax + 5 + max z, far enough
     up for double precision.  Tiny values keep their relative accuracy, and
-    z = 0 gives j_0 = 1, j_k = 0.
+    z below 1e-300, where (2k + 1) / z would overflow, gives j_0 = 1, j_k = 0.
     """
     z = np.asarray(z, dtype=float)
     shape = z.shape
-    z = z.ravel()
+    z = np.where(z < 1e-300, 0.0, z).ravel()
     out = np.empty((kmax + 1, z.size))
     # Row lists: indexing a list is much cheaper than slicing an array per step.
     j = list(out)

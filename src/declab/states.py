@@ -74,16 +74,11 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim})"
 
 
-def _bloch_array(p):
+def bloch_to_density(p) -> DensityOperator:
+    """State (1 + sigma.p)/2 for a polarization vector in the unit ball."""
     v = np.asarray(p, dtype=float)
     if v.shape != (3,):
         raise DimensionMismatch(f"polarization vector must have 3 components, got shape {v.shape}")
-    return v
-
-
-def bloch_to_density(p) -> DensityOperator:
-    """State (1 + sigma.p)/2 for a polarization vector in the unit ball."""
-    v = _bloch_array(p)
     r = np.linalg.norm(v)
     if r > 1.0 + 1e-12:
         raise OutsideBall(f"|p| = {r!r} exceeds 1")

@@ -101,11 +101,6 @@ def validate_sectors(s: SectorStructure) -> SectorStructure:
     return s
 
 
-def _check_dims(w: DensityOperator, s: SectorStructure):
-    if w.dim != s.dim:
-        raise DimensionMismatch(f"state dim {w.dim} does not match sector dim {s.dim}")
-
-
 def sector_mask(x, s: SectorStructure, c) -> np.ndarray:
     """sum_{m,n} c[m, n] P_m x P_n for a k x k coefficient array c.
 
@@ -150,7 +145,8 @@ def sector_probabilities(w: DensityOperator, s: SectorStructure) -> np.ndarray:
     These are the unambiguous classical data a sector structure assigns to a
     state; they are untouched by the projection channel.
     """
-    _check_dims(w, s)
+    if w.dim != s.dim:
+        raise DimensionMismatch(f"state dim {w.dim} does not match sector dim {s.dim}")
     frame, index = s._adapted_frame()
     x = w.matrix if frame is None else frame.conj().T @ w.matrix @ frame
     return np.bincount(index, weights=np.diagonal(x).real, minlength=len(s))
@@ -177,6 +173,7 @@ class DecayFit:
 
 
 SUPERPOLY_GAMMA = 20.0
+MIN_ENVELOPE_POINTS = 8
 
 
 def _envelope_indices(values: np.ndarray, minimum: int) -> np.ndarray:
@@ -200,7 +197,7 @@ def _envelope_indices(values: np.ndarray, minimum: int) -> np.ndarray:
 
 
 def fit_power_law_decay(samples, delta: float, window: Optional[Tuple[float, float]] = None,
-                        min_envelope_points: int = 8) -> DecayFit:
+                        min_envelope_points: int = MIN_ENVELOPE_POINTS) -> DecayFit:
     """Fit a dominating power-law envelope to a decaying |value| series.
 
     Regression runs through local maxima of |value| inside ``window`` (the

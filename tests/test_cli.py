@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from declab import ParseError, ValidationError
-from declab.cli import main, parse_config, run_scenario
+from declab.cli import MAX_TIME_POINTS, main, parse_config, run_scenario
 
 AZ_CONFIG = """
 # minimal dephasing scenario
@@ -383,3 +383,84 @@ def test_main_run_chi_scan_beyond_old_panel_budget(tmp_path):
     ts = np.array([float(row[0]) for row in rows])
     chi = np.array([complex(float(row[1]), float(row[2])) for row in rows])
     assert np.abs(chi - np.exp(-(ts**2) / 2.0)).max() < 1e-14
+
+
+@pytest.mark.parametrize("count", [MAX_TIME_POINTS + 1, 10000000000])
+def test_main_validate_rejects_grid_above_time_point_cap(tmp_path, capsys, monkeypatch, count):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("time grid allocated before its count was checked")
+
+    monkeypatch.setattr(np, "linspace", forbidden)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(CHI_CONFIG.replace("t_grid.count = 13", f"t_grid.count = {count}"))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid config: t_grid.count:" in err and f"exceed {MAX_TIME_POINTS}" in err
+
+
+def test_parse_accepts_grid_at_time_point_cap():
+    text = CHI_CONFIG.replace("t_grid.count = 13", f"t_grid.count = {MAX_TIME_POINTS}")
+    assert parse_config(text).inputs["t_grid"].size == MAX_TIME_POINTS
+
+
+# Examples found by tests/test_config_properties.py, pinned.
+FIT_WINDOW = [
+    ("t_grid.count = 2", "", "t_grid.count"),
+    ("t_grid.count = 14", "", "t_grid.count"),
+    ("t_grid.count = 25", "fit.window = 12.6,14\n", "fit.window"),
+    ("t_grid.count = 25", "fit.window = 14,2\n", "fit.window"),
+]
+
+
+@pytest.mark.parametrize("count, window, key", FIT_WINDOW, ids=["2", "14", "12.6,14", "14,2"])
+def test_main_validate_rejects_fit_window_with_too_few_grid_points(tmp_path, capsys, count,
+                                                                  window, key):
+    # The fit needs 8 grid points in its window (by default the last half of the
+    # grid); the run used to fail with exit 2.
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(SPIN_ASYMPTOTICS_CONFIG.replace("t_grid.count = 25", count)
+                   .replace("fit.window = 2,14\n", window))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid config: {key}:" in err and "the fit needs 8" in err
+
+
+def test_fit_window_of_eight_grid_points_validates():
+    # t = 2, 2.5, ..., 14: the default window [8, 14] holds 13 points, [10.5, 14] holds 8.
+    window = SPIN_ASYMPTOTICS_CONFIG.replace("fit.window = 2,14", "fit.window = 10.5,14")
+    assert parse_config(window).inputs["fit_window"] == (10.5, 14.0)
+    assert parse_config(SPIN_ASYMPTOTICS_CONFIG.replace("fit.window = 2,14\n", ""))
+
+
+NO_DECAY = [
+    # Uncoupled, unpolarized: every distance is 0, so no envelope point is left.
+    ("model.a = 1,0,2\nmodel.b = 0.3\nmodel.lam = 1.0\ninitial.bloch = 0.7,0.2,0.5",
+     "model.a = 0,0,0\nmodel.b = 1.0\nmodel.lam = 0.0\ninitial.bloch = 0,0,0", "envelope points"),
+    # Uncoupled: the spin precesses for ever, no envelope decays.
+    ("model.lam = 1.0", "model.lam = 0.0", "not negative"),
+    # A subnormal delta leaves a degenerate regression.
+    ("fit.delta = 1.0", "fit.delta = 5e-324", "Least Squares"),
+]
+
+
+@pytest.mark.parametrize("old, new, reason", NO_DECAY, ids=["zero", "uncoupled", "tiny_delta"])
+def test_main_run_writes_series_and_reports_why_no_decay_fit(tmp_path, old, new, reason):
+    assert old in SPIN_ASYMPTOTICS_CONFIG
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(SPIN_ASYMPTOTICS_CONFIG.replace(old, new))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "spin_asymptotics.csv")
+    assert len(rows) == 25
+    report = json.loads((tmp_path / "spin_asymptotics_report.json").read_text())
+    assert reason in report["decay_fit"]["error"]
+
+
+def test_main_run_az_grid_starting_at_subnormal_time(tmp_path):
+    # chi at t ~ 1e-308 used to be nan, and the state built from it was rejected (exit 2).
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(AZ_CONFIG.replace("t_grid.start = 0.0", "t_grid.start = 1.8e-307")
+                   .replace("model.lambdas = 1,-1", "model.lambdas = 0,0.0625")
+                   .replace("model.delta = 2.0", "model.delta = 0.0625"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "araki_zurek.csv")
+    assert abs(float(rows[0][5]) - 1.0) < 1e-15 and float(rows[0][1]) > 0.0

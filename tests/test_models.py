@@ -16,8 +16,10 @@ from declab import (
     asymptotic_map,
     az_evolve,
     az_evolve_correlated,
+    az_trajectory,
     bloch_to_density,
     block_diagonal_sectors,
+    chi_trajectory,
     decoherence_function,
     density_to_bloch,
     fit_power_law_decay,
@@ -66,6 +68,25 @@ def test_density_normalization(env):
     assert abs(np.real(total) - 1.0) < 1e-10
     v = np.linspace(lo, hi, 101)
     assert env.density(v).min() >= 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SpectralDensity.gaussian(1e-302),
+    lambda: SpectralDensity.uniform(-1e-301, 0.0),
+    lambda: SpectralDensity.bump(0.0, 5e-324),
+    lambda: SpectralDensity.uniform(-1e300, 1e300),
+    lambda: SpectralDensity.gaussian(1e299),
+], ids=["gaussian_narrow", "uniform_narrow", "bump_subnormal", "uniform_wide", "gaussian_wide"])
+def test_density_rejects_support_width_outside_its_range(make):
+    with pytest.raises(ValueError, match="support width"):
+        make()
+
+
+@pytest.mark.parametrize("s", [1e-299, 1e-160, 1e160, 1e298])
+def test_gaussian_chi_at_extreme_widths(s):
+    # The density is evaluated through v / s: v**2 / s**2 under- or overflowed here.
+    chi = chi_trajectory(SpectralDensity.gaussian(s), [0.0, 1.0 / s, 3.0 / s])
+    assert np.abs(chi - np.exp(-np.array([0.0, 0.5, 4.5]))).max() < 1e-14
 
 
 def test_discrete_density_validation():
@@ -264,6 +285,57 @@ def test_az_offdiagonal_norm_factorizes():
 def test_az_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         az_evolve(simple_az(), random_density(3, np.random.default_rng(0)), 1.0)
+
+
+def sector_dense_az(rng, env=GAUSS):
+    """Two sectors of 3 with a dense random h_s inside each."""
+    blocks = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    h_s = scipy.linalg.block_diag(*(m + m.conj().T for m in blocks))
+    return ArakiZurekModel(block_diagonal_sectors([3, 3]), [0.5, -0.5], h_s, env, 1.0)
+
+
+@pytest.mark.parametrize("env", [GAUSS, lattice_env()], ids=["gaussian", "discrete"])
+def test_az_trajectory_diagonalises_once_and_matches_az_evolve(monkeypatch, env):
+    rng = np.random.default_rng(35)
+    model = sector_dense_az(rng, env)
+    rho0 = random_density(6, rng)
+    ts = np.linspace(0.0, 6.0, 21)
+    az_evolve(model, rho0, 0.0)  # the sectors build their adapted frame once, on first use
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    states = az_trajectory(model, rho0, ts)
+    assert calls == [(2, 3, 3)]  # both sectors in one batched eigh, at the call
+    states = list(states)
+    assert calls == [(2, 3, 3)]
+    monkeypatch.undo()
+    assert len(states) == ts.size
+    for t, rho_t in zip(ts, states):
+        assert np.array_equal(rho_t.matrix, az_evolve(model, rho0, t).matrix)
+
+
+def test_az_trajectory_streams_one_chi_call_per_state(monkeypatch):
+    import declab.models as models
+
+    calls = []
+    chi_trajectory = models.chi_trajectory
+    monkeypatch.setattr(models, "chi_trajectory", lambda *a: calls.append(a) or chi_trajectory(*a))
+    states = az_trajectory(sector_dense_az(np.random.default_rng(36)),
+                           random_density(6, np.random.default_rng(37)), [0.0, 1.0, 2.0])
+    assert calls == []
+    next(states)
+    assert len(calls) == 1
+    assert len(list(states)) == 2 and len(calls) == 3
+
+
+@pytest.mark.parametrize("dim, ts, error", [
+    (3, [0.0, 1.0], DimensionMismatch),
+    (6, [0.0, np.nan, 1.0], ValueError),
+    (6, [np.inf], ValueError),
+], ids=["dimension", "nan", "inf"])
+def test_az_trajectory_rejects_bad_input_at_the_call(dim, ts, error):
+    rng = np.random.default_rng(38)
+    with pytest.raises(error):
+        az_trajectory(sector_dense_az(rng), random_density(dim, rng), ts)
 
 
 # --- correlated initial states

@@ -1,17 +1,14 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 import scipy.linalg
 
-import declab.operators as operators
 from declab import (
     DimensionMismatch,
     NotHermitian,
     hermitian_eig,
     partial_trace_env,
     propagator,
+    propagators,
     schatten_norms,
     tensor_product,
 )
@@ -126,7 +123,17 @@ def test_propagator_rejects_non_finite_time(t):
         propagator(SZ, t)
 
 
-# --- spectrum cache
+def test_propagator_sees_in_place_change():
+    rng = np.random.default_rng(14)
+    h = random_hermitian(6, rng)
+    before = propagator(h, 0.9)
+    h[2, 2] += 0.5
+    after = propagator(h, 0.9)
+    assert np.linalg.norm(after - before) > 1e-3
+    assert np.linalg.norm(after - scipy.linalg.expm(-0.9j * h)) < 1e-11
+
+
+# --- block-by-block diagonalisation
 
 
 def count_eigh(monkeypatch):
@@ -141,83 +148,6 @@ def count_eigh(monkeypatch):
     return calls
 
 
-def test_propagator_cache_hit_is_bit_identical_to_cold_call(monkeypatch):
-    rng = np.random.default_rng(13)
-    h = random_hermitian(12, rng)
-    calls = count_eigh(monkeypatch)
-    propagator(h, 0.3)
-    hit = propagator(h.copy(), 1.7)
-    assert len(calls) == 1
-    operators._spectra.clear()
-    cold = propagator(h, 1.7)
-    assert len(calls) == 2
-    assert np.array_equal(hit, cold)
-    assert np.linalg.norm(cold - scipy.linalg.expm(-1.7j * h)) < 1e-11
-
-
-def test_propagator_sees_in_place_change():
-    rng = np.random.default_rng(14)
-    h = random_hermitian(6, rng)
-    before = propagator(h, 0.9)
-    h[2, 2] += 0.5
-    after = propagator(h, 0.9)
-    assert np.linalg.norm(after - before) > 1e-3
-    assert np.linalg.norm(after - scipy.linalg.expm(-0.9j * h)) < 1e-11
-
-
-def test_propagator_cache_keeps_last_two_read_only_spectra(monkeypatch):
-    rng = np.random.default_rng(15)
-    hs = [random_hermitian(4, rng) for _ in range(3)]
-    operators._spectra.clear()
-    calls = count_eigh(monkeypatch)
-    for h in hs + hs[1:]:
-        propagator(h, 1.0)
-    # The third H evicted the first; the second and third were hits.
-    assert len(calls) == 3
-    assert operators.SPECTRUM_CACHE_SIZE == 2
-    assert len(operators._spectra) == 2
-    for groups in operators._spectra.values():
-        for _, vals, vecs in groups:
-            assert not vals.flags.writeable and not vecs.flags.writeable
-    propagator(hs[0], 1.0)
-    assert len(calls) == 4
-
-
-def test_propagator_cache_under_alternating_threads():
-    # More threads than cores and more Hamiltonians than cache entries, so
-    # lookups, misses and evictions interleave.
-    rng = np.random.default_rng(16)
-    hs = [random_hermitian(8, rng) for _ in range(3)]
-    times = [0.0, 0.4, -1.1, 2.5]
-    expected = [[scipy.linalg.expm(-1j * t * h) for t in times] for h in hs]
-    errors = []
-
-    def worker(offset):
-        for i in range(60):
-            k = (offset + i) % len(hs)
-            j = i % len(times)
-            err = np.linalg.norm(propagator(hs[k], times[j]) - expected[k][j])
-            if not err < 1e-11:
-                errors.append((k, j, err))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert len(operators._spectra) <= operators.SPECTRUM_CACHE_SIZE
-
-
-# --- block-by-block diagonalisation
-
-
 def permuted_direct_sum(sizes, rng):
     """Direct sum of random Hermitian blocks with interleaved indices."""
     h = scipy.linalg.block_diag(*(random_hermitian(d, rng) for d in sizes))
@@ -228,7 +158,6 @@ def permuted_direct_sum(sizes, rng):
 def test_propagator_on_permuted_direct_sum_batches_blocks_by_size(monkeypatch):
     rng = np.random.default_rng(17)
     h = permuted_direct_sum([1, 2, 3, 5, 2, 3, 1, 5], rng)
-    operators._spectra.clear()
     calls = count_eigh(monkeypatch)
     u = propagator(h, 0.8)
     assert np.linalg.norm(u - scipy.linalg.expm(-0.8j * h)) < 1e-12
@@ -237,7 +166,6 @@ def test_propagator_on_permuted_direct_sum_batches_blocks_by_size(monkeypatch):
 
 
 def test_propagator_diagonal_and_zero_matrices(monkeypatch):
-    operators._spectra.clear()
     calls = count_eigh(monkeypatch)
     d = np.diag([0.5, -1.0, 2.0, 0.0, 3.5])
     assert np.linalg.norm(propagator(d, 1.1) - scipy.linalg.expm(-1.1j * d)) < 1e-14
@@ -250,7 +178,6 @@ def test_propagator_diagonal_and_zero_matrices(monkeypatch):
 def test_propagator_dense_irreducible_matrix_costs_one_eigh(monkeypatch):
     rng = np.random.default_rng(18)
     h = random_hermitian(16, rng)
-    operators._spectra.clear()
     calls = count_eigh(monkeypatch)
     u = propagator(h, -0.6)
     assert np.linalg.norm(u - scipy.linalg.expm(0.6j * h)) < 1e-11
@@ -267,21 +194,39 @@ def test_propagator_blocks_follow_exact_zeros_only(monkeypatch):
     assert len(calls) == 1 and calls[0][-2:] == (6, 6)
 
 
-def test_propagator_reducible_cache_hit_is_bit_identical_to_cold_call(monkeypatch):
+# --- time grids: one eigendecomposition per grid
+
+
+@pytest.mark.parametrize("kind", ["dense", "direct_sum"])
+def test_propagators_diagonalise_once_per_grid(monkeypatch, kind):
     rng = np.random.default_rng(20)
-    h = permuted_direct_sum([1, 2, 3, 5, 3], rng)
-    operators._spectra.clear()
+    if kind == "dense":
+        h, sizes = random_hermitian(12, rng), [(1, 12, 12)]
+    else:
+        h = permuted_direct_sum([1, 2, 3, 5, 3], rng)
+        sizes = [(1, 1, 1), (1, 2, 2), (1, 5, 5), (2, 3, 3)]
+    ts = np.linspace(-3.0, 4.0, 24)
     calls = count_eigh(monkeypatch)
-    propagator(h, 0.2)
-    hit = propagator(h.copy(), 2.3)
-    assert len(calls) == 4
-    for idx, vals, vecs in next(iter(operators._spectra.values())):
-        assert not (idx.flags.writeable or vals.flags.writeable or vecs.flags.writeable)
-    operators._spectra.clear()
-    cold = propagator(h, 2.3)
-    assert len(calls) == 8
-    assert np.array_equal(hit, cold)
-    assert np.linalg.norm(cold - scipy.linalg.expm(-2.3j * h)) < 1e-12
+    grid = propagators(h, ts)
+    assert sorted(calls) == sizes  # at the call, before the first matrix
+    unitaries = list(grid)
+    assert sorted(calls) == sizes
+    assert len(unitaries) == ts.size
+    for t, u in zip(ts, unitaries):
+        assert np.array_equal(u, propagator(h, t))
+        assert np.linalg.norm(u - scipy.linalg.expm(-1j * t * h)) < 1e-11
+
+
+@pytest.mark.parametrize("h, ts, error", [
+    (np.ones((2, 3)), [0.0, 1.0], DimensionMismatch),
+    (SZ, [0.0, np.nan], ValueError),
+    (SZ, [np.inf], ValueError),
+    (SZ, [], ValueError),
+    (SX + 1j * SZ, [1.0], NotHermitian),
+], ids=["not_square", "nan", "inf", "empty", "not_hermitian"])
+def test_propagators_reject_bad_input_at_the_call(h, ts, error):
+    with pytest.raises(error):
+        propagators(h, ts)
 
 
 def test_schatten_diagonal():

@@ -199,6 +199,9 @@ def test_spin_horizon_is_where_the_pre_split_reaches_the_budget():
         pytest.approx(horizon / 4.0, rel=1e-15))
     for env, lam in [(gaussian.discretize(16), 1.0), (gaussian, 0.0)]:
         assert spin_horizon(SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=lam, env_diag=env)) == np.inf
+    # A rate 2 |lam| (hi - lo) that underflows to 0 is no horizon either, not a ZeroDivisionError.
+    narrow = SpectralDensity.uniform(0.0, 1e-295)
+    assert spin_horizon(SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1e-30, env_diag=narrow)) == np.inf
 
 
 # --- Legendre-Filon chi
@@ -340,3 +343,14 @@ def test_spherical_jn_matches_mpmath_to_a_few_ulps():
     small = (z > 1e-200) & (z < 1.0)
     rel = np.abs(got[:, small] - ref[:, small]) / np.abs(ref[:, small])
     assert rel.max() <= 4 * (KMAX + 1) * EPS
+
+
+def test_spherical_jn_below_1e_300_is_its_value_at_zero():
+    z = np.array([0.0, 5e-324, 1e-310, 9e-301])
+    at_zero = spherical_jn(KMAX, [0.0])
+    assert np.array_equal(spherical_jn(KMAX, z), np.repeat(at_zero, z.size, axis=1))
+    # So chi at such times is chi(0), where (2k + 1) / z used to overflow into nan.
+    for env in (SpectralDensity.gaussian(1.0), SpectralDensity.uniform(-1.0, 2.0),
+                SpectralDensity.bump(-1.0, 1.0)):
+        chi = chi_trajectory(env, [0.0, 5e-324, -1e-310, 1.8e-307])
+        assert np.abs(chi - chi[0]).max() < 1e-15
