@@ -202,6 +202,16 @@ def _parse_t_grid(e: _Entries) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
+def _check_chi_phases(t_grid, env, gap):
+    # chi is taken at gap * t; its phases v gap t over the support, and their
+    # spread (hi - lo) gap t, must stay finite doubles.
+    lo, hi = env.support()
+    reach = max(hi - lo, abs(lo), abs(hi))
+    if not math.isfinite(float(t_grid[-1]) * gap * reach):
+        raise ValidationError("t_grid.stop", f"stop {t_grid[-1]:g} times the coupling gap {gap:g} "
+                              f"times the support's width or reach {reach:g} is not finite")
+
+
 def _parse_bloch(e: _Entries) -> np.ndarray:
     p = np.asarray(e.floats("initial.bloch", 3))
     if np.linalg.norm(p) > 1 + 1e-12:
@@ -243,6 +253,7 @@ def _parse_araki_zurek(e: _Entries, t_grid, env) -> dict:
         model = ArakiZurekModel(block_diagonal_sectors(dims), lambdas, h_s, env, delta)
     except (DeclabError, ValueError) as exc:
         raise ValidationError("model", str(exc))
+    _check_chi_phases(t_grid, env, max(lambdas) - min(lambdas))
     return {"t_grid": t_grid, "model": model, "initial_state": _parse_initial(e, dim)}
 
 
@@ -280,6 +291,7 @@ def _parse_spin_asymptotics(e: _Entries, t_grid, env) -> dict:
 
 
 def _parse_chi_scan(e: _Entries, t_grid, env) -> dict:
+    _check_chi_phases(t_grid, env, 1.0)
     return {"t_grid": t_grid, "env": env}
 
 

@@ -37,10 +37,11 @@ from .quadrature import (
     MAX_PANELS,
     NODES_PER_PANEL,
     LegendrePanels,
-    gauss_legendre_adaptive,
+    kernel_adaptive,
     legendre_fourier,
     legendre_panels,
     oscillation_panels,
+    trig_sum,
 )
 from .states import PAULI, DensityOperator, bloch_to_density, trace_distance
 from .superselection import SectorStructure, sector_mask, validate_sectors
@@ -51,7 +52,8 @@ MAX_DENSE_DIM = 1024
 # Support widths of a continuous density: beyond them its peak value, or the
 # products of its abscissae, leave the double range.
 SUPPORT_WIDTHS = (1e-300, 1e300)
-# Bound on initial panels x nodes per panel x times for one trajectory block.
+# Bound on initial panels x nodes per panel x times for one trajectory block,
+# and so on the cos and sin tables of its kernel quadrature.
 TRAJECTORY_BLOCK_ELEMENTS = 2**18
 
 
@@ -208,7 +210,7 @@ def _blocks(lo, hi, rate, ts):
 
     Times are taken in ascending |t|; each block is pre-split for its largest
     |t| and grows only while initial panels x nodes x block size stays within
-    TRAJECTORY_BLOCK_ELEMENTS, which bounds the integrand's memory.  Yields
+    TRAJECTORY_BLOCK_ELEMENTS, which bounds the trig tables' memory.  Yields
     (indices into ts, initial panel count).
     """
     order = np.argsort(np.abs(ts), kind="stable")
@@ -223,29 +225,25 @@ def _blocks(lo, hi, rate, ts):
         start = stop
 
 
-def _trajectory(env, ts, rate, integrand, tol):
-    """Sum or integral over x of integrand(x, t, weight(x)) for every t in ts.
+def _trajectory(env, ts, rate, kernel, tol):
+    """Sum or integral over x of c + a cos(omega t) + b sin(omega t) for every t in ts.
 
-    ``integrand(x, tb, weight)`` maps (m,) abscissae, a block of times and the
-    (m,) environment weights at x to a weighted (m, len(tb), ...) array.  A
-    discrete environment is summed exactly over its points; otherwise each
-    block of times is one adaptive call over the support, pre-split for the
-    block's largest phase rate ``rate * |t|``.
+    ``kernel(x, weight)`` maps (m,) abscissae and the environment weights at
+    them to (omega, a, b, c), weighted as in ``quadrature.trig_sum``.  A
+    discrete environment is one exact ``trig_sum`` over its points;
+    otherwise each block of times is one kernel quadrature over the support,
+    pre-split for the block's largest phase rate ``rate * |t|``.  Returns
+    (T, d).
     """
     ts = finite_times(ts)
     if env.is_discrete:
-        # Points last and contiguous: numpy's pairwise summation runs over them.
-        vals = integrand(env.points[:, 0], ts, env.points[:, 1])
-        return np.ascontiguousarray(np.moveaxis(vals, 0, -1)).sum(axis=-1)
+        return trig_sum(ts, *kernel(env.points[:, 0], env.points[:, 1]))
     lo, hi = env.support()
     out = None
     for idx, n0 in _blocks(lo, hi, rate, ts):
-        tb = ts[idx]
-        part = gauss_legendre_adaptive(
-            lambda x: integrand(x, tb, env.density(x)), lo, hi, tol=tol, initial_panels=n0
-        )
+        part = kernel_adaptive(lambda x: kernel(x, env.density(x)), ts[idx], lo, hi, tol, n0)
         if out is None:
-            out = np.empty((ts.size,) + part.shape[1:], dtype=part.dtype)
+            out = np.empty((ts.size, part.shape[1]))
         out[idx] = part
     return out
 
@@ -262,10 +260,13 @@ def chi_trajectory(env: SpectralDensity, ts, tol: float = 1e-9) -> np.ndarray:
     if not env.is_discrete:
         return legendre_fourier(env.expansion(), finite_times(ts), tol)
 
-    def phases(v, tb, weight):
-        return weight[:, None] * np.exp(-1j * np.multiply.outer(v, tb))
+    def phases(v, weight):
+        # w exp(-ivt) as (real, imaginary): a = (w, 0), b = (0, -w).
+        zero = np.zeros_like(weight)
+        return v, np.column_stack([weight, zero]), np.column_stack([zero, -weight]), None
 
-    return _trajectory(env, ts, 1.0, phases, tol)
+    parts = _trajectory(env, ts, 1.0, phases, tol)
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def decoherence_function(env: SpectralDensity, t: float, tol: float = 1e-9) -> complex:
@@ -514,23 +515,20 @@ def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
     """Averaged rotated polarization for every t in ``ts``, shape (T, 3).
 
     Conditioned on x the polarization is rotated (Rodrigues) about n(x) by
-    omega(x) t.  Everything but cos/sin(omega t) is computed once per node,
-    and one adaptive quadrature serves a whole block of times (an exact sum
-    for a discrete environment).
+    omega(x) t: along + cos(omega t) (p - along) + sin(omega t) n x p, with
+    along = (n.p) n.  The amplitudes are computed once per node, and one
+    adaptive quadrature serves a whole block of times (an exact sum for a
+    discrete environment).
     """
     p = np.asarray(p, dtype=float)
 
-    def rotated(x, tb, weight):
-        # weight * (along + cos(phi) (p - along) + sin(phi) n x p)
+    def rotation(x, weight):
         n, omega = _axes(model, x)
         along = (n @ p)[:, None] * n
-        phi = np.multiply.outer(omega, tb)[..., None]
-        out = np.cos(phi) * (weight[:, None] * (p - along))[:, None, :]
-        out += np.sin(phi) * (weight[:, None] * np.cross(n, p))[:, None, :]
-        out += (weight[:, None] * along)[:, None, :]
-        return out
+        weight = weight[:, None]
+        return omega, weight * (p - along), weight * np.cross(n, p), weight * along
 
-    return _trajectory(model.env_diag, ts, 2.0 * abs(model.lam), rotated, tol)
+    return _trajectory(model.env_diag, ts, 2.0 * abs(model.lam), rotation, tol)
 
 
 def spin_evolve(model: SpinModel, p, t: float, tol: float = 1e-9) -> DensityOperator:
@@ -552,12 +550,12 @@ def asymptotic_map(model: SpinModel, tol: float = 1e-9) -> np.ndarray:
     lie in [0, 1].
     """
 
-    def projectors(x, tb, weight):
-        n, _ = _axes(model, x)
-        return (weight[:, None, None] * (n[:, :, None] * n[:, None, :]))[:, None]
+    def projectors(x, weight):
+        n, omega = _axes(model, x)
+        return omega, None, None, weight[:, None] * (n[:, :, None] * n[:, None, :]).reshape(-1, 9)
 
     # The trajectory integral at the one time t = 0: no oscillation to pre-split for.
-    return np.real(_trajectory(model.env_diag, [0.0], 0.0, projectors, tol)[0])
+    return _trajectory(model.env_diag, [0.0], 0.0, projectors, tol)[0].reshape(3, 3)
 
 
 def spin_asymptotics(model: SpinModel, p, t_grid, tol: float = 1e-9) -> np.ndarray:

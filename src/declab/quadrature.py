@@ -1,14 +1,25 @@
 """Quadrature rules: adaptive panel-based Gauss-Legendre and Legendre-Filon.
 
 ``gauss_legendre_adaptive`` is built for smooth, possibly oscillatory
-integrands whose oscillation is not a plain exp(-ivt) factor (the spin
-rotation kernel).  Callers pre-split the interval into half-period panels
-(``oscillation_panels``); panels are then bisected until the discrepancy
-between the order-n and order-2n rules falls below their share of the error
-budget.  Integrands may be scalar or array valued; everything is evaluated
-vectorized over the nodes of all pending panels at once, and panel
-contributions are summed in the order of their left edges so results do not
-depend on evaluation scheduling.
+integrands whose oscillation is not a plain exp(-ivt) factor.  Callers
+pre-split the interval into half-period panels (``oscillation_panels``);
+panels are then bisected until the discrepancy between the order-n and
+order-2n rules falls below their share of the error budget.  Integrands may
+be scalar or array valued; everything is evaluated vectorized over the nodes
+of all pending panels at once, and panel contributions are summed in the
+order of their left edges so results do not depend on evaluation scheduling.
+That loop (``_bisect``) also splits densities into Legendre panels.
+
+``kernel_adaptive`` is the same rule for a whole grid of times at once, on
+integrands of the form
+
+    c(x) + a(x) cos(omega(x) t) + b(x) sin(omega(x) t)
+
+(the spin rotation kernel: a rigid rotation about n(x) at rate omega(x)).
+The kernel gives the rate and the amplitudes once per node; each panel's
+amplitudes carry the rule's weights times its half-width, its cos and sin
+tables (times x nodes) are each contracted with them by one batched matmul
+(``trig_sum``), and the t-independent c is summed once per panel.
 
 An order-16 rule is exact to round-off over a full period of exp(-ivt), but
 full-period panels are not used: their per-panel phase errors add up
@@ -59,14 +70,54 @@ def _rule(order):
     return _rule_cache[order]
 
 
-def _panel_values(f, lo, hi, order):
-    # lo, hi: (p,) panel edges.  Returns (p, ...) per-panel integrals.
-    x, w = _rule(order)
-    half = (hi - lo) / 2.0
-    nodes = lo[:, None] + half[:, None] * (x[None, :] + 1.0)
-    vals = np.asarray(f(nodes.ravel()))
-    vals = vals.reshape(nodes.shape + vals.shape[1:])
-    return np.einsum("pk...,k->p...", vals, w) * half.reshape((-1,) + (1,) * (vals.ndim - 2))
+def _bisect(evaluate, a, b, initial_panels, max_panels, what):
+    """The adaptive loop: accept panels of [a, b] or bisect them, within a budget.
+
+    ``evaluate(lo, hi)`` maps (p,) panel edges to (ok, values): which panels
+    pass, and a tuple of (p, ...) arrays of per-panel results.  Returns those
+    arrays for the accepted panels, ordered by left edge so results do not
+    depend on evaluation scheduling.  Raises QuadratureFailure, naming
+    ``what`` ran out, when more than ``max_panels`` panels are needed.
+    """
+    a = float(a)
+    b = float(b)
+    if not b > a:
+        raise ValueError(f"empty integration interval [{a}, {b}]")
+    n0 = int(min(max(initial_panels, 1), max_panels))
+    edges = np.linspace(a, b, n0 + 1)
+    lo, hi = edges[:-1], edges[1:]
+    accepted_lo, accepted = [], []
+    n_panels = n0
+
+    while lo.size:
+        ok, values = evaluate(lo, hi)
+        accepted_lo.append(lo[ok])
+        accepted.append([v[ok] for v in values])
+        lo, hi = lo[~ok], hi[~ok]
+        n_panels += lo.size
+        if lo.size and n_panels > max_panels:
+            raise QuadratureFailure(f"needed more than {max_panels} {what}")
+        mid = (lo + hi) / 2.0
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+
+    by_left_edge = np.argsort(np.concatenate(accepted_lo), kind="stable")
+    return [np.concatenate(part)[by_left_edge] for part in zip(*accepted)]
+
+
+def _rule_pair(panel_values, a, b, tol, order, initial_panels, max_panels):
+    # panel_values(nodes, scale) maps the (p, k) nodes of a rule on each panel,
+    # and its weights times the half-widths, to (p, ...) panel integrals.
+    # Panels pass when the order-n and order-2n rules agree to their share of
+    # tol; the order-2n values are summed.
+    def evaluate(lo, hi):
+        half = ((hi - lo) / 2.0)[:, None]
+        coarse, fine = (panel_values(lo[:, None] + half * (x + 1.0), w * half)
+                        for x, w in (_rule(order), _rule(2 * order)))
+        err = np.abs(fine - coarse).reshape(lo.size, -1).max(axis=1)
+        return err <= tol * (hi - lo) / (b - a), (fine,)
+
+    (fine,) = _bisect(evaluate, a, b, initial_panels, max_panels, f"panels for tolerance {tol:g}")
+    return fine.sum(axis=0)
 
 
 def gauss_legendre_adaptive(f, a, b, tol=1e-9, order=ORDER, initial_panels=MIN_PANELS,
@@ -81,34 +132,48 @@ def gauss_legendre_adaptive(f, a, b, tol=1e-9, order=ORDER, initial_panels=MIN_P
     Raises QuadratureFailure when the panel budget is exhausted before the
     error estimate drops below ``tol``.
     """
-    a = float(a)
-    b = float(b)
-    if not b > a:
-        raise ValueError(f"empty integration interval [{a}, {b}]")
-    n0 = int(min(max(initial_panels, 1), max_panels))
-    edges = np.linspace(a, b, n0 + 1)
-    lo, hi = edges[:-1], edges[1:]
-    accepted_lo, accepted = [], []
-    n_panels = n0
 
-    while lo.size:
-        coarse = _panel_values(f, lo, hi, order)
-        fine = _panel_values(f, lo, hi, 2 * order)
-        err = np.abs(fine - coarse).reshape(lo.size, -1).max(axis=1)
-        ok = err <= tol * (hi - lo) / (b - a)
-        accepted_lo.append(lo[ok])
-        accepted.append(fine[ok])
-        lo, hi = lo[~ok], hi[~ok]
-        n_panels += lo.size
-        if lo.size and n_panels > max_panels:
-            raise QuadratureFailure(
-                f"needed more than {max_panels} panels for tolerance {tol:g}"
-            )
-        mid = (lo + hi) / 2.0
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    def panel_values(nodes, scale):
+        vals = np.asarray(f(nodes.ravel()))
+        return np.einsum("pk...,pk->p...", vals.reshape(nodes.shape + vals.shape[1:]), scale)
 
-    by_left_edge = np.argsort(np.concatenate(accepted_lo), kind="stable")
-    return np.concatenate(accepted)[by_left_edge].sum(axis=0)
+    return _rule_pair(panel_values, a, b, tol, order, initial_panels, max_panels)
+
+
+def trig_sum(ts, omega, a, b, c):
+    """sum_k c_k + a_k cos(omega_k t) + b_k sin(omega_k t) for every t in ``ts``.
+
+    ``omega`` is (..., k) and the amplitudes (..., k, d), leading axes being
+    batches (panels); a and b are None when nothing oscillates, c when
+    nothing is constant.  Returns (..., T, d).
+    """
+    if a is None:
+        total = c.sum(axis=-2)[..., None, :]
+        return np.broadcast_to(total, omega.shape[:-1] + (ts.size, total.shape[-1]))
+    phase = ts[:, None] * omega[..., None, :]
+    out = np.cos(phase) @ a
+    out += np.sin(phase) @ b
+    if c is not None:
+        out += c.sum(axis=-2)[..., None, :]
+    return out
+
+
+def kernel_adaptive(kernel, ts, lo, hi, tol=1e-9, initial_panels=MIN_PANELS):
+    """int_lo^hi c(x) + a(x) cos(omega(x) t) + b(x) sin(omega(x) t) dx for every t in ``ts``.
+
+    ``kernel`` maps (m,) abscissae to (omega, a, b, c): (m,) rates and (m, d)
+    amplitudes, or None as in ``trig_sum``.  Panels are accepted and
+    bisected as in ``gauss_legendre_adaptive``, every (t, component) meeting
+    ``tol``.  Returns (T, d).
+    """
+
+    def panel_values(nodes, scale):
+        omega, *amplitudes = kernel(nodes.ravel())
+        folded = [None if q is None else q.reshape(nodes.shape + (-1,)) * scale[..., None]
+                  for q in amplitudes]
+        return trig_sum(ts, omega.reshape(nodes.shape), *folded)
+
+    return _rule_pair(panel_values, lo, hi, tol, ORDER, initial_panels, MAX_PANELS)
 
 
 def oscillation_panels(a, b, rate):
@@ -232,34 +297,23 @@ def legendre_panels(f, a, b):
     """
     x, transform = _legendre_rule(LEGENDRE_ORDER)
     noise = EPS * np.abs(transform[-2:].astype(float))
-    lo, hi = np.array([float(a)]), np.array([float(b)])
-    accepted = []
-    n_panels = 1
-    while lo.size:
+
+    def evaluate(lo, hi):
         centres, widths = (lo + hi) / 2.0, hi - lo
         vals = f(centres[:, None] + widths[:, None] / 2.0 * x)
         coeffs = (vals.astype(np.longdouble) @ transform.T).astype(float) * widths[:, None]
         tails = np.abs(coeffs[:, -2:]).sum(axis=1)
         floors = widths * (np.abs(vals) @ noise.T).sum(axis=1)
         ok = (tails <= LEGENDRE_BUDGET * widths / (b - a)) | (tails <= floors)
-        accepted.append((centres[ok], widths[ok] / 2.0, coeffs[ok], tails[ok]))
-        lo, hi = lo[~ok], hi[~ok]
-        n_panels += lo.size
-        if lo.size and n_panels > MAX_PANELS:
-            raise QuadratureFailure(
-                f"needed more than {MAX_PANELS} Legendre panels for budget {LEGENDRE_BUDGET:g}"
-            )
-        mid = (lo + hi) / 2.0
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        return ok, (centres, widths / 2.0, coeffs, tails)
 
-    centres, halves, coeffs, tails = (np.concatenate(part) for part in zip(*accepted))
-    by_centre = np.argsort(centres)
+    centres, halves, coeffs, tails = _bisect(evaluate, a, b, 1, MAX_PANELS,
+                                             f"Legendre panels for budget {LEGENDRE_BUDGET:g}")
     # Drop trailing terms whose total contribution is below a tenth of an ulp of 1.
     bound = np.cumsum(np.abs(coeffs).sum(axis=0)[::-1])[::-1]
     keep = max(1, int(np.count_nonzero(bound > EPS / 10.0)))
     dropped = float(bound[keep]) if keep < LEGENDRE_ORDER else 0.0
-    return LegendrePanels(centres[by_centre], halves[by_centre], coeffs[by_centre, :keep],
-                          float(tails.sum()) + dropped)
+    return LegendrePanels(centres, halves, coeffs[:, :keep], float(tails.sum()) + dropped)
 
 
 # Real and imaginary parts of (-i)^k for k mod 4.
@@ -272,7 +326,8 @@ def legendre_fourier(panels, ts, tol):
     Times are evaluated in chunks of at most LEGENDRE_ELEMENTS (term, panel,
     time) triples; negative times are the complex conjugates of |t|, as for
     every real f.  Raises QuadratureFailure when ``tol`` is below the panels'
-    tail estimate, which bounds the error at every t.
+    tail estimate, which bounds the error at every t, and ValueError naming
+    the first t at which a panel's phase h |t| overflows.
     """
     if not tol >= panels.tail:
         raise QuadratureFailure(
@@ -280,6 +335,11 @@ def legendre_fourier(panels, ts, tol):
         )
     ts = np.asarray(ts, dtype=float)
     at = np.abs(ts)
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(panels.halves.max() * at))
+    if bad.size:
+        raise ValueError(f"t[{bad[0]}] = {float(ts[bad[0]])!r} times the panel half-width "
+                         f"{panels.halves.max():g} overflows")
     n_panels, n_terms = panels.coeffs.shape
     # (p, k, 2): 2h a_k (-i)^k as (real, imaginary) pairs.
     weights = panels.coeffs[:, :, None] * _POWERS_OF_MINUS_I[np.arange(n_terms) % 4]

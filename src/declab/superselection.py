@@ -174,6 +174,9 @@ class DecayFit:
 
 SUPERPOLY_GAMMA = 20.0
 MIN_ENVELOPE_POINTS = 8
+# Envelope values within this many machine epsilons of each other (relative
+# to the largest) are flat: their regression slope is the sign of round-off.
+FLAT_ENVELOPE_EPS = 16
 
 
 def _envelope_indices(values: np.ndarray, minimum: int) -> np.ndarray:
@@ -206,6 +209,8 @@ def fit_power_law_decay(samples, delta: float, window: Optional[Tuple[float, flo
     inflated minimally so the bound dominates every windowed sample.  The
     spectral-gap parameter ``delta`` is model data supplied by the caller,
     not fitted; joint estimation of (C, delta, gamma) is ill conditioned.
+    Raises NonDecaying when the envelope slope is not negative, or when the
+    envelope is flat to within FLAT_ENVELOPE_EPS epsilons.
     """
     data = np.asarray(samples, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
@@ -233,6 +238,9 @@ def fit_power_law_decay(samples, delta: float, window: Optional[Tuple[float, flo
             f"only {env.size} envelope points in window [{lo:g}, {hi:g}]"
         )
 
+    top = vw[env].max()
+    if top - vw[env].min() <= FLAT_ENVELOPE_EPS * np.finfo(float).eps * top:
+        raise NonDecaying(f"envelope is flat to round-off at {top:g}: its slope is not negative")
     x = np.log1p(delta * tw[env])
     y = np.log(vw[env])
     slope, intercept = np.polyfit(x, y, 1)

@@ -385,6 +385,37 @@ def test_main_run_chi_scan_beyond_old_panel_budget(tmp_path):
     assert np.abs(chi - np.exp(-(ts**2) / 2.0)).max() < 1e-14
 
 
+CHI_UNIFORM = "env.kind = uniform\nenv.a = -1.0\nenv.b = 1.0"
+PHASE_OVERFLOW = [
+    (CHI_CONFIG, [(CHI_UNIFORM, "env.kind = gaussian\nenv.s = 1e150"),
+                  ("t_grid.stop = 6.0", "t_grid.stop = 1e200")]),
+    (AZ_CONFIG, [("model.lambdas = 1,-1", "model.lambdas = 1e300,-1e300"),
+                 ("t_grid.stop = 2.0", "t_grid.stop = 1e150")]),
+    # Points far from 0: v t overflows (chi was nan, exit 0), the width times t does not.
+    (CHI_CONFIG, [(CHI_UNIFORM, "env.kind = discrete\nenv.points = 1e300:0.5, 1.0000001e300:0.5"),
+                  ("t_grid.stop = 6.0", "t_grid.stop = 1e10")]),
+]
+
+
+@pytest.mark.parametrize("base, edits", PHASE_OVERFLOW,
+                         ids=["chi_scan", "araki_zurek", "far_points"])
+def test_main_validate_rejects_chi_phase_overflow(tmp_path, capsys, base, edits):
+    # These used to pass validate and end in a traceback (an OverflowError in
+    # spherical_jn, or a ValueError for the infinite gap * t) or in nan chi.
+    for old, new in edits:
+        assert old in base
+        base = base.replace(old, new)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(base)
+    assert main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid config: t_grid.stop:" in err and "is not finite" in err
+    # Just inside the bound the run completes.
+    cfg.write_text(base.replace("1e200", "1e150").replace("1e300,-1e300", "1e150,-1e150")
+                   .replace("t_grid.stop = 1e10", "t_grid.stop = 1e7"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("count", [MAX_TIME_POINTS + 1, 10000000000])
 def test_main_validate_rejects_grid_above_time_point_cap(tmp_path, capsys, monkeypatch, count):
     def forbidden(*args, **kwargs):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import declab.models
+import declab.quadrature
 from declab import (
     QuadratureFailure,
     SpectralDensity,
     SpinModel,
+    asymptotic_map,
     chi_trajectory,
     decoherence_function,
     density_to_bloch,
@@ -89,16 +91,27 @@ ENV_IDS = ["gaussian", "uniform", "bump", "discrete"]
 TIMES = np.array([3.0, -0.5, 0.0, 12.0, 3.0, -40.0, 0.25, 12.0, 75.0])
 
 
-def count_calls(monkeypatch):
+def count_calls(monkeypatch, owner, name):
     calls = []
-    original = declab.models.gauss_legendre_adaptive
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(declab.models, "gauss_legendre_adaptive", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_adaptive_calls(monkeypatch):
+    # Every adaptive Gauss-Legendre entry (gauss_legendre_adaptive,
+    # kernel_adaptive) runs the order-16/order-32 rule pair.
+    return count_calls(monkeypatch, declab.quadrature, "_rule_pair")
+
+
+def count_blocks(monkeypatch):
+    # models makes one kernel quadrature per block of times.
+    return count_calls(monkeypatch, declab.models, "kernel_adaptive")
 
 
 @pytest.mark.parametrize("env", ENVS, ids=ENV_IDS)
@@ -122,7 +135,7 @@ def test_far_chi_trajectory_makes_no_adaptive_calls(monkeypatch):
     # rule needs none, and the result still matches pointwise calls.
     env = SpectralDensity.gaussian(1.0)
     ts = np.array([250.0, 100.0, 400.0, 150.0, 300.0, 200.0, 350.0])
-    calls = count_calls(monkeypatch)
+    calls = count_adaptive_calls(monkeypatch)
     got = chi_trajectory(env, ts)
     expected = np.array([decoherence_function(env, t) for t in ts])
     assert not calls
@@ -139,7 +152,7 @@ FRESH_CONTINUOUS = {
 
 @pytest.mark.parametrize("kind", FRESH_CONTINUOUS)
 def test_continuous_chi_makes_no_adaptive_calls(kind, monkeypatch):
-    calls = count_calls(monkeypatch)
+    calls = count_adaptive_calls(monkeypatch)
     env = FRESH_CONTINUOUS[kind]()  # built after patching: the bump normalizes lazily
     chi_trajectory(env, np.linspace(0.0, 5.0, 51))
     decoherence_function(env, 1e5)
@@ -180,7 +193,7 @@ def test_spin_trajectory_spans_several_blocks(monkeypatch):
     model = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
     p = np.array([0.7, 0.2, 0.5])
     ts = np.linspace(60.0, 120.0, 5)
-    calls = count_calls(monkeypatch)
+    calls = count_blocks(monkeypatch)
     got = spin_trajectory(model, p, ts)
     assert len(calls) > 1
     expected = np.array([density_to_bloch(spin_evolve(model, p, t)) for t in ts])
@@ -202,6 +215,77 @@ def test_spin_horizon_is_where_the_pre_split_reaches_the_budget():
     # A rate 2 |lam| (hi - lo) that underflows to 0 is no horizon either, not a ZeroDivisionError.
     narrow = SpectralDensity.uniform(0.0, 1e-295)
     assert spin_horizon(SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1e-30, env_diag=narrow)) == np.inf
+
+
+# --- the rotation kernel against the per-time integrand closures it replaced
+
+
+def reference_trajectory(env, ts, rate, integrand, tol):
+    # integrand(x, tb, weight) -> (m, len(tb), ...), one generic adaptive call per block.
+    if env.is_discrete:
+        return integrand(env.points[:, 0], ts, env.points[:, 1]).sum(axis=0)
+    lo, hi = env.support()
+    out = None
+    for idx, n0 in declab.models._blocks(lo, hi, rate, ts):
+        part = gauss_legendre_adaptive(lambda x: integrand(x, ts[idx], env.density(x)), lo, hi,
+                                       tol=tol, initial_panels=n0)
+        out = np.empty((ts.size,) + part.shape[1:]) if out is None else out
+        out[idx] = part
+    return out
+
+
+def reference_spin_trajectory(model, p, ts, tol=1e-9):
+    def rotated(x, tb, weight):
+        n, omega = declab.models._axes(model, x)
+        along = (n @ p)[:, None] * n
+        phi = np.multiply.outer(omega, tb)[..., None]
+        out = np.cos(phi) * (weight[:, None] * (p - along))[:, None, :]
+        out += np.sin(phi) * (weight[:, None] * np.cross(n, p))[:, None, :]
+        return out + (weight[:, None] * along)[:, None, :]
+
+    return reference_trajectory(model.env_diag, ts, 2.0 * abs(model.lam), rotated, tol)
+
+
+def reference_asymptotic_map(model, tol=1e-9):
+    def projectors(x, tb, weight):
+        n, _ = declab.models._axes(model, x)
+        return (weight[:, None, None] * (n[:, :, None] * n[:, None, :]))[:, None]
+
+    return reference_trajectory(model.env_diag, np.zeros(1), 0.0, projectors, tol)[0]
+
+
+# A generic field; one along the coupling axis, whose axis flips sign at
+# x = -a_3 / lam; a strong negative coupling.
+FIELDS = [([1.0, 0.4, 2.0], 0.8), ([0.0, 0.0, 2.0], 1.0), ([1.0, 0.4, 2.0], -3.0)]
+FIELD_IDS = ["generic", "axis_flip", "negative_lam"]
+
+
+@pytest.mark.parametrize("a, lam", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("env", ENVS, ids=ENV_IDS)
+def test_kernel_path_matches_the_integrand_closures(env, a, lam):
+    model = SpinModel(a=a, b=0.3, lam=lam, env_diag=env)
+    p = np.array([0.6, -0.3, 0.4])
+    got = spin_trajectory(model, p, TIMES)
+    assert np.abs(got - reference_spin_trajectory(model, p, TIMES)).max() < 1e-13
+    for tol in (1e-9, 1e-12):
+        want = reference_asymptotic_map(model, tol)
+        assert np.abs(asymptotic_map(model, tol) - want).max() < 1e-13
+
+
+def test_kernel_path_matches_the_integrand_closures_at_the_horizon():
+    model = SpinModel(a=[1.0, 0.4, 2.0], b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
+    p = np.array([0.7, 0.2, 0.5])
+    ts = np.array([spin_horizon(model), -spin_horizon(model) / 3.0])
+    got = spin_trajectory(model, p, ts)
+    assert np.abs(got - reference_spin_trajectory(model, p, ts)).max() < 1e-13
+
+
+@pytest.mark.parametrize("env", [ENVS[-1], SpectralDensity.gaussian(1.0).discretize(40)],
+                         ids=["three_points", "forty_points"])
+def test_discrete_chi_is_the_weighted_sum_of_phases(env):
+    v, w = env.points.T
+    want = np.exp(-1j * np.multiply.outer(TIMES, v)) @ w
+    assert np.abs(chi_trajectory(env, TIMES) - want).max() < 1e-14
 
 
 # --- Legendre-Filon chi
@@ -294,6 +378,13 @@ def test_tolerance_below_the_tail_estimate_raises():
         chi_trajectory(env, [2.0], tol=tail / 10)
     with pytest.raises(QuadratureFailure):
         decoherence_function(env, 2.0, tol=0.0)
+
+
+def test_chi_phase_overflow_names_the_time():
+    # h |t| beyond the double range used to end in an OverflowError from spherical_jn.
+    with pytest.raises(ValueError, match=r"t\[1\] = -1e\+200 times the panel half-width"):
+        chi_trajectory(SpectralDensity.gaussian(1e150), [1.0, -1e200, 2e200])
+    assert np.isfinite(chi_trajectory(SpectralDensity.gaussian(1e150), [-1e150])).all()
 
 
 def test_legendre_panels_report_their_budget_failure():

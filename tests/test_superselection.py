@@ -208,6 +208,22 @@ def test_fit_rejects_constant_series():
         fit_power_law_decay(np.column_stack([t, np.ones_like(t)]), delta=1.0)
 
 
+@pytest.mark.parametrize("direction", [-1, 1], ids=["falling", "rising"])
+def test_fit_rejects_series_flat_to_round_off(direction):
+    # A constant distance carrying +-3 ulp of noise: the regression slope is
+    # then the sign of that noise, and a falling trend in it is no decay.
+    t = np.linspace(0.0, 10.0, 50)
+    ulps = direction * np.round(np.linspace(-3.0, 3.0, t.size))
+    ulps += np.random.default_rng(5).integers(-1, 2, t.size)
+    values = 0.3 + ulps * np.spacing(0.3)
+    assert np.ptp(values) > 0.0
+    with pytest.raises(NonDecaying, match="not negative"):
+        fit_power_law_decay(np.column_stack([t, values]), delta=1.0)
+    # A slow decay far above round-off is still fitted.
+    fit = fit_power_law_decay(np.column_stack([t, 0.3 * (1.0 + t) ** -1e-6]), delta=1.0)
+    assert fit.gamma == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_fit_rejects_growing_series():
     t = np.linspace(0.0, 10.0, 50)
     with pytest.raises(NonDecaying):
