@@ -212,6 +212,16 @@ def _check_chi_phases(t_grid, env, gap):
                               f"times the support's width or reach {reach:g} is not finite")
 
 
+def _check_spin_phases(t_grid, model):
+    # The rotation angle 2 |(a_1, a_2, a_3 + lam x)| t is largest at an end of
+    # the support, and must stay a finite double there.
+    a1, a2, a3 = model.a
+    field = max(math.hypot(a1, a2, a3 + model.lam * x) for x in model.env_diag.support())
+    if not math.isfinite(2.0 * field * float(t_grid[-1])):
+        raise ValidationError("t_grid.stop", f"stop {t_grid[-1]:g} times twice the largest field "
+                              f"{field:g} on the environment's support is not finite")
+
+
 def _parse_bloch(e: _Entries) -> np.ndarray:
     p = np.asarray(e.floats("initial.bloch", 3))
     if np.linalg.norm(p) > 1 + 1e-12:
@@ -271,6 +281,7 @@ def _parse_spin(e: _Entries, t_grid, env) -> dict:
             "t_grid.stop", f"stop {t_grid[-1]:g} is beyond the spin horizon {horizon:g} "
             "of this environment and coupling"
         )
+    _check_spin_phases(t_grid, model)
     return {"t_grid": t_grid, "model": model, "initial_bloch": _parse_bloch(e)}
 
 

@@ -44,7 +44,7 @@ from .quadrature import (
     trig_sum,
 )
 from .states import PAULI, DensityOperator, bloch_to_density, trace_distance
-from .superselection import SectorStructure, sector_mask, validate_sectors
+from .superselection import SectorStructure, sector_mask
 
 NORMALIZATION_TOL = 1e-10
 GAUSSIAN_TAIL_SIGMAS = 10.0
@@ -312,7 +312,7 @@ class ArakiZurekModel:
     delta: float
 
     def __post_init__(self):
-        validate_sectors(self.sectors)
+        frame, index = self.sectors._adapted_frame()  # validates a family given as projectors
         lambdas = np.asarray(self.lambdas, dtype=float)
         if lambdas.ndim != 1 or lambdas.size != len(self.sectors):
             raise DimensionMismatch("need one coupling eigenvalue per sector")
@@ -320,21 +320,21 @@ class ArakiZurekModel:
             raise ValueError("lambdas must be finite")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        gaps = np.abs(lambdas[:, None] - lambdas[None, :])
-        off = gaps[~np.eye(lambdas.size, dtype=bool)]
-        if off.size and off.min() < self.delta:
-            raise ValueError(
-                f"eigenvalue gap {off.min():g} is below the declared delta {self.delta:g}"
-            )
+        # Sorted, the closest pair of eigenvalues is adjacent.
+        gap = np.diff(np.sort(lambdas)).min(initial=np.inf)
+        if gap < self.delta:
+            raise ValueError(f"eigenvalue gap {gap:g} is below the declared delta {self.delta:g}")
         h_s = require_hermitian(self.h_s, name="system Hamiltonian")
         if h_s.shape[0] != self.sectors.dim:
             raise DimensionMismatch("system Hamiltonian dimension does not match sectors")
-        tol = 1e-10 * max(1.0, hs_norm(h_s))
-        for m, p in enumerate(self.sectors.projectors):
-            if hs_norm(h_s @ p - p @ h_s) > tol:
-                raise ValueError(
-                    f"system Hamiltonian does not commute with sector projector {m}"
-                )
+        # |[h_s, P_m]|^2 is the weight of |F^H h_s F|^2 on entries with exactly one
+        # index in sector m; |F^H h_s F| is symmetric, so that is twice its row sums.
+        g = h_s if frame is None else frame.conj().T @ h_s @ frame
+        rows = (np.abs(g) ** 2 * (index[:, None] != index)).sum(axis=1)
+        leak = np.sqrt(2.0 * np.bincount(index, weights=rows, minlength=len(self.sectors)))
+        bad = np.flatnonzero(leak > 1e-10 * max(1.0, hs_norm(h_s)))
+        if bad.size:
+            raise ValueError(f"system Hamiltonian does not commute with sector projector {bad[0]}")
         object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "h_s", h_s)
 
@@ -474,7 +474,10 @@ def _axes(model: SpinModel, x: np.ndarray):
     h = np.empty((x.size, 3))
     h[:, :2] = model.a[:2]
     h[:, 2] = model.a[2] + model.lam * x
-    norms = np.linalg.norm(h, axis=1)
+    with np.errstate(over="ignore"):  # its squares overflow past ~1e154; hypot's do not
+        norms = np.linalg.norm(h, axis=1)
+    big = ~np.isfinite(norms)
+    norms[big] = np.hypot(np.hypot(h[big, 0], h[big, 1]), h[big, 2])
     zero = norms == 0.0
     n = h / np.where(zero, 1.0, norms)[:, None]
     n[zero] = (0.0, 0.0, 1.0)

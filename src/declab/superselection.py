@@ -1,8 +1,10 @@
-"""Superselection sectors: projector families, the block-diagonal projection
+"""Superselection sectors: sector structures, the block-diagonal projection
 channel, off-diagonal coherence norms, sector probabilities and power-law
 envelope fits for their decay.
 
-A sector structure is a complete family of mutually orthogonal projectors.
+A sector structure is a complete family of mutually orthogonal projectors
+P_m, held as an orthonormal frame F (None for the standard basis) and the
+sector of each of its columns, so that P_m = F_m F_m^H is never stored.
 States compatible with it are exactly the fixed points of the channel
 W -> sum_m P_m W P_m; the distance of a state from its projection measures
 how much intersector coherence it still carries.
@@ -28,63 +30,76 @@ PROJECTOR_TOL = 1e-10
 
 
 class SectorStructure:
-    """Complete family of mutually orthogonal projectors with labels."""
+    """Complete family of mutually orthogonal projectors with labels.
 
-    __slots__ = ("projectors", "labels", "_frame")
+    Held as a sector-adapted orthonormal frame F, None for the standard
+    basis, and the sector index of each column: P_m = F_m F_m^H.  A family
+    given as projector matrices is kept as given until ``validate_sectors``
+    checks it and converts it to that frame.
+    """
+
+    __slots__ = ("labels", "_given", "_frame")
 
     def __init__(self, projectors, labels=None):
-        mats = tuple(np.asarray(p, dtype=complex) for p in projectors)
-        if not mats:
-            raise DimensionMismatch("need at least one projector")
-        if labels is None:
-            labels = tuple(str(i) for i in range(len(mats)))
-        labels = tuple(str(label) for label in labels)
-        if len(labels) != len(mats):
-            raise DimensionMismatch("need one label per projector")
-        self.projectors = mats
-        self.labels = labels
+        self._given = tuple(np.asarray(p, dtype=complex) for p in projectors)
+        self.labels = _labels(labels, len(self._given))
         self._frame = None
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self._frame[1].size if self._given is None else self._given[0].shape[0]
+
+    @property
+    def projectors(self) -> Tuple[np.ndarray, ...]:
+        """The dense P_m = F_m F_m^H, rebuilt on every access as the sector mask
+        of the identity with the single coefficient c_mm = 1."""
+        eye = np.eye(self.dim, dtype=complex)
+        return tuple(sector_mask(eye, self, np.diag(unit)) for unit in np.eye(len(self)))
 
     def _adapted_frame(self) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """Sector-adapted orthonormal basis F, None if exactly the identity, and
-        the sector of each column.  P_m = F_m F_m^H with F_m from ``hermitian_eig``
-        of P_m; derived once, after the family passes ``validate_sectors``."""
-        if self._frame is None:
-            validate_sectors(self)
-            ranks = [int(round(np.trace(p).real)) for p in self.projectors]
-            frame = np.hstack([hermitian_eig(p).eigenvectors[:, :r]
-                               for p, r in zip(self.projectors, ranks)])
-            identity = np.array_equal(frame, np.eye(self.dim))
-            self._frame = (None if identity else frame, np.repeat(np.arange(len(self)), ranks))
-        return self._frame
+        """The frame F (None for the standard basis) and the sector of each column;
+        a family still held as projector matrices is validated first."""
+        return validate_sectors(self)._frame
 
     def __len__(self):
-        return len(self.projectors)
+        return len(self.labels)
 
     def __repr__(self):
         return f"SectorStructure(labels={list(self.labels)}, dim={self.dim})"
 
 
+def _labels(labels, k):
+    if not k:
+        raise DimensionMismatch("need at least one projector")
+    labels = tuple(str(label) for label in (range(k) if labels is None else labels))
+    if len(labels) != k:
+        raise DimensionMismatch("need one label per projector")
+    return labels
+
+
 def block_diagonal_sectors(block_dims: Sequence[int], labels=None) -> SectorStructure:
-    """Sectors projecting onto consecutive basis blocks of the given sizes."""
-    sector_of = np.repeat(np.arange(len(block_dims)), block_dims)
-    projectors = [np.diag((sector_of == m).astype(complex)) for m in range(len(block_dims))]
-    return SectorStructure(projectors, labels)
+    """Sectors projecting onto consecutive basis blocks of the given sizes:
+    the standard basis as frame, valid by construction."""
+    s = SectorStructure.__new__(SectorStructure)
+    s.labels = _labels(labels, len(block_dims))
+    s._given = None
+    s._frame = (None, np.repeat(np.arange(len(block_dims)), block_dims))
+    return s
 
 
 def validate_sectors(s: SectorStructure) -> SectorStructure:
     """Return the input iff every projector invariant holds.
 
-    Checks each P for Hermitian idempotency, each pair for orthogonality and
-    the family for completeness; the raised error names the offending index
-    or index pair.
+    A family given as projector matrices is checked once: each P for
+    Hermitian idempotency, each pair for orthogonality and the family for
+    completeness, the raised error naming the offending index or index pair.
+    It is then converted to its frame, F_m from ``hermitian_eig`` of P_m, and
+    the matrices are dropped.  A frame is valid by construction.
     """
+    if s._given is None:
+        return s
     dim = s.dim
-    for m, p in enumerate(s.projectors):
+    for m, p in enumerate(s._given):
         if p.shape != (dim, dim):
             raise DimensionMismatch(f"projector {m} has shape {p.shape}, expected {(dim, dim)}")
         if hs_norm(p - p.conj().T) > PROJECTOR_TOL:
@@ -93,11 +108,14 @@ def validate_sectors(s: SectorStructure) -> SectorStructure:
             raise NotIdempotent(m)
     for m in range(len(s)):
         for n in range(m + 1, len(s)):
-            if hs_norm(s.projectors[m] @ s.projectors[n]) > PROJECTOR_TOL:
+            if hs_norm(s._given[m] @ s._given[n]) > PROJECTOR_TOL:
                 raise NotOrthogonal((m, n))
-    total = sum(s.projectors)
+    total = sum(s._given)
     if hs_norm(total - np.eye(dim)) > PROJECTOR_TOL:
         raise NotComplete(f"projectors sum to distance {hs_norm(total - np.eye(dim)):.2e} from identity")
+    frames = [hermitian_eig(p).eigenvectors[:, :int(round(np.trace(p).real))] for p in s._given]
+    s._frame = (np.hstack(frames), np.repeat(np.arange(len(s)), [f.shape[1] for f in frames]))
+    s._given = None
     return s
 
 

@@ -324,13 +324,39 @@ def test_parse_checks_sector_dims_before_building_projectors(monkeypatch):
         raise AssertionError("projectors built for an over-cap system")
 
     monkeypatch.setattr("declab.cli.block_diagonal_sectors", forbidden)
-    # 1025 sectors of size 1: the projectors alone would take 1025 x 1025^2 entries.
+    # 1025 sectors of size 1: the dimension cap is checked before any sector structure is built.
     dims = ",".join(["1"] * 1025)
     text = AZ_CONFIG.replace("model.sector_dims = 1,1", f"model.sector_dims = {dims}")
     text = text.replace("model.lambdas = 1,-1", "model.lambdas = " + ",".join(["0"] * 1025))
     with pytest.raises(ValidationError) as info:
         parse_config(text)
     assert info.value.key == "model.sector_dims"
+
+
+def test_main_validate_rejects_h_s_coupling_sectors(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(AZ_CONFIG + "model.h_s = 0.5,0.2,0.2,-0.5\n")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid config: model:" in err and "sector projector 0" in err
+    cfg.write_text(AZ_CONFIG + "model.h_s = 0.5,0,0,-0.5\n")
+    assert main(["validate", "--config", str(cfg)]) == 0
+
+
+def unit_sector_config(k):
+    """An araki_zurek config with k unit sectors and the maximally mixed state."""
+    text = AZ_CONFIG
+    for old, new in [("sector_dims = 1,1", "sector_dims = " + ",".join(["1"] * k)),
+                     ("lambdas = 1,-1", "lambdas = " + ",".join(map(str, range(k)))),
+                     ("delta = 2.0", "delta = 1.0"),
+                     ("bloch = 1,0,0", "matrix = " + ",".join(map(str, (np.eye(k) / k).ravel())))]:
+        text = text.replace(old, new)
+    return text
+
+
+def test_parse_accepts_unit_sectors_at_dense_cap():
+    cfg = parse_config(unit_sector_config(1024))
+    assert len(cfg.inputs["model"].sectors) == 1024 and cfg.inputs["initial_state"].dim == 1024
 
 
 def test_parse_accepts_dimension_at_dense_cap():
@@ -369,6 +395,32 @@ def test_spin_grid_inside_horizon_or_on_discrete_env_validates():
     discrete = SPIN_CONFIG.replace("env.kind = gaussian\nenv.s = 1.0",
                                    "env.kind = discrete\nenv.points = -0.5:0.5, 0.5:0.5")
     assert parse_config(discrete).inputs["t_grid"][-1] == 20000.0
+
+
+FAR_FIELD = "env.kind = discrete\nenv.points = -{0}:0.5, {0}:0.5"
+
+
+def test_main_run_spin_field_beyond_norm_overflow(tmp_path):
+    # |a_3 + lam x| ~ 1e160 overflowed np.linalg.norm: the CSV was nan at every t, exit 0.
+    cfg = tmp_path / "scenario.cfg"
+    far = SPIN_CONFIG.replace("env.kind = gaussian\nenv.s = 1.0", FAR_FIELD.format("1e160"))
+    cfg.write_text(far.replace("t_grid.stop = 20000.0", "t_grid.stop = 1.0"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "spin.csv")
+    values = np.array(rows, dtype=float)
+    assert np.all(np.isfinite(values))
+    assert np.abs(values[0, 1:] - [0.7, 0.2, 0.5]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("base", [SPIN_CONFIG, SPIN_ASYMPTOTICS_CONFIG],
+                         ids=["spin", "spin_asymptotics"])
+def test_main_validate_rejects_spin_phase_overflow(tmp_path, capsys, base):
+    # At |field| ~ 1e308 the rotation rate 2 |field| is inf whatever t is.
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(base.replace("env.kind = gaussian\nenv.s = 1.0", FAR_FIELD.format("1e308")))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid config: t_grid.stop:" in err and "is not finite" in err
 
 
 def test_main_run_chi_scan_beyond_old_panel_budget(tmp_path):

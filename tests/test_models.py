@@ -36,6 +36,7 @@ from declab import (
     tensor_product,
     trace_distance,
 )
+from test_superselection import random_sectors
 
 GAUSS = SpectralDensity.gaussian(1.0)
 Z_SECTORS = block_diagonal_sectors([1, 1])
@@ -223,6 +224,33 @@ def test_az_model_validation():
         ArakiZurekModel(
             Z_SECTORS, [1.0, -1.0], np.array([[0.0, 1.0], [0.0, 0.0]]), GAUSS, 2.0
         )
+
+
+COUPLED_BLOCKS = [([2, 2], (1, 2), 0), ([1, 2, 2], (1, 3), 1)]
+
+
+@pytest.mark.parametrize("dims, pair, named", COUPLED_BLOCKS, ids=["2,2", "1,2,2"])
+def test_az_rejects_h_s_coupling_basis_sectors(dims, pair, named):
+    # The coupling leaks out of both sectors it joins; the first one is named.
+    h_s = np.diag(np.linspace(-1.0, 1.0, sum(dims))).astype(complex)
+    h_s[pair] = h_s[pair[::-1]] = 0.3
+    lambdas = np.arange(len(dims), dtype=float)
+    with pytest.raises(ValueError, match=f"commute with sector projector {named}$"):
+        ArakiZurekModel(block_diagonal_sectors(dims), lambdas, h_s, GAUSS, 1.0)
+    h_s[pair] = h_s[pair[::-1]] = 1e-12  # inside the tolerance 1e-10 max(1, |h_s|)
+    ArakiZurekModel(block_diagonal_sectors(dims), lambdas, h_s, GAUSS, 1.0)
+
+
+def test_az_rejects_h_s_coupling_rotated_sectors():
+    rng = np.random.default_rng(45)
+    sectors = random_sectors(6, 3, rng)
+    p = sectors.projectors
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    inside = sum(pm @ (x + x.conj().T) @ pm for pm in p)
+    coupling = p[1] @ x @ p[2] + p[2] @ x.conj().T @ p[1]
+    with pytest.raises(ValueError, match="commute with sector projector 1$"):
+        ArakiZurekModel(sectors, [0.0, 1.0, 2.0], inside + coupling, GAUSS, 1.0)
+    ArakiZurekModel(sectors, [0.0, 1.0, 2.0], inside + 1e-13 * coupling, GAUSS, 1.0)
 
 
 def test_az_coupling_operator_reconstruction():
