@@ -34,13 +34,11 @@ from .operators import (
     tensor_product,
 )
 from .quadrature import (
-    MAX_PANELS,
-    NODES_PER_PANEL,
     LegendrePanels,
     kernel_adaptive,
     legendre_fourier,
     legendre_panels,
-    oscillation_panels,
+    oscillation_horizon,
     trig_sum,
 )
 from .states import PAULI, DensityOperator, bloch_to_density, trace_distance
@@ -52,9 +50,6 @@ MAX_DENSE_DIM = 1024
 # Support widths of a continuous density: beyond them its peak value, or the
 # products of its abscissae, leave the double range.
 SUPPORT_WIDTHS = (1e-300, 1e300)
-# Bound on initial panels x nodes per panel x times for one trajectory block,
-# and so on the cos and sin tables of its kernel quadrature.
-TRAJECTORY_BLOCK_ELEMENTS = 2**18
 
 
 class SpectralDensity:
@@ -90,7 +85,8 @@ class SpectralDensity:
             for column, field in ((0, "points"), (1, "weights")):
                 if not np.all(np.isfinite(pts[:, column])):
                     raise ValueError(f"discrete {field} must be finite")
-            if np.any(np.diff(pts[:, 0]) <= 0):
+            # Neighbours compared, not np.diff, which overflows for points spanning > 1.8e308.
+            if np.any(pts[1:, 0] <= pts[:-1, 0]):
                 raise ValueError("discrete points must be sorted by v and distinct")
             if pts[:, 1].min() < 0:
                 raise ValueError("discrete weights must be nonnegative")
@@ -134,7 +130,11 @@ class SpectralDensity:
         return (self.a, self.b)
 
     def density(self, v):
-        """Weight density at v; vectorized, zero outside the support."""
+        """Weight density at v; vectorized.
+
+        The gaussian is the full normal density, also beyond ``support()``;
+        uniform and bump are zero outside their support.
+        """
         v = np.asarray(v, dtype=float)
         if self.kind == "gaussian":
             z = v / self.s  # not v**2 / s**2, which under- or overflows for extreme s
@@ -205,47 +205,19 @@ def _bump(u):
     return np.where(inside, np.exp(-1.0 / (1.0 - safe**2)), 0.0)
 
 
-def _blocks(lo, hi, rate, ts):
-    """Split times into blocks sharing one adaptive call, with their pre-splits.
-
-    Times are taken in ascending |t|; each block is pre-split for its largest
-    |t| and grows only while initial panels x nodes x block size stays within
-    TRAJECTORY_BLOCK_ELEMENTS, which bounds the trig tables' memory.  Yields
-    (indices into ts, initial panel count).
-    """
-    order = np.argsort(np.abs(ts), kind="stable")
-    panels = [oscillation_panels(lo, hi, rate * abs(ts[i])) for i in order]
-    start = 0
-    while start < order.size:
-        stop = start + 1
-        while (stop < order.size and panels[stop] * NODES_PER_PANEL * (stop + 1 - start)
-               <= TRAJECTORY_BLOCK_ELEMENTS):
-            stop += 1
-        yield order[start:stop], panels[stop - 1]
-        start = stop
-
-
 def _trajectory(env, ts, rate, kernel, tol):
     """Sum or integral over x of c + a cos(omega t) + b sin(omega t) for every t in ts.
 
     ``kernel(x, weight)`` maps (m,) abscissae and the environment weights at
-    them to (omega, a, b, c), weighted as in ``quadrature.trig_sum``.  A
-    discrete environment is one exact ``trig_sum`` over its points;
-    otherwise each block of times is one kernel quadrature over the support,
-    pre-split for the block's largest phase rate ``rate * |t|``.  Returns
-    (T, d).
+    them to (omega, a, b, c), weighted as in ``quadrature.trig_sum``, and
+    ``rate`` bounds |d omega / dx|.  A discrete environment is one exact
+    ``trig_sum`` over its points; otherwise the whole grid is one
+    ``kernel_adaptive`` call over the support.  Returns (T, d).
     """
     ts = finite_times(ts)
     if env.is_discrete:
         return trig_sum(ts, *kernel(env.points[:, 0], env.points[:, 1]))
-    lo, hi = env.support()
-    out = None
-    for idx, n0 in _blocks(lo, hi, rate, ts):
-        part = kernel_adaptive(lambda x: kernel(x, env.density(x)), ts[idx], lo, hi, tol, n0)
-        if out is None:
-            out = np.empty((ts.size, part.shape[1]))
-        out[idx] = part
-    return out
+    return kernel_adaptive(lambda x: kernel(x, env.density(x)), ts, *env.support(), tol, rate)
 
 
 def chi_trajectory(env: SpectralDensity, ts, tol: float = 1e-9) -> np.ndarray:
@@ -320,8 +292,10 @@ class ArakiZurekModel:
             raise ValueError("lambdas must be finite")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        # Sorted, the closest pair of eigenvalues is adjacent.
-        gap = np.diff(np.sort(lambdas)).min(initial=np.inf)
+        # Sorted, the closest pair of eigenvalues is adjacent.  A gap that
+        # overflows is inf, above any delta.
+        with np.errstate(over="ignore"):
+            gap = np.diff(np.sort(lambdas)).min(initial=np.inf)
         if gap < self.delta:
             raise ValueError(f"eigenvalue gap {gap:g} is below the declared delta {self.delta:g}")
         h_s = require_hermitian(self.h_s, name="system Hamiltonian")
@@ -500,18 +474,16 @@ def rotation_axis(model: SpinModel, x: float):
 def spin_horizon(model: SpinModel) -> float:
     """Largest |t| at which ``spin_trajectory``'s pre-split still resolves the phase.
 
-    The pre-split gives each panel at most half a period of the fastest
-    rotation rate 2 |lam| |t| over the support [lo, hi], and it is capped at
-    MAX_PANELS panels, which it reaches at MAX_PANELS pi / (2 |lam| (hi - lo)).
-    Beyond that the adaptive rule may run out of panels.  A discrete
-    environment (an exact sum) and lam = 0 have no horizon.
+    The rotation rate 2 |h(x)| changes by at most 2 |lam| per unit x, so this
+    is ``quadrature.oscillation_horizon`` of the support at that rate: where
+    the pre-split reaches the quadrature's panel budget.  Beyond it the
+    adaptive rule may run out of panels.  A discrete environment (an exact
+    sum) and lam = 0 have no horizon.
     """
     env = model.env_diag
     if env.is_discrete:
         return float("inf")
-    lo, hi = env.support()
-    rate = 2.0 * abs(model.lam) * (hi - lo)  # 0 for lam = 0, and where the product underflows
-    return MAX_PANELS * np.pi / rate if rate > 0 else float("inf")
+    return oscillation_horizon(*env.support(), 2.0 * abs(model.lam))
 
 
 def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:

@@ -10,23 +10,27 @@ of all pending panels at once, and panel contributions are summed in the
 order of their left edges so results do not depend on evaluation scheduling.
 That loop (``_bisect``) also splits densities into Legendre panels.
 
-``kernel_adaptive`` is the same rule for a whole grid of times at once, on
+``kernel_adaptive`` is the same rule for a whole grid of times, on
 integrands of the form
 
     c(x) + a(x) cos(omega(x) t) + b(x) sin(omega(x) t)
 
 (the spin rotation kernel: a rigid rotation about n(x) at rate omega(x)).
-The kernel gives the rate and the amplitudes once per node; each panel's
-amplitudes carry the rule's weights times its half-width, its cos and sin
-tables (times x nodes) are each contracted with them by one batched matmul
-(``trig_sum``), and the t-independent c is summed once per panel.
+It takes the whole grid and cuts it into blocks of ascending |t| (``_blocks``),
+each pre-split for its largest |t| and kept within KERNEL_ELEMENTS table
+entries, and runs one adaptive call per block.  The kernel gives the rate and
+the amplitudes once per node; each panel's amplitudes carry the rule's weights
+times its half-width, its cos and sin tables (times x nodes) are each
+contracted with them by one batched matmul (``trig_sum``), and the
+t-independent c is summed once per panel.
 
 An order-16 rule is exact to round-off over a full period of exp(-ivt), but
 full-period panels are not used: their per-panel phase errors add up
 coherently over thousands of panels (chi of a uniform density at t = 1e4 is
 then off by ~2e-14 instead of <1e-15).  Half-period panels are as accurate
 as eighth-period ones at a quarter of the nodes.  The cost of this rule grows
-with the oscillation rate, and the pre-split is capped at MAX_PANELS.
+with the oscillation rate, and the pre-split is capped at MAX_PANELS;
+``oscillation_horizon`` is the |t| at which the pre-split reaches that cap.
 
 The Fourier transform of a smooth density f, int f(v) exp(-ivt) dv, does not
 need any of that (Filon's idea; Iserles and Norsett, Proc. R. Soc. A 461,
@@ -42,6 +46,7 @@ panels' Legendre tails at every t.  ``spherical_jn`` supplies j_k with numpy
 alone.
 """
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +64,9 @@ LEGENDRE_ORDER = 16
 LEGENDRE_BUDGET = 1e-15
 # Bound on Legendre terms x panels x times held at once by legendre_fourier.
 LEGENDRE_ELEMENTS = 2**16
+# Bound on initial panels x nodes per panel x times for one block of
+# kernel_adaptive, and so on the cos and sin tables of its kernel quadrature.
+KERNEL_ELEMENTS = 2**18
 EPS = np.finfo(float).eps
 
 _rule_cache: dict = {}
@@ -104,7 +112,7 @@ def _bisect(evaluate, a, b, initial_panels, max_panels, what):
     return [np.concatenate(part)[by_left_edge] for part in zip(*accepted)]
 
 
-def _rule_pair(panel_values, a, b, tol, order, initial_panels, max_panels):
+def _rule_pair(panel_values, a, b, tol, initial_panels, max_panels):
     # panel_values(nodes, scale) maps the (p, k) nodes of a rule on each panel,
     # and its weights times the half-widths, to (p, ...) panel integrals.
     # Panels pass when the order-n and order-2n rules agree to their share of
@@ -112,7 +120,7 @@ def _rule_pair(panel_values, a, b, tol, order, initial_panels, max_panels):
     def evaluate(lo, hi):
         half = ((hi - lo) / 2.0)[:, None]
         coarse, fine = (panel_values(lo[:, None] + half * (x + 1.0), w * half)
-                        for x, w in (_rule(order), _rule(2 * order)))
+                        for x, w in (_rule(ORDER), _rule(2 * ORDER)))
         err = np.abs(fine - coarse).reshape(lo.size, -1).max(axis=1)
         return err <= tol * (hi - lo) / (b - a), (fine,)
 
@@ -120,8 +128,7 @@ def _rule_pair(panel_values, a, b, tol, order, initial_panels, max_panels):
     return fine.sum(axis=0)
 
 
-def gauss_legendre_adaptive(f, a, b, tol=1e-9, order=ORDER, initial_panels=MIN_PANELS,
-                            max_panels=MAX_PANELS):
+def gauss_legendre_adaptive(f, a, b, tol=1e-9, initial_panels=MIN_PANELS, max_panels=MAX_PANELS):
     """Integrate ``f`` over [a, b] to an estimated absolute tolerance.
 
     ``f`` maps an (m,) array of abscissae to an (m, ...) array of values
@@ -137,7 +144,7 @@ def gauss_legendre_adaptive(f, a, b, tol=1e-9, order=ORDER, initial_panels=MIN_P
         vals = np.asarray(f(nodes.ravel()))
         return np.einsum("pk...,pk->p...", vals.reshape(nodes.shape + vals.shape[1:]), scale)
 
-    return _rule_pair(panel_values, a, b, tol, order, initial_panels, max_panels)
+    return _rule_pair(panel_values, a, b, tol, initial_panels, max_panels)
 
 
 def trig_sum(ts, omega, a, b, c):
@@ -158,22 +165,50 @@ def trig_sum(ts, omega, a, b, c):
     return out
 
 
-def kernel_adaptive(kernel, ts, lo, hi, tol=1e-9, initial_panels=MIN_PANELS):
+def _blocks(lo, hi, rate, ts):
+    """Split times into blocks sharing one adaptive call, with their pre-splits.
+
+    Times are taken in ascending |t|; each block is pre-split for its largest
+    phase rate ``rate * |t|`` and grows only while initial panels x nodes x
+    block size stays within KERNEL_ELEMENTS, which bounds the trig tables'
+    memory.  Yields (indices into ts, initial panel count).
+    """
+    order = np.argsort(np.abs(ts), kind="stable")
+    panels = [oscillation_panels(lo, hi, rate * abs(ts[i])) for i in order]
+    start = 0
+    while start < order.size:
+        stop = start + 1
+        while (stop < order.size and panels[stop] * NODES_PER_PANEL * (stop + 1 - start)
+               <= KERNEL_ELEMENTS):
+            stop += 1
+        yield order[start:stop], panels[stop - 1]
+        start = stop
+
+
+def kernel_adaptive(kernel, ts, lo, hi, tol, rate):
     """int_lo^hi c(x) + a(x) cos(omega(x) t) + b(x) sin(omega(x) t) dx for every t in ``ts``.
 
     ``kernel`` maps (m,) abscissae to (omega, a, b, c): (m,) rates and (m, d)
-    amplitudes, or None as in ``trig_sum``.  Panels are accepted and
-    bisected as in ``gauss_legendre_adaptive``, every (t, component) meeting
-    ``tol``.  Returns (T, d).
+    amplitudes, or None as in ``trig_sum``.  ``rate`` bounds |d omega / dx|,
+    so the phase omega(x) t advances by at most ``rate * |t|`` per unit x.
+    The times are split into blocks (``_blocks``); each block is one adaptive
+    call, its panels accepted and bisected as in ``gauss_legendre_adaptive``,
+    every (t, component) meeting ``tol``.  Returns (T, d) in the order of ``ts``.
     """
 
-    def panel_values(nodes, scale):
+    def panel_values(tb, nodes, scale):
         omega, *amplitudes = kernel(nodes.ravel())
         folded = [None if q is None else q.reshape(nodes.shape + (-1,)) * scale[..., None]
                   for q in amplitudes]
-        return trig_sum(ts, omega.reshape(nodes.shape), *folded)
+        return trig_sum(tb, omega.reshape(nodes.shape), *folded)
 
-    return _rule_pair(panel_values, lo, hi, tol, ORDER, initial_panels, MAX_PANELS)
+    out = None
+    for idx, n0 in _blocks(lo, hi, rate, ts):
+        part = _rule_pair(functools.partial(panel_values, ts[idx]), lo, hi, tol, n0, MAX_PANELS)
+        if out is None:
+            out = np.empty((ts.size, part.shape[1]))
+        out[idx] = part
+    return out
 
 
 def oscillation_panels(a, b, rate):
@@ -187,8 +222,22 @@ def oscillation_panels(a, b, rate):
     """
     if rate <= 0:
         return MIN_PANELS
-    width = np.pi / rate
+    with np.errstate(over="ignore"):  # a subnormal rate gives width inf, so MIN_PANELS
+        width = np.pi / rate
     return int(max(MIN_PANELS, np.ceil((b - a) / width)))
+
+
+def oscillation_horizon(a, b, rate):
+    """Largest |t| at which the pre-split of [a, b] stays within MAX_PANELS panels.
+
+    ``rate`` is as in ``kernel_adaptive``: the phase advances by at most
+    ``rate * |t|`` per unit abscissa, so ``oscillation_panels`` reaches
+    MAX_PANELS at MAX_PANELS pi / (rate (b - a)).  Beyond it the adaptive
+    rule may run out of panels.  Infinite when rate (b - a) is 0: nothing
+    oscillates, or the product underflows.
+    """
+    span = rate * (b - a)
+    return MAX_PANELS * np.pi / span if span > 0 else float("inf")
 
 
 def spherical_jn(kmax, z):

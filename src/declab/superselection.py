@@ -197,7 +197,7 @@ MIN_ENVELOPE_POINTS = 8
 FLAT_ENVELOPE_EPS = 16
 
 
-def _envelope_indices(values: np.ndarray, minimum: int) -> np.ndarray:
+def _envelope_indices(values: np.ndarray) -> np.ndarray:
     # Local maxima of an oscillating sequence.  A (near-)monotone decay has
     # few or none, and there every point not exceeded later sits on the
     # envelope, so fall back to the right-running maxima; if even those are
@@ -208,17 +208,17 @@ def _envelope_indices(values: np.ndarray, minimum: int) -> np.ndarray:
     peaks = interior[
         (values[interior] >= values[interior - 1]) & (values[interior] >= values[interior + 1])
     ]
-    if peaks.size >= minimum:
+    if peaks.size >= MIN_ENVELOPE_POINTS:
         return peaks
     running = np.maximum.accumulate(values[::-1])[::-1]
     on_envelope = np.flatnonzero(values >= running)
-    if on_envelope.size >= minimum:
+    if on_envelope.size >= MIN_ENVELOPE_POINTS:
         return on_envelope
     return np.arange(n)
 
 
-def fit_power_law_decay(samples, delta: float, window: Optional[Tuple[float, float]] = None,
-                        min_envelope_points: int = MIN_ENVELOPE_POINTS) -> DecayFit:
+def fit_power_law_decay(samples, delta: float,
+                        window: Optional[Tuple[float, float]] = None) -> DecayFit:
     """Fit a dominating power-law envelope to a decaying |value| series.
 
     Regression runs through local maxima of |value| inside ``window`` (the
@@ -246,12 +246,12 @@ def fit_power_law_decay(samples, delta: float, window: Optional[Tuple[float, flo
     in_window = (t >= lo) & (t <= hi)
     tw = t[in_window]
     vw = values[in_window]
-    if tw.size < min_envelope_points:
+    if tw.size < MIN_ENVELOPE_POINTS:
         raise InsufficientData(f"only {tw.size} samples in window [{lo:g}, {hi:g}]")
 
-    env = _envelope_indices(vw, min_envelope_points)
+    env = _envelope_indices(vw)
     env = env[vw[env] > 0]
-    if env.size < min_envelope_points:
+    if env.size < MIN_ENVELOPE_POINTS:
         raise InsufficientData(
             f"only {env.size} envelope points in window [{lo:g}, {hi:g}]"
         )
@@ -261,7 +261,10 @@ def fit_power_law_decay(samples, delta: float, window: Optional[Tuple[float, flo
         raise NonDecaying(f"envelope is flat to round-off at {top:g}: its slope is not negative")
     x = np.log1p(delta * tw[env])
     y = np.log(vw[env])
-    slope, intercept = np.polyfit(x, y, 1)
+    # A subnormal delta leaves x subnormal: polyfit's column scaling squares it
+    # to 0 and divides by that before its least squares raises LinAlgError.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope, intercept = np.polyfit(x, y, 1)
     if slope >= 0:
         raise NonDecaying(f"envelope slope {slope:g} is not negative")
     gamma = -float(slope)

@@ -538,6 +538,39 @@ def test_main_run_writes_series_and_reports_why_no_decay_fit(tmp_path, old, new,
     assert reason in report["decay_fit"]["error"]
 
 
+# Inputs at which numpy arithmetic inside declab overflows or divides by 0,
+# which must not reach stderr as a RuntimeWarning: points and lambdas spanning
+# more than the double range, a subnormal fit.delta (polyfit's column scaling
+# before its LinAlgError) and a subnormal lam (the pre-split's half-period
+# width).  A validate fails with one line naming the key; a run reports why
+# no fit was made.
+WARNING_INPUTS = [
+    ("validate", SPIN_CONFIG.replace("env.kind = gaussian\nenv.s = 1.0", FAR_FIELD.format("1e308"))
+     .replace("t_grid.stop = 20000.0", "t_grid.stop = 1.0"), "declab: invalid config: t_grid.stop:"),
+    ("validate", AZ_CONFIG.replace("model.lambdas = 1,-1", "model.lambdas = -1e308,1e308"),
+     "declab: invalid config: t_grid.stop:"),
+    ("run", SPIN_ASYMPTOTICS_CONFIG.replace("fit.delta = 1.0", "fit.delta = 5e-324"), "Least Squares"),
+    ("run", SPIN_ASYMPTOTICS_CONFIG.replace("model.lam = 1.0", "model.lam = 1e-310"), "not negative"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, text, outcome", WARNING_INPUTS,
+                         ids=["spin_points", "az_lambdas", "tiny_delta", "tiny_lam"])
+def test_main_reaches_its_outcome_without_numpy_warnings(tmp_path, capsys, command, text, outcome):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text)
+    if command == "validate":
+        assert main(["validate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(outcome)
+    else:
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "spin_asymptotics_report.json").read_text())
+        assert outcome in report["decay_fit"]["error"]
+
+
 def test_main_run_az_grid_starting_at_subnormal_time(tmp_path):
     # chi at t ~ 1e-308 used to be nan, and the state built from it was rejected (exit 2).
     cfg = tmp_path / "scenario.cfg"

@@ -19,9 +19,13 @@ from declab import (
     spin_trajectory,
 )
 from declab.quadrature import (
+    KERNEL_ELEMENTS,
     LEGENDRE_ORDER,
+    MAX_PANELS,
     MIN_PANELS,
+    NODES_PER_PANEL,
     legendre_panels,
+    oscillation_horizon,
     oscillation_panels,
     spherical_jn,
 )
@@ -109,11 +113,6 @@ def count_adaptive_calls(monkeypatch):
     return count_calls(monkeypatch, declab.quadrature, "_rule_pair")
 
 
-def count_blocks(monkeypatch):
-    # models makes one kernel quadrature per block of times.
-    return count_calls(monkeypatch, declab.models, "kernel_adaptive")
-
-
 @pytest.mark.parametrize("env", ENVS, ids=ENV_IDS)
 def test_chi_trajectory_matches_pointwise(env):
     got = chi_trajectory(env, TIMES)
@@ -193,7 +192,7 @@ def test_spin_trajectory_spans_several_blocks(monkeypatch):
     model = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
     p = np.array([0.7, 0.2, 0.5])
     ts = np.linspace(60.0, 120.0, 5)
-    calls = count_blocks(monkeypatch)
+    calls = count_adaptive_calls(monkeypatch)
     got = spin_trajectory(model, p, ts)
     assert len(calls) > 1
     expected = np.array([density_to_bloch(spin_evolve(model, p, t)) for t in ts])
@@ -217,6 +216,45 @@ def test_spin_horizon_is_where_the_pre_split_reaches_the_budget():
     assert spin_horizon(SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1e-30, env_diag=narrow)) == np.inf
 
 
+def test_blocks_cover_the_grid_in_ascending_abs_t_within_the_bound():
+    # Zero, repeated and negative times, and times whose pre-split alone
+    # exceeds the bound (a block of one).
+    ts = np.array([3.0, -0.5, 0.0, 12.0, 3.0, -40.0, 0.25, 600.0, -2000.0, 75.0, 450.0, -3.0])
+    lo, hi, rate = -10.0, 10.0, 2.0
+    blocks = list(declab.quadrature._blocks(lo, hi, rate, ts))
+    order = np.concatenate([idx for idx, _ in blocks])
+    assert np.array_equal(np.sort(order), np.arange(ts.size))
+    assert np.all(np.diff(np.abs(ts[order])) >= 0)
+    assert any(idx.size == 1 for idx, _ in blocks) and len(blocks) > 2
+    for idx, n0 in blocks:
+        assert n0 == oscillation_panels(lo, hi, rate * np.abs(ts[idx]).max())
+        if idx.size > 1:
+            assert n0 * NODES_PER_PANEL * idx.size <= KERNEL_ELEMENTS
+
+
+def test_spin_trajectory_rows_follow_a_shuffled_grid_bit_for_bit():
+    model = SpinModel(a=[1.0, 0.4, 2.0], b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
+    p = np.array([0.6, -0.3, 0.4])
+    ts = np.linspace(-120.0, -1.0, 12) * np.array([1.0, -1.0] * 6)  # distinct |t|
+    assert len(list(declab.quadrature._blocks(-10.0, 10.0, 2.0, ts))) >= 2
+    shuffle = np.random.default_rng(10).permutation(ts.size)
+    assert np.array_equal(spin_trajectory(model, p, ts[shuffle]),
+                          spin_trajectory(model, p, ts)[shuffle])
+
+
+def test_oscillation_horizon_is_the_budget_formula_exactly():
+    # MAX_PANELS pi / (2 |lam| (hi - lo)) written out, inf where that product is 0.
+    gaussian = SpectralDensity.gaussian(1.0)
+    narrow = SpectralDensity.uniform(0.0, 1e-295)
+    for env, lam in [(gaussian, 1.0), (gaussian, -4.0), (gaussian, 0.0), (narrow, 1e-30)]:
+        lo, hi = env.support()
+        span = 2.0 * abs(lam) * (hi - lo)
+        want = MAX_PANELS * np.pi / span if span > 0 else float("inf")
+        assert oscillation_horizon(lo, hi, 2.0 * abs(lam)) == want
+        assert spin_horizon(SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=lam, env_diag=env)) == want
+    assert oscillation_horizon(*narrow.support(), 2e-30) == np.inf
+
+
 # --- the rotation kernel against the per-time integrand closures it replaced
 
 
@@ -226,7 +264,7 @@ def reference_trajectory(env, ts, rate, integrand, tol):
         return integrand(env.points[:, 0], ts, env.points[:, 1]).sum(axis=0)
     lo, hi = env.support()
     out = None
-    for idx, n0 in declab.models._blocks(lo, hi, rate, ts):
+    for idx, n0 in declab.quadrature._blocks(lo, hi, rate, ts):
         part = gauss_legendre_adaptive(lambda x: integrand(x, ts[idx], env.density(x)), lo, hi,
                                        tol=tol, initial_panels=n0)
         out = np.empty((ts.size,) + part.shape[1:]) if out is None else out
