@@ -33,6 +33,7 @@ from .models import (
     spin_horizon,
     spin_trajectory,
 )
+from .operators import hs_norm
 from .states import (
     DensityOperator,
     alternate_decomposition,
@@ -107,9 +108,12 @@ def _parse_lines(text: str) -> dict:
     return entries
 
 
+_NOT_FINITE = "expected finite numbers, not inf or nan"
+
+
 def _finite(key, values):
     if not all(abs(v) < math.inf for v in values):
-        raise ValidationError(key, "expected finite numbers, not inf or nan")
+        raise ValidationError(key, _NOT_FINITE)
     return values
 
 
@@ -179,12 +183,14 @@ def _parse_env(e: _Entries) -> SpectralDensity:
 def _parse_complex_matrix(e: _Entries, key: str, dim: int) -> np.ndarray:
     text = e.require(key)
     try:
-        entries = [complex(x.strip()) for x in text.split(",")]
+        entries = np.array([complex(x) for x in text.split(",")])  # complex() strips blanks
     except ValueError:
         raise ValidationError(key, f"expected comma-separated complex numbers, got {text!r}")
-    if len(entries) != dim * dim:
+    if entries.size != dim * dim:
         raise ValidationError(key, f"expected {dim * dim} entries for a {dim}x{dim} matrix")
-    return np.asarray(_finite(key, entries), dtype=complex).reshape(dim, dim)
+    if not np.isfinite(entries).all():  # not abs(), which overflows for 1e308+1e308j
+        raise ValidationError(key, _NOT_FINITE)
+    return entries.reshape(dim, dim)
 
 
 def _parse_t_grid(e: _Entries) -> np.ndarray:
@@ -210,6 +216,17 @@ def _check_chi_phases(t_grid, env, gap):
     if not math.isfinite(float(t_grid[-1]) * gap * reach):
         raise ValidationError("t_grid.stop", f"stop {t_grid[-1]:g} times the coupling gap {gap:g} "
                               f"times the support's width or reach {reach:g} is not finite")
+
+
+def _check_hamiltonian_phases(t_grid, h_s):
+    # exp(-i h_s t) takes the phases e t of h_s's eigenvalues e, |e| <= its HS
+    # norm, which must stay finite doubles.  The norm is taken of h_s scaled to
+    # entries within 1, so it overflows only where it exceeds the double range.
+    largest = float(max(np.abs(h_s.real).max(), np.abs(h_s.imag).max()))
+    norm = largest * hs_norm(h_s / largest) if largest > 0 else 0.0
+    if not math.isfinite(float(t_grid[-1]) * norm):
+        raise ValidationError("t_grid.stop", f"stop {t_grid[-1]:g} times the system Hamiltonian's "
+                              f"norm {norm:g} is not finite")
 
 
 def _check_spin_phases(t_grid, model):
@@ -257,6 +274,7 @@ def _parse_araki_zurek(e: _Entries, t_grid, env) -> dict:
     delta = e.number("model.delta")
     if "model.h_s" in e.raw:
         h_s = _parse_complex_matrix(e, "model.h_s", dim)
+        _check_hamiltonian_phases(t_grid, h_s)
     else:
         h_s = np.zeros((dim, dim))
     try:
@@ -278,8 +296,9 @@ def _parse_spin(e: _Entries, t_grid, env) -> dict:
     horizon = spin_horizon(model)
     if t_grid[-1] > horizon:
         raise ValidationError(
-            "t_grid.stop", f"stop {t_grid[-1]:g} is beyond the spin horizon {horizon:g} "
-            "of this environment and coupling"
+            "t_grid.stop", f"stop {t_grid[-1]:g} is beyond the spin horizon {horizon:g}, where "
+            "the adaptive quadrature near the fold x = -a_3 / lam of the rotation rate "
+            "reaches its panel budget"
         )
     _check_spin_phases(t_grid, model)
     return {"t_grid": t_grid, "model": model, "initial_bloch": _parse_bloch(e)}

@@ -15,6 +15,7 @@ the closed forms.
 
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,6 +149,22 @@ class SpectralDensity:
             return self._bump_norm * _bump((2.0 * v - self.a - self.b) / (self.b - self.a))
         raise NotDiscrete("a discrete density has weights, not a density function")
 
+    def density_at(self, centres, offsets):
+        """Density at centres[:, None] + offsets: nodes given as panel centres plus offsets.
+
+        A narrow bump far from 0 is steep on the scale of an ulp of its
+        abscissae, so rounding the sums would put noise into its values; the
+        bump adds centre and offset in its own coordinate instead.  Every
+        other kind adds them in x.
+        """
+        if self.kind != "bump":
+            return self.density(centres[:, None] + offsets)
+        if self._bump_norm is None:
+            self.expansion()
+        half = (self.b - self.a) / 2.0
+        u = (2.0 * centres - self.a - self.b) / (self.b - self.a)
+        return self._bump_norm * _bump(u[:, None] + offsets / half)
+
     def expansion(self) -> LegendrePanels:
         """Legendre panels of a continuous density, built on first use and kept.
 
@@ -162,14 +179,14 @@ class SpectralDensity:
             raise NotDiscrete("a discrete density has weights, not a Legendre expansion")
         if self._expansion is None:
             if self.kind == "bump":
-                unit = legendre_panels(_bump, -1.0, 1.0)
+                unit = legendre_panels(lambda c, off: _bump(c[:, None] + off), -1.0, 1.0)
                 total = float(unit.coeffs[:, 0].sum())
                 mid, half = (self.a + self.b) / 2.0, (self.b - self.a) / 2.0
                 self._bump_norm = 1.0 / (half * total)
                 self._expansion = LegendrePanels(mid + half * unit.centres, half * unit.halves,
                                                  unit.coeffs / total, unit.tail / total)
             else:
-                self._expansion = legendre_panels(self.density, *self.support())
+                self._expansion = legendre_panels(self.density_at, *self.support())
         return self._expansion
 
     def discretize(self, n: int) -> "SpectralDensity":
@@ -471,31 +488,149 @@ def rotation_axis(model: SpinModel, x: float):
     return n[0], float(omega[0])
 
 
+class _Branch(NamedTuple):
+    """Where omega is monotone: x runs from x0, the end nearest the fold, in
+    the direction ``sign``; |x0 - x*| = eta0, and nu runs over
+    [nu0, nu0 + length]."""
+
+    x0: float
+    sign: float
+    eta0: float
+    nu0: float
+    length: float
+
+
+def _fold(model: SpinModel):
+    """The near region of a continuous environment's support, and its far branches.
+
+    The rotation rate omega(x) = 2 |(a_1, a_2, a_3 + lam x)| is smallest,
+    2 m with m = |(a_1, a_2)|, at the fold x* = -a_3 / lam.  Farther than
+    xi = m / |lam| from it, omega is monotone on either side, and
+    nu = omega / (2 |lam|) = |(xi, x - x*)| can take the place of x.  Returns
+    the near region (lo, hi), clipped to the support and empty when lo >= hi,
+    and one ``_Branch`` per side where the support reaches beyond it.  With
+    lam = 0, or a fold too far off to place in doubles, the whole support is
+    near.
+    """
+    lo, hi = model.env_diag.support()
+    a1, a2, a3 = model.a
+    near, branches = [lo, hi], []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x_star = np.float64(-a3) / model.lam
+        xi = np.hypot(a1, a2) / abs(np.float64(model.lam))
+        if not (np.isfinite(x_star) and np.isfinite(xi)):
+            return tuple(near), branches
+        for side, sign, x0, x1 in ((0, -1.0, min(hi, x_star - xi), lo),
+                                   (1, 1.0, max(lo, x_star + xi), hi)):
+            span = sign * (x1 - x0)
+            if span > 0:
+                eta0 = abs(x0 - x_star)
+                nu0, nu1 = np.hypot(xi, eta0), np.hypot(xi, eta0 + span)
+                # nu1 - nu0 without cancellation: nu^2 - eta^2 = xi^2 at both ends.
+                length = span * ((2.0 * eta0 + span) / (nu0 + nu1))
+                # _far_panels adds two rates; else the branch stays near.
+                if np.isfinite(2.0 * nu1) and length > 0:
+                    near[side] = x0
+                    branches.append(_Branch(x0, sign, eta0, nu0, length))
+    return tuple(near), branches
+
+
 def spin_horizon(model: SpinModel) -> float:
     """Largest |t| at which ``spin_trajectory``'s pre-split still resolves the phase.
 
-    The rotation rate 2 |h(x)| changes by at most 2 |lam| per unit x, so this
-    is ``quadrature.oscillation_horizon`` of the support at that rate: where
-    the pre-split reaches the quadrature's panel budget.  Beyond it the
-    adaptive rule may run out of panels.  A discrete environment (an exact
-    sum) and lam = 0 have no horizon.
+    Only the near region of the fold (``_fold``) is integrated by the
+    adaptive rule; its far branches cost the same at any t.  The rotation
+    rate 2 |h(x)| changes by at most 2 |lam| per unit x, so this is
+    ``quadrature.oscillation_horizon`` of the near region at that rate, 2**14 pi /
+    (2 |lam| w) for a near region of width w: where the pre-split reaches the
+    quadrature's panel budget.  Beyond it the adaptive rule may run out of
+    panels.  A discrete environment (an exact sum), lam = 0, m = 0 and a fold
+    farther than xi outside the support have no horizon.
     """
     env = model.env_diag
     if env.is_discrete:
         return float("inf")
-    return oscillation_horizon(*env.support(), 2.0 * abs(model.lam))
+    return oscillation_horizon(*_fold(model)[0], 2.0 * abs(model.lam))
+
+
+def _far_panels(model: SpinModel, branch: _Branch) -> LegendrePanels:
+    """Legendre panels, in v = nu - nu0, of the five factors of a far branch's kernel.
+
+    On the branch x = x0 + sign (eta - eta0), with eta = |x - x*| and
+    eta^2 = nu^2 - xi^2, so dx/dnu = nu / eta.  The axis is
+    n = alpha e_t + beta e_3 with e_t = (a_1, a_2, 0) / m, alpha = xi / nu
+    and |beta| = eta / nu.  The amplitudes (a, b, c) times dx/dnu are linear in
+    w dx/dnu (alpha^2, beta^2, alpha |beta|, alpha, |beta|)
+    = w (xi^2 / (nu eta), eta / nu, xi / nu, xi / eta, 1) (``_far_mixing``);
+    being products of positive numbers, these keep the relative accuracy of
+    the density w, where a component of a may be a difference of O(1) terms.
+    A node at v = c + d is placed as x(c) plus an offset,
+    eta^2 - eta(c)^2 = d (2 (nu0 + c) + d) over eta + eta(c): no rounding of
+    nu0 + v, or of x* (both large beside the offsets when the fold is far
+    off), enters the abscissae, and the density takes the two apart
+    (``SpectralDensity.density_at``).  Values are (p, n, 5).
+    """
+    x0, sign, eta0, nu0, length = branch
+    xi = np.hypot(*model.a[:2]) / abs(model.lam)
+
+    def eta(v):  # squaring neither eta0 nor nu0
+        return np.hypot(eta0, np.sqrt(v) * np.sqrt(2.0 * nu0 + v))
+
+    def values(centres, offsets):
+        eta_c = eta(centres)
+        x_c = x0 + sign * centres * ((2.0 * nu0 + centres) / (eta_c + eta0))
+        c, eta_c = centres[:, None], eta_c[:, None]
+        eta_v = eta(c + offsets)
+        w = model.env_diag.density_at(
+            x_c, sign * offsets * ((2.0 * (nu0 + c) + offsets) / (eta_v + eta_c)))
+        nu = nu0 + (c + offsets)
+        return np.stack([w * (xi / nu) * (xi / eta_v), w * (eta_v / nu), w * (xi / nu),
+                         w * (xi / eta_v), w], axis=-1)
+
+    return legendre_panels(values, 0.0, length)
+
+
+def _far_mixing(model: SpinModel, p, branch: _Branch) -> np.ndarray:
+    """(5, 9) map from ``_far_panels``' factors to the amplitudes (a, b, c) of p.
+
+    With n = alpha e_t + beta e_3 and alpha^2 + beta^2 = 1:
+    c = (n.p) n = alpha^2 (e_t.p) e_t + beta^2 p_3 e_3 + alpha beta (p_3 e_t + (e_t.p) e_3),
+    a = p - c = alpha^2 p + beta^2 p - c, and b = n x p = alpha e_t x p + beta e_3 x p.
+    """
+    m = np.hypot(*model.a[:2])
+    e_t = np.array([model.a[0] / m, model.a[1] / m, 0.0]) if m > 0 else np.zeros(3)
+    e_3 = np.array([0.0, 0.0, 1.0])
+    axial = branch.sign * np.sign(model.lam)  # the sign of beta: of a_3 + lam x on the branch
+    along = np.array([(e_t @ p) * e_t, p[2] * e_3, axial * (p[2] * e_t + (e_t @ p) * e_3)])
+    mixing = np.zeros((5, 9))
+    mixing[:3, :3] = np.array([p, p, np.zeros(3)]) - along
+    mixing[:3, 6:] = along
+    mixing[3, 3:6] = np.cross(e_t, p)
+    mixing[4, 3:6] = axial * np.cross(e_3, p)
+    return mixing
 
 
 def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
     """Averaged rotated polarization for every t in ``ts``, shape (T, 3).
 
     Conditioned on x the polarization is rotated (Rodrigues) about n(x) by
-    omega(x) t: along + cos(omega t) (p - along) + sin(omega t) n x p, with
-    along = (n.p) n.  The amplitudes are computed once per node, and one
-    adaptive quadrature serves a whole block of times (an exact sum for a
-    discrete environment).
+    omega(x) t: c + a cos(omega t) + b sin(omega t) with c = (n.p) n,
+    a = p - c and b = n x p.  A discrete environment is one exact sum.  On a
+    continuous one the support is split at the fold of omega (``_fold``):
+    - the near region takes one adaptive quadrature for the whole grid
+      (``quadrature.kernel_adaptive``), whose cost grows with |t|;
+    - on each far branch, where omega is monotone, a and b become
+      int g(nu) exp(-i 2 |lam| nu t) dnu with g = (a, b) |dx/dnu|: Legendre
+      panels in nu (``_far_panels``), integrated exactly at every t by
+      ``quadrature.legendre_fourier``, taking times in ascending |t| as the
+      adaptive blocks do.  The cos integral is the real part, the sin
+      integral minus the imaginary part; c, which does not oscillate, is the
+      sum of the panels' integrals.
+    Integrated apart from a and b over the whole support, c would meet tol
+    alone: a fold narrower than tol would then go missing from c + a.
     """
     p = np.asarray(p, dtype=float)
+    env, rate = model.env_diag, 2.0 * abs(model.lam)
 
     def rotation(x, weight):
         n, omega = _axes(model, x)
@@ -503,7 +638,22 @@ def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
         weight = weight[:, None]
         return omega, weight * (p - along), weight * np.cross(n, p), weight * along
 
-    return _trajectory(model.env_diag, ts, 2.0 * abs(model.lam), rotation, tol)
+    if env.is_discrete:
+        return _trajectory(env, ts, rate, rotation, tol)
+    ts = finite_times(ts)
+    (lo, hi), branches = _fold(model)
+    out = np.zeros((ts.size, 3))
+    if hi > lo:
+        out += kernel_adaptive(lambda x: rotation(x, env.density(x)), ts, lo, hi, tol, rate)
+    order = np.argsort(np.abs(ts), kind="stable")
+    for branch in branches:
+        panels = _far_panels(model, branch)
+        mixing = _far_mixing(model, p, branch)
+        far = legendre_fourier(panels._replace(centres=branch.nu0 + panels.centres),
+                               rate * ts[order], tol) @ mixing[:, :6]
+        out[order] += far[:, :3].real - far[:, 3:].imag
+        out += panels.coeffs[:, 0].sum(axis=0) @ mixing[:, 6:]  # c: the panels' integrals
+    return out
 
 
 def spin_evolve(model: SpinModel, p, t: float, tol: float = 1e-9) -> DensityOperator:

@@ -54,9 +54,17 @@ def require_hermitian(m, rtol=HERMITICITY_RTOL, name="matrix"):
     """
     a = _as_square_matrix(m, name)
     adjoint = a.conj().T
-    if hs_norm(a - adjoint) > rtol * max(hs_norm(a), 1e-300):
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap, size = hs_norm(a - adjoint), hs_norm(a)
+    huge = not (np.isfinite(gap) and np.isfinite(size))
+    if huge:
+        # Entries near the double range overflow the norms (inf > inf passes)
+        # and a + a†: compare a copy scaled by a power of two, and halve first.
+        scaled = a * 2.0 ** -np.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1]
+        gap, size = hs_norm(scaled - scaled.conj().T), hs_norm(scaled)
+    if gap > rtol * max(size, 1e-300):
         raise NotHermitian(f"{name} is not Hermitian within {rtol:g} relative")
-    return (a + adjoint) / 2.0
+    return a / 2.0 + adjoint / 2.0 if huge else (a + adjoint) / 2.0
 
 
 class HermitianEig(NamedTuple):

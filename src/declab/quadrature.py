@@ -43,7 +43,13 @@ which f is a Legendre series P_0 .. P_(n-1) to round-off, and
 so a panel [c - h, c + h] contributes exp(-ict) h sum_k a_k 2 (-i sign t)^k
 j_k(h |t|).  Its cost does not depend on t, and its error is bounded by the
 panels' Legendre tails at every t.  ``spherical_jn`` supplies j_k with numpy
-alone.
+alone.  f may have components: it maps (p,) panel centres and (p, n) node
+offsets to (p, n, ...) values, one bisection serves all components, and the
+transforms come out as (T, ...).  The same rule integrates the spin kernel
+away from the fold of its rate: where omega is monotone, the rate itself
+becomes the variable v, and the kernel's amplitudes times dx/dv are the f
+(``models.spin_trajectory``).  Centre and offset come apart so that such a
+change of variable can place its nodes without rounding them.
 """
 
 import functools
@@ -294,12 +300,13 @@ def spherical_jn(kmax, z):
 class LegendrePanels(NamedTuple):
     """Panels [c - h, c + h] of f's support with f's Legendre series on each.
 
-    ``coeffs[p, k]`` is 2h a_k, the Legendre coefficient a_k of f on panel p
-    times the panel's width, so ``coeffs[:, 0]`` are the panels' integrals.
-    Rows are ordered by centre; trailing terms that no panel needs are
-    dropped.  ``tail`` bounds the integral of what the series leave out: the
-    sum over panels of 2h (|a_(n-2)| + |a_(n-1)|), plus what the dropped
-    terms could contribute.
+    ``coeffs[p, k, ...]`` is 2h a_k, the Legendre coefficient a_k of f on
+    panel p times the panel's width, so ``coeffs[:, 0]`` are the panels'
+    integrals; trailing axes are f's components, none for a scalar f.  Rows
+    are ordered by centre; trailing terms that no panel needs are dropped.
+    ``tail`` bounds the integral of what the series leave out, for every
+    component: the sum over panels of 2h (|a_(n-2)| + |a_(n-1)|), plus what
+    the dropped terms could contribute.
     """
 
     centres: np.ndarray
@@ -337,29 +344,40 @@ def _legendre_rule(order):
 def legendre_panels(f, a, b):
     """Split [a, b] into panels on which f is a Legendre series P_0 .. P_(n-1).
 
-    ``f`` maps an (m,) array to (m,) real values; n is LEGENDRE_ORDER.  A
-    panel is bisected until 2h (|a_(n-2)| + |a_(n-1)|) is below its width's
-    share of LEGENDRE_BUDGET, or below the noise that rounding of f's values
-    alone puts into those coefficients (no bisection can go under it).  All
-    pending panels are transformed at once.  Raises QuadratureFailure when f
-    needs more than MAX_PANELS panels.
+    ``f(centres, offsets)`` maps (p,) panel centres and the (p, n) offsets of
+    their nodes to (p, n, ...) real values at centres[:, None] + offsets; n
+    is LEGENDRE_ORDER.  Given apart, centre and offset let f place its nodes
+    without rounding them onto a coarser grid (a change of variable).  A
+    panel is bisected until, for every component, 2h (|a_(n-2)| + |a_(n-1)|)
+    is below its width's share of LEGENDRE_BUDGET, or below the noise that
+    rounding of f's values alone puts into those coefficients (no bisection
+    can go under it).  All pending panels are transformed at once.  Raises
+    QuadratureFailure when f needs more than MAX_PANELS panels.
     """
     x, transform = _legendre_rule(LEGENDRE_ORDER)
     noise = EPS * np.abs(transform[-2:].astype(float))
 
     def evaluate(lo, hi):
         centres, widths = (lo + hi) / 2.0, hi - lo
-        vals = f(centres[:, None] + widths[:, None] / 2.0 * x)
-        coeffs = (vals.astype(np.longdouble) @ transform.T).astype(float) * widths[:, None]
+        vals = f(centres, widths[:, None] / 2.0 * x)
+        # One row of n values per (panel, component).
+        p, n = vals.shape[:2]
+        rows = vals.reshape(p, n, -1).swapaxes(1, 2).reshape(-1, n)
+        w = np.repeat(widths, rows.shape[0] // p)
+        coeffs = (rows.astype(np.longdouble) @ transform.T).astype(float) * w[:, None]
         tails = np.abs(coeffs[:, -2:]).sum(axis=1)
-        floors = widths * (np.abs(vals) @ noise.T).sum(axis=1)
-        ok = (tails <= LEGENDRE_BUDGET * widths / (b - a)) | (tails <= floors)
-        return ok, (centres, widths / 2.0, coeffs, tails)
+        floors = w * (np.abs(rows) @ noise.T).sum(axis=1)
+        ok = (tails <= LEGENDRE_BUDGET * w / (b - a)) | (tails <= floors)
+        coeffs = np.moveaxis(coeffs.reshape((p,) + vals.shape[2:] + (n,)), -1, 1)
+        return ok.reshape(p, -1).all(axis=1), (centres, widths / 2.0, coeffs,
+                                               tails.reshape(p, -1).max(axis=1))
 
     centres, halves, coeffs, tails = _bisect(evaluate, a, b, 1, MAX_PANELS,
                                              f"Legendre panels for budget {LEGENDRE_BUDGET:g}")
-    # Drop trailing terms whose total contribution is below a tenth of an ulp of 1.
-    bound = np.cumsum(np.abs(coeffs).sum(axis=0)[::-1])[::-1]
+    # Drop trailing terms whose total contribution, in any component, is below
+    # a tenth of an ulp of 1.
+    totals = np.abs(coeffs).sum(axis=0).reshape(LEGENDRE_ORDER, -1)
+    bound = np.cumsum(totals[::-1], axis=0)[::-1].max(axis=1)
     keep = max(1, int(np.count_nonzero(bound > EPS / 10.0)))
     dropped = float(bound[keep]) if keep < LEGENDRE_ORDER else 0.0
     return LegendrePanels(centres, halves, coeffs[:, :keep], float(tails.sum()) + dropped)
@@ -372,11 +390,12 @@ _POWERS_OF_MINUS_I = np.array([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 1.0]]
 def legendre_fourier(panels, ts, tol):
     """int f(v) exp(-ivt) dv for every t in ``ts``, from f's Legendre panels.
 
-    Times are evaluated in chunks of at most LEGENDRE_ELEMENTS (term, panel,
-    time) triples; negative times are the complex conjugates of |t|, as for
-    every real f.  Raises QuadratureFailure when ``tol`` is below the panels'
-    tail estimate, which bounds the error at every t, and ValueError naming
-    the first t at which a panel's phase h |t| overflows.
+    Returns (T, ...) complex values, one per component of f.  Times are
+    evaluated in chunks of at most LEGENDRE_ELEMENTS (term, panel, time)
+    triples; negative times are the complex conjugates of |t|, as for every
+    real f.  Raises QuadratureFailure when ``tol`` is below the panels' tail
+    estimate, which bounds the error at every t, and ValueError naming the
+    first t at which a panel's phase h |t| overflows.
     """
     if not tol >= panels.tail:
         raise QuadratureFailure(
@@ -389,15 +408,18 @@ def legendre_fourier(panels, ts, tol):
     if bad.size:
         raise ValueError(f"t[{bad[0]}] = {float(ts[bad[0]])!r} times the panel half-width "
                          f"{panels.halves.max():g} overflows")
-    n_panels, n_terms = panels.coeffs.shape
-    # (p, k, 2): 2h a_k (-i)^k as (real, imaginary) pairs.
-    weights = panels.coeffs[:, :, None] * _POWERS_OF_MINUS_I[np.arange(n_terms) % 4]
-    out = np.empty(ts.size, dtype=complex)
+    n_panels, n_terms = panels.coeffs.shape[:2]
+    coeffs = panels.coeffs.reshape(n_panels, n_terms, -1)
+    # (p, k, 2d): 2h a_k (-i)^k as (real, imaginary) pairs, d components.
+    weights = (coeffs[..., None] * _POWERS_OF_MINUS_I[np.arange(n_terms) % 4, None]).reshape(
+        n_panels, n_terms, -1)
+    out = np.empty((ts.size, coeffs.shape[2]), dtype=complex)
     step = max(1, LEGENDRE_ELEMENTS // (n_panels * n_terms))
     for s in range(0, ts.size, step):
         tc = at[s : s + step]
         j = spherical_jn(n_terms - 1, np.multiply.outer(panels.halves, tc))
-        sums = np.matmul(j.transpose(1, 2, 0), weights).view(complex)[..., 0]  # (p, t)
+        sums = np.matmul(j.transpose(1, 2, 0), weights).view(complex)  # (p, t, d)
         phases = np.exp(np.multiply.outer(-1j * panels.centres, tc))
-        out[s : s + step] = np.einsum("pt,pt->t", phases, sums)
-    return np.conjugate(out, out=out, where=ts < 0)
+        out[s : s + step] = np.einsum("pt,ptd->td", phases, sums)
+    np.conjugate(out, out=out, where=(ts < 0)[:, None])
+    return out.reshape(ts.shape + panels.coeffs.shape[2:])

@@ -54,7 +54,7 @@ class DensityOperator:
         if abs(tr - 1.0) > STATE_TOL:
             raise NotAState(f"trace is {tr!r}, not 1")
         smallest = float(np.linalg.eigvalsh(mat)[0])
-        if smallest < -STATE_TOL:
+        if not smallest >= -STATE_TOL:  # nan where the eigenvalues overflow
             raise NotAState(f"smallest eigenvalue {smallest:g} below -{STATE_TOL:g}")
         mat.flags.writeable = False
         self._matrix = mat

@@ -380,13 +380,14 @@ initial.bloch = 0.7,0.2,0.5
 @pytest.mark.parametrize("base", [SPIN_CONFIG, SPIN_ASYMPTOTICS_CONFIG.replace(
     "t_grid.stop = 14.0", "t_grid.stop = 20000.0")], ids=["spin", "spin_asymptotics"])
 def test_main_validate_rejects_spin_grid_beyond_horizon(tmp_path, capsys, base):
-    # A unit gaussian with lam = 1 has the horizon 2**14 pi / (2 * 20) ~ 1286.8;
-    # at 2e4 the run used to fail with exit 2 after validate had passed.
+    # A unit gaussian with lam = 1 and a = (1, 0, 2) has the horizon of the
+    # near region [-3, -1] of the fold, 2**14 pi / (2 * 2) ~ 12868; at 2e4 the
+    # run used to fail with exit 2 after validate had passed.
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(base)
     assert main(["validate", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "invalid config: t_grid.stop:" in err and "1286.8" in err
+    assert "invalid config: t_grid.stop:" in err and "12868" in err
 
 
 def test_spin_grid_inside_horizon_or_on_discrete_env_validates():
@@ -552,11 +553,36 @@ WARNING_INPUTS = [
     ("run", SPIN_ASYMPTOTICS_CONFIG.replace("fit.delta = 1.0", "fit.delta = 5e-324"), "Least Squares"),
     ("run", SPIN_ASYMPTOTICS_CONFIG.replace("model.lam = 1.0", "model.lam = 1e-310"), "not negative"),
 ]
+# 2x2 matrices with entries near the double range: abs() of an entry, the
+# Hermitian check's norms, (a + a^dagger) / 2 and the phase |h_s| t overflow.
+HUGE_MATRIX = """experiment = araki_zurek
+t_grid.start = 0
+t_grid.stop = {stop}
+t_grid.count = 3
+env.kind = gaussian
+env.s = 1
+model.sector_dims = 1,1
+model.lambdas = 1,-1
+model.delta = 2
+initial.matrix = {rho}
+"""
+HALF = "0.5,0,0,0.5"
+WARNING_INPUTS += [
+    ("validate", HUGE_MATRIX.format(stop=1, rho="0.5,1.7e308+1.7e308j,1.7e308-1.7e308j,0.5"),
+     "declab: invalid config: initial.matrix: smallest eigenvalue"),
+    ("validate", HUGE_MATRIX.format(stop=1, rho="0.5,1e308+1e308j,1e308-1e308j,0.5"),
+     "declab: invalid config: initial.matrix: smallest eigenvalue"),
+    ("validate", HUGE_MATRIX.format(stop=1, rho=HALF) + "model.h_s = 1e308+1e308j,0,0,1\n",
+     "declab: invalid config: model:"),
+    ("validate", HUGE_MATRIX.format(stop=4, rho=HALF) + "model.h_s = 1e308,0,0,1\n",
+     "declab: invalid config: t_grid.stop:"),
+]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, text, outcome", WARNING_INPUTS,
-                         ids=["spin_points", "az_lambdas", "tiny_delta", "tiny_lam"])
+                         ids=["spin_points", "az_lambdas", "tiny_delta", "tiny_lam", "huge_state",
+                              "overflowing_state", "overflowing_h_s", "h_s_phase"])
 def test_main_reaches_its_outcome_without_numpy_warnings(tmp_path, capsys, command, text, outcome):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(text)

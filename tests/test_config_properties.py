@@ -43,9 +43,12 @@ def configs(draw, experiment):
     else:
         start = draw(st.floats(0.0, 4.0))
         e["t_grid.start"] = num(-1.0, 4.0) if rare() else repr(start)
-        e["t_grid.stop"] = num(-1.0, 4.0) if rare() else repr(start + draw(st.floats(0.1, 8.0)))
+        # Spin grids now and then reach far past the whole support's horizon, on few points.
+        far = experiment in ("spin", "spin_asymptotics") and rare()
+        stop = draw(st.floats(1e3, 2e4)) if far else start + draw(st.floats(0.1, 8.0))
+        e["t_grid.stop"] = num(-1.0, 4.0) if rare() else repr(stop)
         invalid = st.sampled_from(["-1", "0", "1", "2.5", str(MAX_TIME_POINTS + 1), "10000000000"])
-        e["t_grid.count"] = draw(invalid) if rare() else str(draw(st.integers(2, 50)))
+        e["t_grid.count"] = draw(invalid) if rare() else str(draw(st.integers(2, 5 if far else 50)))
         kind = "lorentzian" if rare() else draw(st.sampled_from(["gaussian", "uniform", "bump",
                                                                  "discrete"]))
         e["env.kind"] = kind

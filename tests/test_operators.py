@@ -12,6 +12,7 @@ from declab import (
     schatten_norms,
     tensor_product,
 )
+from declab.operators import require_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -55,6 +56,19 @@ def test_eig_reconstruction_dims(dim):
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_hermitian_check_holds_for_entries_near_the_double_range():
+    # The norms used to overflow, so inf > inf let any such matrix pass, and
+    # (a + a^dagger) / 2 overflowed to inf.
+    huge = np.array([[0.5, 1e308 + 1e308j], [1e308 - 1e308j, -1.7e308]])
+    got = require_hermitian(huge)
+    assert np.array_equal(got, huge)
+    with pytest.raises(NotHermitian):
+        require_hermitian(np.array([[1e308 + 1e308j, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NotHermitian):
+        require_hermitian(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]))
 
 
 def test_eig_degenerate_ordering_is_canonical():

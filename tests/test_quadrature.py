@@ -191,10 +191,18 @@ def test_spin_trajectory_matches_pointwise(env):
 def test_spin_trajectory_spans_several_blocks(monkeypatch):
     model = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
     p = np.array([0.7, 0.2, 0.5])
-    ts = np.linspace(60.0, 120.0, 5)
-    calls = count_adaptive_calls(monkeypatch)
+    ts = np.linspace(600.0, 1200.0, 5)
+    blocks = {}
+    original = declab.quadrature._blocks
+
+    def recorded(lo, hi, rate, tb):
+        blocks[lo, hi] = list(original(lo, hi, rate, tb))
+        return blocks[lo, hi]
+
+    monkeypatch.setattr(declab.quadrature, "_blocks", recorded)
     got = spin_trajectory(model, p, ts)
-    assert len(calls) > 1
+    # The near region [x* - xi, x* + xi] of the fold x* = -2, xi = 1.
+    assert len(blocks[-3.0, -1.0]) > 1
     expected = np.array([density_to_bloch(spin_evolve(model, p, t)) for t in ts])
     assert np.abs(got - expected).max() < 1e-12
 
@@ -203,12 +211,14 @@ def test_spin_horizon_is_where_the_pre_split_reaches_the_budget():
     gaussian = SpectralDensity.gaussian(1.0)
     model = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=gaussian)
     horizon = spin_horizon(model)
-    assert horizon == pytest.approx(2**14 * np.pi / 40.0, rel=1e-15)
-    assert oscillation_panels(-10.0, 10.0, 2.0 * horizon) == 2**14
+    # Only the near region [x* - xi, x* + xi] = [-3, -1] is pre-split: x* = -2, xi = 1.
+    assert horizon == pytest.approx(2**14 * np.pi / 4.0, rel=1e-15)
+    assert oscillation_panels(-3.0, -1.0, 2.0 * horizon) == 2**14
     # Still resolved at the horizon itself.
     assert np.all(np.isfinite(spin_trajectory(model, [0.7, 0.2, 0.5], [horizon])))
+    # lam = -4: x* = 0.5 and xi = 0.25, a quarter of the width at four times the rate.
     assert spin_horizon(SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=-4.0, env_diag=gaussian)) == (
-        pytest.approx(horizon / 4.0, rel=1e-15))
+        pytest.approx(horizon, rel=1e-15))
     for env, lam in [(gaussian.discretize(16), 1.0), (gaussian, 0.0)]:
         assert spin_horizon(SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=lam, env_diag=env)) == np.inf
     # A rate 2 |lam| (hi - lo) that underflows to 0 is no horizon either, not a ZeroDivisionError.
@@ -251,7 +261,20 @@ def test_oscillation_horizon_is_the_budget_formula_exactly():
         span = 2.0 * abs(lam) * (hi - lo)
         want = MAX_PANELS * np.pi / span if span > 0 else float("inf")
         assert oscillation_horizon(lo, hi, 2.0 * abs(lam)) == want
-        assert spin_horizon(SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=lam, env_diag=env)) == want
+    # The spin horizon is that of the near region [x* - xi, x* + xi] clipped to
+    # the support, x* = -a_3 / lam, xi = |(a_1, a_2)| / |lam|: inf for lam = 0,
+    # for m = 0 and for a fold more than xi outside; clipped at x* = -9.5.
+    for env, a, lam in [(gaussian, [1.0, 0.0, 2.0], 1.0), (gaussian, [1.0, 0.0, 2.0], -4.0),
+                        (gaussian, [1.0, 0.0, 2.0], 0.0), (narrow, [1.0, 0.0, 2.0], 1e-30),
+                        (gaussian, [0.0, 0.0, 2.0], 1.0), (gaussian, [1.0, 0.4, 40.0], 1.0),
+                        (gaussian, [0.6, 0.8, 9.5], 1.0)]:
+        lo, hi = env.support()
+        if lam:
+            x_star, xi = -a[2] / lam, np.hypot(a[0], a[1]) / abs(lam)
+            lo, hi = max(lo, x_star - xi), min(hi, x_star + xi)
+        span = 2.0 * abs(lam) * (hi - lo)
+        want = MAX_PANELS * np.pi / span if span > 0 else float("inf")
+        assert spin_horizon(SpinModel(a=a, b=0.3, lam=lam, env_diag=env)) == want
     assert oscillation_horizon(*narrow.support(), 2e-30) == np.inf
 
 
@@ -293,9 +316,12 @@ def reference_asymptotic_map(model, tol=1e-9):
 
 
 # A generic field; one along the coupling axis, whose axis flips sign at
-# x = -a_3 / lam; a strong negative coupling.
-FIELDS = [([1.0, 0.4, 2.0], 0.8), ([0.0, 0.0, 2.0], 1.0), ([1.0, 0.4, 2.0], -3.0)]
-FIELD_IDS = ["generic", "axis_flip", "negative_lam"]
+# x = -a_3 / lam; a strong negative coupling; a fold at x* = -40, far outside
+# every support, where rounding of x* or of the rate would show in the far
+# branch's abscissae.
+FIELDS = [([1.0, 0.4, 2.0], 0.8), ([0.0, 0.0, 2.0], 1.0), ([1.0, 0.4, 2.0], -3.0),
+          ([1.0, 0.4, 40.0], 1.0)]
+FIELD_IDS = ["generic", "axis_flip", "negative_lam", "far_fold"]
 
 
 @pytest.mark.parametrize("a, lam", FIELDS, ids=FIELD_IDS)
@@ -313,9 +339,60 @@ def test_kernel_path_matches_the_integrand_closures(env, a, lam):
 def test_kernel_path_matches_the_integrand_closures_at_the_horizon():
     model = SpinModel(a=[1.0, 0.4, 2.0], b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
     p = np.array([0.7, 0.2, 0.5])
-    ts = np.array([spin_horizon(model), -spin_horizon(model) / 3.0])
+    # The horizon of the whole support, as far as the reference's pre-split reaches.
+    horizon = 2**14 * np.pi / 40.0
+    ts = np.array([horizon, -horizon / 3.0])
     got = spin_trajectory(model, p, ts)
     assert np.abs(got - reference_spin_trajectory(model, p, ts)).max() < 1e-13
+
+
+# --- beyond the whole support's horizon, against a dense rule sharing no declab code
+
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def dense_spin_reference(a, lam, p, t):
+    """The unit-gaussian average of rotated p by composite 20-node Gauss-Legendre.
+
+    Panels of [-10, 10] span at most 3 rad of the phase 2 |h(x)| t, whose rate
+    is at most 2 |lam| t, and one panel edge sits at the fold x* = -a_3 / lam.
+    """
+    a1, a2, a3 = a
+    x_star = -a3 / lam
+    edges = [-10.0] + [x_star] * (-10.0 < x_star < 10.0) + [10.0]
+    sums = np.zeros(5)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        n = int(np.ceil(2.0 * abs(lam * t) * (hi - lo) / 3.0))
+        half = (hi - lo) / (2 * n)
+        for start in range(0, n, 2**14):
+            centres = lo + (2 * np.arange(start, min(n, start + 2**14)) + 1) * half
+            x = (centres[:, None] + half * _NODES).ravel()
+            w = np.tile(half * _WEIGHTS, centres.size) * np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi)
+            hz = a3 + lam * x
+            norm = np.sqrt(a1 * a1 + a2 * a2 + hz * hz)
+            cos, sin = np.cos(2.0 * t * norm), np.sin(2.0 * t * norm)
+            settle = w * (1.0 - cos) * (a1 * p[0] + a2 * p[1] + hz * p[2]) / norm**2
+            turn = w * sin / norm
+            sums += [settle.sum(), settle @ hz, w @ cos, turn.sum(), turn @ hz]
+    s, s_z, c, q, r = sums
+    # With h = (a1, a2, hz): p turns to along + cos (p - along) + sin n x p,
+    # along = (h.p) h / |h|^2 and n x p = h x p / |h|.
+    return (s * np.array([a1, a2, 0.0]) + [0.0, 0.0, s_z] + c * p
+            + q * np.array([a2 * p[2], -a1 * p[2], a1 * p[1] - a2 * p[0]])
+            + r * np.array([-p[1], p[0], 0.0]))
+
+
+@pytest.mark.parametrize("a, t", [([1.0, 0.0, 2.0], 5000.0), ([1.0, 0.0, 2.0], 12000.0),
+                                  ([0.5, 0.0, 2.0], 2e4), ([0.0, 0.0, 2.0], 2e4),
+                                  ([1.0, 0.4, 40.0], 2e4)],
+                         ids=["t5000", "t12000", "m0.5", "m0", "far_fold"])
+def test_spin_beyond_the_whole_support_horizon_matches_a_dense_rule(a, t):
+    # The whole support's horizon is 2**14 pi / 40 ~ 1287; only the near region's bounds t now.
+    model = SpinModel(a=a, b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
+    p = np.array([0.7, 0.2, 0.5])
+    assert t > 2**14 * np.pi / 40.0 and t <= spin_horizon(model)
+    got = spin_trajectory(model, p, [t])[0]
+    assert np.abs(got - dense_spin_reference(a, 1.0, p, t)).max() < 1e-12
 
 
 @pytest.mark.parametrize("env", [ENVS[-1], SpectralDensity.gaussian(1.0).discretize(40)],
@@ -428,7 +505,25 @@ def test_chi_phase_overflow_names_the_time():
 def test_legendre_panels_report_their_budget_failure():
     # ~3e5 oscillations need more than 2**14 panels of 16 terms each.
     with pytest.raises(QuadratureFailure, match="more than 16384 Legendre panels"):
-        legendre_panels(lambda v: np.cos(1e6 * v), -1.0, 1.0)
+        legendre_panels(lambda centres, offsets: np.cos(1e6 * (centres[:, None] + offsets)),
+                        -1.0, 1.0)
+
+
+def test_legendre_components_share_their_panels_and_transform_together():
+    # f(v) = (1, v^2) times the unit gaussian: transforms exp(-t^2/2) and
+    # (1 - t^2) exp(-t^2/2), from one bisection for both components.
+    def f(centres, offsets):
+        v = centres[:, None] + offsets
+        g = np.exp(-v**2 / 2.0) / np.sqrt(2.0 * np.pi)
+        return np.stack([g, v**2 * g], axis=-1)
+
+    panels = legendre_panels(f, -10.0, 10.0)
+    assert panels.coeffs.shape[0] == panels.centres.size and panels.coeffs.shape[2] == 2
+    ts = np.array([0.0, 0.7, -2.5, 6.0, 40.0])
+    got = declab.quadrature.legendre_fourier(panels, ts, 1e-12)
+    assert got.shape == (ts.size, 2)
+    want = np.exp(-ts**2 / 2.0)[:, None] * np.column_stack([np.ones_like(ts), 1.0 - ts**2])
+    assert np.abs(got - want).max() < 1e-14
 
 
 # z near every k (where the forward and backward recurrences meet), near the
