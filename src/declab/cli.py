@@ -33,8 +33,9 @@ from .models import (
     spin_horizon,
     spin_trajectory,
 )
-from .operators import hs_norm
+from .operators import hs_norm, unit_scale
 from .states import (
+    BALL_TOL,
     DensityOperator,
     alternate_decomposition,
     bloch_to_density,
@@ -221,9 +222,9 @@ def _check_chi_phases(t_grid, env, gap):
 def _check_hamiltonian_phases(t_grid, h_s):
     # exp(-i h_s t) takes the phases e t of h_s's eigenvalues e, |e| <= its HS
     # norm, which must stay finite doubles.  The norm is taken of h_s scaled to
-    # entries within 1, so it overflows only where it exceeds the double range.
-    largest = float(max(np.abs(h_s.real).max(), np.abs(h_s.imag).max()))
-    norm = largest * hs_norm(h_s / largest) if largest > 0 else 0.0
+    # entries below 1, so it overflows only where it exceeds the double range.
+    scale = unit_scale(h_s)
+    norm = hs_norm(scale * h_s) / scale
     if not math.isfinite(float(t_grid[-1]) * norm):
         raise ValidationError("t_grid.stop", f"stop {t_grid[-1]:g} times the system Hamiltonian's "
                               f"norm {norm:g} is not finite")
@@ -241,7 +242,7 @@ def _check_spin_phases(t_grid, model):
 
 def _parse_bloch(e: _Entries) -> np.ndarray:
     p = np.asarray(e.floats("initial.bloch", 3))
-    if np.linalg.norm(p) > 1 + 1e-12:
+    if np.linalg.norm(p) > 1 + BALL_TOL:
         raise ValidationError("initial.bloch", "polarization vector outside the unit ball")
     return p
 
@@ -390,20 +391,19 @@ def _atomic_write(path: str, data: str):
         raise
 
 
-def _write_csv(path: str, header, rows):
+def _write_csv(path: str, header, cells):
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(",".join(row) for row in cells)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _series_summary(header, rows) -> dict:
+def _series_summary(header, rows, cells) -> dict:
+    """min, max and final value of every numeric column, read back from the
+    formatted ``cells``: what lands in the file."""
     summary = {}
     for j, name in enumerate(header):
-        column = [row[j] for row in rows]
-        if column and not any(isinstance(v, str) for v in column):
-            # Summarize what lands in the file: round-trip the formatted text.
-            values = [float(_fmt(v)) for v in column]
+        if rows and not any(isinstance(row[j], str) for row in rows):
+            values = [float(row[j]) for row in cells]
             summary[name] = {"min": min(values), "max": max(values), "final": values[-1]}
     return summary
 
@@ -484,13 +484,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
     else:
         csv_path = cfg.out_csv
         report_path = cfg.out_report
-    _write_csv(csv_path, header, rows)
+    cells = [[_fmt(v) for v in row] for row in rows]
+    _write_csv(csv_path, header, cells)
 
     report = RunReport(
         scenario=cfg.raw,
         csv_path=csv_path,
         report_path=report_path,
-        series=_series_summary(header, rows),
+        series=_series_summary(header, rows, cells),
         decay_fit=fit_dict,
         wall_time_s=time.perf_counter() - started,
     )

@@ -13,6 +13,7 @@ environment, evolves unitarily and partial-traces, sharing no code path with
 the closed forms.
 """
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,6 +26,7 @@ from .errors import (
     NotAState,
     NotDiscrete,
     NotHermitian,
+    OutsideBall,
 )
 from .operators import (
     finite_times,
@@ -33,6 +35,7 @@ from .operators import (
     propagators,
     require_hermitian,
     tensor_product,
+    unit_scale,
 )
 from .quadrature import (
     LegendrePanels,
@@ -42,7 +45,7 @@ from .quadrature import (
     oscillation_horizon,
     trig_sum,
 )
-from .states import PAULI, DensityOperator, bloch_to_density, trace_distance
+from .states import BALL_TOL, PAULI, DensityOperator, bloch_to_density
 from .superselection import SectorStructure, sector_mask
 
 NORMALIZATION_TOL = 1e-10
@@ -51,6 +54,8 @@ MAX_DENSE_DIM = 1024
 # Support widths of a continuous density: beyond them its peak value, or the
 # products of its abscissae, leave the double range.
 SUPPORT_WIDTHS = (1e-300, 1e300)
+# Bound on times x sector pairs x environment points in one chi table of az_trajectory.
+DEPHASING_ELEMENTS = 2**16
 
 
 class SpectralDensity:
@@ -244,17 +249,18 @@ def chi_trajectory(env: SpectralDensity, ts, tol: float = 1e-9) -> np.ndarray:
     expansion (``SpectralDensity.expansion``), built once per density: the
     cost per time does not depend on |t|, and the expansion's tail estimate
     bounds the error at every t.  Raises QuadratureFailure when ``tol`` is
-    below that estimate.  A discrete density is one exact sum over its points.
+    below that estimate.  A discrete density is one exact sum over its points,
+    each t on ``trig_sum``'s batch axis: a row of the table is computed as a
+    call at that t alone computes it, to the bit.
     """
+    ts = finite_times(ts)
     if not env.is_discrete:
-        return legendre_fourier(env.expansion(), finite_times(ts), tol)
-
-    def phases(v, weight):
-        # w exp(-ivt) as (real, imaginary): a = (w, 0), b = (0, -w).
-        zero = np.zeros_like(weight)
-        return v, np.column_stack([weight, zero]), np.column_stack([zero, -weight]), None
-
-    parts = _trajectory(env, ts, 1.0, phases, tol)
+        return legendre_fourier(env.expansion(), ts, tol)
+    v, weight = env.points.T
+    # w exp(-ivt) as (real, imaginary): a = (w, 0), b = (0, -w).
+    zero = np.zeros_like(weight)
+    parts = trig_sum(np.ones(1), np.multiply.outer(ts, v), np.column_stack([weight, zero]),
+                     np.column_stack([zero, -weight]), None)[:, 0]
     return parts[:, 0] + 1j * parts[:, 1]
 
 
@@ -320,10 +326,14 @@ class ArakiZurekModel:
             raise DimensionMismatch("system Hamiltonian dimension does not match sectors")
         # |[h_s, P_m]|^2 is the weight of |F^H h_s F|^2 on entries with exactly one
         # index in sector m; |F^H h_s F| is symmetric, so that is twice its row sums.
-        g = h_s if frame is None else frame.conj().T @ h_s @ frame
+        # Entries past ~1e154 would overflow the squares and the norm, so both
+        # are taken of h_s scaled exactly, by a power of two, to entries below 1.
+        scale = unit_scale(h_s)
+        scaled = scale * h_s
+        g = scaled if frame is None else frame.conj().T @ scaled @ frame
         rows = (np.abs(g) ** 2 * (index[:, None] != index)).sum(axis=1)
         leak = np.sqrt(2.0 * np.bincount(index, weights=rows, minlength=len(self.sectors)))
-        bad = np.flatnonzero(leak > 1e-10 * max(1.0, hs_norm(h_s)))
+        bad = np.flatnonzero(leak > 1e-10 * max(scale, hs_norm(scaled)))
         if bad.size:
             raise ValueError(f"system Hamiltonian does not commute with sector projector {bad[0]}")
         object.__setattr__(self, "lambdas", lambdas)
@@ -339,16 +349,29 @@ class ArakiZurekModel:
         return sector_mask(np.eye(self.dim, dtype=complex), self.sectors, np.diag(self.lambdas))
 
 
-def _dephased(model: ArakiZurekModel, rho, t: float, env: SpectralDensity,
-              tol: float) -> np.ndarray:
-    """sum_{m,n} chi((l_m - l_n) t) P_m rho P_n, conjugate-symmetric in chi."""
-    k = len(model.lambdas)
+def _chi_tables(lambdas, env: SpectralDensity, ts, tol: float):
+    """Sector coefficients chi((l_m - l_n) t) for the finite times ``ts``, as
+    (B, k, k) arrays over consecutive chunks of B times, conjugate-symmetric.
+
+    Each chunk is one ``chi_trajectory`` call over all its (t, pair) phases,
+    with B times x pairs x environment points within DEPHASING_ELEMENTS: a
+    discrete environment's trig tables hold that many entries, and a
+    continuous one bounds its own (``quadrature.LEGENDRE_ELEMENTS``).
+    Nothing is evaluated before the first chunk is taken.
+    """
+    k = lambdas.size
     m, n = np.triu_indices(k, 1)
-    chi = np.ones((k, k), dtype=complex)
-    if m.size:
-        chi[m, n] = chi_trajectory(env, (model.lambdas[m] - model.lambdas[n]) * t, tol)
-    chi[n, m] = np.conj(chi[m, n])
-    return sector_mask(rho, model.sectors, chi)
+    gaps = lambdas[m] - lambdas[n]
+    points = env.points.shape[0] if env.is_discrete else 1
+    step = max(1, DEPHASING_ELEMENTS // max(1, gaps.size * points))
+    for start in range(0, ts.size, step):
+        chunk = ts[start : start + step]
+        chi = np.ones((chunk.size, k, k), dtype=complex)
+        if gaps.size:
+            chi[:, m, n] = chi_trajectory(env, np.multiply.outer(chunk, gaps).ravel(),
+                                          tol).reshape(chunk.size, -1)
+            chi[:, n, m] = np.conj(chi[:, m, n])
+        yield chi
 
 
 def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float = 1e-9):
@@ -357,14 +380,17 @@ def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float 
     Each intersector block of rho0 is damped by chi((l_m - l_n) t) and the
     whole result is conjugated by exp(-i h_s t).  Diagonal blocks carry
     chi(0) = 1, so sector probabilities are conserved exactly.  The inputs
-    are checked and h_s diagonalised at the call; each state is built as it
-    is taken.
+    are checked and h_s diagonalised at the call.  Chi is evaluated in
+    chunks of times, one table over all their (t, sector pair) phases
+    (``_chi_tables``), when the first state of a chunk is taken; each state
+    is built as it is taken.
     """
     if rho0.dim != model.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} does not match model dim {model.dim}")
     ts = finite_times(ts)
-    return (DensityOperator(u @ _dephased(model, rho0.matrix, t, model.env, tol) @ u.conj().T)
-            for t, u in zip(ts, propagators(model.h_s, ts)))
+    chis = itertools.chain.from_iterable(_chi_tables(model.lambdas, model.env, ts, tol))
+    return (DensityOperator(u @ sector_mask(rho0.matrix, model.sectors, chi) @ u.conj().T)
+            for u, chi in zip(propagators(model.h_s, ts), chis))
 
 
 def az_evolve(model: ArakiZurekModel, rho0: DensityOperator, t: float,
@@ -417,11 +443,13 @@ def az_evolve_correlated(model: ArakiZurekModel, w0: CorrelatedInitialState, t: 
     chi contributions still decay, which is why the induced structure is not
     sensitive to the initial conditions.
     """
+    ts = finite_times([t])
     total = np.zeros((model.dim, model.dim), dtype=complex)
     for rho_mu, env_mu in w0.terms:
         if rho_mu.shape[0] != model.dim:
             raise DimensionMismatch("initial-state terms do not match the model dimension")
-        total += _dephased(model, rho_mu, t, env_mu, tol)
+        chi = next(_chi_tables(model.lambdas, env_mu, ts, tol))[0]
+        total += sector_mask(rho_mu, model.sectors, chi)
     u = propagator(model.h_s, t)
     return DensityOperator(u @ total @ u.conj().T)
 
@@ -688,14 +716,21 @@ def spin_asymptotics(model: SpinModel, p, t_grid, tol: float = 1e-9) -> np.ndarr
 
     Returns (t, distance) rows measuring how far the evolved state still is
     from the contracted target q = M p; ready for ``fit_power_law_decay``.
+    For 2x2 states the trace distance is the distance of the polarization
+    vectors (``trace_distance``), so the whole grid is |p(t) - q|, from one
+    ``spin_trajectory`` call.  q must be a state (``bloch_to_density``), and
+    OutsideBall names the first p(t) outside the unit ball.
     """
     p = np.asarray(p, dtype=float)
-    target = bloch_to_density(asymptotic_map(model, tol) @ p)
-    pols = spin_trajectory(model, p, t_grid, tol)
-    rows = np.empty((len(t_grid), 2))
-    rows[:, 0] = t_grid
-    rows[:, 1] = [trace_distance(bloch_to_density(q), target) for q in pols]
-    return rows
+    ts = finite_times(t_grid)
+    target = asymptotic_map(model, tol) @ p
+    bloch_to_density(target)
+    pols = spin_trajectory(model, p, ts, tol)
+    radii = np.linalg.norm(pols, axis=1)
+    outside = np.flatnonzero(~(radii <= 1.0 + BALL_TOL))  # nan is outside too
+    if outside.size:
+        raise OutsideBall(f"|p| = {radii[outside[0]]!r} exceeds 1")
+    return np.column_stack([ts, np.linalg.norm(pols - target, axis=1)])
 
 
 def _oracle_env(env: SpectralDensity, n_grid: int):

@@ -46,6 +46,14 @@ def hs_norm(a):
     return float(np.linalg.norm(a))
 
 
+def unit_scale(a) -> float:
+    """The largest power of two, at most 1, that scales every real and imaginary
+    part of a below 1: scaling by it is exact, and norms of the scaled copy
+    cannot overflow."""
+    largest = max(np.abs(a.real).max(), np.abs(a.imag).max())
+    return float(2.0 ** -max(0, int(np.frexp(largest)[1])))
+
+
 def require_hermitian(m, rtol=HERMITICITY_RTOL, name="matrix"):
     """Return the symmetrized matrix (A + A†)/2, or raise NotHermitian.
 
@@ -60,7 +68,7 @@ def require_hermitian(m, rtol=HERMITICITY_RTOL, name="matrix"):
     if huge:
         # Entries near the double range overflow the norms (inf > inf passes)
         # and a + a†: compare a copy scaled by a power of two, and halve first.
-        scaled = a * 2.0 ** -np.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1]
+        scaled = a * unit_scale(a)
         gap, size = hs_norm(scaled - scaled.conj().T), hs_norm(scaled)
     if gap > rtol * max(size, 1e-300):
         raise NotHermitian(f"{name} is not Hermitian within {rtol:g} relative")

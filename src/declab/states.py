@@ -26,6 +26,8 @@ from .operators import hermitian_eig, hs_norm, require_hermitian, schatten_norms
 
 STATE_TOL = 1e-10
 WEIGHT_CUTOFF = 1e-12
+# How far beyond the unit sphere a polarization vector may reach by round-off.
+BALL_TOL = 1e-12
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -80,7 +82,7 @@ def bloch_to_density(p) -> DensityOperator:
     if v.shape != (3,):
         raise DimensionMismatch(f"polarization vector must have 3 components, got shape {v.shape}")
     r = np.linalg.norm(v)
-    if r > 1.0 + 1e-12:
+    if r > 1.0 + BALL_TOL:
         raise OutsideBall(f"|p| = {r!r} exceeds 1")
     mat = 0.5 * (np.eye(2, dtype=complex) + v[0] * PAULI[0] + v[1] * PAULI[1] + v[2] * PAULI[2])
     return DensityOperator(mat)

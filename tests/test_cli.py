@@ -576,13 +576,16 @@ WARNING_INPUTS += [
      "declab: invalid config: model:"),
     ("validate", HUGE_MATRIX.format(stop=4, rho=HALF) + "model.h_s = 1e308,0,0,1\n",
      "declab: invalid config: t_grid.stop:"),
+    # Squared, these entries overflow the commutation check, whose leak then read nan.
+    ("validate", HUGE_MATRIX.format(stop="1e-300", rho=HALF) + "model.h_s = 1e200,1e200,1e200,1\n",
+     "declab: invalid config: model: system Hamiltonian does not commute"),
 ]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, text, outcome", WARNING_INPUTS,
                          ids=["spin_points", "az_lambdas", "tiny_delta", "tiny_lam", "huge_state",
-                              "overflowing_state", "overflowing_h_s", "h_s_phase"])
+                              "overflowing_state", "overflowing_h_s", "h_s_phase", "huge_h_s_leak"])
 def test_main_reaches_its_outcome_without_numpy_warnings(tmp_path, capsys, command, text, outcome):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(text)
@@ -595,6 +598,14 @@ def test_main_reaches_its_outcome_without_numpy_warnings(tmp_path, capsys, comma
         assert capsys.readouterr().err == ""
         report = json.loads((tmp_path / "spin_asymptotics_report.json").read_text())
         assert outcome in report["decay_fit"]["error"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_main_validate_accepts_a_huge_commuting_h_s(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(HUGE_MATRIX.format(stop="1e-300", rho=HALF) + "model.h_s = 1e200,0,0,1\n")
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_main_run_az_grid_starting_at_subnormal_time(tmp_path):

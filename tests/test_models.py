@@ -10,6 +10,7 @@ from declab import (
     NotAState,
     NotDiscrete,
     NotHermitian,
+    OutsideBall,
     PAULI,
     SpectralDensity,
     SpinModel,
@@ -33,6 +34,7 @@ from declab import (
     sector_probabilities,
     spin_asymptotics,
     spin_evolve,
+    spin_trajectory,
     tensor_product,
     trace_distance,
 )
@@ -341,18 +343,44 @@ def test_az_trajectory_diagonalises_once_and_matches_az_evolve(monkeypatch, env)
         assert np.array_equal(rho_t.matrix, az_evolve(model, rho0, t).matrix)
 
 
-def test_az_trajectory_streams_one_chi_call_per_state(monkeypatch):
+def test_az_trajectory_streams_states_from_one_chi_call(monkeypatch):
     import declab.models as models
 
-    calls = []
-    chi_trajectory = models.chi_trajectory
+    calls, built = [], []
+    chi_trajectory, density = models.chi_trajectory, models.DensityOperator
     monkeypatch.setattr(models, "chi_trajectory", lambda *a: calls.append(a) or chi_trajectory(*a))
+    monkeypatch.setattr(models, "DensityOperator", lambda m: built.append(m) or density(m))
     states = az_trajectory(sector_dense_az(np.random.default_rng(36)),
                            random_density(6, np.random.default_rng(37)), [0.0, 1.0, 2.0])
     assert calls == []
     next(states)
-    assert len(calls) == 1
-    assert len(list(states)) == 2 and len(calls) == 3
+    assert len(calls) == 1 and len(built) == 1
+    assert len(list(states)) == 2
+    assert len(calls) == 1 and len(built) == 3
+
+
+def test_az_trajectory_chunks_match_one_table_and_az_evolve(monkeypatch):
+    import declab.models as models
+
+    rng = np.random.default_rng(39)
+    sectors = block_diagonal_sectors([2, 1, 3])
+    blocks = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (2, 1, 3)]
+    h_s = scipy.linalg.block_diag(*(m + m.conj().T for m in blocks))
+    model = ArakiZurekModel(sectors, [1.5, 0.0, -2.0], h_s, lattice_env(), 1.5)
+    rho0 = random_density(6, rng)
+    ts = np.linspace(0.0, 7.0, 23)
+    whole = [rho_t.matrix for rho_t in az_trajectory(model, rho0, ts)]
+    calls = []
+    chi_trajectory = models.chi_trajectory
+    monkeypatch.setattr(models, "chi_trajectory", lambda *a: calls.append(a) or chi_trajectory(*a))
+    # 3 pairs x 21 points: two times per chunk.
+    monkeypatch.setattr(models, "DEPHASING_ELEMENTS", 2 * 3 * lattice_env().points.shape[0])
+    chunked = [rho_t.matrix for rho_t in az_trajectory(model, rho0, ts)]
+    assert len(calls) == 12 and {a[1].size for a in calls} == {6, 3}
+    monkeypatch.undo()
+    for t, a, b in zip(ts, whole, chunked):
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, az_evolve(model, rho0, t).matrix)
 
 
 @pytest.mark.parametrize("dim, ts, error", [
@@ -556,6 +584,30 @@ def test_spin_asymptotics_generic_model_decays_and_fits():
     fit = fit_power_law_decay(rows, delta=1.0, window=(2.0, 22.0))
     assert fit.gamma > 0.2
     assert np.all(fit.bound(rows[:, 0]) >= rows[:, 1] - 1e-12)
+
+
+def test_spin_asymptotics_distances_are_trace_distances():
+    model = SpinModel(a=[1, 0, 2], b=0.3, lam=1.0, env_diag=GAUSS)
+    p, t_grid = [0.7, 0.2, 0.5], np.linspace(2.0, 22.0, 41)
+    rows = spin_asymptotics(model, p, t_grid)
+    target = bloch_to_density(asymptotic_map(model) @ p)
+    want = [trace_distance(bloch_to_density(q), target) for q in spin_trajectory(model, p, t_grid)]
+    assert np.array_equal(rows[:, 0], t_grid)
+    assert np.abs(rows[:, 1] - want).max() <= 1e-15
+
+
+def test_spin_asymptotics_rejects_a_polarization_outside_the_ball(monkeypatch):
+    import declab.models as models
+
+    def spin_trajectory(model, p, ts, tol):
+        pols = np.zeros((ts.size, 3))
+        pols[1:, 0] = [1.0 + 1e-9, 0.5]
+        return pols
+
+    monkeypatch.setattr(models, "spin_trajectory", spin_trajectory)
+    model = SpinModel(a=[1, 0, 2], b=0.3, lam=1.0, env_diag=GAUSS)
+    with pytest.raises(OutsideBall, match=r"\|p\| = .*1\.000000001.* exceeds 1"):
+        spin_asymptotics(model, [0.7, 0.2, 0.5], np.linspace(0.0, 2.0, 3))
 
 
 # --- joint-evolution oracle
