@@ -8,9 +8,9 @@ transform of the environment's spectral weight along the coupling operator.
 In the spin model a transverse system field no longer commutes with the
 coupling; the reduced state is an average of rigidly rotated polarization
 vectors and contracts toward a fixed linear image q = M p of the initial
-vector.  The oracle assembles the full joint Hamiltonian on a discretized
-environment, evolves unitarily and partial-traces, sharing no code path with
-the closed forms.
+vector.  The oracle evolves the joint state on a discretized environment one
+environment point at a time, exactly, and partial-traces, sharing no code
+path with the closed forms.
 """
 
 import itertools
@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     DimensionTooLarge,
     NotAState,
@@ -34,11 +35,11 @@ from .operators import (
     propagator,
     propagators,
     require_hermitian,
-    tensor_product,
     unit_scale,
 )
 from .quadrature import (
     LegendrePanels,
+    _rule,
     kernel_adaptive,
     legendre_fourier,
     legendre_panels,
@@ -54,7 +55,8 @@ MAX_DENSE_DIM = 1024
 # Support widths of a continuous density: beyond them its peak value, or the
 # products of its abscissae, leave the double range.
 SUPPORT_WIDTHS = (1e-300, 1e300)
-# Bound on times x sector pairs x environment points in one chi table of az_trajectory.
+# Bound on times x sector pairs x environment points in one chi table of
+# az_trajectory, and on times x points in one trig table of a discrete chi.
 DEPHASING_ELEMENTS = 2**16
 
 
@@ -198,14 +200,15 @@ class SpectralDensity:
         """Discrete density on n Gauss-Legendre nodes of the support.
 
         Weights are the quadrature weights times the density, renormalized so
-        they sum to one exactly.
+        they sum to one exactly.  The rule is built once per n and kept
+        (``quadrature._rule``).
         """
         n = operator.index(n)
         if self.is_discrete:
             raise ValueError("density is already discrete")
         if n < 2:
             raise ValueError("need at least 2 grid points")
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _rule(n)
         lo, hi = self.support()
         v = (hi + lo) / 2.0 + (hi - lo) / 2.0 * x
         weights = w * (hi - lo) / 2.0 * self.density(v)
@@ -251,7 +254,9 @@ def chi_trajectory(env: SpectralDensity, ts, tol: float = 1e-9) -> np.ndarray:
     bounds the error at every t.  Raises QuadratureFailure when ``tol`` is
     below that estimate.  A discrete density is one exact sum over its points,
     each t on ``trig_sum``'s batch axis: a row of the table is computed as a
-    call at that t alone computes it, to the bit.
+    call at that t alone computes it, to the bit.  Its times are taken in
+    chunks whose trig tables hold at most DEPHASING_ELEMENTS (times x points)
+    entries.
     """
     ts = finite_times(ts)
     if not env.is_discrete:
@@ -259,9 +264,14 @@ def chi_trajectory(env: SpectralDensity, ts, tol: float = 1e-9) -> np.ndarray:
     v, weight = env.points.T
     # w exp(-ivt) as (real, imaginary): a = (w, 0), b = (0, -w).
     zero = np.zeros_like(weight)
-    parts = trig_sum(np.ones(1), np.multiply.outer(ts, v), np.column_stack([weight, zero]),
-                     np.column_stack([zero, -weight]), None)[:, 0]
-    return parts[:, 0] + 1j * parts[:, 1]
+    a, b = np.column_stack([weight, zero]), np.column_stack([zero, -weight])
+    out = np.empty(ts.size, dtype=complex)
+    step = max(1, DEPHASING_ELEMENTS // v.size)
+    for start in range(0, ts.size, step):
+        chunk = slice(start, start + step)
+        parts = trig_sum(np.ones(1), np.multiply.outer(ts[chunk], v), a, b, None)[:, 0]
+        out[chunk] = parts[:, 0] + 1j * parts[:, 1]
+    return out
 
 
 def decoherence_function(env: SpectralDensity, t: float, tol: float = 1e-9) -> complex:
@@ -747,40 +757,49 @@ def _oracle_env(env: SpectralDensity, n_grid: int):
 def full_simulation_oracle(model, rho0: DensityOperator, t: float, n_grid: int) -> DensityOperator:
     """Ground-truth reduced state from brute-force joint unitary evolution.
 
-    Assembles the joint Hamiltonian on system x (n_grid-point environment),
-    evolves rho0 x omega with the exact matrix exponential and traces out
-    the environment.  No closed forms enter, so agreement with ``az_evolve``
-    or ``spin_evolve`` validates those paths end to end.
+    The coupling is diagonal in the environment's pointer basis, so on
+    system x (n_grid-point environment) the joint Hamiltonian is
+    sum_k H_k x |k><k|, one d x d block per environment point v_k:
+    H_k = h_s + v_k V_s for the dephasing model and
+    h_s + b v_k^2 1 + lam v_k sigma_3 for the spin model.  The blocks are
+    diagonalised by one batched ``eigh`` and exponentiated exactly, and
+    rho0 x omega is evolved and the environment traced out as
+    sum_k w_k U_k rho0 U_k^dagger.  No closed form, chi or propagator
+    enters, so agreement with ``az_evolve`` or ``spin_evolve`` validates
+    those paths end to end.  The joint dimension d n_grid stays capped at
+    MAX_DENSE_DIM, although only n_grid d^2 entries are stored.
     """
     n_grid = operator.index(n_grid)
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
-    if isinstance(model, ArakiZurekModel):
-        dim_s = model.dim
-    elif isinstance(model, SpinModel):
-        dim_s = 2
-    else:
+    az = isinstance(model, ArakiZurekModel)
+    if not (az or isinstance(model, SpinModel)):
         raise TypeError(f"no oracle for model type {type(model).__name__}")
+    dim_s = model.dim if az else 2
     if rho0.dim != dim_s:
         raise DimensionMismatch(f"initial state dim {rho0.dim} does not match system dim {dim_s}")
     if dim_s * n_grid > MAX_DENSE_DIM:
         raise DimensionTooLarge(f"joint dimension {dim_s * n_grid} exceeds {MAX_DENSE_DIM}")
 
-    if isinstance(model, ArakiZurekModel):
-        v, w = _oracle_env(model.env, n_grid)
-        h_joint = tensor_product(model.h_s, np.eye(v.size)) + tensor_product(
-            model.v_s, np.diag(v)
-        )
-    else:
-        v, w = _oracle_env(model.env_diag, n_grid)
-        h_joint = (
-            tensor_product(model.h_s, np.eye(v.size))
-            + model.b * tensor_product(np.eye(2), np.diag(v**2))
-            + model.lam * tensor_product(PAULI[2], np.diag(v))
-        )
-    # tr_E U (rho0 x diag w) U^dagger, contracted without forming the joint state:
-    # M = U (rho0 x diag w), then r_ij = sum_(k,m,l) M[i,k,m,l] conj(U[j,k,m,l]).
-    u = propagator(h_joint, t)
-    m = np.einsum("ikjl,jm,l->ikml", u.reshape(dim_s, v.size, dim_s, v.size), rho0.matrix, w)
-    reduced = m.reshape(dim_s, -1) @ u.reshape(dim_s, -1).conj().T
-    return DensityOperator(reduced)
+    v, w = _oracle_env(model.env if az else model.env_diag, n_grid)
+    # Blocks past the double range are rejected below, without warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if az:
+            h = model.h_s + v[:, None, None] * model.v_s
+        else:
+            h = (model.h_s + (model.b * v**2)[:, None, None] * np.eye(2)
+                 + (model.lam * v)[:, None, None] * PAULI[2])
+    if not np.isfinite(float(t)):
+        raise ValueError("t must be finite")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("joint Hamiltonian contains non-finite entries")
+    try:
+        vals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    u = (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    # sum_k w_k U_k rho0 U_k^dagger as one product of (d, n d) matrices, rows i and
+    # columns (k, j): [w_k (U_k rho0)_ij] times the adjoint of [(U_k)_lj].
+    left = (w[:, None, None] * (u @ rho0.matrix)).swapaxes(0, 1).reshape(dim_s, -1)
+    right = u.swapaxes(0, 1).reshape(dim_s, -1)
+    return DensityOperator(left @ right.conj().T)

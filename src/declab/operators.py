@@ -4,10 +4,12 @@ norms, tensor products and the partial trace over the environment factor.
 All functions are pure and operate on square ``numpy`` arrays.  ``propagators``
 diagonalises a Hamiltonian once per time grid, one connected block at a time:
 the blocks are the connected components of the pattern of its exact nonzero
-entries, so a joint Hamiltonian whose coupling commutes with the environment
-splits into one small block per environment point, while a dense irreducible
-one is a single block.  Dense storage only; the supported dimension is
-documented up to 1024.
+entries, so a direct sum costs one small ``eigh`` per summand, while a dense
+irreducible matrix is a single block.  Within declab only system Hamiltonians
+reach it; no caller passes a joint Hamiltonian any more, since the
+joint-evolution oracle builds its per-environment-point blocks itself.
+``tensor_product`` and ``partial_trace_env`` serve outside callers and
+tests.  Dense storage only; the supported dimension is documented up to 1024.
 """
 
 from typing import NamedTuple

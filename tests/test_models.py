@@ -4,6 +4,7 @@ import scipy.linalg
 
 from declab import (
     ArakiZurekModel,
+    ConvergenceFailure,
     CorrelatedInitialState,
     DimensionMismatch,
     DimensionTooLarge,
@@ -144,6 +145,25 @@ def test_discretize_requires_an_integer_size():
     assert GAUSS.discretize(np.int64(3)).points.shape == (3, 2)
 
 
+def test_discretize_builds_each_rule_once(monkeypatch):
+    import declab.quadrature as quadrature
+
+    leggauss = np.polynomial.legendre.leggauss
+    calls = []
+    monkeypatch.setattr(quadrature, "_rule_cache", {})
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    uniform = SpectralDensity.uniform(-1.5, 0.5)
+    grids = [(GAUSS, GAUSS.discretize(512)), (uniform, uniform.discretize(512))]
+    assert calls == [512]
+    x, w = leggauss(512)
+    for env, grid in grids:
+        lo, hi = env.support()
+        v = (hi + lo) / 2.0 + (hi - lo) / 2.0 * x
+        weights = w * (hi - lo) / 2.0 * env.density(v)
+        assert np.array_equal(grid.points, np.column_stack([v, weights / weights.sum()]))
+
+
 def test_gaussian_width_must_be_positive():
     with pytest.raises(ValueError):
         SpectralDensity.gaussian(0.0)
@@ -189,6 +209,39 @@ def test_chi_discrete_matches_direct_sum():
     t = 3.3
     direct = np.sum(env.points[:, 1] * np.exp(-1j * env.points[:, 0] * t))
     assert decoherence_function(env, t) == pytest.approx(direct, abs=1e-14)
+
+
+def test_chi_discrete_chunks_bound_its_tables():
+    import tracemalloc
+
+    points = np.linspace(-1.0, 1.0, 200)
+    env = SpectralDensity.discrete(np.column_stack([points, np.full(200, 1 / 200)]))
+    ts = np.linspace(0.0, 50.0, 4000)
+    tracemalloc.start()
+    try:
+        chi_trajectory(env, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One table of all 4000 x 200 phases, their cos and sin took 18.4 MiB.
+    assert peak < 4 * 2**20
+
+
+def test_chi_discrete_chunks_match_one_table(monkeypatch):
+    import declab.models as models
+
+    env = lattice_env()  # 21 points
+    ts = np.linspace(-3.0, 40.0, 1001)
+    calls = []
+    trig_sum = models.trig_sum
+    monkeypatch.setattr(models, "trig_sum", lambda *a: calls.append(a[1].shape) or trig_sum(*a))
+    monkeypatch.setattr(models, "DEPHASING_ELEMENTS", 16 * 21)
+    chunked = chi_trajectory(env, ts)
+    assert len(calls) == 63 and calls[0] == (16, 21) and calls[-1] == (9, 21)
+    monkeypatch.setattr(models, "DEPHASING_ELEMENTS", ts.size * 21)
+    whole = chi_trajectory(env, ts)
+    assert len(calls) == 64 and calls[-1] == (1001, 21)
+    assert np.array_equal(chunked, whole)
 
 
 # --- recurrence
@@ -647,6 +700,82 @@ def test_oracle_contracts_the_joint_state_exactly():
         expected = partial_trace_env(u @ w0 @ u.conj().T, 3, v.size)
         got = full_simulation_oracle(model, rho0, t, v.size).matrix
         assert np.abs(got - expected).max() < 1e-13
+
+
+def _kron_expm_oracle(terms, rho0, w, t):
+    """tr_E e^(-iHt) (rho0 x diag w) e^(iHt), H = sum of kron(system, diag(env)) terms."""
+    h = sum(np.kron(a, np.diag(e)) for a, e in terms)
+    u = scipy.linalg.expm(-1j * t * h)
+    joint = u @ np.kron(rho0, np.diag(w)) @ u.conj().T
+    d, n = rho0.shape[0], w.size
+    return np.einsum("ikjk->ij", joint.reshape(d, n, d, n))
+
+
+def test_oracle_matches_a_dense_kron_expm_reference():
+    rng = np.random.default_rng(46)
+    sigma = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+
+    env = GAUSS.discretize(24)
+    v, w = env.points[:, 0], env.points[:, 1]
+    a, b, lam = np.array([0.8, -0.4, 1.5]), 0.3, 1.1
+    spin = SpinModel(a=a, b=b, lam=lam, env_diag=env)
+    rho0 = bloch_to_density([0.5, 0.4, -0.6])
+    h_s = sum(c * s for c, s in zip(a, sigma))
+    terms = [(h_s, np.ones(v.size)), (np.eye(2), b * v**2), (lam * sigma[2], v)]
+    for t in (0.0, 1.3, 7.9):
+        expected = _kron_expm_oracle(terms, rho0.matrix, w, t)
+        assert np.abs(full_simulation_oracle(spin, rho0, t, v.size).matrix - expected).max() < 1e-13
+
+    env = GAUSS.discretize(20)
+    v, w = env.points[:, 0], env.points[:, 1]
+    dims, lambdas = [2, 1, 2], [1.0, -0.5, -2.0]
+    blocks = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims]
+    h_s = scipy.linalg.block_diag(*(0.3 * (m + m.conj().T) for m in blocks))
+    az = ArakiZurekModel(block_diagonal_sectors(dims), lambdas, h_s, env, 1.5)
+    rho0 = random_density(5, rng)
+    terms = [(h_s, np.ones(v.size)), (np.diag(np.repeat(lambdas, dims)), v)]
+    for t in (0.0, 1.3, 7.9):
+        expected = _kron_expm_oracle(terms, rho0.matrix, w, t)
+        assert np.abs(full_simulation_oracle(az, rho0, t, v.size).matrix - expected).max() < 1e-13
+
+
+def test_oracle_shares_no_code_with_the_closed_forms(monkeypatch):
+    import declab.models as models
+    import declab.operators as operators
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called a closed-form or propagator path")
+
+    for module, names in ((operators, ("propagator", "propagators", "_spectrum", "hermitian_eig",
+                                       "tensor_product", "partial_trace_env")),
+                          (models, ("propagator", "propagators", "chi_trajectory", "trig_sum",
+                                    "kernel_adaptive", "legendre_fourier", "_axes"))):
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden)
+    env = GAUSS.discretize(16)
+    rho0 = random_density(2, np.random.default_rng(47))
+    for model in (simple_az(h_s=np.diag([0.3, -0.5]), env=env),
+                  SpinModel(a=[0.8, -0.4, 1.5], b=0.3, lam=1.0, env_diag=env)):
+        assert full_simulation_oracle(model, rho0, 2.0, 16).dim == 2
+
+
+def test_oracle_reports_an_eigensolver_failure(monkeypatch):
+    def eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    model = simple_az(env=GAUSS.discretize(8))
+    rho0 = random_density(2, np.random.default_rng(48))
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    with pytest.raises(ConvergenceFailure, match="eigensolver failed"):
+        full_simulation_oracle(model, rho0, 1.0, 8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_rejects_a_non_finite_joint_hamiltonian():
+    env = SpectralDensity.discrete([[-1e160, 0.5], [1e160, 0.5]])
+    spin = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=env)
+    with pytest.raises(ValueError, match="non-finite"):
+        full_simulation_oracle(spin, bloch_to_density([0.7, 0.2, 0.5]), 1.0, 2)
 
 
 def test_oracle_matches_closed_forms_at_the_dense_cap():
