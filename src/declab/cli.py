@@ -27,7 +27,7 @@ from .models import (
     ArakiZurekModel,
     SpectralDensity,
     SpinModel,
-    az_trajectory,
+    az_coherence,
     chi_trajectory,
     spin_asymptotics,
     spin_horizon,
@@ -47,7 +47,6 @@ from .superselection import (
     MIN_ENVELOPE_POINTS,
     block_diagonal_sectors,
     fit_power_law_decay,
-    off_diagonal_norms,
     sector_probabilities,
 )
 
@@ -409,15 +408,11 @@ def _series_summary(header, rows, cells) -> dict:
 
 
 def _run_araki_zurek(t_grid, model, initial_state):
-    prob_columns = [f"prob_{i}" for i in range(len(model.sectors))]
-    header = ["t", "offdiag_hs", "offdiag_tr", *prob_columns, "chi_re", "chi_im"]
-    gap = model.lambdas[0] - model.lambdas[1] if len(model.lambdas) > 1 else 0.0
-    rows = []
-    states = az_trajectory(model, initial_state, t_grid)
-    for t, chi, rho_t in zip(t_grid, chi_trajectory(model.env, gap * t_grid), states):
-        norms = off_diagonal_norms(rho_t, model.sectors)
-        probs = sector_probabilities(rho_t, model.sectors)
-        rows.append([t, norms.hs, norms.trace, *probs, chi.real, chi.imag])
+    norms, chis = az_coherence(model, initial_state, t_grid)
+    probs = sector_probabilities(initial_state, model.sectors)
+    header = ["t", "offdiag_hs", "offdiag_tr", *(f"prob_{i}" for i in range(probs.size)),
+              "chi_re", "chi_im"]
+    rows = [[t, hs, tr, *probs, chi.real, chi.imag] for t, hs, tr, chi in zip(t_grid, *norms, chis)]
     return header, rows, None
 
 

@@ -5,6 +5,10 @@ Two closed-form models are provided.  In the commuting (dephasing) model the
 system coupling has a gapped point spectrum, every intersector block of the
 state just picks up the factor chi((l_m - l_n) t), and chi is the Fourier
 transform of the environment's spectral weight along the coupling operator.
+Its coherence norms and sector probabilities depend on that damped state
+alone, not on the free evolution under h_s, so ``az_coherence`` takes them
+over a time grid from stacks of masked copies of the initial state, while
+``az_trajectory`` yields the reduced states themselves.
 In the spin model a transverse system field no longer commutes with the
 coupling; the reduced state is an average of rigidly rotated polarization
 vectors and contracts toward a fixed linear image q = M p of the initial
@@ -46,8 +50,15 @@ from .quadrature import (
     oscillation_horizon,
     trig_sum,
 )
-from .states import BALL_TOL, PAULI, DensityOperator, bloch_to_density
-from .superselection import SectorStructure, sector_mask
+from .states import BALL_TOL, PAULI, DensityOperator, bloch_to_density, require_positive
+from .superselection import (
+    OffDiagonalNorms,
+    SectorStructure,
+    coherence_norms,
+    in_sector_frame,
+    sector_mask,
+    sector_probabilities,
+)
 
 NORMALIZATION_TOL = 1e-10
 GAUSSIAN_TAIL_SIGMAS = 10.0
@@ -56,7 +67,9 @@ MAX_DENSE_DIM = 1024
 # products of its abscissae, leave the double range.
 SUPPORT_WIDTHS = (1e-300, 1e300)
 # Bound on times x sector pairs x environment points in one chi table of
-# az_trajectory, and on times x points in one trig table of a discrete chi.
+# az_trajectory, on times x d^2 in one state stack of az_coherence (unless a
+# single state exceeds it), and on times x points in one trig table of a
+# discrete chi.
 DEPHASING_ELEMENTS = 2**16
 
 
@@ -317,7 +330,7 @@ class ArakiZurekModel:
     delta: float
 
     def __post_init__(self):
-        frame, index = self.sectors._adapted_frame()  # validates a family given as projectors
+        _, index = self.sectors._adapted_frame()  # validates a family given as projectors
         lambdas = np.asarray(self.lambdas, dtype=float)
         if lambdas.ndim != 1 or lambdas.size != len(self.sectors):
             raise DimensionMismatch("need one coupling eigenvalue per sector")
@@ -340,7 +353,7 @@ class ArakiZurekModel:
         # are taken of h_s scaled exactly, by a power of two, to entries below 1.
         scale = unit_scale(h_s)
         scaled = scale * h_s
-        g = scaled if frame is None else frame.conj().T @ scaled @ frame
+        g = in_sector_frame(scaled, self.sectors)
         rows = (np.abs(g) ** 2 * (index[:, None] != index)).sum(axis=1)
         leak = np.sqrt(2.0 * np.bincount(index, weights=rows, minlength=len(self.sectors)))
         bad = np.flatnonzero(leak > 1e-10 * max(scale, hs_norm(scaled)))
@@ -359,21 +372,24 @@ class ArakiZurekModel:
         return sector_mask(np.eye(self.dim, dtype=complex), self.sectors, np.diag(self.lambdas))
 
 
-def _chi_tables(lambdas, env: SpectralDensity, ts, tol: float):
+def _chi_tables(lambdas, env: SpectralDensity, ts, tol: float, stack: int = 1):
     """Sector coefficients chi((l_m - l_n) t) for the finite times ``ts``, as
-    (B, k, k) arrays over consecutive chunks of B times, conjugate-symmetric.
+    (B, k, k) arrays over consecutive chunks of B times, conjugate-symmetric
+    with a unit diagonal.
 
     Each chunk is one ``chi_trajectory`` call over all its (t, pair) phases,
     with B times x pairs x environment points within DEPHASING_ELEMENTS: a
     discrete environment's trig tables hold that many entries, and a
-    continuous one bounds its own (``quadrature.LEGENDRE_ELEMENTS``).
-    Nothing is evaluated before the first chunk is taken.
+    continuous one bounds its own (``quadrature.LEGENDRE_ELEMENTS``).  A
+    caller that builds a stack of ``stack`` entries per time from a chunk
+    also has B x stack within DEPHASING_ELEMENTS.  B is at least 1.  Nothing
+    is evaluated before the first chunk is taken.
     """
     k = lambdas.size
     m, n = np.triu_indices(k, 1)
     gaps = lambdas[m] - lambdas[n]
     points = env.points.shape[0] if env.is_discrete else 1
-    step = max(1, DEPHASING_ELEMENTS // max(1, gaps.size * points))
+    step = max(1, DEPHASING_ELEMENTS // max(1, gaps.size * points, stack))
     for start in range(0, ts.size, step):
         chunk = ts[start : start + step]
         chi = np.ones((chunk.size, k, k), dtype=complex)
@@ -401,6 +417,37 @@ def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float 
     chis = itertools.chain.from_iterable(_chi_tables(model.lambdas, model.env, ts, tol))
     return (DensityOperator(u @ sector_mask(rho0.matrix, model.sectors, chi) @ u.conj().T)
             for u, chi in zip(propagators(model.h_s, ts), chis))
+
+
+def az_coherence(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float = 1e-9):
+    """Intersector coherence norms of the reduced state (``OffDiagonalNorms`` of
+    arrays) and chi((l_0 - l_1) t) (1 for a single sector) at every t in
+    ``ts``, without building the states.
+
+    Both are functions of C(t) o x0 alone, where C_mn(t) = chi((l_m - l_n) t)
+    and x0 is rho0 in the sector-adapted frame: h_s commutes with every P_m
+    and the norms are unitarily invariant, so exp(-i h_s t) drops out.  Per
+    chunk of ``_chi_tables`` the states form one (B, d, d) stack, B d^2
+    within DEPHASING_ELEMENTS, whose norms are ``coherence_norms``.  Every
+    state is checked positive as a DensityOperator is (C(t) is a Gram
+    matrix, so by the Schur product theorem it is).  C is conjugate-symmetric
+    with a unit diagonal, so each state keeps the Hermiticity and the trace
+    of x0, which are checked once.
+    """
+    ts = finite_times(ts)
+    x0 = DensityOperator(in_sector_frame(rho0.matrix, model.sectors)).matrix
+    _, index = model.sectors._adapted_frame()
+    pair = min(1, len(model.sectors) - 1)
+    hs, trace, chi = np.empty(ts.size), np.empty(ts.size), np.empty(ts.size, dtype=complex)
+    start = 0
+    for table in _chi_tables(model.lambdas, model.env, ts, tol, model.dim**2):
+        x = table[:, index[:, None], index] * x0
+        require_positive(x)
+        chunk = slice(start, start + table.shape[0])
+        hs[chunk], trace[chunk] = coherence_norms(x, model.sectors)
+        chi[chunk] = table[:, 0, pair]
+        start = chunk.stop
+    return OffDiagonalNorms(hs, trace), chi
 
 
 def az_evolve(model: ArakiZurekModel, rho0: DensityOperator, t: float,

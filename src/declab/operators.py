@@ -12,6 +12,7 @@ joint-evolution oracle builds its per-environment-point blocks itself.
 tests.  Dense storage only; the supported dimension is documented up to 1024.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -44,8 +45,19 @@ def finite_times(ts) -> np.ndarray:
 
 
 def hs_norm(a):
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(a))
+    """Hilbert-Schmidt (Frobenius) norm of a matrix, or of every matrix of a
+    (..., n, m) stack as an array.
+
+    A plain sum of squares over the real and imaginary parts side by side,
+    not ``np.linalg.norm``: that reduces through BLAS ``dot``, which with
+    several BLAS threads costs milliseconds on any matrix of 128 x 128 or
+    more.  The sum overflows to inf where the squares do, without a warning.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        a = np.ascontiguousarray(a).view(a.real.dtype)
+    squares = np.einsum("...ij,...ij->...", a, a)
+    return math.sqrt(squares) if squares.ndim == 0 else np.sqrt(squares)
 
 
 def unit_scale(a) -> float:

@@ -55,9 +55,7 @@ class DensityOperator:
         tr = np.trace(mat).real
         if abs(tr - 1.0) > STATE_TOL:
             raise NotAState(f"trace is {tr!r}, not 1")
-        smallest = float(np.linalg.eigvalsh(mat)[0])
-        if not smallest >= -STATE_TOL:  # nan where the eigenvalues overflow
-            raise NotAState(f"smallest eigenvalue {smallest:g} below -{STATE_TOL:g}")
+        require_positive(mat)
         mat.flags.writeable = False
         self._matrix = mat
 
@@ -74,6 +72,16 @@ class DensityOperator:
 
     def __repr__(self):
         return f"DensityOperator(dim={self.dim})"
+
+
+def require_positive(mats):
+    """Raise NotAState unless every Hermitian matrix of a (..., d, d) stack has
+    its smallest eigenvalue at least -STATE_TOL: one batched ``eigvalsh``, the
+    positivity check of every DensityOperator."""
+    smallest = np.linalg.eigvalsh(mats)[..., 0]
+    positive = smallest >= -STATE_TOL  # False for nan, where the eigenvalues overflow
+    if not positive.all():
+        raise NotAState(f"smallest eigenvalue {smallest[~positive].flat[0]:g} below -{STATE_TOL:g}")
 
 
 def bloch_to_density(p) -> DensityOperator:

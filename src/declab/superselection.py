@@ -7,7 +7,11 @@ P_m, held as an orthonormal frame F (None for the standard basis) and the
 sector of each of its columns, so that P_m = F_m F_m^H is never stored.
 States compatible with it are exactly the fixed points of the channel
 W -> sum_m P_m W P_m; the distance of a state from its projection measures
-how much intersector coherence it still carries.
+how much intersector coherence it still carries.  Norms and probabilities
+are read in the sector-adapted frame, where that coherence is a masked copy
+of the state: ``coherence_norms`` takes a whole (..., d, d) stack of states
+at once, its trace norm from one batched ``eigvalsh`` of their Hermitian
+intersector parts, and ``off_diagonal_norms`` is its single-state case.
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,7 @@ from .errors import (
     NotIdempotent,
     NotOrthogonal,
 )
-from .operators import hermitian_eig, hs_norm, schatten_norms
+from .operators import hermitian_eig, hs_norm
 from .states import DensityOperator
 
 PROJECTOR_TOL = 1e-10
@@ -126,14 +130,21 @@ def sector_mask(x, s: SectorStructure, c) -> np.ndarray:
     frame F, with C[i, j] = c[sector(i), sector(j)]; as C * x when F = 1.
     """
     c = np.asarray(c)
-    if np.shape(x) != (s.dim, s.dim) or c.shape != (len(s), len(s)):
-        raise DimensionMismatch(f"need a {s.dim}x{s.dim} matrix and a {len(s)}x{len(s)} "
-                                f"coefficient array, got shapes {np.shape(x)} and {c.shape}")
+    if c.shape != (len(s), len(s)):
+        raise DimensionMismatch(f"need a {len(s)}x{len(s)} coefficient array, got shape {c.shape}")
     frame, index = s._adapted_frame()
-    mask = c[np.ix_(index, index)]
-    if frame is None:
-        return mask * x
-    return frame @ (mask * (frame.conj().T @ x @ frame)) @ frame.conj().T
+    y = c[np.ix_(index, index)] * in_sector_frame(x, s)
+    return y if frame is None else frame @ y @ frame.conj().T
+
+
+def in_sector_frame(x, s: SectorStructure) -> np.ndarray:
+    """A d x d matrix in the sector-adapted frame: F^H x F, x itself when F = 1.
+    Sector masks are Hadamard products there, and the norms and probabilities
+    of this module are read there."""
+    if np.shape(x) != (s.dim, s.dim):
+        raise DimensionMismatch(f"need a {s.dim}x{s.dim} matrix, got shape {np.shape(x)}")
+    frame, _ = s._adapted_frame()
+    return x if frame is None else frame.conj().T @ x @ frame
 
 
 def sector_project(w: DensityOperator, s: SectorStructure) -> DensityOperator:
@@ -150,23 +161,37 @@ class OffDiagonalNorms(NamedTuple):
     trace: float
 
 
+def coherence_norms(x, s: SectorStructure) -> OffDiagonalNorms:
+    """Hilbert-Schmidt and trace norms of the intersector part of every matrix
+    of a (..., d, d) stack of Hermitian matrices in the sector-adapted frame
+    (``in_sector_frame``), as arrays of shape (...).
+
+    F is unitary, so the norms are those of sum_{m != n} P_m W P_n.  The
+    intersector part is Hermitian: its trace norm is the sum of the absolute
+    values of its eigenvalues, one batched ``eigvalsh`` for the stack.
+    """
+    _, index = s._adapted_frame()
+    residual = np.where(index[:, None] != index, x, 0.0)
+    return OffDiagonalNorms(hs_norm(residual),
+                            np.abs(np.linalg.eigvalsh(residual)).sum(axis=-1))
+
+
 def off_diagonal_norms(w: DensityOperator, s: SectorStructure) -> OffDiagonalNorms:
-    """Hilbert-Schmidt and trace norms of the intersector coherence part."""
-    residual = sector_mask(w.matrix, s, 1.0 - np.eye(len(s)))
-    norms = schatten_norms(residual)
-    return OffDiagonalNorms(norms.hs, norms.trace)
+    """Hilbert-Schmidt and trace norms of the intersector coherence part: the
+    single-state case of ``coherence_norms``."""
+    return coherence_norms(in_sector_frame(w.matrix, s), s)
 
 
 def sector_probabilities(w: DensityOperator, s: SectorStructure) -> np.ndarray:
     """Probabilities tr(W P_m) of finding the state in each sector.
 
     These are the unambiguous classical data a sector structure assigns to a
-    state; they are untouched by the projection channel.
+    state; they are untouched by the projection channel.  They are sums over
+    the diagonal of W in the sector-adapted frame, which every sector mask
+    with unit diagonal coefficients leaves as it is.
     """
-    if w.dim != s.dim:
-        raise DimensionMismatch(f"state dim {w.dim} does not match sector dim {s.dim}")
-    frame, index = s._adapted_frame()
-    x = w.matrix if frame is None else frame.conj().T @ w.matrix @ frame
+    x = in_sector_frame(w.matrix, s)
+    _, index = s._adapted_frame()
     return np.bincount(index, weights=np.diagonal(x).real, minlength=len(s))
 
 

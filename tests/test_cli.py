@@ -617,3 +617,22 @@ def test_main_run_az_grid_starting_at_subnormal_time(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     _, rows = read_csv(tmp_path / "araki_zurek.csv")
     assert abs(float(rows[0][5]) - 1.0) < 1e-15 and float(rows[0][1]) > 0.0
+
+
+def test_main_run_rejects_a_dephased_state_that_is_not_positive(tmp_path, capsys, monkeypatch):
+    import declab.models as models
+
+    def tables(lambdas, env, ts, tol, stack=1):
+        # chi = 3 is no overlap of environment states: C o rho0 of the state
+        # (1 + sigma_x)/2 then has the eigenvalue -1, in the second chunk only.
+        for chi in (0.5, 3.0):
+            table = np.full((ts.size // 2, 2, 2), chi, dtype=complex)
+            table[:, [0, 1], [0, 1]] = 1.0
+            yield table
+
+    monkeypatch.setattr(models, "_chi_tables", tables)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(AZ_CONFIG.replace("t_grid.count = 9", "t_grid.count = 8"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["declab: run failed: smallest eigenvalue -1 below -1e-10"]

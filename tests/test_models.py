@@ -6,6 +6,7 @@ from declab import (
     ArakiZurekModel,
     ConvergenceFailure,
     CorrelatedInitialState,
+    DensityOperator,
     DimensionMismatch,
     DimensionTooLarge,
     NotAState,
@@ -16,6 +17,7 @@ from declab import (
     SpectralDensity,
     SpinModel,
     asymptotic_map,
+    az_coherence,
     az_evolve,
     az_evolve_correlated,
     az_trajectory,
@@ -32,13 +34,17 @@ from declab import (
     random_density,
     recurrence_window,
     rotation_axis,
+    schatten_norms,
     sector_probabilities,
     spin_asymptotics,
     spin_evolve,
     spin_trajectory,
     tensor_product,
     trace_distance,
+    validate_sectors,
 )
+from declab.superselection import sector_mask
+from test_operators import random_hermitian
 from test_superselection import random_sectors
 
 GAUSS = SpectralDensity.gaussian(1.0)
@@ -436,15 +442,85 @@ def test_az_trajectory_chunks_match_one_table_and_az_evolve(monkeypatch):
         assert np.array_equal(a, az_evolve(model, rho0, t).matrix)
 
 
-@pytest.mark.parametrize("dim, ts, error", [
+BAD_AZ_INPUT = [
     (3, [0.0, 1.0], DimensionMismatch),
     (6, [0.0, np.nan, 1.0], ValueError),
     (6, [np.inf], ValueError),
-], ids=["dimension", "nan", "inf"])
+]
+
+
+@pytest.mark.parametrize("dim, ts, error", BAD_AZ_INPUT, ids=["dimension", "nan", "inf"])
 def test_az_trajectory_rejects_bad_input_at_the_call(dim, ts, error):
     rng = np.random.default_rng(38)
     with pytest.raises(error):
         az_trajectory(sector_dense_az(rng), random_density(dim, rng), ts)
+
+
+@pytest.mark.parametrize("dim, ts, error", BAD_AZ_INPUT, ids=["dimension", "nan", "inf"])
+def test_az_coherence_rejects_bad_input(dim, ts, error):
+    rng = np.random.default_rng(38)
+    with pytest.raises(error):
+        az_coherence(sector_dense_az(rng), random_density(dim, rng), ts)
+
+
+def rotated_az(rng, env=GAUSS):
+    """Three rotated sectors of a 7-dimensional space, with an h_s that commutes
+    with them and is dense in every basis block."""
+    sectors = validate_sectors(random_sectors(7, 3, rng))
+    h_s = sector_mask(random_hermitian(7, rng), sectors, np.eye(3))
+    return ArakiZurekModel(sectors, [1.0, -0.5, 0.25], h_s, env, 0.5)
+
+
+@pytest.mark.parametrize("env", [GAUSS, lattice_env()], ids=["gaussian", "discrete"])
+@pytest.mark.parametrize("make", [sector_dense_az, rotated_az], ids=["blocks", "rotated"])
+def test_az_coherence_matches_the_states_with_h_s(make, env):
+    rng = np.random.default_rng(41)
+    model = make(rng, env)
+    rho0 = random_density(model.dim, rng)
+    ts = np.linspace(0.0, 6.0, 25)
+    norms, chi = az_coherence(model, rho0, ts)
+    projectors = model.sectors.projectors
+    probs = sector_probabilities(rho0, model.sectors)
+    for t, hs, tr, rho_t in zip(ts, *norms, az_trajectory(model, rho0, ts)):
+        w = rho_t.matrix
+        # The states carry exp(-i h_s t); their norms come from the svd here.
+        expected = schatten_norms(w - sum(p @ w @ p for p in projectors))
+        assert abs(hs - expected.hs) < 1e-13 and abs(tr - expected.trace) < 1e-13
+        assert np.abs(sector_probabilities(rho_t, model.sectors) - probs).max() < 1e-13
+    gap = model.lambdas[0] - model.lambdas[1]
+    assert np.abs(chi - chi_trajectory(env, gap * ts)).max() <= 1e-15
+
+
+def test_az_coherence_bounds_its_stacks(monkeypatch):
+    import tracemalloc
+
+    import declab.models as models
+
+    d, count = 512, 1000
+    model = ArakiZurekModel(block_diagonal_sectors([d]), [0.0], np.zeros((d, d)), lattice_env(), 1.0)
+    rho0 = DensityOperator(np.eye(d) / d)
+    tables, sizes = models._chi_tables, []
+
+    def bounded(*args):
+        for table in tables(*args):
+            sizes.append(table.shape[0])
+            # Checked before the stack is built: B d^2 within the bound, or B = 1.
+            assert table.shape[0] <= max(1, models.DEPHASING_ELEMENTS // d**2)
+            yield table
+
+    monkeypatch.setattr(models, "_chi_tables", bounded)
+    # A 512 x 512 eigvalsh takes ~0.1 s, and spectra are not what is measured here.
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.zeros(a.shape[:-1]))
+    tracemalloc.start()
+    try:
+        norms, chi = az_coherence(model, rho0, np.linspace(0.0, 10.0, count))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) == count
+    # A stack of all 1000 states would take 4 GiB, and one state takes 4 MiB.
+    assert peak < 32 * 2**20
+    assert not norms.hs.any() and np.array_equal(chi, np.ones(count))
 
 
 # --- correlated initial states

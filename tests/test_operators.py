@@ -12,7 +12,7 @@ from declab import (
     schatten_norms,
     tensor_product,
 )
-from declab.operators import require_hermitian
+from declab.operators import hs_norm, require_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -265,6 +265,26 @@ def test_schatten_ordering_random():
 def test_schatten_rejects_non_finite():
     with pytest.raises(ValueError):
         schatten_norms(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+_NORM_RNG = np.random.default_rng(9)
+_COMPLEX = _NORM_RNG.standard_normal((40, 30)) + 1j * _NORM_RNG.standard_normal((40, 30))
+
+
+@pytest.mark.parametrize("a", [_COMPLEX.real, _COMPLEX, _COMPLEX[::3, 1::2], _COMPLEX.T,
+                               _COMPLEX.real[1::2, ::-1]],
+                         ids=["real", "complex", "strided", "transposed", "real_strided"])
+def test_hs_norm_matches_linalg_norm(a):
+    assert abs(hs_norm(a) - np.linalg.norm(a)) <= 1e-15 * np.linalg.norm(a)
+    stack = hs_norm(np.array([a, 2.0 * a]))
+    assert np.abs(stack - np.array([1.0, 2.0]) * np.linalg.norm(a)).max() <= 2e-15 * np.linalg.norm(a)
+
+
+@pytest.mark.filterwarnings("error")
+def test_hs_norm_overflows_to_inf_without_a_warning():
+    assert hs_norm(np.full((2, 3), 1e200)) == np.inf
+    assert hs_norm(np.array([[0.5, 1e308 + 1e308j], [1e308 - 1e308j, 0.5]])) == np.inf
+    assert np.isnan(hs_norm(np.array([[np.nan, 0.0], [0.0, 1.0]])))
 
 
 def test_tensor_identities():

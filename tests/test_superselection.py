@@ -11,9 +11,12 @@ from declab import (
     SectorStructure,
     bloch_to_density,
     block_diagonal_sectors,
+    coherence_norms,
     fit_power_law_decay,
+    in_sector_frame,
     off_diagonal_norms,
     random_density,
+    schatten_norms,
     sector_probabilities,
     sector_project,
     validate_sectors,
@@ -148,6 +151,24 @@ def test_offdiag_vanishes_after_projection():
     s = random_sectors(5, 2, rng)
     hs, tr = off_diagonal_norms(sector_project(w, s), s)
     assert hs < 1e-12 and tr < 1e-12
+
+
+@pytest.mark.parametrize("make", [lambda rng: block_diagonal_sectors([2, 3, 1]),
+                                  lambda rng: validate_sectors(random_sectors(6, 3, rng))],
+                         ids=["blocks", "rotated"])
+def test_coherence_norms_of_a_stack_match_the_svd(make):
+    rng = np.random.default_rng(26)
+    s = make(rng)
+    g = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    stack = [in_sector_frame(m + m.conj().T, s) for m in g]
+    hs, tr = coherence_norms(np.array(stack), s)
+    assert hs.shape == tr.shape == (5,)
+    frame = s._adapted_frame()[0]
+    frame = np.eye(6) if frame is None else frame
+    for x, hs_i, tr_i in zip(stack, hs, tr):
+        w = frame @ x @ frame.conj().T
+        expected = schatten_norms(w - sum(p @ w @ p for p in s.projectors))
+        assert abs(hs_i - expected.hs) < 1e-13 and abs(tr_i - expected.trace) < 1e-13
 
 
 # --- sector probabilities
