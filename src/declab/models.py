@@ -42,6 +42,7 @@ from .operators import (
     unit_scale,
 )
 from .quadrature import (
+    EPS,
     LegendrePanels,
     _rule,
     kernel_adaptive,
@@ -50,7 +51,15 @@ from .quadrature import (
     oscillation_horizon,
     trig_sum,
 )
-from .states import BALL_TOL, PAULI, DensityOperator, bloch_to_density, require_positive
+from .states import (
+    BALL_TOL,
+    PAULI,
+    STATE_TOL,
+    DensityOperator,
+    bloch_to_density,
+    require_positive,
+    require_state,
+)
 from .superselection import (
     OffDiagonalNorms,
     SectorStructure,
@@ -377,8 +386,9 @@ def _chi_tables(lambdas, env: SpectralDensity, ts, tol: float, stack: int = 1):
     (B, k, k) arrays over consecutive chunks of B times, conjugate-symmetric
     with a unit diagonal.
 
-    Each chunk is one ``chi_trajectory`` call over all its (t, pair) phases,
-    with B times x pairs x environment points within DEPHASING_ELEMENTS: a
+    Each chunk is one ``chi_trajectory`` call over its (t, gap) phases, one
+    per distinct gap l_m - l_n (equally spaced l repeat most of them), with B
+    times x distinct gaps x environment points within DEPHASING_ELEMENTS: a
     discrete environment's trig tables hold that many entries, and a
     continuous one bounds its own (``quadrature.LEGENDRE_ELEMENTS``).  A
     caller that builds a stack of ``stack`` entries per time from a chunk
@@ -387,15 +397,15 @@ def _chi_tables(lambdas, env: SpectralDensity, ts, tol: float, stack: int = 1):
     """
     k = lambdas.size
     m, n = np.triu_indices(k, 1)
-    gaps = lambdas[m] - lambdas[n]
+    gaps, pair_gap = np.unique(lambdas[m] - lambdas[n], return_inverse=True)
     points = env.points.shape[0] if env.is_discrete else 1
     step = max(1, DEPHASING_ELEMENTS // max(1, gaps.size * points, stack))
     for start in range(0, ts.size, step):
         chunk = ts[start : start + step]
         chi = np.ones((chunk.size, k, k), dtype=complex)
         if gaps.size:
-            chi[:, m, n] = chi_trajectory(env, np.multiply.outer(chunk, gaps).ravel(),
-                                          tol).reshape(chunk.size, -1)
+            values = chi_trajectory(env, np.multiply.outer(chunk, gaps).ravel(), tol)
+            chi[:, m, n] = values.reshape(chunk.size, -1)[:, pair_gap]
             chi[:, n, m] = np.conj(chi[:, m, n])
         yield chi
 
@@ -428,26 +438,62 @@ def az_coherence(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float =
     and x0 is rho0 in the sector-adapted frame: h_s commutes with every P_m
     and the norms are unitarily invariant, so exp(-i h_s t) drops out.  Per
     chunk of ``_chi_tables`` the states form one (B, d, d) stack, B d^2
-    within DEPHASING_ELEMENTS, whose norms are ``coherence_norms``.  Every
-    state is checked positive as a DensityOperator is (C(t) is a Gram
-    matrix, so by the Schur product theorem it is).  C is conjugate-symmetric
-    with a unit diagonal, so each state keeps the Hermiticity and the trace
-    of x0, which are checked once.
+    within DEPHASING_ELEMENTS, whose norms are ``coherence_norms``.  C is
+    conjugate-symmetric with a unit diagonal, so each state keeps the
+    Hermiticity and the trace of x0, which are checked once.
+
+    Every state is checked positive as a DensityOperator is, mostly at the
+    size of C (k x k) rather than of the state.  With E the d x k sector
+    indicator, C o x0 stands for (E C E^T) o x0.  Let C + eps 1 >= 0, with
+    eps = max(0, -l_min(C)) from one batched ``eigvalsh`` of the chunk's
+    tables, and x0 + tau0 1 >= 0, with tau0 = max(0, -l_min(x0)) from the
+    spectrum that x0's own check computes.  C has a unit diagonal and
+    (E E^T) o x0, the pinching of x0, is at most l_max(x0) 1, so the Schur
+    product theorem gives
+
+        l_min(C o x0) >= -(tau0 + eps (l_max(x0) + tau0)).
+
+    A state is cleared when that bound plus the rounding margin
+    4 EPS (k ||C|| (l_max(x0) + tau0 + 1) + (1 + eps)(d + 1) ||x0||_F) is at
+    most STATE_TOL.  The margin covers the table's ``eigvalsh`` (about
+    k EPS ||C||), the elementwise product (about EPS ||x0||_F, as
+    |C_mn| <= 1 + eps) and the d x d ``eigvalsh`` of x0 and of the full
+    check, so a cleared state is one the full check accepts.  Only the other
+    states (a table off positivity, one that is not finite, or a nan bound)
+    go through ``require_positive``, with its tolerance and its message: the
+    inputs accepted are those a full check of every state accepts.
     """
     ts = finite_times(ts)
-    x0 = DensityOperator(in_sector_frame(rho0.matrix, model.sectors)).matrix
+    x0, spectrum = require_state(in_sector_frame(rho0.matrix, model.sectors))
     _, index = model.sectors._adapted_frame()
     pair = min(1, len(model.sectors) - 1)
     hs, trace, chi = np.empty(ts.size), np.empty(ts.size), np.empty(ts.size, dtype=complex)
     start = 0
     for table in _chi_tables(model.lambdas, model.env, ts, tol, model.dim**2):
         x = table[:, index[:, None], index] * x0
-        require_positive(x)
+        unsure = _uncertified(table, spectrum)
+        if unsure.any():
+            require_positive(x[unsure])
         chunk = slice(start, start + table.shape[0])
         hs[chunk], trace[chunk] = coherence_norms(x, model.sectors)
         chi[chunk] = table[:, 0, pair]
         start = chunk.stop
     return OffDiagonalNorms(hs, trace), chi
+
+
+def _uncertified(table, spectrum):
+    """Mask of the states C o x0 of a (B, k, k) chi table that the
+    Schur-product bound of ``az_coherence`` does not clear, given the
+    ascending ``spectrum`` of x0, whose 2-norm is ||x0||_F."""
+    k, d = table.shape[-1], spectrum.size
+    finite = np.isfinite(table).all(axis=(-2, -1))
+    vals = np.linalg.eigvalsh(np.where(finite[:, None, None], table, 0.0))
+    eps = np.maximum(0.0, -vals[:, 0])
+    norm = np.abs(vals).max(axis=-1)
+    tau0, top = max(0.0, -spectrum[0]), spectrum[-1]
+    x0_norm = np.sqrt(np.square(spectrum).sum())
+    margin = 4.0 * EPS * (k * norm * (top + tau0 + 1.0) + (1.0 + eps) * (d + 1) * x0_norm)
+    return ~finite | ~(tau0 + eps * (top + tau0) + margin <= STATE_TOL)
 
 
 def az_evolve(model: ArakiZurekModel, rho0: DensityOperator, t: float,

@@ -48,14 +48,7 @@ class DensityOperator:
     __slots__ = ("_matrix",)
 
     def __init__(self, matrix):
-        try:
-            mat = require_hermitian(matrix, rtol=STATE_TOL, name="state matrix")
-        except Exception as exc:
-            raise NotAState(str(exc)) from exc
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > STATE_TOL:
-            raise NotAState(f"trace is {tr!r}, not 1")
-        require_positive(mat)
+        mat, _ = require_state(matrix)
         mat.flags.writeable = False
         self._matrix = mat
 
@@ -74,14 +67,40 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim})"
 
 
+def require_state(matrix):
+    """The checks of a DensityOperator: returns the Hermitian part of
+    ``matrix`` and its ascending spectrum from ``require_positive``, or raises
+    NotAState."""
+    try:
+        mat = require_hermitian(matrix, rtol=STATE_TOL, name="state matrix")
+    except Exception as exc:
+        raise NotAState(str(exc)) from exc
+    tr = np.trace(mat).real
+    if abs(tr - 1.0) > STATE_TOL:
+        raise NotAState(f"trace is {tr!r}, not 1")
+    return mat, require_positive(mat)
+
+
 def require_positive(mats):
     """Raise NotAState unless every Hermitian matrix of a (..., d, d) stack has
     its smallest eigenvalue at least -STATE_TOL: one batched ``eigvalsh``, the
-    positivity check of every DensityOperator."""
-    smallest = np.linalg.eigvalsh(mats)[..., 0]
+    positivity check of every DensityOperator.  Returns the ascending spectra.
+
+    The computed eigenvalues are within about d EPS ||m|| of the exact ones
+    (EPS the double-precision epsilon), so a caller that proves the exact
+    smallest eigenvalue of a matrix to be at least -STATE_TOL plus that
+    error knows this check would accept it, and may leave the matrix out.
+    ``models.az_coherence`` does so for a dephased state C o x0, with C a
+    unit-diagonal table within eps of positive and x0 within tau0, from
+    l_min(C o x0) >= -(tau0 + eps (l_max(x0) + tau0)) and a rounding margin
+    of 4 EPS (k ||C|| (l_max(x0) + tau0 + 1) + (1 + eps)(d + 1) ||x0||_F).
+    """
+    spectra = np.linalg.eigvalsh(mats)
+    smallest = spectra[..., 0]
     positive = smallest >= -STATE_TOL  # False for nan, where the eigenvalues overflow
     if not positive.all():
         raise NotAState(f"smallest eigenvalue {smallest[~positive].flat[0]:g} below -{STATE_TOL:g}")
+    return spectra
 
 
 def bloch_to_density(p) -> DensityOperator:

@@ -64,8 +64,10 @@ def configs(draw, experiment):
 
     dim = 2
     if experiment == "araki_zurek":
-        k = draw(st.integers(1, 8))
-        dims = [draw(st.integers(0 if rare() else 1, 8)) for _ in range(k)]
+        # Up to 32 sectors of unequal dims: chi tables past 8 x 8, and states
+        # of up to 128 dimensions whose positivity rests on them.
+        k = draw(st.integers(1, 32))
+        dims = [draw(st.integers(0 if rare() else 1, 8 if k <= 8 else 4)) for _ in range(k)]
         dim = max(sum(dims), 1)
         e["model.sector_dims"] = "1.5," * rare() + ",".join(map(str, dims))
         spacing = draw(st.floats(0.05, 2.0))

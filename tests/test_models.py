@@ -28,6 +28,7 @@ from declab import (
     density_to_bloch,
     fit_power_law_decay,
     full_simulation_oracle,
+    haar_unitary,
     off_diagonal_norms,
     partial_trace_env,
     propagator,
@@ -43,6 +44,7 @@ from declab import (
     trace_distance,
     validate_sectors,
 )
+from declab.states import STATE_TOL
 from declab.superselection import sector_mask
 from test_operators import random_hermitian
 from test_superselection import random_sectors
@@ -521,6 +523,115 @@ def test_az_coherence_bounds_its_stacks(monkeypatch):
     # A stack of all 1000 states would take 4 GiB, and one state takes 4 MiB.
     assert peak < 32 * 2**20
     assert not norms.hs.any() and np.array_equal(chi, np.ones(count))
+
+
+def test_az_certificate_clears_only_states_the_full_check_accepts():
+    import declab.models as models
+
+    rng = np.random.default_rng(52)
+    cleared = total = 0
+    for _ in range(150):
+        k, b = int(rng.integers(1, 9)), 6
+        index = np.repeat(np.arange(k), rng.integers(1, 5, size=k))
+        d = index.size
+        # Unit-diagonal Gram tables of random rank, some pushed off positivity by up to 1e-8.
+        g = rng.standard_normal((b, k, int(rng.integers(1, k + 1)))) * (1.0 + 0j)
+        g += 1j * rng.standard_normal(g.shape)
+        g /= np.linalg.norm(g, axis=-1, keepdims=True)
+        table = g @ g.conj().transpose(0, 2, 1)
+        noise = rng.standard_normal((b, k, k)) + 1j * rng.standard_normal((b, k, k))
+        noise += noise.conj().transpose(0, 2, 1)
+        noise[:, np.arange(k), np.arange(k)] = 0.0
+        noise /= np.maximum(np.abs(np.linalg.eigvalsh(noise)).max(axis=-1), 1e-300)[:, None, None]
+        push = rng.choice([0.0, 1e-14, 1e-11, 3e-11, 1e-10, 1e-8], size=b)
+        table = table - push[:, None, None] * noise
+        table[:, np.arange(k), np.arange(k)] = 1.0
+        # States, near pure or spread out, with their smallest eigenvalue down to -STATE_TOL.
+        vals = rng.dirichlet(np.full(d, rng.choice([0.05, 1.0])))
+        low = rng.choice([-STATE_TOL, -0.9 * STATE_TOL, -0.5 * STATE_TOL, -1e-13, 0.0])
+        if low:
+            vals[np.argmin(vals)] = low
+        u = haar_unitary(d, rng)
+        x0 = (u * vals) @ u.conj().T
+        x0 = (x0 + x0.conj().T) / 2.0
+        unsure = models._uncertified(table, np.linalg.eigvalsh(x0))
+        x = table[:, index[:, None], index] * x0
+        for state in x[~unsure]:
+            assert np.linalg.eigvalsh(state)[0] >= -STATE_TOL
+        cleared, total = cleared + np.count_nonzero(~unsure), total + b
+    assert 0.3 * total < cleared < total
+
+
+BAD_TABLES = {
+    "nan": np.array([[1.0, np.nan], [np.nan, 1.0]], dtype=complex),
+    # chi = 3 is no overlap of environment states: C o rho0 has the eigenvalue -1.
+    "not-gram": np.array([[1.0, 3.0], [3.0, 1.0]], dtype=complex),
+}
+
+
+@pytest.mark.parametrize("bad", [["nan"], ["not-gram"], ["nan", "not-gram"], ["not-gram", "nan"]],
+                         ids="+".join)
+def test_az_certificate_sends_only_uncleared_states_to_the_full_check(monkeypatch, bad):
+    import declab.models as models
+    from declab.states import require_positive
+
+    good = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+    table = np.array([good, *(BAD_TABLES[name] for name in bad), good])
+    rho0 = bloch_to_density([1.0, 0.0, 0.0])
+    x = table * rho0.matrix
+    with pytest.raises(NotAState) as full:
+        require_positive(x)
+    checked = []
+    monkeypatch.setattr(models, "_chi_tables", lambda *args: iter([table]))
+    monkeypatch.setattr(models, "require_positive",
+                        lambda a: checked.append(a) or require_positive(a))
+    with pytest.raises(NotAState) as err:
+        az_coherence(simple_az(), rho0, np.linspace(0.0, 1.0, table.shape[0]))
+    assert str(err.value) == str(full.value)
+    assert len(checked) == 1 and np.array_equal(checked[0], x[1:-1], equal_nan=True)
+
+
+def test_az_coherence_checks_no_state_stack_on_a_discrete_environment(monkeypatch):
+    import declab.models as models
+
+    k, size = 16, 4
+    d = k * size
+    v = np.linspace(-2.0, 2.0, 33)
+    w = np.exp(-(v**2) / 2.0)
+    env = SpectralDensity.discrete(np.column_stack([v, w / w.sum()]))
+    model = ArakiZurekModel(block_diagonal_sectors([size] * k), np.linspace(-1.5, 1.5, k),
+                            np.zeros((d, d)), env, 0.15)
+    rho0 = random_density(d, np.random.default_rng(53))
+    ts = np.linspace(0.0, 20.0, 100)
+    eigvalsh, shapes, checked = np.linalg.eigvalsh, [], []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    monkeypatch.setattr(models, "require_positive", lambda a: checked.append(a.shape))
+    az_coherence(model, rho0, ts)
+    assert checked == []
+    # Per chunk one (B, k, k) certificate and one (B, d, d) trace norm; x0's spectrum once.
+    tables = [s for s in shapes if s[1:] == (k, k)]
+    assert sum(s[0] for s in tables) == ts.size
+    assert sorted(shapes) == sorted([(d, d)] + tables + [(s[0], d, d) for s in tables])
+
+
+@pytest.mark.parametrize("lambdas, distinct", [(0.25 * np.arange(8) - 1.0, 7),
+                                               ([0.3, -1.1, 2.0, 0.7, -0.45], 10)],
+                         ids=["equispaced", "irregular"])
+def test_chi_tables_evaluate_each_distinct_gap_once(monkeypatch, lambdas, distinct):
+    import declab.models as models
+
+    lambdas, env, ts = np.asarray(lambdas), lattice_env(), np.linspace(-2.0, 30.0, 41)
+    m, n = np.triu_indices(lambdas.size, 1)
+    sizes, chi = [], models.chi_trajectory
+    monkeypatch.setattr(models, "chi_trajectory", lambda *a: sizes.append(a[1].size) or chi(*a))
+    tables = np.concatenate(list(models._chi_tables(lambdas, env, ts, 1e-9)))
+    monkeypatch.undo()
+    assert sum(sizes) == ts.size * distinct
+    for i, j in zip(m, n):
+        assert np.array_equal(tables[:, i, j], chi_trajectory(env, ts * (lambdas[i] - lambdas[j])))
+        assert np.array_equal(tables[:, j, i], np.conj(tables[:, i, j]))
+    assert np.array_equal(tables[:, np.arange(lambdas.size), np.arange(lambdas.size)],
+                          np.ones((ts.size, lambdas.size)))
 
 
 # --- correlated initial states
