@@ -75,10 +75,10 @@ MAX_DENSE_DIM = 1024
 # Support widths of a continuous density: beyond them its peak value, or the
 # products of its abscissae, leave the double range.
 SUPPORT_WIDTHS = (1e-300, 1e300)
-# Bound on times x sector pairs x environment points in one chi table of
-# az_trajectory, on times x d^2 in one state stack of az_coherence (unless a
-# single state exceeds it), and on times x points in one trig table of a
-# discrete chi.
+# Bound on times x sector pairs in one chunk of chi tables, on times x
+# distinct gaps x environment points in the phases evaluated for it, on
+# times x d^2 in one state stack of az_coherence (unless a single state
+# exceeds it), and on times x points in one trig table of a discrete chi.
 DEPHASING_ELEMENTS = 2**16
 
 
@@ -390,16 +390,18 @@ def _chi_tables(lambdas, env: SpectralDensity, ts, tol: float, stack: int = 1):
     per distinct gap l_m - l_n (equally spaced l repeat most of them), with B
     times x distinct gaps x environment points within DEPHASING_ELEMENTS: a
     discrete environment's trig tables hold that many entries, and a
-    continuous one bounds its own (``quadrature.LEGENDRE_ELEMENTS``).  A
-    caller that builds a stack of ``stack`` entries per time from a chunk
-    also has B x stack within DEPHASING_ELEMENTS.  B is at least 1.  Nothing
-    is evaluated before the first chunk is taken.
+    continuous one bounds its own (``quadrature.LEGENDRE_ELEMENTS``).  B
+    times x sector pairs is within it as well, so a chunk's tables hold at
+    most four times that many entries however few the gaps.  A caller that
+    builds a stack of ``stack`` entries per time from a chunk also has
+    B x stack within DEPHASING_ELEMENTS.  B is at least 1.  Nothing is
+    evaluated before the first chunk is taken.
     """
     k = lambdas.size
     m, n = np.triu_indices(k, 1)
     gaps, pair_gap = np.unique(lambdas[m] - lambdas[n], return_inverse=True)
     points = env.points.shape[0] if env.is_discrete else 1
-    step = max(1, DEPHASING_ELEMENTS // max(1, gaps.size * points, stack))
+    step = max(1, DEPHASING_ELEMENTS // max(1, m.size, gaps.size * points, stack))
     for start in range(0, ts.size, step):
         chunk = ts[start : start + step]
         chi = np.ones((chunk.size, k, k), dtype=complex)
@@ -453,7 +455,8 @@ def az_coherence(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float =
 
         l_min(C o x0) >= -(tau0 + eps (l_max(x0) + tau0)).
 
-    A state is cleared when that bound plus the rounding margin
+    Where there are fewer sectors than dimensions (k < d) a state is
+    cleared when that bound plus the rounding margin
     4 EPS (k ||C|| (l_max(x0) + tau0 + 1) + (1 + eps)(d + 1) ||x0||_F) is at
     most STATE_TOL.  The margin covers the table's ``eigvalsh`` (about
     k EPS ||C||), the elementwise product (about EPS ||x0||_F, as
@@ -461,7 +464,9 @@ def az_coherence(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float =
     check, so a cleared state is one the full check accepts.  Only the other
     states (a table off positivity, one that is not finite, or a nan bound)
     go through ``require_positive``, with its tolerance and its message: the
-    inputs accepted are those a full check of every state accepts.
+    inputs accepted are those a full check of every state accepts.  With
+    unit sectors (k = d) the table's ``eigvalsh`` would cost as much as the
+    check it spares, so every state takes the full check.
     """
     ts = finite_times(ts)
     x0, spectrum = require_state(in_sector_frame(rho0.matrix, model.sectors))
@@ -471,9 +476,9 @@ def az_coherence(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float =
     start = 0
     for table in _chi_tables(model.lambdas, model.env, ts, tol, model.dim**2):
         x = table[:, index[:, None], index] * x0
-        unsure = _uncertified(table, spectrum)
-        if unsure.any():
-            require_positive(x[unsure])
+        checked = x if table.shape[-1] == model.dim else x[_uncertified(table, spectrum)]
+        if checked.size:
+            require_positive(checked)
         chunk = slice(start, start + table.shape[0])
         hs[chunk], trace[chunk] = coherence_norms(x, model.sectors)
         chi[chunk] = table[:, 0, pair]

@@ -84,18 +84,14 @@ def require_state(matrix):
 def require_positive(mats):
     """Raise NotAState unless every Hermitian matrix of a (..., d, d) stack has
     its smallest eigenvalue at least -STATE_TOL: one batched ``eigvalsh``, the
-    positivity check of every DensityOperator.  Returns the ascending spectra.
-
-    The computed eigenvalues are within about d EPS ||m|| of the exact ones
-    (EPS the double-precision epsilon), so a caller that proves the exact
-    smallest eigenvalue of a matrix to be at least -STATE_TOL plus that
-    error knows this check would accept it, and may leave the matrix out.
-    ``models.az_coherence`` does so for a dephased state C o x0, with C a
-    unit-diagonal table within eps of positive and x0 within tau0, from
-    l_min(C o x0) >= -(tau0 + eps (l_max(x0) + tau0)) and a rounding margin
-    of 4 EPS (k ||C|| (l_max(x0) + tau0 + 1) + (1 + eps)(d + 1) ||x0||_F).
+    positivity check of every DensityOperator.  Returns the ascending spectra,
+    each within about d EPS ||m|| of the exact one (EPS the double-precision
+    epsilon).
     """
-    spectra = np.linalg.eigvalsh(mats)
+    try:
+        spectra = np.linalg.eigvalsh(mats)
+    except np.linalg.LinAlgError as exc:  # nan entries, past 2 x 2
+        raise NotAState(f"no spectrum: {exc}") from exc
     smallest = spectra[..., 0]
     positive = smallest >= -STATE_TOL  # False for nan, where the eigenvalues overflow
     if not positive.all():

@@ -577,8 +577,12 @@ def test_az_certificate_sends_only_uncleared_states_to_the_full_check(monkeypatc
 
     good = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
     table = np.array([good, *(BAD_TABLES[name] for name in bad), good])
-    rho0 = bloch_to_density([1.0, 0.0, 0.0])
-    x = table * rho0.matrix
+    # Two sectors of two: the certificate runs where k < d.
+    model = ArakiZurekModel(block_diagonal_sectors([2, 2]), [1.0, -1.0], np.zeros((4, 4)), GAUSS, 2.0)
+    psi = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)
+    rho0 = DensityOperator(np.outer(psi, psi))
+    index = np.repeat([0, 1], 2)
+    x = table[:, index[:, None], index] * rho0.matrix
     with pytest.raises(NotAState) as full:
         require_positive(x)
     checked = []
@@ -586,9 +590,22 @@ def test_az_certificate_sends_only_uncleared_states_to_the_full_check(monkeypatc
     monkeypatch.setattr(models, "require_positive",
                         lambda a: checked.append(a) or require_positive(a))
     with pytest.raises(NotAState) as err:
-        az_coherence(simple_az(), rho0, np.linspace(0.0, 1.0, table.shape[0]))
+        az_coherence(model, rho0, np.linspace(0.0, 1.0, table.shape[0]))
     assert str(err.value) == str(full.value)
     assert len(checked) == 1 and np.array_equal(checked[0], x[1:-1], equal_nan=True)
+
+
+def test_az_coherence_checks_every_state_of_unit_sectors_in_full(monkeypatch):
+    import declab.models as models
+    from declab.states import require_positive
+
+    checked = []
+    monkeypatch.setattr(models, "_uncertified", lambda *a: pytest.fail("certificate ran with k = d"))
+    monkeypatch.setattr(models, "require_positive",
+                        lambda a: checked.append(a.shape) or require_positive(a))
+    ts = np.linspace(0.0, 3.0, 7)
+    az_coherence(simple_az(), bloch_to_density([0.6, 0.0, 0.8]), ts)
+    assert checked == [(ts.size, 2, 2)]
 
 
 def test_az_coherence_checks_no_state_stack_on_a_discrete_environment(monkeypatch):
@@ -612,6 +629,28 @@ def test_az_coherence_checks_no_state_stack_on_a_discrete_environment(monkeypatc
     tables = [s for s in shapes if s[1:] == (k, k)]
     assert sum(s[0] for s in tables) == ts.size
     assert sorted(shapes) == sorted([(d, d)] + tables + [(s[0], d, d) for s in tables])
+
+
+def test_az_trajectory_bounds_its_chi_tables_by_sector_pairs(monkeypatch):
+    import declab.models as models
+
+    k = 64
+    model = ArakiZurekModel(block_diagonal_sectors([1] * k), 0.25 * np.arange(k), np.zeros((k, k)),
+                            GAUSS, 0.25)
+    tables, sizes = models._chi_tables, []
+
+    def recorded(*args):
+        for table in tables(*args):
+            sizes.append(table.shape[0])
+            yield table
+
+    monkeypatch.setattr(models, "_chi_tables", recorded)
+    # 63 distinct gaps over 2016 pairs: chunks sized by the gaps alone would
+    # hold 1040 tables of 64 x 64, a 64 MiB chunk.
+    rho0 = random_density(k, np.random.default_rng(54))
+    next(az_trajectory(model, rho0, np.linspace(0.0, 50.0, 5000)))
+    assert sizes == [models.DEPHASING_ELEMENTS // (k * (k - 1) // 2)]
+    assert sizes[0] * k * k <= 4 * models.DEPHASING_ELEMENTS
 
 
 @pytest.mark.parametrize("lambdas, distinct", [(0.25 * np.arange(8) - 1.0, 7),
