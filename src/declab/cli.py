@@ -297,8 +297,8 @@ def _parse_spin(e: _Entries, t_grid, env) -> dict:
     if t_grid[-1] > horizon:
         raise ValidationError(
             "t_grid.stop", f"stop {t_grid[-1]:g} is beyond the spin horizon {horizon:g}, where "
-            "the adaptive quadrature near the fold x = -a_3 / lam of the rotation rate "
-            "reaches its panel budget"
+            "the adaptive quadrature over the support that takes no far branch of the fold "
+            "x = -a_3 / lam of the rotation rate reaches its panel budget"
         )
     _check_spin_phases(t_grid, model)
     return {"t_grid": t_grid, "model": model, "initial_bloch": _parse_bloch(e)}
@@ -396,15 +396,27 @@ def _write_csv(path: str, header, cells):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _series_summary(header, rows, cells) -> dict:
-    """min, max and final value of every numeric column, read back from the
-    formatted ``cells``: what lands in the file."""
-    summary = {}
-    for j, name in enumerate(header):
-        if rows and not any(isinstance(row[j], str) for row in rows):
-            values = [float(row[j]) for row in cells]
-            summary[name] = {"min": min(values), "max": max(values), "final": values[-1]}
-    return summary
+def _columns(rows):
+    """(cells, values) per column of ``rows``: its CSV cells, and its values as
+    floats, None for a column holding strings.  A column of floats (numpy's
+    too) is formatted from Python floats in one pass; other cells by ``_fmt``."""
+    columns = []
+    for column in zip(*rows):
+        if all(isinstance(v, float) for v in column):
+            values = np.array(column, dtype=float).tolist()
+            columns.append((["%.17g" % v for v in values], values))
+        else:
+            numeric = not any(isinstance(v, str) for v in column)
+            values = [float(v) for v in column] if numeric else None
+            columns.append(([_fmt(v) for v in column], values))
+    return columns
+
+
+def _series_summary(header, columns) -> dict:
+    """min, max and final value of every numeric column.  ``.17g`` round-trips
+    every double, so these are the values that land in the file."""
+    return {name: {"min": min(values), "max": max(values), "final": values[-1]}
+            for name, (_, values) in zip(header, columns) if values is not None}
 
 
 def _run_araki_zurek(t_grid, model, initial_state):
@@ -479,14 +491,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
     else:
         csv_path = cfg.out_csv
         report_path = cfg.out_report
-    cells = [[_fmt(v) for v in row] for row in rows]
-    _write_csv(csv_path, header, cells)
+    columns = _columns(rows)
+    _write_csv(csv_path, header, zip(*(cells for cells, _ in columns)))
 
     report = RunReport(
         scenario=cfg.raw,
         csv_path=csv_path,
         report_path=report_path,
-        series=_series_summary(header, rows, cells),
+        series=_series_summary(header, columns),
         decay_fit=fit_dict,
         wall_time_s=time.perf_counter() - started,
     )

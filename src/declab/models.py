@@ -594,13 +594,14 @@ class SpinModel:
         return self.a[0] * PAULI[0] + self.a[1] * PAULI[1] + self.a[2] * PAULI[2]
 
 
-def _axes(model: SpinModel, x: np.ndarray):
+def _axes(model: SpinModel, x: np.ndarray, a3=None):
     """Unit axis of the effective field (a_1, a_2, a_3 + lam x), e_3 where it
-    vanishes, and twice the field's norm, per point."""
+    vanishes, and twice the field's norm, per point.  ``a3`` replaces a_3:
+    with a3 = 0, x is an offset from the fold x* = -a_3 / lam."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h = np.empty((x.size, 3))
     h[:, :2] = model.a[:2]
-    h[:, 2] = model.a[2] + model.lam * x
+    h[:, 2] = (model.a[2] if a3 is None else a3) + model.lam * x
     with np.errstate(over="ignore"):  # its squares overflow past ~1e154; hypot's do not
         norms = np.linalg.norm(h, axis=1)
     big = ~np.isfinite(norms)
@@ -636,57 +637,90 @@ class _Branch(NamedTuple):
     length: float
 
 
-def _fold(model: SpinModel):
-    """The near region of a continuous environment's support, and its far branches.
+def _fold(model: SpinModel, t_max: float = 0.0):
+    """The near region of a continuous environment's support, its rate bound, and far branches.
 
     The rotation rate omega(x) = 2 |(a_1, a_2, a_3 + lam x)| is smallest,
-    2 m with m = |(a_1, a_2)|, at the fold x* = -a_3 / lam.  Farther than
-    xi = m / |lam| from it, omega is monotone on either side, and
-    nu = omega / (2 |lam|) = |(xi, x - x*)| can take the place of x.  Returns
-    the near region (lo, hi), clipped to the support and empty when lo >= hi,
-    and one ``_Branch`` per side where the support reaches beyond it.  With
-    lam = 0, or a fold too far off to place in doubles, the whole support is
-    near.
+    2 m with m = |(a_1, a_2)|, at the fold x* = -a_3 / lam.  Away from it,
+    omega is monotone on either side, and nu = omega / (2 |lam|) =
+    |(xi, x - x*)|, xi = m / |lam|, can take the place of x.  Only the strip
+    |x - x*| <= eta stays near, with eps = pi / (2 |lam| t_max) and
+    eta = min(xi, sqrt(eps (2 xi + eps))): on it nu - xi <= eps, so the phase
+    omega t varies by at most pi at every |t| <= t_max (at t_max = 0 the
+    strip is |x - x*| <= xi).  No branch starts on the fold, where its
+    factors xi / eta are singular, unless m = 0 and they vanish: eta > 0
+    wherever xi > 0 (eps is at least the least double); with the fold inside
+    the support a branch at the strip's edge has eta0 = eta, its x0 = x* + eta
+    rounded only placing the density (shifted by half an ulp of x* at most);
+    with the fold outside, x0 lies in the support and eta0 = |x0 - x*| > 0.
+
+    Returns a centre, the near region (lo, hi), empty when lo >= hi, the
+    bound on |d omega / dx| that ``kernel_adaptive`` must pre-split it for,
+    and one ``_Branch`` per side where the support reaches beyond the strip.
+    With the fold inside the support the centre is x* and the near region is
+    given in offsets s = x - x* from it: exact at the strip's edges, and
+    a_3 + lam x = lam s exactly, however far off x* is.  Otherwise the
+    centre is None and the near region is in x, exact at the support's
+    ends.  The bound is 0 when the near region lies within the strip, and
+    2 |lam| when part of the support takes no branch and stays near: with
+    lam = 0 or a fold or xi that is not a finite double (the whole support),
+    or where nu leaves the double range or a branch's length underflows.
     """
     lo, hi = model.env_diag.support()
     a1, a2, a3 = model.a
-    near, branches = [lo, hi], []
+    rate = 2.0 * abs(model.lam)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x_star = np.float64(-a3) / model.lam
         xi = np.hypot(a1, a2) / abs(np.float64(model.lam))
         if not (np.isfinite(x_star) and np.isfinite(xi)):
-            return tuple(near), branches
-        for side, sign, x0, x1 in ((0, -1.0, min(hi, x_star - xi), lo),
-                                   (1, 1.0, max(lo, x_star + xi), hi)):
-            span = sign * (x1 - x0)
+            return None, (lo, hi), rate, []
+        eps = max(np.float64(np.pi) / rate / t_max, np.finfo(float).smallest_subnormal)
+        eta = min(xi, np.sqrt(eps) * np.sqrt(2.0 * xi + eps))
+        inside = lo <= x_star <= hi
+        near, offsets, branches, resolved = [lo, hi], [lo - x_star, hi - x_star], [], True
+        for side, sign, start, x1 in ((0, -1.0, hi, lo), (1, 1.0, lo, hi)):
+            # The branch starts at the strip's edge, or where the support begins beyond it.
+            x0 = x_star + sign * eta
+            if sign * (start - x0) > 0:
+                x0 = start
+            if inside:  # at eta from the fold exactly
+                eta0, span = eta, sign * (x1 - x_star) - eta
+            else:  # at x0, as the near region in x ends
+                eta0, span = sign * (x0 - x_star), sign * (x1 - x0)
             if span > 0:
-                eta0 = abs(x0 - x_star)
                 nu0, nu1 = np.hypot(xi, eta0), np.hypot(xi, eta0 + span)
                 # nu1 - nu0 without cancellation: nu^2 - eta^2 = xi^2 at both ends.
                 length = span * ((2.0 * eta0 + span) / (nu0 + nu1))
-                # _far_panels adds two rates; else the branch stays near.
+                # _far_panels adds two rates; else the side stays near.
                 if np.isfinite(2.0 * nu1) and length > 0:
-                    near[side] = x0
+                    near[side], offsets[side] = x0, sign * eta0
                     branches.append(_Branch(x0, sign, eta0, nu0, length))
-    return tuple(near), branches
+                else:
+                    resolved = False
+    rate = 0.0 if resolved else rate
+    if inside:
+        return x_star, tuple(offsets), rate, branches
+    return None, tuple(near), rate, branches
 
 
 def spin_horizon(model: SpinModel) -> float:
     """Largest |t| at which ``spin_trajectory``'s pre-split still resolves the phase.
 
-    Only the near region of the fold (``_fold``) is integrated by the
-    adaptive rule; its far branches cost the same at any t.  The rotation
-    rate 2 |h(x)| changes by at most 2 |lam| per unit x, so this is
-    ``quadrature.oscillation_horizon`` of the near region at that rate, 2**14 pi /
-    (2 |lam| w) for a near region of width w: where the pre-split reaches the
-    quadrature's panel budget.  Beyond it the adaptive rule may run out of
-    panels.  A discrete environment (an exact sum), lam = 0, m = 0 and a fold
-    farther than xi outside the support have no horizon.
+    The strip about the fold (``_fold``) shrinks with the grid's largest |t|,
+    so that its phase varies by at most pi, and the far branches cost the
+    same at any t: the horizon is infinite.  Only where part of the support
+    cannot take a far branch and stays near (a fold or xi that is not a
+    finite double, a branch whose nu leaves the double range) is that part
+    pre-split at the rate bound 2 |lam|; the horizon is then
+    ``quadrature.oscillation_horizon`` of the widest near region, 2**14 pi /
+    (2 |lam| w) for a region of width w, where the pre-split reaches the
+    quadrature's panel budget.  A discrete environment is an exact sum and
+    has no horizon.
     """
-    env = model.env_diag
-    if env.is_discrete:
+    if model.env_diag.is_discrete:
         return float("inf")
-    return oscillation_horizon(*_fold(model)[0], 2.0 * abs(model.lam))
+    _, (lo, hi), rate, _ = _fold(model)
+    return oscillation_horizon(lo, hi, rate)
 
 
 def _far_panels(model: SpinModel, branch: _Branch) -> LegendrePanels:
@@ -723,7 +757,16 @@ def _far_panels(model: SpinModel, branch: _Branch) -> LegendrePanels:
         return np.stack([w * (xi / nu) * (xi / eta_v), w * (eta_v / nu), w * (xi / nu),
                          w * (xi / eta_v), w], axis=-1)
 
-    return legendre_panels(values, 0.0, length)
+    if not xi > eta0:
+        return legendre_panels(values, 0.0, length)
+    # At a strip's edge the first and fourth factors reach w xi / eta0, which
+    # grows like sqrt(t); a few ulps of rounding in w then exceed the absolute
+    # budget, and no bisection removes them.  The panels take the factors over
+    # xi / eta0, at most w as on a branch that starts at eta0 >= xi, so the
+    # budget and the tail estimate grow by that ratio.
+    scale = xi / eta0
+    panels = legendre_panels(lambda c, d: values(c, d) / scale, 0.0, length)
+    return panels._replace(coeffs=panels.coeffs * scale, tail=panels.tail * scale)
 
 
 def _far_mixing(model: SpinModel, p, branch: _Branch) -> np.ndarray:
@@ -753,8 +796,11 @@ def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
     omega(x) t: c + a cos(omega t) + b sin(omega t) with c = (n.p) n,
     a = p - c and b = n x p.  A discrete environment is one exact sum.  On a
     continuous one the support is split at the fold of omega (``_fold``):
-    - the near region takes one adaptive quadrature for the whole grid
-      (``quadrature.kernel_adaptive``), whose cost grows with |t|;
+    - the near region, a strip about the fold that shrinks with the grid's
+      largest |t| so that the phase varies by at most pi on it, takes one
+      adaptive quadrature for the whole grid
+      (``quadrature.kernel_adaptive``) with no pre-split, at the same cost
+      at any t;
     - on each far branch, where omega is monotone, a and b become
       int g(nu) exp(-i 2 |lam| nu t) dnu with g = (a, b) |dx/dnu|: Legendre
       panels in nu (``_far_panels``), integrated exactly at every t by
@@ -768,19 +814,23 @@ def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     env, rate = model.env_diag, 2.0 * abs(model.lam)
 
-    def rotation(x, weight):
-        n, omega = _axes(model, x)
+    def rotation(x, weight, a3=None):
+        n, omega = _axes(model, x, a3)
         along = (n @ p)[:, None] * n
         weight = weight[:, None]
         return omega, weight * (p - along), weight * np.cross(n, p), weight * along
 
+    def near(s):  # offsets from the fold, where a_3 + lam x = lam s
+        return rotation(s, env.density_at(np.array([centre]), s[None])[0], 0.0)
+
     if env.is_discrete:
         return _trajectory(env, ts, rate, rotation, tol)
     ts = finite_times(ts)
-    (lo, hi), branches = _fold(model)
+    centre, (lo, hi), near_rate, branches = _fold(model, float(np.abs(ts).max()))
     out = np.zeros((ts.size, 3))
     if hi > lo:
-        out += kernel_adaptive(lambda x: rotation(x, env.density(x)), ts, lo, hi, tol, rate)
+        kernel = near if centre is not None else lambda x: rotation(x, env.density(x))
+        out += kernel_adaptive(kernel, ts, lo, hi, tol, near_rate)
     order = np.argsort(np.abs(ts), kind="stable")
     for branch in branches:
         panels = _far_panels(model, branch)

@@ -18,10 +18,13 @@ integrands of the form
 (the spin rotation kernel: a rigid rotation about n(x) at rate omega(x)).
 It takes the whole grid and cuts it into blocks of ascending |t| (``_blocks``),
 each pre-split for its largest |t| and kept within KERNEL_ELEMENTS table
-entries, and runs one adaptive call per block.  The kernel gives the rate and
-the amplitudes once per node; each panel's amplitudes carry the rule's weights
-times its half-width, its cos and sin tables (times x nodes) are each
-contracted with them by one batched matmul (``trig_sum``), and the
+entries, and runs one adaptive call per block.  The spin model calls it on a
+strip about the fold of omega, narrowed with the grid's largest |t| until
+the phase varies by at most pi on it, with rate 0: MIN_PANELS and no
+pre-split, at the same cost at any t (``models._fold``).  The kernel gives
+the rate and the amplitudes once per node; each panel's amplitudes carry the
+rule's weights times its half-width, its cos and sin tables (times x nodes)
+are each contracted with them by one batched matmul (``trig_sum``), and the
 t-independent c is summed once per panel.
 
 An order-16 rule is exact to round-off over a full period of exp(-ivt), but
@@ -31,6 +34,8 @@ then off by ~2e-14 instead of <1e-15).  Half-period panels are as accurate
 as eighth-period ones at a quarter of the nodes.  The cost of this rule grows
 with the oscillation rate, and the pre-split is capped at MAX_PANELS;
 ``oscillation_horizon`` is the |t| at which the pre-split reaches that cap.
+The spin model keeps such a pre-split, and a horizon, only for a part of its
+support that takes no far branch (``models.spin_horizon``).
 
 The Fourier transform of a smooth density f, int f(v) exp(-ivt) dv, does not
 need any of that (Filon's idea; Iserles and Norsett, Proc. R. Soc. A 461,
@@ -46,10 +51,12 @@ panels' Legendre tails at every t.  ``spherical_jn`` supplies j_k with numpy
 alone.  f may have components: it maps (p,) panel centres and (p, n) node
 offsets to (p, n, ...) values, one bisection serves all components, and the
 transforms come out as (T, ...).  The same rule integrates the spin kernel
-away from the fold of its rate: where omega is monotone, the rate itself
-becomes the variable v, and the kernel's amplitudes times dx/dv are the f
-(``models.spin_trajectory``).  Centre and offset come apart so that such a
-change of variable can place its nodes without rounding them.
+away from the strip about the fold of its rate: where omega is monotone, the
+rate itself becomes the variable v, and the kernel's amplitudes times dx/dv
+are the f (``models.spin_trajectory``); the bisection grades the panels
+toward the strip's edge, where dx/dv grows like sqrt(t).  Centre and offset
+come apart so that such a change of variable can place its nodes without
+rounding them.
 """
 
 import functools

@@ -378,20 +378,36 @@ initial.bloch = 0.7,0.2,0.5
 
 
 @pytest.mark.parametrize("base", [SPIN_CONFIG, SPIN_ASYMPTOTICS_CONFIG.replace(
-    "t_grid.stop = 14.0", "t_grid.stop = 20000.0")], ids=["spin", "spin_asymptotics"])
+    "t_grid.stop = 14.0", "t_grid.stop = 20000.0").replace("fit.window = 2,14\n", "")],
+    ids=["spin", "spin_asymptotics"])
 def test_main_validate_rejects_spin_grid_beyond_horizon(tmp_path, capsys, base):
-    # A unit gaussian with lam = 1 and a = (1, 0, 2) has the horizon of the
-    # near region [-3, -1] of the fold, 2**14 pi / (2 * 2) ~ 12868; at 2e4 the
-    # run used to fail with exit 2 after validate had passed.
+    # A unit gaussian with lam = 1 and a = (1, 0, 2) had the horizon of the
+    # near region [-3, -1] of the fold, 2**14 pi / (2 * 2) ~ 12868.  The strip
+    # about the fold now shrinks with t: 2e4 validates and runs.
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(base)
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    csv = next(tmp_path.glob("*.csv"))
+    _, rows = read_csv(csv)
+    assert float(rows[-1][0]) == 20000.0 and np.all(np.isfinite(np.array(rows, dtype=float)))
+    capsys.readouterr()
+    # A fold -a_3 / lam beyond the double range leaves the whole support
+    # [-10, 10] near, pre-split at 2 |lam|: its horizon is
+    # 2**14 pi / (2e-10 * 20) ~ 1.29e13.
+    cfg.write_text(base.replace("model.a = 1,0,2", "model.a = 1,0,1e300")
+                   .replace("model.lam = 1.0", "model.lam = 1e-10")
+                   .replace("t_grid.stop = 20000.0", "t_grid.stop = 2e13"))
     assert main(["validate", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "invalid config: t_grid.stop:" in err and "12868" in err
+    assert "invalid config: t_grid.stop:" in err and "1.2868e+13" in err
 
 
 def test_spin_grid_inside_horizon_or_on_discrete_env_validates():
     assert parse_config(SPIN_CONFIG.replace("t_grid.stop = 20000.0", "t_grid.stop = 1286.0"))
+    # Neither the strip about the fold nor the far branches bound t.
+    far = parse_config(SPIN_CONFIG.replace("t_grid.stop = 20000.0", "t_grid.stop = 1e6"))
+    assert far.inputs["t_grid"][-1] == 1e6
     # A discrete environment is an exact sum at every t: no horizon.
     discrete = SPIN_CONFIG.replace("env.kind = gaussian\nenv.s = 1.0",
                                    "env.kind = discrete\nenv.points = -0.5:0.5, 0.5:0.5")

@@ -191,7 +191,8 @@ def test_spin_trajectory_matches_pointwise(env):
 def test_spin_trajectory_spans_several_blocks(monkeypatch):
     model = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
     p = np.array([0.7, 0.2, 0.5])
-    ts = np.linspace(600.0, 1200.0, 5)
+    # More times than one block of MIN_PANELS panels holds.
+    ts = np.linspace(600.0, 1200.0, 2 * KERNEL_ELEMENTS // (MIN_PANELS * NODES_PER_PANEL) + 1)
     blocks = {}
     original = declab.quadrature._blocks
 
@@ -201,29 +202,43 @@ def test_spin_trajectory_spans_several_blocks(monkeypatch):
 
     monkeypatch.setattr(declab.quadrature, "_blocks", recorded)
     got = spin_trajectory(model, p, ts)
-    # The near region [x* - xi, x* + xi] of the fold x* = -2, xi = 1.
-    assert len(blocks[-3.0, -1.0]) > 1
-    expected = np.array([density_to_bloch(spin_evolve(model, p, t)) for t in ts])
-    assert np.abs(got - expected).max() < 1e-12
+    # The near region is the strip |x - x*| <= eta about the fold x* = -2, in
+    # offsets from it, with xi = 1, eps = pi / (2 |lam| max|t|) and
+    # eta = sqrt(eps (2 xi + eps)), not [x* - xi, x* + xi] = [-3, -1]; it
+    # takes no pre-split.
+    ((lo, hi), strip), = blocks.items()
+    eps = np.pi / (2.0 * 1200.0)
+    eta = np.sqrt(eps * (2.0 + eps))
+    assert -lo == hi == pytest.approx(eta, rel=1e-15)
+    assert len(strip) > 2 and all(n0 == MIN_PANELS for _, n0 in strip)
+    picks = [0, ts.size // 2, ts.size - 1]
+    expected = np.array([density_to_bloch(spin_evolve(model, p, t)) for t in ts[picks]])
+    assert np.abs(got[picks] - expected).max() < 1e-12
 
 
 def test_spin_horizon_is_where_the_pre_split_reaches_the_budget():
     gaussian = SpectralDensity.gaussian(1.0)
-    model = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=gaussian)
+    narrow = SpectralDensity.uniform(0.0, 1e-295)
+    # The strip about the fold shrinks with t and takes no pre-split, and the
+    # far branches cost the same at any t: no horizon, wherever the fold is,
+    # for m = 0, lam = 0, on a discrete environment, and where 2 |lam| (hi - lo)
+    # underflows.
+    for env, a, lam in [(gaussian, [1.0, 0.0, 2.0], 1.0), (gaussian, [1.0, 0.0, 2.0], -4.0),
+                        (gaussian.discretize(16), [1.0, 0.0, 2.0], 1.0),
+                        (gaussian, [1.0, 0.0, 2.0], 0.0), (narrow, [1.0, 0.0, 2.0], 1e-30),
+                        (gaussian, [0.0, 0.0, 2.0], 1.0), (gaussian, [1.0, 0.4, 40.0], 1.0),
+                        (gaussian, [0.6, 0.8, 9.5], 1.0)]:
+        assert spin_horizon(SpinModel(a=a, b=0.3, lam=lam, env_diag=env)) == np.inf
+    # A fold x* = -a_3 / lam beyond the double range leaves the whole support
+    # near, pre-split at the rate bound 2 |lam|: the horizon is where that
+    # pre-split reaches the budget.
+    wide = SpectralDensity.uniform(-1e6, 1e6)
+    model = SpinModel(a=[1.0, 0.0, 1e299], b=0.3, lam=1e-10, env_diag=wide)
     horizon = spin_horizon(model)
-    # Only the near region [x* - xi, x* + xi] = [-3, -1] is pre-split: x* = -2, xi = 1.
-    assert horizon == pytest.approx(2**14 * np.pi / 4.0, rel=1e-15)
-    assert oscillation_panels(-3.0, -1.0, 2.0 * horizon) == 2**14
+    assert horizon == pytest.approx(2**14 * np.pi / (2e-10 * 2e6), rel=1e-15)
+    assert oscillation_panels(-1e6, 1e6, 2e-10 * horizon) == 2**14
     # Still resolved at the horizon itself.
     assert np.all(np.isfinite(spin_trajectory(model, [0.7, 0.2, 0.5], [horizon])))
-    # lam = -4: x* = 0.5 and xi = 0.25, a quarter of the width at four times the rate.
-    assert spin_horizon(SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=-4.0, env_diag=gaussian)) == (
-        pytest.approx(horizon, rel=1e-15))
-    for env, lam in [(gaussian.discretize(16), 1.0), (gaussian, 0.0)]:
-        assert spin_horizon(SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=lam, env_diag=env)) == np.inf
-    # A rate 2 |lam| (hi - lo) that underflows to 0 is no horizon either, not a ZeroDivisionError.
-    narrow = SpectralDensity.uniform(0.0, 1e-295)
-    assert spin_horizon(SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1e-30, env_diag=narrow)) == np.inf
 
 
 def test_blocks_cover_the_grid_in_ascending_abs_t_within_the_bound():
@@ -261,18 +276,20 @@ def test_oscillation_horizon_is_the_budget_formula_exactly():
         span = 2.0 * abs(lam) * (hi - lo)
         want = MAX_PANELS * np.pi / span if span > 0 else float("inf")
         assert oscillation_horizon(lo, hi, 2.0 * abs(lam)) == want
-    # The spin horizon is that of the near region [x* - xi, x* + xi] clipped to
-    # the support, x* = -a_3 / lam, xi = |(a_1, a_2)| / |lam|: inf for lam = 0,
-    # for m = 0 and for a fold more than xi outside; clipped at x* = -9.5.
+    # The spin horizon is inf wherever x* = -a_3 / lam and xi = |(a_1, a_2)| / |lam|
+    # are finite doubles (a strip and far branches); where they are not, it is
+    # that of the whole support.
+    wide = SpectralDensity.uniform(-1e6, 1e6)
     for env, a, lam in [(gaussian, [1.0, 0.0, 2.0], 1.0), (gaussian, [1.0, 0.0, 2.0], -4.0),
                         (gaussian, [1.0, 0.0, 2.0], 0.0), (narrow, [1.0, 0.0, 2.0], 1e-30),
                         (gaussian, [0.0, 0.0, 2.0], 1.0), (gaussian, [1.0, 0.4, 40.0], 1.0),
-                        (gaussian, [0.6, 0.8, 9.5], 1.0)]:
+                        (gaussian, [0.6, 0.8, 9.5], 1.0), (wide, [1.0, 0.0, 1e299], 1e-10),
+                        (gaussian, [1e300, 0.0, 2.0], 1e-10), (gaussian, [1.0, 0.0, -1e300], 1e-9)]:
         lo, hi = env.support()
-        if lam:
-            x_star, xi = -a[2] / lam, np.hypot(a[0], a[1]) / abs(lam)
-            lo, hi = max(lo, x_star - xi), min(hi, x_star + xi)
-        span = 2.0 * abs(lam) * (hi - lo)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x_star, xi = np.float64(-a[2]) / lam, np.hypot(a[0], a[1]) / abs(np.float64(lam))
+        placed = np.isfinite(x_star) and np.isfinite(xi)
+        span = 0.0 if placed else 2.0 * abs(lam) * (hi - lo)
         want = MAX_PANELS * np.pi / span if span > 0 else float("inf")
         assert spin_horizon(SpinModel(a=a, b=0.3, lam=lam, env_diag=env)) == want
     assert oscillation_horizon(*narrow.support(), 2e-30) == np.inf
@@ -339,9 +356,26 @@ def test_kernel_path_matches_the_integrand_closures(env, a, lam):
 def test_kernel_path_matches_the_integrand_closures_at_the_horizon():
     model = SpinModel(a=[1.0, 0.4, 2.0], b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
     p = np.array([0.7, 0.2, 0.5])
-    # The horizon of the whole support, as far as the reference's pre-split reaches.
+    # The horizon of the whole support, as far as the reference's pre-split
+    # reaches; spin_trajectory itself has none.
     horizon = 2**14 * np.pi / 40.0
+    assert spin_horizon(model) == np.inf
     ts = np.array([horizon, -horizon / 3.0])
+    got = spin_trajectory(model, p, ts)
+    assert np.abs(got - reference_spin_trajectory(model, p, ts)).max() < 1e-13
+
+
+@pytest.mark.parametrize("a, lam", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("env", ENVS, ids=ENV_IDS)
+def test_kernel_path_matches_the_integrand_closures_below_the_old_horizon(env, a, lam):
+    # Times up to half the whole support's horizon, far past where the strip
+    # about the fold has shrunk below [x* - xi, x* + xi].
+    model = SpinModel(a=a, b=0.3, lam=lam, env_diag=env)
+    p = np.array([0.6, -0.3, 0.4])
+    # A discrete environment, an exact sum at any t, takes the bump's times.
+    support = ENVS[2].support() if env.is_discrete else env.support()
+    horizon = oscillation_horizon(*support, 2.0 * abs(lam))
+    ts = np.array([horizon / 2.0, -horizon / 5.0, 7.0])
     got = spin_trajectory(model, p, ts)
     assert np.abs(got - reference_spin_trajectory(model, p, ts)).max() < 1e-13
 
@@ -384,15 +418,72 @@ def dense_spin_reference(a, lam, p, t):
 
 @pytest.mark.parametrize("a, t", [([1.0, 0.0, 2.0], 5000.0), ([1.0, 0.0, 2.0], 12000.0),
                                   ([0.5, 0.0, 2.0], 2e4), ([0.0, 0.0, 2.0], 2e4),
-                                  ([1.0, 0.4, 40.0], 2e4)],
-                         ids=["t5000", "t12000", "m0.5", "m0", "far_fold"])
+                                  ([1.0, 0.4, 40.0], 2e4), ([1.0, 0.0, 2.0], 1e5),
+                                  ([1e-3, 0.0, 2.0], 1e5), ([1.0, 0.4, 40.0], 1e5)],
+                         ids=["t5000", "t12000", "m0.5", "m0", "far_fold", "t1e5", "m1e-3_t1e5",
+                              "far_fold_t1e5"])
 def test_spin_beyond_the_whole_support_horizon_matches_a_dense_rule(a, t):
-    # The whole support's horizon is 2**14 pi / 40 ~ 1287; only the near region's bounds t now.
+    # The whole support's horizon is 2**14 pi / 40 ~ 1287, and the old near
+    # region [x* - xi, x* + xi]'s 2**14 pi / 4 ~ 12868; the strip has none.
     model = SpinModel(a=a, b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
     p = np.array([0.7, 0.2, 0.5])
-    assert t > 2**14 * np.pi / 40.0 and t <= spin_horizon(model)
+    assert t > 2**14 * np.pi / 40.0 and spin_horizon(model) == np.inf
     got = spin_trajectory(model, p, [t])[0]
     assert np.abs(got - dense_spin_reference(a, 1.0, p, t)).max() < 1e-12
+
+
+@pytest.mark.parametrize("t", [1e6, 1e12, 1e14], ids=["t1e6", "t1e12", "t1e14"])
+def test_spin_fold_far_from_zero_at_large_t_matches_the_fold_at_zero(t):
+    # x* = 1e10, where doubles are 1.9e-6 apart: by t = 1e12 the strip's
+    # half-width eta ~ 1.8e-6 is below that spacing.  The model is the one
+    # with its fold at 0 moved by exactly 1e10.
+    p = np.array([0.7, 0.2, 0.5])
+    far = SpinModel(a=[1e-3, 0.0, -1e10], b=0.3, lam=1.0,
+                    env_diag=SpectralDensity.uniform(1e10 - 1.0, 1e10 + 1.0))
+    x_star, (lo, hi), rate, branches = declab.models._fold(far, t)
+    assert x_star == 1e10 and rate == 0.0 and -lo == hi > 0.0
+    assert len(branches) == 2 and all(branch.eta0 == hi for branch in branches)
+    centred = SpinModel(a=[1e-3, 0.0, 0.0], b=0.3, lam=1.0,
+                        env_diag=SpectralDensity.uniform(-1.0, 1.0))
+    ts = np.array([t, -t / 3.0, 0.5])
+    got = spin_trajectory(far, p, ts)
+    assert np.abs(got - spin_trajectory(centred, p, ts)).max() < 1e-12
+
+
+def test_spin_branch_at_the_strip_edge_meets_the_budget_on_a_noisy_density():
+    # The fold x* ~ -0.28 lies in the bump's support, xi ~ 1.55 beyond it.
+    # At t = 1e4 the branch from the strip's edge carries factors w xi / eta0
+    # ~ 90 w, whose rounding used to exceed the Legendre budget: it ran out of
+    # panels well inside the old horizon 2**14 pi / (3.1 * 0.89) ~ 18700.
+    model = SpinModel(a=[1.44, 1.92, -0.44], b=0.3, lam=-1.55,
+                      env_diag=SpectralDensity.bump(-0.32, 0.57))
+    p = np.array([0.6, -0.3, 0.4])
+    ts = np.array([1e4, -3e3])
+    got = spin_trajectory(model, p, ts)
+    assert np.abs(got - reference_spin_trajectory(model, p, ts)).max() < 1e-13
+
+
+def test_spin_strip_nodes_do_not_grow_with_t(monkeypatch):
+    model = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
+    p = np.array([0.7, 0.2, 0.5])
+    original = declab.quadrature._rule_pair
+
+    def counted(panel_values, *args):
+        def counting(nodes, scale):
+            nodes_seen.append(nodes.size)
+            return panel_values(nodes, scale)
+
+        return original(counting, *args)
+
+    monkeypatch.setattr(declab.quadrature, "_rule_pair", counted)
+    counts = {}
+    for t in (1e3, 1e6):
+        nodes_seen = []
+        spin_trajectory(model, p, [t])
+        counts[t] = sum(nodes_seen)
+    # One call, MIN_PANELS panels of the order-16 and order-32 rules, bisected
+    # no more at 1e6 than at 1e3.
+    assert MIN_PANELS * NODES_PER_PANEL <= counts[1e6] <= counts[1e3]
 
 
 @pytest.mark.parametrize("env", [ENVS[-1], SpectralDensity.gaussian(1.0).discretize(40)],
