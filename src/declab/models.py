@@ -223,7 +223,8 @@ class SpectralDensity:
 
         Weights are the quadrature weights times the density, renormalized so
         they sum to one exactly.  The rule is built once per n and kept
-        (``quadrature._rule``).
+        (``quadrature._rule``), by Newton's method on the Legendre recurrence
+        in O(n^2) time and O(n) memory.
         """
         n = operator.index(n)
         if self.is_discrete:

@@ -57,6 +57,13 @@ are the f (``models.spin_trajectory``); the bisection grades the panels
 toward the strip's edge, where dx/dv grows like sqrt(t).  Centre and offset
 come apart so that such a change of variable can place its nodes without
 rounding them.
+
+Every Gauss-Legendre rule here comes from one generator,
+``_gauss_legendre``: Newton's method on the three-term recurrence from
+asymptotic node estimates, O(n^2) time and O(n) memory, in double for the
+adaptive rules and ``models.SpectralDensity.discretize`` (``_rule``) and in
+long double for the Legendre transform (``_legendre_rule``).  Each rule is
+built once per process and kept.
 """
 
 import functools
@@ -85,9 +92,60 @@ EPS = np.finfo(float).eps
 _rule_cache: dict = {}
 
 
+def _legendre_recurrence(x, n):
+    """Yield P_0(x), P_1(x), ..., P_n(x), in x's dtype.
+
+    k P_k = (2k - 1) x P_(k-1) - (k - 1) P_(k-2), in place on three buffers
+    used in turn: a yielded array keeps its value until the second array
+    after it is yielded.
+    """
+    p_prev, p, spare = np.ones_like(x), x.copy(), np.empty_like(x)
+    yield p_prev
+    if n:
+        yield p
+    for k in range(2, n + 1):
+        np.multiply(p, x, out=spare)
+        spare *= 2 * k - 1
+        p_prev *= k - 1
+        spare -= p_prev
+        spare /= k
+        p_prev, p, spare = p, spare, p_prev
+        yield p
+
+
+def _gauss_legendre(n, dtype=float):
+    """The n-point Gauss-Legendre rule on [-1, 1] in ``dtype``: ascending nodes, weights.
+
+    Newton's method on the three-term recurrence (Hale and Townsend, SIAM
+    J. Sci. Comput. 35, 2013), in O(n^2) time and O(n) memory, where the
+    companion eigenproblem of Golub and Welsch takes O(n^3) and O(n^2).  The
+    nodes x >= 0 start from Tricomi's estimates
+    cos(theta_k) (1 - (n - 1)/(8 n^3) - (39 - 28/sin^2 theta_k)/(384 n^4)),
+    theta_k = pi (4k - 1)/(4n + 2), written as sin(phi_k), phi_k = pi/2 -
+    theta_k, so that the middle node of an odd n is 0 exactly.  Steps stop
+    once every correction is within 2 eps of ``dtype`` (at most 10).  P_n'
+    is carried through the last step with P_n'' = 2x P_n'/(1 - x^2), and
+    w = 2/((1 - x)(1 + x) P_n'^2).  The half x < 0 is the mirror image.
+    """
+    phi = np.arange(n - 1, -1, -2, dtype=dtype)[::-1] * (np.pi / (2 * n + 1))
+    x = np.sin(phi) * (1 - (n - 1) / (8 * n**3) - (39 - 28 / np.cos(phi) ** 2) / (384 * n**4))
+    tol = 2 * np.finfo(dtype).eps
+    for _ in range(10):
+        *_, p_prev, p = _legendre_recurrence(x, n)
+        dp = n * (x * p - p_prev) / ((x - 1) * (x + 1))
+        step = p / dp
+        x -= step
+        if np.abs(step).max() <= tol:
+            break
+    one_minus_x2 = (1 - x) * (1 + x)
+    dp -= step * 2 * x * dp / one_minus_x2
+    w = 2 / (one_minus_x2 * dp * dp)
+    return np.concatenate([-x[::-1][: n // 2], x]), np.concatenate([w[::-1][: n // 2], w])
+
+
 def _rule(order):
     if order not in _rule_cache:
-        _rule_cache[order] = np.polynomial.legendre.leggauss(order)
+        _rule_cache[order] = _gauss_legendre(order)
     return _rule_cache[order]
 
 
@@ -325,25 +383,20 @@ class LegendrePanels(NamedTuple):
 def _legendre_rule(order):
     """Gauss-Legendre nodes, and the transform from values at them to a_0 .. a_(n-1).
 
-    The transform a_k = (k + 1/2) sum_j w_j P_k(x_j) f(x_j) is built from
-    nodes and weights polished by Newton steps in long double, and applied in
-    long double.  Built from numpy's double nodes and weights it leaves
-    ~1e-14 in the a_k (k >= 1) of a constant and chi ~7e-16 off its closed
-    forms; applied in double it leaves round-off in them that cannot be told
-    apart from real terms, so no term of a constant could be dropped.
+    The transform a_k = (k + 1/2) sum_j w_j P_k(x_j) f(x_j) is built in long
+    double, from ``_gauss_legendre``'s long-double rule and the rows P_k(x_j)
+    of the same recurrence, and applied in long double.  Built from the
+    double rule it leaves ~2e-15 in the a_k (k >= 1) of a constant, against
+    ~2e-18; applied in double it leaves round-off in them that cannot be
+    told apart from real terms, so no term of a constant could be dropped.
     """
     key = ("legendre", order)
     if key not in _rule_cache:
-        x = np.polynomial.legendre.leggauss(order)[0].astype(np.longdouble)
-        for _ in range(2):
-            p_prev, p = np.ones_like(x), x
-            for k in range(2, order + 1):
-                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-            dp = order * (x * p - p_prev) / (x * x - 1)
-            x = x - p / dp
-        w = 2 / ((1 - x * x) * dp * dp)
-        vander = np.polynomial.legendre.legvander(x, order - 1)
-        transform = (np.arange(order) + 0.5)[:, None] * (w * vander.T)
+        x, w = _gauss_legendre(order, np.longdouble)
+        rows = np.empty((order, order), dtype=np.longdouble)
+        for row, p in zip(rows, _legendre_recurrence(x, order - 1)):
+            row[:] = p
+        transform = (np.arange(order) + 0.5)[:, None] * (w * rows)
         _rule_cache[key] = x.astype(float), transform
     return _rule_cache[key]
 
@@ -421,10 +474,14 @@ def legendre_fourier(panels, ts, tol):
     weights = (coeffs[..., None] * _POWERS_OF_MINUS_I[np.arange(n_terms) % 4, None]).reshape(
         n_panels, n_terms, -1)
     out = np.empty((ts.size, coeffs.shape[2]), dtype=complex)
+    # Bisection leaves few distinct half-widths: j_k(h |t|) once per width.
+    halves, width_of = np.unique(panels.halves, return_inverse=True)
     step = max(1, LEGENDRE_ELEMENTS // (n_panels * n_terms))
     for s in range(0, ts.size, step):
         tc = at[s : s + step]
-        j = spherical_jn(n_terms - 1, np.multiply.outer(panels.halves, tc))
+        # np.take keeps (k, p, t) in C order, as [:, width_of] would not: matmul
+        # rounds by layout, and chi must not depend on how times are chunked.
+        j = np.take(spherical_jn(n_terms - 1, np.multiply.outer(halves, tc)), width_of, axis=1)
         sums = np.matmul(j.transpose(1, 2, 0), weights).view(complex)  # (p, t, d)
         phases = np.exp(np.multiply.outer(-1j * panels.centres, tc))
         out[s : s + step] = np.einsum("pt,ptd->td", phases, sums)

@@ -1,8 +1,16 @@
 """The adaptive quadrature kernel and the trajectory evaluators built on it."""
 
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import declab.cli
 import declab.models
 import declab.quadrature
 from declab import (
@@ -669,3 +677,112 @@ def test_spherical_jn_below_1e_300_is_its_value_at_zero():
                 SpectralDensity.bump(-1.0, 1.0)):
         chi = chi_trajectory(env, [0.0, 5e-324, -1e-310, 1.8e-307])
         assert np.abs(chi - chi[0]).max() < 1e-15
+
+
+# --- Gauss-Legendre rules
+
+RULE_SIZES = [1, 2, 3, 16, 32, 64, 201, 512, 1024]
+# Against 40-digit references: nodes to an ulp of 1, weights relative.
+NODE_TOL = 2.2e-16
+WEIGHT_TOL = 1e-11
+
+
+def _mpmath_rule_at(mpmath, n, i):
+    """Node i (ascending) of the n-point rule and its weight, by 40-digit Newton."""
+    x = -mpmath.cos(mpmath.pi * (4 * i + 3) / (4 * n + 2))
+    for _ in range(50):
+        p_prev, p = mpmath.mpf(1), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1)
+        step = p / dp
+        x -= step
+        if abs(step) < mpmath.mpf(10) ** -38:
+            break
+    p_prev, p = mpmath.mpf(1), x
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    dp = n * (x * p - p_prev) / (x * x - 1)
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_rule_matches_a_40_digit_reference(n):
+    mpmath = pytest.importorskip("mpmath")
+    x, w = declab.quadrature._gauss_legendre(n)
+    if n < 201:
+        sample = np.arange(n)
+    else:  # the 8 nodes nearest each end, where weights are hardest, and some between
+        sample = np.unique(np.concatenate([np.arange(8), n - 8 + np.arange(8),
+                                           np.linspace(8, n - 9, 7).astype(int)]))
+    with mpmath.workdps(40):
+        ref = [_mpmath_rule_at(mpmath, n, i) for i in sample]
+        node_err = max(abs(float(x[i] - rx)) for i, (rx, _) in zip(sample, ref))
+        weight_err = max(abs(float((w[i] - rw) / rw)) for i, (_, rw) in zip(sample, ref))
+    assert node_err <= NODE_TOL
+    assert weight_err <= WEIGHT_TOL
+
+
+@pytest.mark.parametrize("n", list(range(1, 41)) + [201, 512, 1024])
+def test_rule_is_ascending_antisymmetric_and_sums_to_two(n):
+    x, w = declab.quadrature._gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0) and np.all(np.abs(x) < 1) and np.all(w > 0)
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    assert abs(math.fsum(w) - 2.0) <= 16 * EPS
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_rule_integrates_every_even_power_up_to_its_degree(n):
+    x, w = declab.quadrature._gauss_legendre(n)
+    for j in range(n):  # 2j <= 2n - 1
+        assert abs(math.fsum(w * x ** (2 * j)) - 2.0 / (2 * j + 1)) <= 8 * EPS
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_double_and_long_double_rules_agree_to_double_rounding(n):
+    # Where np.longdouble is plain double, the Legendre transform's rule is
+    # this double rule; it meets the same bounds as against mpmath.
+    x, w = declab.quadrature._gauss_legendre(n)
+    xl, wl = declab.quadrature._gauss_legendre(n, np.longdouble)
+    assert xl.dtype == wl.dtype == np.longdouble
+    assert np.abs(x - xl.astype(float)).max() <= NODE_TOL
+    assert np.abs(w / wl.astype(float) - 1.0).max() <= WEIGHT_TOL
+
+
+def test_rule_at_the_dense_cap_takes_o_of_n_memory(monkeypatch):
+    monkeypatch.setattr(declab.quadrature, "_rule_cache", {})
+    tracemalloc.start()
+    try:
+        declab.quadrature._rule(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A dense 1024 x 1024 companion matrix alone would take 8 MiB.
+    assert peak < 256 * 1024
+
+
+def test_runs_never_import_numpy_polynomial(tmp_path):
+    configs = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.cfg"))
+    experiments = {line.split("=", 1)[1].strip() for c in configs
+                   for line in c.read_text().splitlines() if line.startswith("experiment")}
+    assert experiments == set(declab.cli.EXPERIMENTS)
+    code = (
+        "import sys\n"
+        "from declab import SpectralDensity, SpinModel, bloch_to_density, full_simulation_oracle\n"
+        "from declab.cli import main\n"
+        "for cfg in sys.argv[2:]:\n"
+        "    assert main(['run', '--config', cfg, '--out', sys.argv[1]]) == 0\n"
+        "env = SpectralDensity.gaussian(1.0)\n"
+        "env.discretize(1024)\n"
+        "model = SpinModel(a=[1, 0, 2], b=0.3, lam=1.0, env_diag=env)\n"
+        "full_simulation_oracle(model, bloch_to_density([0.6, -0.3, 0.4]), 2.0, 512)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    src = str(Path(declab.quadrature.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path), *map(str, configs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
