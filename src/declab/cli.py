@@ -30,7 +30,6 @@ from .models import (
     az_coherence,
     chi_trajectory,
     spin_asymptotics,
-    spin_horizon,
     spin_trajectory,
 )
 from .operators import hs_norm, unit_scale
@@ -293,13 +292,6 @@ def _parse_spin(e: _Entries, t_grid, env) -> dict:
         model = SpinModel(a=np.asarray(a), b=b, lam=lam, env_diag=env)
     except ValueError as exc:
         raise ValidationError("model.b", str(exc))
-    horizon = spin_horizon(model)
-    if t_grid[-1] > horizon:
-        raise ValidationError(
-            "t_grid.stop", f"stop {t_grid[-1]:g} is beyond the spin horizon {horizon:g}, where "
-            "the adaptive quadrature over the support that takes no far branch of the fold "
-            "x = -a_3 / lam of the rotation rate reaches its panel budget"
-        )
     _check_spin_phases(t_grid, model)
     return {"t_grid": t_grid, "model": model, "initial_bloch": _parse_bloch(e)}
 

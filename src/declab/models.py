@@ -48,7 +48,6 @@ from .quadrature import (
     kernel_adaptive,
     legendre_fourier,
     legendre_panels,
-    oscillation_horizon,
     trig_sum,
 )
 from .states import (
@@ -212,8 +211,9 @@ class SpectralDensity:
                 total = float(unit.coeffs[:, 0].sum())
                 mid, half = (self.a + self.b) / 2.0, (self.b - self.a) / 2.0
                 self._bump_norm = 1.0 / (half * total)
-                self._expansion = LegendrePanels(mid + half * unit.centres, half * unit.halves,
-                                                 unit.coeffs / total, unit.tail / total)
+                self._expansion = unit._replace(centres=mid + half * unit.centres,
+                                                halves=half * unit.halves,
+                                                coeffs=unit.coeffs / total, tail=unit.tail / total)
             else:
                 self._expansion = legendre_panels(self.density_at, *self.support())
         return self._expansion
@@ -253,19 +253,19 @@ def _bump(u):
     return np.where(inside, np.exp(-1.0 / (1.0 - safe**2)), 0.0)
 
 
-def _trajectory(env, ts, rate, kernel, tol):
+def _trajectory(env, ts, kernel, tol):
     """Sum or integral over x of c + a cos(omega t) + b sin(omega t) for every t in ts.
 
     ``kernel(x, weight)`` maps (m,) abscissae and the environment weights at
-    them to (omega, a, b, c), weighted as in ``quadrature.trig_sum``, and
-    ``rate`` bounds |d omega / dx|.  A discrete environment is one exact
-    ``trig_sum`` over its points; otherwise the whole grid is one
-    ``kernel_adaptive`` call over the support.  Returns (T, d).
+    them to (omega, a, b, c), weighted as in ``quadrature.trig_sum``.  A
+    discrete environment is one exact ``trig_sum`` over its points;
+    otherwise the whole grid is one ``kernel_adaptive`` call over the
+    support.  Returns (T, d).
     """
     ts = finite_times(ts)
     if env.is_discrete:
         return trig_sum(ts, *kernel(env.points[:, 0], env.points[:, 1]))
-    return kernel_adaptive(lambda x: kernel(x, env.density(x)), ts, *env.support(), tol, rate)
+    return kernel_adaptive(lambda x: kernel(x, env.density(x)), ts, *env.support(), tol)
 
 
 def chi_trajectory(env: SpectralDensity, ts, tol: float = 1e-9) -> np.ndarray:
@@ -628,146 +628,129 @@ def rotation_axis(model: SpinModel, x: float):
 
 class _Branch(NamedTuple):
     """Where omega is monotone: x runs from x0, the end nearest the fold, in
-    the direction ``sign``; |x0 - x*| = eta0, and nu runs over
-    [nu0, nu0 + length]."""
+    the direction ``sign``; |z| = |a_3 + lam x| runs from z0, and
+    rho = omega / 2 over [rho0, rho0 + length]."""
 
     x0: float
     sign: float
-    eta0: float
-    nu0: float
+    z0: float
+    rho0: float
     length: float
 
 
-def _fold(model: SpinModel, t_max: float = 0.0):
-    """The near region of a continuous environment's support, its rate bound, and far branches.
+def _fold(model: SpinModel, t_max: float):
+    """The near region of a continuous environment's support, and its far branches.
 
-    The rotation rate omega(x) = 2 |(a_1, a_2, a_3 + lam x)| is smallest,
-    2 m with m = |(a_1, a_2)|, at the fold x* = -a_3 / lam.  Away from it,
-    omega is monotone on either side, and nu = omega / (2 |lam|) =
-    |(xi, x - x*)|, xi = m / |lam|, can take the place of x.  Only the strip
-    |x - x*| <= eta stays near, with eps = pi / (2 |lam| t_max) and
-    eta = min(xi, sqrt(eps (2 xi + eps))): on it nu - xi <= eps, so the phase
-    omega t varies by at most pi at every |t| <= t_max (at t_max = 0 the
-    strip is |x - x*| <= xi).  No branch starts on the fold, where its
-    factors xi / eta are singular, unless m = 0 and they vanish: eta > 0
-    wherever xi > 0 (eps is at least the least double); with the fold inside
-    the support a branch at the strip's edge has eta0 = eta, its x0 = x* + eta
-    rounded only placing the density (shifted by half an ulp of x* at most);
-    with the fold outside, x0 lies in the support and eta0 = |x0 - x*| > 0.
+    In the field coordinate z = a_3 + lam x the rotation rate is
+    omega = 2 rho, rho = |h| = |(m, z)| with m = |(a_1, a_2)|: smallest, 2 m,
+    at the fold z = 0, x* = -a_3 / lam, and monotone in |z| on either side of
+    it, so that rho can take the place of x there.  Both m and the fold stay
+    finite however far off x* is.  Only the strip |z| <= zeta stays near, with
+    eps = pi / (2 t_max) and zeta = min(m, sqrt(eps (2 m + eps))): on it
+    rho - m <= eps, so the phase omega t varies by at most pi at every
+    |t| <= t_max (at t_max = 0 the strip is |z| <= m).  No branch starts on
+    the fold, where its factors m / |z| are singular, unless m = 0 and they
+    vanish: zeta >= min(m, eps) > 0 wherever m > 0, as eps > 0 for every
+    finite t_max.  With the fold inside the support a branch at the strip's
+    edge has z0 = zeta, its x0 = x* +- zeta / |lam| rounded only placing the
+    density; with the fold outside, the one branch starts at the support's
+    end nearest the fold, z0 = |a_3 + lam x0|, or at the strip's edge beyond
+    it.  A branch's span in |z| is |lam| times a difference of abscissae, so
+    that branches and near region share their ends.
 
-    Returns a centre, the near region (lo, hi), empty when lo >= hi, the
-    bound on |d omega / dx| that ``kernel_adaptive`` must pre-split it for,
-    and one ``_Branch`` per side where the support reaches beyond the strip.
-    With the fold inside the support the centre is x* and the near region is
+    Returns a centre, the near region (lo, hi), empty when lo >= hi, and one
+    ``_Branch`` per side where the support reaches beyond the strip.  With
+    the fold inside the support the centre is x* and the near region is
     given in offsets s = x - x* from it: exact at the strip's edges, and
     a_3 + lam x = lam s exactly, however far off x* is.  Otherwise the
     centre is None and the near region is in x, exact at the support's
-    ends.  The bound is 0 when the near region lies within the strip, and
-    2 |lam| when part of the support takes no branch and stays near: with
-    lam = 0 or a fold or xi that is not a finite double (the whole support),
-    or where nu leaves the double range or a branch's length underflows.
+    ends.  Besides the strip only two parts of the support stay near: all
+    of it when lam = 0, where omega is constant, and a side whose span in
+    rho underflows to a subnormal (or leaves the double range), where its
+    offsets in rho would lose their precision; its phase turns by at most
+    2 t_max times the least normal double.
     """
     lo, hi = model.env_diag.support()
     a1, a2, a3 = model.a
-    rate = 2.0 * abs(model.lam)
+    lam = abs(model.lam)
+    if lam == 0.0:
+        return None, (lo, hi), []
+    m = np.hypot(a1, a2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x_star = np.float64(-a3) / model.lam
-        xi = np.hypot(a1, a2) / abs(np.float64(model.lam))
-        if not (np.isfinite(x_star) and np.isfinite(xi)):
-            return None, (lo, hi), rate, []
-        eps = max(np.float64(np.pi) / rate / t_max, np.finfo(float).smallest_subnormal)
-        eta = min(xi, np.sqrt(eps) * np.sqrt(2.0 * xi + eps))
+        eps = np.float64(np.pi) / 2.0 / t_max
+        zeta = min(m, np.sqrt(eps) * np.sqrt(2.0 * m + eps))
         inside = lo <= x_star <= hi
-        near, offsets, branches, resolved = [lo, hi], [lo - x_star, hi - x_star], [], True
-        for side, sign, start, x1 in ((0, -1.0, hi, lo), (1, 1.0, lo, hi)):
-            # The branch starts at the strip's edge, or where the support begins beyond it.
-            x0 = x_star + sign * eta
-            if sign * (start - x0) > 0:
-                x0 = start
-            if inside:  # at eta from the fold exactly
-                eta0, span = eta, sign * (x1 - x_star) - eta
-            else:  # at x0, as the near region in x ends
-                eta0, span = sign * (x0 - x_star), sign * (x1 - x0)
+        near, branches = [lo - x_star, hi - x_star] if inside else [lo, hi], []
+        if inside:
+            sides = [(sign, x1, x_star + sign * (zeta / lam), zeta)
+                     for sign, x1 in ((-1.0, lo), (1.0, hi))]
+        else:
+            sign, start, x1 = (-1.0, hi, lo) if x_star > hi else (1.0, lo, hi)
+            z_start = abs(a3 + model.lam * start)
+            # The branch starts at the support's end, or at the strip's edge beyond it.
+            x0 = start + sign * ((zeta - z_start) / lam) if z_start < zeta else start
+            sides = [(sign, x1, x0, max(zeta, z_start))]
+        for sign, x1, x0, z0 in sides:
+            span = lam * (sign * (x1 - x_star)) - zeta if inside else lam * (sign * (x1 - x0))
             if span > 0:
-                nu0, nu1 = np.hypot(xi, eta0), np.hypot(xi, eta0 + span)
-                # nu1 - nu0 without cancellation: nu^2 - eta^2 = xi^2 at both ends.
-                length = span * ((2.0 * eta0 + span) / (nu0 + nu1))
-                # _far_panels adds two rates; else the side stays near.
-                if np.isfinite(2.0 * nu1) and length > 0:
-                    near[side], offsets[side] = x0, sign * eta0
-                    branches.append(_Branch(x0, sign, eta0, nu0, length))
-                else:
-                    resolved = False
-    rate = 0.0 if resolved else rate
-    if inside:
-        return x_star, tuple(offsets), rate, branches
-    return None, tuple(near), rate, branches
-
-
-def spin_horizon(model: SpinModel) -> float:
-    """Largest |t| at which ``spin_trajectory``'s pre-split still resolves the phase.
-
-    The strip about the fold (``_fold``) shrinks with the grid's largest |t|,
-    so that its phase varies by at most pi, and the far branches cost the
-    same at any t: the horizon is infinite.  Only where part of the support
-    cannot take a far branch and stays near (a fold or xi that is not a
-    finite double, a branch whose nu leaves the double range) is that part
-    pre-split at the rate bound 2 |lam|; the horizon is then
-    ``quadrature.oscillation_horizon`` of the widest near region, 2**14 pi /
-    (2 |lam| w) for a region of width w, where the pre-split reaches the
-    quadrature's panel budget.  A discrete environment is an exact sum and
-    has no horizon.
-    """
-    if model.env_diag.is_discrete:
-        return float("inf")
-    _, (lo, hi), rate, _ = _fold(model)
-    return oscillation_horizon(lo, hi, rate)
+                rho0, rho1 = np.hypot(m, z0), np.hypot(m, z0 + span)
+                # rho1 - rho0 without cancellation: rho^2 - z^2 = m^2 at both ends.
+                length = span * ((2.0 * z0 + span) / (rho0 + rho1))
+                if length >= np.finfo(float).tiny:  # else the side stays near
+                    near[int(sign > 0)] = sign * (zeta / lam) if inside else x0
+                    branches.append(_Branch(x0, sign, z0, rho0, length))
+    return x_star if inside else None, tuple(near), branches
 
 
 def _far_panels(model: SpinModel, branch: _Branch) -> LegendrePanels:
-    """Legendre panels, in v = nu - nu0, of the five factors of a far branch's kernel.
+    """Legendre panels of the five factors of a far branch's kernel, placed in omega.
 
-    On the branch x = x0 + sign (eta - eta0), with eta = |x - x*| and
-    eta^2 = nu^2 - xi^2, so dx/dnu = nu / eta.  The axis is
-    n = alpha e_t + beta e_3 with e_t = (a_1, a_2, 0) / m, alpha = xi / nu
-    and |beta| = eta / nu.  The amplitudes (a, b, c) times dx/dnu are linear in
-    w dx/dnu (alpha^2, beta^2, alpha |beta|, alpha, |beta|)
-    = w (xi^2 / (nu eta), eta / nu, xi / nu, xi / eta, 1) (``_far_mixing``);
-    being products of positive numbers, these keep the relative accuracy of
-    the density w, where a component of a may be a difference of O(1) terms.
-    A node at v = c + d is placed as x(c) plus an offset,
-    eta^2 - eta(c)^2 = d (2 (nu0 + c) + d) over eta + eta(c): no rounding of
-    nu0 + v, or of x* (both large beside the offsets when the fold is far
-    off), enters the abscissae, and the density takes the two apart
-    (``SpectralDensity.density_at``).  Values are (p, n, 5).
+    On the branch x = x0 + sign (|z| - z0) / |lam|, with z^2 = rho^2 - m^2,
+    so dx/drho = rho / (|lam| |z|).  The axis is n = alpha e_t + beta e_3
+    with e_t = (a_1, a_2, 0) / m, alpha = m / rho and |beta| = |z| / rho.
+    The amplitudes (a, b, c) times dx/drho are linear in
+    w dx/drho (alpha^2, beta^2, alpha |beta|, alpha, |beta|)
+    = w / |lam| (m^2 / (rho |z|), |z| / rho, m / rho, m / |z|, 1)
+    (``_far_mixing``); being products of positive numbers, these keep the
+    relative accuracy of the density w, where a component of a may be a
+    difference of O(1) terms.  A node at v = c + d is placed as x(c) plus an
+    offset, (z^2 - z(c)^2) / (|z| + |z(c)|) / |lam| with
+    z^2 - z(c)^2 = d (2 (rho0 + c) + d): no rounding of rho0 + v, or of x*
+    (both large beside the offsets when the fold is far off), enters the
+    abscissae, and the density takes the two apart
+    (``SpectralDensity.density_at``).  The panels are built in v / scale,
+    scale the power of two in (length / 2, length]: an exact change of
+    variable that keeps the panels' edges, and the factors, which then
+    carry w scale / |lam| rather than w / |lam|, within the double range
+    however small or large lam and the branch are.  Values are (p, n, 5).
+    The panels' integrals are over rho, their centres and half-widths in
+    omega = 2 rho, so that ``legendre_fourier`` at t gives
+    int g exp(-2i rho t) drho: 2t may overflow where omega t does not.
     """
-    x0, sign, eta0, nu0, length = branch
-    xi = np.hypot(*model.a[:2]) / abs(model.lam)
+    x0, sign, z0, rho0, length = branch
+    lam = abs(model.lam)
+    m = np.hypot(*model.a[:2])
+    scale = np.ldexp(1.0, np.frexp(length)[1] - 1)
 
-    def eta(v):  # squaring neither eta0 nor nu0
-        return np.hypot(eta0, np.sqrt(v) * np.sqrt(2.0 * nu0 + v))
+    def z_of(v):  # squaring neither z0 nor rho0
+        return np.hypot(z0, np.sqrt(v) * np.sqrt(2.0 * rho0 + v))
 
     def values(centres, offsets):
-        eta_c = eta(centres)
-        x_c = x0 + sign * centres * ((2.0 * nu0 + centres) / (eta_c + eta0))
-        c, eta_c = centres[:, None], eta_c[:, None]
-        eta_v = eta(c + offsets)
+        c, d = scale * centres, scale * offsets
+        z_c = z_of(c)
+        x_c = x0 + sign * (c * ((2.0 * rho0 + c) / (z_c + z0)) / lam)
+        c, z_c = c[:, None], z_c[:, None]
+        z_v = z_of(c + d)
         w = model.env_diag.density_at(
-            x_c, sign * offsets * ((2.0 * (nu0 + c) + offsets) / (eta_v + eta_c)))
-        nu = nu0 + (c + offsets)
-        return np.stack([w * (xi / nu) * (xi / eta_v), w * (eta_v / nu), w * (xi / nu),
-                         w * (xi / eta_v), w], axis=-1)
+            x_c, sign * (d * ((2.0 * (rho0 + c) + d) / (z_v + z_c)) / lam)) * (scale / lam)
+        rho = rho0 + (c + d)
+        return np.stack([w * (m / rho) * (m / z_v), w * (z_v / rho), w * (m / rho),
+                         w * (m / z_v), w], axis=-1)
 
-    if not xi > eta0:
-        return legendre_panels(values, 0.0, length)
-    # At a strip's edge the first and fourth factors reach w xi / eta0, which
-    # grows like sqrt(t); a few ulps of rounding in w then exceed the absolute
-    # budget, and no bisection removes them.  The panels take the factors over
-    # xi / eta0, at most w as on a branch that starts at eta0 >= xi, so the
-    # budget and the tail estimate grow by that ratio.
-    scale = xi / eta0
-    panels = legendre_panels(lambda c, d: values(c, d) / scale, 0.0, length)
-    return panels._replace(coeffs=panels.coeffs * scale, tail=panels.tail * scale)
+    panels = legendre_panels(values, 0.0, length / scale)
+    return panels._replace(centres=2.0 * (rho0 + scale * panels.centres),
+                           halves=2.0 * scale * panels.halves)
 
 
 def _far_mixing(model: SpinModel, p, branch: _Branch) -> np.ndarray:
@@ -800,11 +783,10 @@ def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
     - the near region, a strip about the fold that shrinks with the grid's
       largest |t| so that the phase varies by at most pi on it, takes one
       adaptive quadrature for the whole grid
-      (``quadrature.kernel_adaptive``) with no pre-split, at the same cost
-      at any t;
-    - on each far branch, where omega is monotone, a and b become
-      int g(nu) exp(-i 2 |lam| nu t) dnu with g = (a, b) |dx/dnu|: Legendre
-      panels in nu (``_far_panels``), integrated exactly at every t by
+      (``quadrature.kernel_adaptive``), at the same cost at any t;
+    - on each far branch, where omega = 2 rho is monotone, a and b become
+      int g(rho) exp(-2i rho t) drho with g = (a, b) |dx/drho|: Legendre
+      panels in rho (``_far_panels``), integrated exactly at every t by
       ``quadrature.legendre_fourier``, taking times in ascending |t| as the
       adaptive blocks do.  The cos integral is the real part, the sin
       integral minus the imaginary part; c, which does not oscillate, is the
@@ -813,7 +795,7 @@ def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
     alone: a fold narrower than tol would then go missing from c + a.
     """
     p = np.asarray(p, dtype=float)
-    env, rate = model.env_diag, 2.0 * abs(model.lam)
+    env = model.env_diag
 
     def rotation(x, weight, a3=None):
         n, omega = _axes(model, x, a3)
@@ -825,19 +807,18 @@ def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
         return rotation(s, env.density_at(np.array([centre]), s[None])[0], 0.0)
 
     if env.is_discrete:
-        return _trajectory(env, ts, rate, rotation, tol)
+        return _trajectory(env, ts, rotation, tol)
     ts = finite_times(ts)
-    centre, (lo, hi), near_rate, branches = _fold(model, float(np.abs(ts).max()))
+    centre, (lo, hi), branches = _fold(model, float(np.abs(ts).max()))
     out = np.zeros((ts.size, 3))
     if hi > lo:
         kernel = near if centre is not None else lambda x: rotation(x, env.density(x))
-        out += kernel_adaptive(kernel, ts, lo, hi, tol, near_rate)
+        out += kernel_adaptive(kernel, ts, lo, hi, tol)
     order = np.argsort(np.abs(ts), kind="stable")
     for branch in branches:
         panels = _far_panels(model, branch)
         mixing = _far_mixing(model, p, branch)
-        far = legendre_fourier(panels._replace(centres=branch.nu0 + panels.centres),
-                               rate * ts[order], tol) @ mixing[:, :6]
+        far = legendre_fourier(panels, ts[order], tol) @ mixing[:, :6]
         out[order] += far[:, :3].real - far[:, 3:].imag
         out += panels.coeffs[:, 0].sum(axis=0) @ mixing[:, 6:]  # c: the panels' integrals
     return out
@@ -866,8 +847,8 @@ def asymptotic_map(model: SpinModel, tol: float = 1e-9) -> np.ndarray:
         n, omega = _axes(model, x)
         return omega, None, None, weight[:, None] * (n[:, :, None] * n[:, None, :]).reshape(-1, 9)
 
-    # The trajectory integral at the one time t = 0: no oscillation to pre-split for.
-    return _trajectory(model.env_diag, [0.0], 0.0, projectors, tol)[0].reshape(3, 3)
+    # The trajectory integral at the one time t = 0.
+    return _trajectory(model.env_diag, [0.0], projectors, tol)[0].reshape(3, 3)
 
 
 def spin_asymptotics(model: SpinModel, p, t_grid, tol: float = 1e-9) -> np.ndarray:

@@ -1,14 +1,12 @@
 """Quadrature rules: adaptive panel-based Gauss-Legendre and Legendre-Filon.
 
-``gauss_legendre_adaptive`` is built for smooth, possibly oscillatory
-integrands whose oscillation is not a plain exp(-ivt) factor.  Callers
-pre-split the interval into half-period panels (``oscillation_panels``);
-panels are then bisected until the discrepancy between the order-n and
-order-2n rules falls below their share of the error budget.  Integrands may
-be scalar or array valued; everything is evaluated vectorized over the nodes
-of all pending panels at once, and panel contributions are summed in the
-order of their left edges so results do not depend on evaluation scheduling.
-That loop (``_bisect``) also splits densities into Legendre panels.
+``gauss_legendre_adaptive`` is built for smooth integrands.  Panels are
+bisected until the discrepancy between the order-n and order-2n rules falls
+below their share of the error budget.  Integrands may be scalar or array
+valued; everything is evaluated vectorized over the nodes of all pending
+panels at once, and panel contributions are summed in the order of their
+left edges so results do not depend on evaluation scheduling.  That loop
+(``_bisect``) also splits densities into Legendre panels.
 
 ``kernel_adaptive`` is the same rule for a whole grid of times, on
 integrands of the form
@@ -16,26 +14,17 @@ integrands of the form
     c(x) + a(x) cos(omega(x) t) + b(x) sin(omega(x) t)
 
 (the spin rotation kernel: a rigid rotation about n(x) at rate omega(x)).
-It takes the whole grid and cuts it into blocks of ascending |t| (``_blocks``),
-each pre-split for its largest |t| and kept within KERNEL_ELEMENTS table
-entries, and runs one adaptive call per block.  The spin model calls it on a
-strip about the fold of omega, narrowed with the grid's largest |t| until
-the phase varies by at most pi on it, with rate 0: MIN_PANELS and no
-pre-split, at the same cost at any t (``models._fold``).  The kernel gives
-the rate and the amplitudes once per node; each panel's amplitudes carry the
-rule's weights times its half-width, its cos and sin tables (times x nodes)
-are each contracted with them by one batched matmul (``trig_sum``), and the
-t-independent c is summed once per panel.
-
-An order-16 rule is exact to round-off over a full period of exp(-ivt), but
-full-period panels are not used: their per-panel phase errors add up
-coherently over thousands of panels (chi of a uniform density at t = 1e4 is
-then off by ~2e-14 instead of <1e-15).  Half-period panels are as accurate
-as eighth-period ones at a quarter of the nodes.  The cost of this rule grows
-with the oscillation rate, and the pre-split is capped at MAX_PANELS;
-``oscillation_horizon`` is the |t| at which the pre-split reaches that cap.
-The spin model keeps such a pre-split, and a horizon, only for a part of its
-support that takes no far branch (``models.spin_horizon``).
+It takes the times in ascending |t|, in blocks whose cos and sin tables on
+MIN_PANELS initial panels stay within KERNEL_ELEMENTS entries, and runs one
+adaptive call per block.  It starts from MIN_PANELS panels at any t, so it
+is meant for a range of x on which the phase omega(x) t varies by no more
+than about pi: the spin model calls it on a strip about the fold of omega,
+narrowed with the grid's largest |t| until that holds (``models._fold``),
+at the same cost at any t.  The kernel gives the rate and the amplitudes
+once per node; each panel's amplitudes carry the rule's weights times its
+half-width, its cos and sin tables (times x nodes) are each contracted with
+them by one batched matmul (``trig_sum``), and the t-independent c is
+summed once per panel.
 
 The Fourier transform of a smooth density f, int f(v) exp(-ivt) dv, does not
 need any of that (Filon's idea; Iserles and Norsett, Proc. R. Soc. A 461,
@@ -51,12 +40,13 @@ panels' Legendre tails at every t.  ``spherical_jn`` supplies j_k with numpy
 alone.  f may have components: it maps (p,) panel centres and (p, n) node
 offsets to (p, n, ...) values, one bisection serves all components, and the
 transforms come out as (T, ...).  The same rule integrates the spin kernel
-away from the strip about the fold of its rate: where omega is monotone, the
-rate itself becomes the variable v, and the kernel's amplitudes times dx/dv
-are the f (``models.spin_trajectory``); the bisection grades the panels
-toward the strip's edge, where dx/dv grows like sqrt(t).  Centre and offset
-come apart so that such a change of variable can place its nodes without
-rounding them.
+away from the strip about the fold of its rate: where omega = 2 rho is
+monotone, rho itself becomes the variable v, and the kernel's amplitudes
+times dx/dv are the f (``models.spin_trajectory``); the bisection grades the
+panels toward the strip's edge, where dx/dv grows like sqrt(t), and judges
+the large values there against their own rounding noise (NOISE_ULPS).
+Centre and offset come apart so that such a change of variable can place
+its nodes without rounding them.
 
 Every Gauss-Legendre rule here comes from one generator,
 ``_gauss_legendre``: Newton's method on the three-term recurrence from
@@ -82,6 +72,12 @@ NODES_PER_PANEL = 3 * ORDER
 # whole density (absolute, in units of the integral).
 LEGENDRE_ORDER = 16
 LEGENDRE_BUDGET = 1e-15
+# Rounding noise of a panel's values, in ulps of their largest magnitude: a
+# Legendre tail below it cannot be told apart from noise.  The densities'
+# tails level off at up to 82 ulps (bump; 49 at the 99th percentile), 13
+# (gaussian) and 0.01 (uniform) on panels where they are at least 1e-3 of
+# their peak; 64 is the power of two above the bump's 99th percentile.
+NOISE_ULPS = 64
 # Bound on Legendre terms x panels x times held at once by legendre_fourier.
 LEGENDRE_ELEMENTS = 2**16
 # Bound on initial panels x nodes per panel x times for one block of
@@ -163,7 +159,8 @@ def _bisect(evaluate, a, b, initial_panels, max_panels, what):
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
     n0 = int(min(max(initial_panels, 1), max_panels))
-    edges = np.linspace(a, b, n0 + 1)
+    # Steps between subnormal ends round up: linspace may pass b before its last edge.
+    edges = np.minimum(np.linspace(a, b, n0 + 1), b)
     lo, hi = edges[:-1], edges[1:]
     accepted_lo, accepted = [], []
     n_panels = n0
@@ -193,7 +190,7 @@ def _rule_pair(panel_values, a, b, tol, initial_panels, max_panels):
         coarse, fine = (panel_values(lo[:, None] + half * (x + 1.0), w * half)
                         for x, w in (_rule(ORDER), _rule(2 * ORDER)))
         err = np.abs(fine - coarse).reshape(lo.size, -1).max(axis=1)
-        return err <= tol * (hi - lo) / (b - a), (fine,)
+        return err <= tol * ((hi - lo) / (b - a)), (fine,)  # tol * (hi - lo) may underflow
 
     (fine,) = _bisect(evaluate, a, b, initial_panels, max_panels, f"panels for tolerance {tol:g}")
     return fine.sum(axis=0)
@@ -204,8 +201,7 @@ def gauss_legendre_adaptive(f, a, b, tol=1e-9, initial_panels=MIN_PANELS, max_pa
 
     ``f`` maps an (m,) array of abscissae to an (m, ...) array of values
     (complex allowed); for array values every component must meet ``tol``.
-    ``initial_panels`` lets callers pre-split for known oscillation rates
-    before adaptive bisection takes over.
+    Bisection starts from ``initial_panels`` equal panels.
 
     Raises QuadratureFailure when the panel budget is exhausted before the
     error estimate drops below ``tol``.
@@ -236,35 +232,16 @@ def trig_sum(ts, omega, a, b, c):
     return out
 
 
-def _blocks(lo, hi, rate, ts):
-    """Split times into blocks sharing one adaptive call, with their pre-splits.
-
-    Times are taken in ascending |t|; each block is pre-split for its largest
-    phase rate ``rate * |t|`` and grows only while initial panels x nodes x
-    block size stays within KERNEL_ELEMENTS, which bounds the trig tables'
-    memory.  Yields (indices into ts, initial panel count).
-    """
-    order = np.argsort(np.abs(ts), kind="stable")
-    panels = [oscillation_panels(lo, hi, rate * abs(ts[i])) for i in order]
-    start = 0
-    while start < order.size:
-        stop = start + 1
-        while (stop < order.size and panels[stop] * NODES_PER_PANEL * (stop + 1 - start)
-               <= KERNEL_ELEMENTS):
-            stop += 1
-        yield order[start:stop], panels[stop - 1]
-        start = stop
-
-
-def kernel_adaptive(kernel, ts, lo, hi, tol, rate):
+def kernel_adaptive(kernel, ts, lo, hi, tol):
     """int_lo^hi c(x) + a(x) cos(omega(x) t) + b(x) sin(omega(x) t) dx for every t in ``ts``.
 
     ``kernel`` maps (m,) abscissae to (omega, a, b, c): (m,) rates and (m, d)
-    amplitudes, or None as in ``trig_sum``.  ``rate`` bounds |d omega / dx|,
-    so the phase omega(x) t advances by at most ``rate * |t|`` per unit x.
-    The times are split into blocks (``_blocks``); each block is one adaptive
-    call, its panels accepted and bisected as in ``gauss_legendre_adaptive``,
-    every (t, component) meeting ``tol``.  Returns (T, d) in the order of ``ts``.
+    amplitudes, or None as in ``trig_sum``.  The times are taken in ascending
+    |t|, in blocks of at most KERNEL_ELEMENTS // (MIN_PANELS x NODES_PER_PANEL),
+    which bounds the trig tables of the initial panels; each block is one
+    adaptive call, its panels accepted and bisected as in
+    ``gauss_legendre_adaptive``, every (t, component) meeting ``tol``.
+    Returns (T, d) in the order of ``ts``.
     """
 
     def panel_values(tb, nodes, scale):
@@ -273,42 +250,17 @@ def kernel_adaptive(kernel, ts, lo, hi, tol, rate):
                   for q in amplitudes]
         return trig_sum(tb, omega.reshape(nodes.shape), *folded)
 
+    order = np.argsort(np.abs(ts), kind="stable")
+    step = KERNEL_ELEMENTS // (MIN_PANELS * NODES_PER_PANEL)
     out = None
-    for idx, n0 in _blocks(lo, hi, rate, ts):
-        part = _rule_pair(functools.partial(panel_values, ts[idx]), lo, hi, tol, n0, MAX_PANELS)
+    for start in range(0, ts.size, step):
+        idx = order[start : start + step]
+        part = _rule_pair(functools.partial(panel_values, ts[idx]), lo, hi, tol, MIN_PANELS,
+                          MAX_PANELS)
         if out is None:
             out = np.empty((ts.size, part.shape[1]))
         out[idx] = part
     return out
-
-
-def oscillation_panels(a, b, rate):
-    """Initial panel count so each panel spans at most half an oscillation.
-
-    ``rate`` is the phase advance per unit abscissa (e.g. |t| for a factor
-    exp(-ivt)); panels of width pi/rate advance the phase by pi, half of the
-    period 2 pi/rate.  A full period per panel would also be resolved by the
-    order-16 rule, but the phase errors of neighbouring panels then add up
-    coherently (see the module docstring).  Never fewer than MIN_PANELS.
-    """
-    if rate <= 0:
-        return MIN_PANELS
-    with np.errstate(over="ignore"):  # a subnormal rate gives width inf, so MIN_PANELS
-        width = np.pi / rate
-    return int(max(MIN_PANELS, np.ceil((b - a) / width)))
-
-
-def oscillation_horizon(a, b, rate):
-    """Largest |t| at which the pre-split of [a, b] stays within MAX_PANELS panels.
-
-    ``rate`` is as in ``kernel_adaptive``: the phase advances by at most
-    ``rate * |t|`` per unit abscissa, so ``oscillation_panels`` reaches
-    MAX_PANELS at MAX_PANELS pi / (rate (b - a)).  Beyond it the adaptive
-    rule may run out of panels.  Infinite when rate (b - a) is 0: nothing
-    oscillates, or the product underflows.
-    """
-    span = rate * (b - a)
-    return MAX_PANELS * np.pi / span if span > 0 else float("inf")
 
 
 def spherical_jn(kmax, z):
@@ -365,17 +317,20 @@ def spherical_jn(kmax, z):
 class LegendrePanels(NamedTuple):
     """Panels [c - h, c + h] of f's support with f's Legendre series on each.
 
-    ``coeffs[p, k, ...]`` is 2h a_k, the Legendre coefficient a_k of f on
-    panel p times the panel's width, so ``coeffs[:, 0]`` are the panels'
-    integrals; trailing axes are f's components, none for a scalar f.  Rows
-    are ordered by centre; trailing terms that no panel needs are dropped.
-    ``tail`` bounds the integral of what the series leave out, for every
-    component: the sum over panels of 2h (|a_(n-2)| + |a_(n-1)|), plus what
-    the dropped terms could contribute.
+    Bisection leaves few distinct half-widths: ``halves`` holds them once,
+    ascending, and panel p's is ``halves[width_of[p]]``; scaling ``halves``
+    scales every panel.  ``coeffs[p, k, ...]`` is 2h a_k, the Legendre
+    coefficient a_k of f on panel p times the panel's width, so
+    ``coeffs[:, 0]`` are the panels' integrals; trailing axes are f's
+    components, none for a scalar f.  Rows are ordered by centre; trailing
+    terms that no panel needs are dropped.  ``tail`` bounds the integral of
+    what the series leave out, for every component: the sum over panels of
+    2h (|a_(n-2)| + |a_(n-1)|), plus what the dropped terms could contribute.
     """
 
     centres: np.ndarray
     halves: np.ndarray
+    width_of: np.ndarray
     coeffs: np.ndarray
     tail: float
 
@@ -409,9 +364,13 @@ def legendre_panels(f, a, b):
     is LEGENDRE_ORDER.  Given apart, centre and offset let f place its nodes
     without rounding them onto a coarser grid (a change of variable).  A
     panel is bisected until, for every component, 2h (|a_(n-2)| + |a_(n-1)|)
-    is below its width's share of LEGENDRE_BUDGET, or below the noise that
-    rounding of f's values alone puts into those coefficients (no bisection
-    can go under it).  All pending panels are transformed at once.  Raises
+    is below its width's share of LEGENDRE_BUDGET, or below the noise of f's
+    values, which no bisection can go under: 2h times the larger of what
+    one ulp in every value puts into those coefficients and NOISE_ULPS ulps
+    of the values' largest magnitude on the panel (the series' noise
+    plateau; Aurentz and Trefethen, ACM TOMS 43, 2017).  Large values of f
+    on a few thin panels then add only ~EPS times the integral of |f| to
+    the tail.  All pending panels are transformed at once.  Raises
     QuadratureFailure when f needs more than MAX_PANELS panels.
     """
     x, transform = _legendre_rule(LEGENDRE_ORDER)
@@ -426,8 +385,9 @@ def legendre_panels(f, a, b):
         w = np.repeat(widths, rows.shape[0] // p)
         coeffs = (rows.astype(np.longdouble) @ transform.T).astype(float) * w[:, None]
         tails = np.abs(coeffs[:, -2:]).sum(axis=1)
-        floors = w * (np.abs(rows) @ noise.T).sum(axis=1)
-        ok = (tails <= LEGENDRE_BUDGET * w / (b - a)) | (tails <= floors)
+        size = np.abs(rows)
+        floors = w * np.maximum((size @ noise.T).sum(axis=1), NOISE_ULPS * EPS * size.max(axis=1))
+        ok = (tails <= LEGENDRE_BUDGET * (w / (b - a))) | (tails <= floors)
         coeffs = np.moveaxis(coeffs.reshape((p,) + vals.shape[2:] + (n,)), -1, 1)
         return ok.reshape(p, -1).all(axis=1), (centres, widths / 2.0, coeffs,
                                                tails.reshape(p, -1).max(axis=1))
@@ -440,7 +400,9 @@ def legendre_panels(f, a, b):
     bound = np.cumsum(totals[::-1], axis=0)[::-1].max(axis=1)
     keep = max(1, int(np.count_nonzero(bound > EPS / 10.0)))
     dropped = float(bound[keep]) if keep < LEGENDRE_ORDER else 0.0
-    return LegendrePanels(centres, halves, coeffs[:, :keep], float(tails.sum()) + dropped)
+    halves, width_of = np.unique(halves, return_inverse=True)
+    return LegendrePanels(centres, halves, width_of, coeffs[:, :keep],
+                          float(tails.sum()) + dropped)
 
 
 # Real and imaginary parts of (-i)^k for k mod 4.
@@ -474,14 +436,13 @@ def legendre_fourier(panels, ts, tol):
     weights = (coeffs[..., None] * _POWERS_OF_MINUS_I[np.arange(n_terms) % 4, None]).reshape(
         n_panels, n_terms, -1)
     out = np.empty((ts.size, coeffs.shape[2]), dtype=complex)
-    # Bisection leaves few distinct half-widths: j_k(h |t|) once per width.
-    halves, width_of = np.unique(panels.halves, return_inverse=True)
     step = max(1, LEGENDRE_ELEMENTS // (n_panels * n_terms))
     for s in range(0, ts.size, step):
         tc = at[s : s + step]
         # np.take keeps (k, p, t) in C order, as [:, width_of] would not: matmul
         # rounds by layout, and chi must not depend on how times are chunked.
-        j = np.take(spherical_jn(n_terms - 1, np.multiply.outer(halves, tc)), width_of, axis=1)
+        j = np.take(spherical_jn(n_terms - 1, np.multiply.outer(panels.halves, tc)),
+                    panels.width_of, axis=1)
         sums = np.matmul(j.transpose(1, 2, 0), weights).view(complex)  # (p, t, d)
         phases = np.exp(np.multiply.outer(-1j * panels.centres, tc))
         out[s : s + step] = np.einsum("pt,ptd->td", phases, sums)

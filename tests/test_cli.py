@@ -377,38 +377,73 @@ initial.bloch = 0.7,0.2,0.5
 """
 
 
+# A fold x* = -a_3 / lam beyond the double range: the whole support is one
+# far branch in the field coordinate z = a_3 + lam x.  It used to be left
+# near, pre-split at 2 |lam|, and ran out of panels at t = 12000 (exit 2).
+DEGENERATE_FOLD = ("env.kind = uniform\nenv.a = -4e299\nenv.b = 4e299",
+                   "model.a = 1,0,1e10", "model.lam = 1e-300")
+
+
 @pytest.mark.parametrize("base", [SPIN_CONFIG, SPIN_ASYMPTOTICS_CONFIG.replace(
     "t_grid.stop = 14.0", "t_grid.stop = 20000.0").replace("fit.window = 2,14\n", "")],
     ids=["spin", "spin_asymptotics"])
-def test_main_validate_rejects_spin_grid_beyond_horizon(tmp_path, capsys, base):
+def test_main_runs_spin_grids_past_the_old_horizons(tmp_path, capsys, base):
     # A unit gaussian with lam = 1 and a = (1, 0, 2) had the horizon of the
     # near region [-3, -1] of the fold, 2**14 pi / (2 * 2) ~ 12868.  The strip
     # about the fold now shrinks with t: 2e4 validates and runs.
     cfg = tmp_path / "scenario.cfg"
-    cfg.write_text(base)
+    for env, a, lam, stop in [("env.kind = gaussian\nenv.s = 1.0", "model.a = 1,0,2",
+                               "model.lam = 1.0", "20000.0"), DEGENERATE_FOLD + ("12000.0",)]:
+        cfg.write_text(base.replace("env.kind = gaussian\nenv.s = 1.0", env)
+                       .replace("model.a = 1,0,2", a).replace("model.lam = 1.0", lam)
+                       .replace("t_grid.stop = 20000.0", f"t_grid.stop = {stop}"))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "invalid" not in capsys.readouterr().err
+        csv = next(tmp_path.glob("*.csv"))
+        _, rows = read_csv(csv)
+        values = np.array(rows, dtype=float)
+        assert values[-1, 0] == float(stop) and np.all(np.isfinite(values))
+        csv.unlink()
+
+
+FOLD_INSIDE_ENVS = {"gaussian": "env.kind = gaussian\nenv.s = 1",
+                    "bump": "env.kind = bump\nenv.a = -1\nenv.b = 1.5",
+                    "uniform": "env.kind = uniform\nenv.a = -1\nenv.b = 1.5"}
+
+
+@pytest.mark.parametrize("stop", ["1e16", "1e20"])
+@pytest.mark.parametrize("kind", FOLD_INSIDE_ENVS)
+def test_main_runs_spin_with_the_fold_inside_at_very_large_t(tmp_path, capsys, kind, stop):
+    # The fold x* = -0.3 lies inside each support.  Far branches from the
+    # strip's edge carry factors ~ w m / zeta ~ sqrt(t); their rounding used
+    # to be rescaled into the Legendre tail estimate, which then exceeded
+    # tol = 1e-9 from t ~ 1e16 (exit 2).
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(SPIN_CONFIG.replace("env.kind = gaussian\nenv.s = 1.0", FOLD_INSIDE_ENVS[kind])
+                   .replace("model.a = 1,0,2", "model.a = 1,0,0.3")
+                   .replace("t_grid.stop = 20000.0", f"t_grid.stop = {stop}"))
     assert main(["validate", "--config", str(cfg)]) == 0
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    csv = next(tmp_path.glob("*.csv"))
-    _, rows = read_csv(csv)
-    assert float(rows[-1][0]) == 20000.0 and np.all(np.isfinite(np.array(rows, dtype=float)))
-    capsys.readouterr()
-    # A fold -a_3 / lam beyond the double range leaves the whole support
-    # [-10, 10] near, pre-split at 2 |lam|: its horizon is
-    # 2**14 pi / (2e-10 * 20) ~ 1.29e13.
-    cfg.write_text(base.replace("model.a = 1,0,2", "model.a = 1,0,1e300")
-                   .replace("model.lam = 1.0", "model.lam = 1e-10")
-                   .replace("t_grid.stop = 20000.0", "t_grid.stop = 2e13"))
-    assert main(["validate", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert "invalid config: t_grid.stop:" in err and "1.2868e+13" in err
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(tmp_path / "spin.csv")
+    values = np.array(rows, dtype=float)
+    assert values[-1, 0] == float(stop) and np.all(np.isfinite(values))
+    assert np.all(np.linalg.norm(values[:, 1:], axis=1) <= 1.0 + 1e-12)
 
 
 def test_spin_grid_inside_horizon_or_on_discrete_env_validates():
     assert parse_config(SPIN_CONFIG.replace("t_grid.stop = 20000.0", "t_grid.stop = 1286.0"))
-    # Neither the strip about the fold nor the far branches bound t.
+    # Neither the strip about the fold nor the far branches bound t, and no
+    # spin horizon is left: a fold beyond the double range validates too.
     far = parse_config(SPIN_CONFIG.replace("t_grid.stop = 20000.0", "t_grid.stop = 1e6"))
     assert far.inputs["t_grid"][-1] == 1e6
-    # A discrete environment is an exact sum at every t: no horizon.
+    env, a, lam = DEGENERATE_FOLD
+    degenerate = parse_config(SPIN_CONFIG.replace("env.kind = gaussian\nenv.s = 1.0", env)
+                              .replace("model.a = 1,0,2", a).replace("model.lam = 1.0", lam)
+                              .replace("t_grid.stop = 20000.0", "t_grid.stop = 1e8"))
+    assert degenerate.inputs["t_grid"][-1] == 1e8
+    # A discrete environment is an exact sum at every t.
     discrete = SPIN_CONFIG.replace("env.kind = gaussian\nenv.s = 1.0",
                                    "env.kind = discrete\nenv.points = -0.5:0.5, 0.5:0.5")
     assert parse_config(discrete).inputs["t_grid"][-1] == 20000.0
@@ -558,9 +593,8 @@ def test_main_run_writes_series_and_reports_why_no_decay_fit(tmp_path, old, new,
 # Inputs at which numpy arithmetic inside declab overflows or divides by 0,
 # which must not reach stderr as a RuntimeWarning: points and lambdas spanning
 # more than the double range, a subnormal fit.delta (polyfit's column scaling
-# before its LinAlgError) and a subnormal lam (the pre-split's half-period
-# width).  A validate fails with one line naming the key; a run reports why
-# no fit was made.
+# before its LinAlgError) and a subnormal lam.  A validate fails with one
+# line naming the key; a run reports why no fit was made.
 WARNING_INPUTS = [
     ("validate", SPIN_CONFIG.replace("env.kind = gaussian\nenv.s = 1.0", FAR_FIELD.format("1e308"))
      .replace("t_grid.stop = 20000.0", "t_grid.stop = 1.0"), "declab: invalid config: t_grid.stop:"),

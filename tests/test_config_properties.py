@@ -103,6 +103,34 @@ def configs(draw, experiment):
     return "".join(f"{key} = {value}\n" for key, value in e.items())
 
 
+@st.composite
+def extreme_spin_configs(draw, experiment):
+    """A spin config whose field a_1, a_2, a_3, coupling lam, support centre and
+    width and t_grid.stop are drawn log-uniformly across the double range
+    (the field and coupling of either sign, now and then 0)."""
+
+    def magnitude(zero=True):
+        if zero and draw(st.integers(1, 12)) == 7:
+            return 0.0
+        return draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-300.0, 300.0))
+
+    centre, width = magnitude(), abs(magnitude(zero=False))
+    kind = draw(st.sampled_from(["gaussian", "uniform", "bump"]))
+    e = {"experiment": experiment, "t_grid.start": "0",
+         "t_grid.stop": repr(abs(magnitude(zero=False))),
+         "t_grid.count": str(draw(st.integers(2, 5)) if experiment == "spin" else 20),
+         "env.kind": kind}
+    if kind == "gaussian":
+        e["env.s"] = repr(width / 20.0)
+    else:
+        e["env.a"], e["env.b"] = repr(centre - width / 2.0), repr(centre + width / 2.0)
+    e["model.a"] = ",".join(repr(magnitude()) for _ in range(3))
+    e["model.b"] = "0.3"
+    e["model.lam"] = repr(magnitude())
+    e["initial.bloch"] = "0.7,0.2,0.5"
+    return "".join(f"{key} = {value}\n" for key, value in e.items())
+
+
 def cli(*argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -115,6 +143,25 @@ def cli(*argv):
 @hypothesis.given(data=st.data())
 def test_config_validates_and_runs_or_fails_validate_naming_a_key(experiment, data):
     text = data.draw(configs(experiment), label="config")
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "scenario.cfg")
+        with open(path, "w") as handle:
+            handle.write(text)
+        code, err = cli("validate", "--config", path)
+        if code == 1:
+            assert KEY.match(err), err
+            return
+        assert code == 0, err
+        code, err = cli("run", "--config", path, "--out", out)
+        assert code == 0, err
+
+
+@pytest.mark.parametrize("experiment", ["spin", "spin_asymptotics"])
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_spin_config_at_extreme_magnitudes_validates_and_runs_or_fails_validate(experiment, data):
+    # Every spin grid whose phases 2 |h| t are finite validates; it must then run.
+    text = data.draw(extreme_spin_configs(experiment), label="config")
     with tempfile.TemporaryDirectory() as out:
         path = os.path.join(out, "scenario.cfg")
         with open(path, "w") as handle:

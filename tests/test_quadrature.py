@@ -2,6 +2,7 @@
 
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 import tracemalloc
@@ -23,7 +24,6 @@ from declab import (
     density_to_bloch,
     gauss_legendre_adaptive,
     spin_evolve,
-    spin_horizon,
     spin_trajectory,
 )
 from declab.quadrature import (
@@ -32,9 +32,8 @@ from declab.quadrature import (
     MAX_PANELS,
     MIN_PANELS,
     NODES_PER_PANEL,
+    kernel_adaptive,
     legendre_panels,
-    oscillation_horizon,
-    oscillation_panels,
     spherical_jn,
 )
 
@@ -47,6 +46,18 @@ def test_adaptive_refines_a_narrow_peak():
     c = 100.0
     got = gauss_legendre_adaptive(lambda x: 1.0 / (1.0 + (c * x) ** 2), -1.0, 1.0, tol=1e-12)
     assert abs(got - 2.0 * np.arctan(c) / c) < 1e-12
+
+
+def test_adaptive_meets_tolerance_on_a_subnormal_interval():
+    # Each panel's share of tol, tol * (hi - lo) / (b - a), used to underflow
+    # to 0 on an interval this narrow: every panel was bisected until the
+    # budget ran out (a spin strip |z| <= m with m / |lam| ~ 1e-317 did so).
+    got = gauss_legendre_adaptive(lambda x: 1e300 * np.exp(-x / 1e-317), 0.0, 4e-317, tol=1e-9)
+    assert abs(got - 1e-17 * -np.expm1(-4.0)) < 1e-20
+    # Between ends a few subnormals apart, np.linspace's rounded step passes
+    # b before its last edge; the reversed panel then never met its share.
+    got = gauss_legendre_adaptive(lambda x: 1e300 * (1.0 + x / 3e-323), -3e-323, 3e-323, tol=1e-9)
+    assert abs(got - 6e-23) < 1e-22
 
 
 def test_adaptive_array_values_meet_tolerance_per_component():
@@ -80,14 +91,12 @@ def test_budget_exhaustion_names_budget_and_tolerance():
                                 max_panels=16)
 
 
-def test_oscillation_panels_span_half_a_period():
-    assert oscillation_panels(-1.0, 1.0, 0.0) == MIN_PANELS
-    assert oscillation_panels(-1.0, 1.0, 1.0) == MIN_PANELS
-    for a, b, rate in [(-10.0, 10.0, 100.0), (-1.0, 1.0, 60.0), (0.0, 3.0, 1e4)]:
-        n = oscillation_panels(a, b, rate)
-        assert (b - a) / n * rate <= np.pi * (1 + 1e-15)
-        assert (b - a) / (n - 1) * rate > np.pi
-    assert oscillation_panels(-10.0, 10.0, 100.0) == 637
+def half_period_panels(a, b, rate):
+    """Panels of [a, b] on which a phase advancing by ``rate`` per unit x turns
+    by at most pi, and no fewer than MIN_PANELS: the references' pre-split."""
+    if rate <= 0:
+        return MIN_PANELS
+    return int(max(MIN_PANELS, np.ceil((b - a) / (np.pi / rate))))
 
 
 # --- trajectories
@@ -196,128 +205,84 @@ def test_spin_trajectory_matches_pointwise(env):
     assert np.abs(got - expected).max() < 1e-12
 
 
+def record_blocks(monkeypatch):
+    """(lo, hi, initial panels, times) of every adaptive call, as kernel_adaptive makes them."""
+    calls = []
+    original = declab.quadrature._rule_pair
+
+    def recorded(panel_values, a, b, tol, initial_panels, max_panels):
+        calls.append((a, b, initial_panels, panel_values.args[0]))
+        return original(panel_values, a, b, tol, initial_panels, max_panels)
+
+    monkeypatch.setattr(declab.quadrature, "_rule_pair", recorded)
+    return calls
+
+
+BLOCK = KERNEL_ELEMENTS // (MIN_PANELS * NODES_PER_PANEL)
+
+
 def test_spin_trajectory_spans_several_blocks(monkeypatch):
     model = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
     p = np.array([0.7, 0.2, 0.5])
-    # More times than one block of MIN_PANELS panels holds.
-    ts = np.linspace(600.0, 1200.0, 2 * KERNEL_ELEMENTS // (MIN_PANELS * NODES_PER_PANEL) + 1)
-    blocks = {}
-    original = declab.quadrature._blocks
-
-    def recorded(lo, hi, rate, tb):
-        blocks[lo, hi] = list(original(lo, hi, rate, tb))
-        return blocks[lo, hi]
-
-    monkeypatch.setattr(declab.quadrature, "_blocks", recorded)
+    # More times than two blocks hold.
+    ts = np.linspace(600.0, 1200.0, 2 * BLOCK + 1)
+    calls = record_blocks(monkeypatch)
     got = spin_trajectory(model, p, ts)
-    # The near region is the strip |x - x*| <= eta about the fold x* = -2, in
-    # offsets from it, with xi = 1, eps = pi / (2 |lam| max|t|) and
-    # eta = sqrt(eps (2 xi + eps)), not [x* - xi, x* + xi] = [-3, -1]; it
-    # takes no pre-split.
-    ((lo, hi), strip), = blocks.items()
+    # The near region is the strip |z| <= zeta about the fold x* = -2, in
+    # offsets from it, with m = 1, eps = pi / (2 max|t|) and
+    # zeta = sqrt(eps (2 m + eps)), not [x* - m, x* + m] = [-3, -1]; every
+    # block starts from MIN_PANELS panels.
     eps = np.pi / (2.0 * 1200.0)
-    eta = np.sqrt(eps * (2.0 + eps))
-    assert -lo == hi == pytest.approx(eta, rel=1e-15)
-    assert len(strip) > 2 and all(n0 == MIN_PANELS for _, n0 in strip)
+    zeta = np.sqrt(eps * (2.0 + eps))
+    assert [(len(tb), n0) for *_, n0, tb in calls] == [(BLOCK, MIN_PANELS)] * 2 + [(1, MIN_PANELS)]
+    ((lo, hi),) = {(lo, hi) for lo, hi, *_ in calls}
+    assert -lo == hi == pytest.approx(zeta, rel=1e-15)
     picks = [0, ts.size // 2, ts.size - 1]
     expected = np.array([density_to_bloch(spin_evolve(model, p, t)) for t in ts[picks]])
     assert np.abs(got[picks] - expected).max() < 1e-12
 
 
-def test_spin_horizon_is_where_the_pre_split_reaches_the_budget():
-    gaussian = SpectralDensity.gaussian(1.0)
-    narrow = SpectralDensity.uniform(0.0, 1e-295)
-    # The strip about the fold shrinks with t and takes no pre-split, and the
-    # far branches cost the same at any t: no horizon, wherever the fold is,
-    # for m = 0, lam = 0, on a discrete environment, and where 2 |lam| (hi - lo)
-    # underflows.
-    for env, a, lam in [(gaussian, [1.0, 0.0, 2.0], 1.0), (gaussian, [1.0, 0.0, 2.0], -4.0),
-                        (gaussian.discretize(16), [1.0, 0.0, 2.0], 1.0),
-                        (gaussian, [1.0, 0.0, 2.0], 0.0), (narrow, [1.0, 0.0, 2.0], 1e-30),
-                        (gaussian, [0.0, 0.0, 2.0], 1.0), (gaussian, [1.0, 0.4, 40.0], 1.0),
-                        (gaussian, [0.6, 0.8, 9.5], 1.0)]:
-        assert spin_horizon(SpinModel(a=a, b=0.3, lam=lam, env_diag=env)) == np.inf
-    # A fold x* = -a_3 / lam beyond the double range leaves the whole support
-    # near, pre-split at the rate bound 2 |lam|: the horizon is where that
-    # pre-split reaches the budget.
-    wide = SpectralDensity.uniform(-1e6, 1e6)
-    model = SpinModel(a=[1.0, 0.0, 1e299], b=0.3, lam=1e-10, env_diag=wide)
-    horizon = spin_horizon(model)
-    assert horizon == pytest.approx(2**14 * np.pi / (2e-10 * 2e6), rel=1e-15)
-    assert oscillation_panels(-1e6, 1e6, 2e-10 * horizon) == 2**14
-    # Still resolved at the horizon itself.
-    assert np.all(np.isfinite(spin_trajectory(model, [0.7, 0.2, 0.5], [horizon])))
+def test_blocks_cover_the_grid_in_ascending_abs_t_within_the_bound(monkeypatch):
+    # Zero, repeated and negative times, more of them than one block holds.
+    ts = np.concatenate([[3.0, -0.5, 0.0, 3.0, -3.0, 12.0],
+                         np.random.default_rng(11).uniform(-40.0, 40.0, 2 * BLOCK)])
+    calls = record_blocks(monkeypatch)
+
+    def kernel(x):  # int_-1^1 cos(x t) dx = 2 sin(t) / t
+        return x, np.ones((x.size, 1)), np.zeros((x.size, 1)), None
+
+    got = kernel_adaptive(kernel, ts, -1.0, 1.0, 1e-12)
+    blocks = [tb for *_, tb in calls]
+    assert np.array_equal(np.concatenate(blocks), ts[np.argsort(np.abs(ts), kind="stable")])
+    assert [tb.size for tb in blocks] == [BLOCK, BLOCK, 6]
+    assert all(n0 == MIN_PANELS for _, _, n0, _ in calls)
+    assert np.abs(got[:, 0] - 2.0 * np.sinc(ts / np.pi)).max() < 1e-12
 
 
-def test_blocks_cover_the_grid_in_ascending_abs_t_within_the_bound():
-    # Zero, repeated and negative times, and times whose pre-split alone
-    # exceeds the bound (a block of one).
-    ts = np.array([3.0, -0.5, 0.0, 12.0, 3.0, -40.0, 0.25, 600.0, -2000.0, 75.0, 450.0, -3.0])
-    lo, hi, rate = -10.0, 10.0, 2.0
-    blocks = list(declab.quadrature._blocks(lo, hi, rate, ts))
-    order = np.concatenate([idx for idx, _ in blocks])
-    assert np.array_equal(np.sort(order), np.arange(ts.size))
-    assert np.all(np.diff(np.abs(ts[order])) >= 0)
-    assert any(idx.size == 1 for idx, _ in blocks) and len(blocks) > 2
-    for idx, n0 in blocks:
-        assert n0 == oscillation_panels(lo, hi, rate * np.abs(ts[idx]).max())
-        if idx.size > 1:
-            assert n0 * NODES_PER_PANEL * idx.size <= KERNEL_ELEMENTS
-
-
-def test_spin_trajectory_rows_follow_a_shuffled_grid_bit_for_bit():
+def test_spin_trajectory_rows_follow_a_shuffled_grid_bit_for_bit(monkeypatch):
     model = SpinModel(a=[1.0, 0.4, 2.0], b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
     p = np.array([0.6, -0.3, 0.4])
-    ts = np.linspace(-120.0, -1.0, 12) * np.array([1.0, -1.0] * 6)  # distinct |t|
-    assert len(list(declab.quadrature._blocks(-10.0, 10.0, 2.0, ts))) >= 2
+    ts = np.linspace(-120.0, -1.0, BLOCK + 5) * (-1.0) ** np.arange(BLOCK + 5)  # distinct |t|
     shuffle = np.random.default_rng(10).permutation(ts.size)
+    calls = record_blocks(monkeypatch)
     assert np.array_equal(spin_trajectory(model, p, ts[shuffle]),
                           spin_trajectory(model, p, ts)[shuffle])
-
-
-def test_oscillation_horizon_is_the_budget_formula_exactly():
-    # MAX_PANELS pi / (2 |lam| (hi - lo)) written out, inf where that product is 0.
-    gaussian = SpectralDensity.gaussian(1.0)
-    narrow = SpectralDensity.uniform(0.0, 1e-295)
-    for env, lam in [(gaussian, 1.0), (gaussian, -4.0), (gaussian, 0.0), (narrow, 1e-30)]:
-        lo, hi = env.support()
-        span = 2.0 * abs(lam) * (hi - lo)
-        want = MAX_PANELS * np.pi / span if span > 0 else float("inf")
-        assert oscillation_horizon(lo, hi, 2.0 * abs(lam)) == want
-    # The spin horizon is inf wherever x* = -a_3 / lam and xi = |(a_1, a_2)| / |lam|
-    # are finite doubles (a strip and far branches); where they are not, it is
-    # that of the whole support.
-    wide = SpectralDensity.uniform(-1e6, 1e6)
-    for env, a, lam in [(gaussian, [1.0, 0.0, 2.0], 1.0), (gaussian, [1.0, 0.0, 2.0], -4.0),
-                        (gaussian, [1.0, 0.0, 2.0], 0.0), (narrow, [1.0, 0.0, 2.0], 1e-30),
-                        (gaussian, [0.0, 0.0, 2.0], 1.0), (gaussian, [1.0, 0.4, 40.0], 1.0),
-                        (gaussian, [0.6, 0.8, 9.5], 1.0), (wide, [1.0, 0.0, 1e299], 1e-10),
-                        (gaussian, [1e300, 0.0, 2.0], 1e-10), (gaussian, [1.0, 0.0, -1e300], 1e-9)]:
-        lo, hi = env.support()
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x_star, xi = np.float64(-a[2]) / lam, np.hypot(a[0], a[1]) / abs(np.float64(lam))
-        placed = np.isfinite(x_star) and np.isfinite(xi)
-        span = 0.0 if placed else 2.0 * abs(lam) * (hi - lo)
-        want = MAX_PANELS * np.pi / span if span > 0 else float("inf")
-        assert spin_horizon(SpinModel(a=a, b=0.3, lam=lam, env_diag=env)) == want
-    assert oscillation_horizon(*narrow.support(), 2e-30) == np.inf
+    assert len(calls) == 4  # two blocks each
 
 
 # --- the rotation kernel against the per-time integrand closures it replaced
 
 
 def reference_trajectory(env, ts, rate, integrand, tol):
-    # integrand(x, tb, weight) -> (m, len(tb), ...), one generic adaptive call per block.
+    # integrand(x, tb, weight) -> (m, len(tb), ...), one generic adaptive call
+    # per time, pre-split into half periods of the rate bound ``rate``.
     if env.is_discrete:
         return integrand(env.points[:, 0], ts, env.points[:, 1]).sum(axis=0)
     lo, hi = env.support()
-    out = None
-    for idx, n0 in declab.quadrature._blocks(lo, hi, rate, ts):
-        part = gauss_legendre_adaptive(lambda x: integrand(x, ts[idx], env.density(x)), lo, hi,
-                                       tol=tol, initial_panels=n0)
-        out = np.empty((ts.size,) + part.shape[1:]) if out is None else out
-        out[idx] = part
-    return out
+    return np.stack([
+        gauss_legendre_adaptive(lambda x: integrand(x, ts[i : i + 1], env.density(x))[:, 0], lo, hi,
+                                tol=tol, initial_panels=half_period_panels(lo, hi, rate * abs(t)))
+        for i, t in enumerate(ts)])
 
 
 def reference_spin_trajectory(model, p, ts, tol=1e-9):
@@ -367,7 +332,6 @@ def test_kernel_path_matches_the_integrand_closures_at_the_horizon():
     # The horizon of the whole support, as far as the reference's pre-split
     # reaches; spin_trajectory itself has none.
     horizon = 2**14 * np.pi / 40.0
-    assert spin_horizon(model) == np.inf
     ts = np.array([horizon, -horizon / 3.0])
     got = spin_trajectory(model, p, ts)
     assert np.abs(got - reference_spin_trajectory(model, p, ts)).max() < 1e-13
@@ -382,7 +346,7 @@ def test_kernel_path_matches_the_integrand_closures_below_the_old_horizon(env, a
     p = np.array([0.6, -0.3, 0.4])
     # A discrete environment, an exact sum at any t, takes the bump's times.
     support = ENVS[2].support() if env.is_discrete else env.support()
-    horizon = oscillation_horizon(*support, 2.0 * abs(lam))
+    horizon = MAX_PANELS * np.pi / (2.0 * abs(lam) * (support[1] - support[0]))
     ts = np.array([horizon / 2.0, -horizon / 5.0, 7.0])
     got = spin_trajectory(model, p, ts)
     assert np.abs(got - reference_spin_trajectory(model, p, ts)).max() < 1e-13
@@ -435,7 +399,7 @@ def test_spin_beyond_the_whole_support_horizon_matches_a_dense_rule(a, t):
     # region [x* - xi, x* + xi]'s 2**14 pi / 4 ~ 12868; the strip has none.
     model = SpinModel(a=a, b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
     p = np.array([0.7, 0.2, 0.5])
-    assert t > 2**14 * np.pi / 40.0 and spin_horizon(model) == np.inf
+    assert t > 2**14 * np.pi / 40.0
     got = spin_trajectory(model, p, [t])[0]
     assert np.abs(got - dense_spin_reference(a, 1.0, p, t)).max() < 1e-12
 
@@ -443,14 +407,14 @@ def test_spin_beyond_the_whole_support_horizon_matches_a_dense_rule(a, t):
 @pytest.mark.parametrize("t", [1e6, 1e12, 1e14], ids=["t1e6", "t1e12", "t1e14"])
 def test_spin_fold_far_from_zero_at_large_t_matches_the_fold_at_zero(t):
     # x* = 1e10, where doubles are 1.9e-6 apart: by t = 1e12 the strip's
-    # half-width eta ~ 1.8e-6 is below that spacing.  The model is the one
-    # with its fold at 0 moved by exactly 1e10.
+    # half-width zeta ~ 1.8e-6 (lam = 1) is below that spacing.  The model is
+    # the one with its fold at 0 moved by exactly 1e10.
     p = np.array([0.7, 0.2, 0.5])
     far = SpinModel(a=[1e-3, 0.0, -1e10], b=0.3, lam=1.0,
                     env_diag=SpectralDensity.uniform(1e10 - 1.0, 1e10 + 1.0))
-    x_star, (lo, hi), rate, branches = declab.models._fold(far, t)
-    assert x_star == 1e10 and rate == 0.0 and -lo == hi > 0.0
-    assert len(branches) == 2 and all(branch.eta0 == hi for branch in branches)
+    x_star, (lo, hi), branches = declab.models._fold(far, t)
+    assert x_star == 1e10 and -lo == hi > 0.0
+    assert len(branches) == 2 and all(branch.z0 == hi for branch in branches)
     centred = SpinModel(a=[1e-3, 0.0, 0.0], b=0.3, lam=1.0,
                         env_diag=SpectralDensity.uniform(-1.0, 1.0))
     ts = np.array([t, -t / 3.0, 0.5])
@@ -458,11 +422,131 @@ def test_spin_fold_far_from_zero_at_large_t_matches_the_fold_at_zero(t):
     assert np.abs(got - spin_trajectory(centred, p, ts)).max() < 1e-12
 
 
+def uniform_spin_reference(a, lam, lo, hi, p, t):
+    """The average of rotated p over x uniform on [lo, hi], and its oscillating part.
+
+    Composite 20-node Gauss-Legendre in u = z - z_lo over the field
+    coordinate z = a_3 + lam x, uniform on [z_lo, z_hi], taken exactly from
+    the doubles given.  The phase 2 rho t, rho = |(a_1, a_2, z)|, is
+    2 rho(z_lo) t, exact in mpmath, plus 2 (rho - rho(z_lo)) t in double,
+    with rho - rho(z_lo) = u (2 z_lo + u) / (rho + rho(z_lo)); panels span at
+    most 3 rad of it.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    a1, a2, a3 = a
+    with mpmath.workdps(40):
+        mp = mpmath.mpf
+        z_lo, z_hi = sorted([mp(a3) + mp(lam) * mp(lo), mp(a3) + mp(lam) * mp(hi)])
+        rho_lo = mpmath.sqrt(mp(a1) ** 2 + mp(a2) ** 2 + z_lo**2)
+        turn = complex(mpmath.exp(2j * rho_lo * mp(t)))
+        width, zl, rl = float(z_hi - z_lo), float(z_lo), float(rho_lo)
+    n = max(1, int(np.ceil(2.0 * abs(t) * width / 3.0)))
+    half = width / (2 * n)
+    u = (((2 * np.arange(n) + 1) * half)[:, None] + half * _NODES).ravel()
+    w = np.tile(half * _WEIGHTS, n) / width
+    z = zl + u
+    rho = np.sqrt(a1 * a1 + a2 * a2 + z * z)
+    phase = turn * np.exp(2j * t * (u * (2.0 * zl + u) / (rho + rl)))
+    n_axis = np.column_stack([np.full_like(z, a1), np.full_like(z, a2), z]) / rho[:, None]
+    along = (n_axis @ p)[:, None] * n_axis
+    turned = (p - along) * phase.real[:, None] + np.cross(n_axis, p) * phase.imag[:, None]
+    oscillating = w @ turned
+    return w @ along + oscillating, np.linalg.norm(oscillating)
+
+
+# Uniform supports of width 8e299 with |lam| = 1e-300: a fold x* = -a_3 / lam
+# beyond the double range on either side (the first validated, then ran out
+# of panels at t = 12000 when such a support stayed near), and a fold at
+# x* = -1e10 inside the support whose strip is ~1e298 wide in x.
+DEGENERATE_FOLDS = [([1.0, 0.0, 1e10], 1e-300), ([0.6, -0.8, -1e10], -1e-300),
+                    ([1.0, 0.0, 1e-290], 1e-300)]
+
+
+def test_spin_degenerate_fold_runs_and_matches_a_reference():
+    p = np.array([0.7, 0.2, 0.5])
+    ts = np.array([0.0, 1.0, -37.0, 500.0, 3000.0, 7777.0, 12000.0])
+    env = SpectralDensity.uniform(-4e299, 4e299)
+    for a, lam in DEGENERATE_FOLDS:
+        got = spin_trajectory(SpinModel(a=a, b=0.3, lam=lam, env_diag=env), p, ts)
+        rho_max = np.hypot(np.hypot(a[0], a[1]), abs(a[2]) + 0.4)
+        for t, row in zip(ts, got):
+            want, oscillating = uniform_spin_reference(a, lam, -4e299, 4e299, p, t)
+            # Within the phase's conditioning: 2 rho t rounded relative to its size.
+            bound = 1e-12 + np.finfo(float).eps * 2.0 * rho_max * abs(t) * oscillating
+            assert np.abs(row - want).max() <= bound, (a, t)
+
+
+@pytest.mark.parametrize("lam", [3e-308, -3e-308])
+def test_spin_thin_far_branch_is_the_rigid_rotation(lam):
+    # z = 1 + lam x on the support [-0.5, 0.5] is 1 to the last bit, so p
+    # turns rigidly about n = (0.1, 0, 1) / |h|.  The one far branch spans
+    # ~3e-308 in rho, and its factors w / |lam| (up to ~3e308) overflow
+    # unless the panels take them in a variable scaled to the branch.
+    p = np.array([0.7, 0.2, 0.5])
+    model = SpinModel(a=[0.1, 0.0, 1.0], b=0.3, lam=lam, env_diag=SpectralDensity.gaussian(0.05))
+    ts = np.array([0.0, 1.0, -37.0, 1e4])
+    h = np.array([0.1, 0.0, 1.0])
+    n = h / np.linalg.norm(h)
+    along = (n @ p) * n
+    phase = 2.0 * np.linalg.norm(h) * ts
+    want = along + np.outer(np.cos(phase), p - along) + np.outer(np.sin(phase), np.cross(n, p))
+    assert np.abs(spin_trajectory(model, p, ts) - want).max() < 1e-14
+
+
+def test_spin_side_with_a_subnormal_span_in_rho_stays_near():
+    # z = a_3 + lam x varies by ~6e-313 over the support, so the one side
+    # spans a subnormal in rho, where offsets in rho keep a few bits: as a
+    # far branch it ran out of Legendre panels.  Near, p turns rigidly.
+    p = np.array([0.7, 0.2, 0.5])
+    a = [1.35e-256, 7.4e-158, 2.27e-26]
+    model = SpinModel(a=a, b=0.3, lam=5.59e-161,
+                      env_diag=SpectralDensity.bump(-5.56e-153, 5.56e-153))
+    ts = np.array([0.0, 1e25, -3e25])
+    _, (lo, hi), branches = declab.models._fold(model, 3e25)
+    assert not branches and (lo, hi) == model.env_diag.support()
+    n = np.array(a) / np.linalg.norm(a)
+    along = (n @ p) * n
+    phase = 2.0 * np.linalg.norm(a) * ts
+    want = along + np.outer(np.cos(phase), p - along) + np.outer(np.sin(phase), np.cross(n, p))
+    assert np.abs(spin_trajectory(model, p, ts) - want).max() < 1e-14
+
+
+# Fields whose fold x* = -a_3 / lam is beyond the double range, 1e10 off on a
+# coarse grid, just outside the support, on it, or undefined (lam = 0).
+EXTREME_FIELDS = DEGENERATE_FOLDS + [([1.0, 0.4, 1e299], 1e-10), ([1e-3, 0.0, -1e10], 1.0),
+                                     ([1.0, 0.4, 1.5 + 1e-9], 1.0), ([0.5, 0.0, 2.0], 0.0)]
+
+
+@pytest.mark.parametrize("a, lam", FIELDS + EXTREME_FIELDS)
+@pytest.mark.parametrize("env", [ENVS[0], ENVS[1], ENVS[2], SpectralDensity.uniform(-4e299, 4e299),
+                                 SpectralDensity.uniform(1e10 - 1.0, 1e10 + 1.0)],
+                         ids=ENV_IDS[:3] + ["wide", "far"])
+def test_spin_near_region_turns_the_phase_by_at_most_pi(env, a, lam):
+    # rho = |(m, z)| on the near region, its ends and the fold taken exactly
+    # as the near kernel sees them: z = lam s in offsets s from the fold,
+    # else z = a_3 + lam x.  2 (rho_max - rho_min) t_max <= pi, with
+    # rho_max - rho_min = (z_max^2 - z_min^2) / (rho_max + rho_min).
+    model = SpinModel(a=a, b=0.3, lam=lam, env_diag=env)
+    m = Fraction(float(np.hypot(a[0], a[1])))
+    for t_max in (0.5, 40.0, 1e4, 1e8, 1e16, 1e100):
+        centre, (lo, hi), _ = declab.models._fold(model, t_max)
+        if not hi > lo:
+            continue
+        shift = Fraction(0) if centre is not None else Fraction(a[2])
+        z_lo, z_hi = (shift + Fraction(lam) * Fraction(end) for end in (lo, hi))
+        z_min, z_max = sorted([abs(z_lo), abs(z_hi)])
+        z_min = Fraction(0) if z_lo * z_hi <= 0 else z_min
+        rho_min, rho_max = (math.hypot(float(m), float(v)) for v in (z_min, z_max))
+        turn = 2.0 * float(z_max**2 - z_min**2) / (rho_max + rho_min) * t_max
+        assert turn <= np.pi * (1 + 1e-12), (t_max, lo, hi)
+
+
 def test_spin_branch_at_the_strip_edge_meets_the_budget_on_a_noisy_density():
-    # The fold x* ~ -0.28 lies in the bump's support, xi ~ 1.55 beyond it.
-    # At t = 1e4 the branch from the strip's edge carries factors w xi / eta0
-    # ~ 90 w, whose rounding used to exceed the Legendre budget: it ran out of
-    # panels well inside the old horizon 2**14 pi / (3.1 * 0.89) ~ 18700.
+    # The fold x* ~ -0.28 lies in the bump's support, m / |lam| ~ 1.55 beyond
+    # it.  At t = 1e4 the branch from the strip's edge carries factors
+    # w m / (|lam| zeta) ~ 90 w / |lam|, whose rounding used to exceed the
+    # Legendre budget: it ran out of panels well inside the old horizon
+    # 2**14 pi / (3.1 * 0.89) ~ 18700.  Those panels now meet the noise floor.
     model = SpinModel(a=[1.44, 1.92, -0.44], b=0.3, lam=-1.55,
                       env_diag=SpectralDensity.bump(-0.32, 0.57))
     p = np.array([0.6, -0.3, 0.4])
@@ -544,7 +628,7 @@ def test_bump_matches_direct_adaptive_integral():
     ts = np.array([0.0, 0.3, 1.0, 7.5, 20.0, 55.0, 100.0])
     direct = [
         gauss_legendre_adaptive(lambda v: shape(v) * np.exp(-1j * v * t), a, b, tol=1e-14,
-                                initial_panels=oscillation_panels(a, b, t)) / norm
+                                initial_panels=half_period_panels(a, b, t)) / norm
         for t in ts
     ]
     assert np.abs(chi_trajectory(env, ts) - direct).max() < 1e-12
