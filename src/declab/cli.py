@@ -9,6 +9,7 @@ config and seed produce byte-identical CSV.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -430,7 +431,7 @@ def _run_spin_asymptotics(t_grid, model, initial_bloch, fit_delta, fit_window):
     rows = [[t, d] for t, d in samples]
     try:
         fit = fit_power_law_decay(samples, fit_delta, fit_window)
-    except (InsufficientData, NonDecaying, np.linalg.LinAlgError) as exc:
+    except (InsufficientData, NonDecaying) as exc:
         # Whether the series decays and fits is known only once it is computed.
         return ["t", "trace_dist"], rows, {"error": str(exc)}
     return ["t", "trace_dist"], rows, {**asdict(fit), "window": list(fit.window)}
@@ -498,7 +499,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
     return report
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state between calls.
     parser = argparse.ArgumentParser(
         prog="declab", description="Decoherence and induced-superselection laboratory."
     )
@@ -508,7 +511,11 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", default=None, help="directory overriding the output paths")
     val_p = sub.add_parser("validate", help="check a scenario config and exit")
     val_p.add_argument("--config", required=True, help="scenario config file")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config, "rb") as handle:

@@ -44,6 +44,7 @@ from .operators import (
 from .quadrature import (
     EPS,
     LegendrePanels,
+    _frozen,
     _rule,
     kernel_adaptive,
     legendre_fourier,
@@ -91,7 +92,7 @@ class SpectralDensity:
     explicit (point, weight) pairs and models a finite environment.
     """
 
-    __slots__ = ("kind", "s", "a", "b", "points", "_bump_norm", "_expansion")
+    __slots__ = ("kind", "s", "a", "b", "points", "_expansion")
 
     def __init__(self, kind, s=None, a=None, b=None, points=None):
         self.kind = kind
@@ -99,7 +100,6 @@ class SpectralDensity:
         self.a = a
         self.b = b
         self.points = points
-        self._bump_norm = None
         self._expansion = None
         if kind == "gaussian":
             if not s > 0:
@@ -172,9 +172,7 @@ class SpectralDensity:
             inside = (v >= self.a) & (v <= self.b)
             return np.where(inside, 1.0 / (self.b - self.a), 0.0)
         if self.kind == "bump":
-            if self._bump_norm is None:
-                self.expansion()
-            return self._bump_norm * _bump((2.0 * v - self.a - self.b) / (self.b - self.a))
+            return self._bump_norm() * _bump((2.0 * v - self.a - self.b) / (self.b - self.a))
         raise NotDiscrete("a discrete density has weights, not a density function")
 
     def density_at(self, centres, offsets):
@@ -187,35 +185,39 @@ class SpectralDensity:
         """
         if self.kind != "bump":
             return self.density(centres[:, None] + offsets)
-        if self._bump_norm is None:
-            self.expansion()
         half = (self.b - self.a) / 2.0
         u = (2.0 * centres - self.a - self.b) / (self.b - self.a)
-        return self._bump_norm * _bump(u[:, None] + offsets / half)
+        return self._bump_norm() * _bump(u[:, None] + offsets / half)
+
+    def _bump_norm(self):
+        # 1 / the bump's integral over [a, b]: half-width times the unit total.
+        return 1.0 / ((self.b - self.a) / 2.0 * _unit_expansion("bump")[1])
 
     def expansion(self) -> LegendrePanels:
         """Legendre panels of a continuous density, built on first use and kept.
 
-        They depend on the density alone and serve every chi evaluation.  The
-        bump is expanded in u on [-1, 1], the same for every support, and
-        its panels are then mapped onto [a, b]: sampling it at points of a
-        far-off or wide support would put rounding of the abscissae into
-        its steep flanks.  Its normalization is the integral of that
-        expansion, the sum of its panel integrals 2h a_0.
+        They depend on the density alone and serve every chi evaluation.
+        Each kind has one unit shape, expanded once per process
+        (``_unit_expansion``): N(0, 1) on [-10, 10], 1/2 or the bump on
+        [-1, 1].  Its panels are mapped onto the support, centres to
+        mid + half centres and half-widths to half times theirs, and its
+        coefficients and tail divided by the unit's integral, the sum of
+        its panel integrals 2h a_0 (1.0 exactly for the gaussian and the
+        uniform).  Sampling a density at points of a far-off or wide support
+        would put rounding of the abscissae into steep flanks; the unit
+        shapes never see the support.
         """
         if self.is_discrete:
             raise NotDiscrete("a discrete density has weights, not a Legendre expansion")
         if self._expansion is None:
-            if self.kind == "bump":
-                unit = legendre_panels(lambda c, off: _bump(c[:, None] + off), -1.0, 1.0)
-                total = float(unit.coeffs[:, 0].sum())
-                mid, half = (self.a + self.b) / 2.0, (self.b - self.a) / 2.0
-                self._bump_norm = 1.0 / (half * total)
-                self._expansion = unit._replace(centres=mid + half * unit.centres,
-                                                halves=half * unit.halves,
-                                                coeffs=unit.coeffs / total, tail=unit.tail / total)
+            unit, total = _unit_expansion(self.kind)
+            if self.kind == "gaussian":
+                mid, half = 0.0, self.s
             else:
-                self._expansion = legendre_panels(self.density_at, *self.support())
+                mid, half = (self.a + self.b) / 2.0, (self.b - self.a) / 2.0
+            self._expansion = unit._replace(centres=mid + half * unit.centres,
+                                            halves=half * unit.halves,
+                                            coeffs=unit.coeffs / total, tail=unit.tail / total)
         return self._expansion
 
     def discretize(self, n: int) -> "SpectralDensity":
@@ -251,6 +253,30 @@ def _bump(u):
     inside = np.abs(u) < 1.0
     safe = np.where(inside, u, 0.0)
     return np.where(inside, np.exp(-1.0 / (1.0 - safe**2)), 0.0)
+
+
+# Unit shape of each continuous kind in u = (v - mid) / half, and the reach
+# of its expansion on [-reach, reach].
+_UNIT_SHAPES = {
+    "gaussian": (lambda u: np.exp(-(u**2) / 2.0) / np.sqrt(2.0 * np.pi), GAUSSIAN_TAIL_SIGMAS),
+    "uniform": (lambda u: np.full_like(u, 0.5), 1.0),
+    "bump": (_bump, 1.0),
+}
+_unit_cache: dict = {}
+
+
+def _unit_expansion(kind):
+    """Legendre panels of ``kind``'s unit shape and their integral, built once per process.
+
+    The build is deterministic, so concurrent first calls agree.  The
+    panels' arrays are read-only: densities share them.
+    """
+    if kind not in _unit_cache:
+        shape, reach = _UNIT_SHAPES[kind]
+        unit = legendre_panels(lambda c, off: shape(c[:, None] + off), -reach, reach)
+        _frozen(unit.centres, unit.halves, unit.width_of, unit.coeffs)
+        _unit_cache[kind] = unit, float(unit.coeffs[:, 0].sum())
+    return _unit_cache[kind]
 
 
 def _trajectory(env, ts, kernel, tol):

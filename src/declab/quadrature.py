@@ -53,7 +53,7 @@ Every Gauss-Legendre rule here comes from one generator,
 asymptotic node estimates, O(n^2) time and O(n) memory, in double for the
 adaptive rules and ``models.SpectralDensity.discretize`` (``_rule``) and in
 long double for the Legendre transform (``_legendre_rule``).  Each rule is
-built once per process and kept.
+built once per process and kept, read-only.
 """
 
 import functools
@@ -139,9 +139,16 @@ def _gauss_legendre(n, dtype=float):
     return np.concatenate([-x[::-1][: n // 2], x]), np.concatenate([w[::-1][: n // 2], w])
 
 
+def _frozen(*arrays):
+    """``arrays``, made read-only: a process-wide cache hands them to every caller."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def _rule(order):
     if order not in _rule_cache:
-        _rule_cache[order] = _gauss_legendre(order)
+        _rule_cache[order] = _frozen(*_gauss_legendre(order))
     return _rule_cache[order]
 
 
@@ -352,7 +359,7 @@ def _legendre_rule(order):
         for row, p in zip(rows, _legendre_recurrence(x, order - 1)):
             row[:] = p
         transform = (np.arange(order) + 0.5)[:, None] * (w * rows)
-        _rule_cache[key] = x.astype(float), transform
+        _rule_cache[key] = _frozen(x.astype(float), transform)
     return _rule_cache[key]
 
 

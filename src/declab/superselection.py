@@ -252,8 +252,12 @@ def fit_power_law_decay(samples, delta: float,
     inflated minimally so the bound dominates every windowed sample.  The
     spectral-gap parameter ``delta`` is model data supplied by the caller,
     not fitted; joint estimation of (C, delta, gamma) is ill conditioned.
-    Raises NonDecaying when the envelope slope is not negative, or when the
-    envelope is flat to within FLAT_ENVELOPE_EPS epsilons.
+    The regression is centred least squares in closed form, so times whose
+    log(1 + delta t) is subnormal or squares to 0 still fit.  Raises
+    NonDecaying when the envelope slope is not negative or not finite, or
+    when the envelope is flat to within FLAT_ENVELOPE_EPS epsilons, and
+    InsufficientData when log(1 + delta t) does not separate the envelope
+    points; both name the window.
     """
     data = np.asarray(samples, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
@@ -284,16 +288,28 @@ def fit_power_law_decay(samples, delta: float,
     top = vw[env].max()
     if top - vw[env].min() <= FLAT_ENVELOPE_EPS * np.finfo(float).eps * top:
         raise NonDecaying(f"envelope is flat to round-off at {top:g}: its slope is not negative")
-    x = np.log1p(delta * tw[env])
-    y = np.log(vw[env])
-    # A subnormal delta leaves x subnormal: polyfit's column scaling squares it
-    # to 0 and divides by that before its least squares raises LinAlgError.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope, intercept = np.polyfit(x, y, 1)
+    where = f"in window [{lo:g}, {hi:g}]"
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.log1p(delta * tw[env])
+        y = np.log(vw[env])
+        # Centred least squares in closed form, in u = x / max|x|: x may be
+        # subnormal, or so small that its square underflows.
+        scale = np.abs(x).max()
+        u = x / scale
+        du = u - u.mean()
+        spread = du @ du
+        if not spread > 0:
+            raise InsufficientData(f"log(1 + delta t) spans no finite range over the envelope "
+                                   f"points {where}")
+        slope_u = (du @ (y - y.mean())) / spread
+        slope = float(slope_u / scale)
+    if not np.isfinite(slope):
+        raise NonDecaying(f"envelope slope {slope:g} {where} is not finite")
     if slope >= 0:
-        raise NonDecaying(f"envelope slope {slope:g} is not negative")
-    gamma = -float(slope)
-    residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+        raise NonDecaying(f"envelope slope {slope:g} {where} is not negative")
+    gamma = -slope
+    intercept = y.mean() - slope_u * u.mean()
+    residual = float(np.sqrt(np.mean((y - (slope_u * u + intercept)) ** 2)))
 
     # Smallest C that keeps the bound above every windowed sample.
     positive = vw > 0

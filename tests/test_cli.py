@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import declab.cli
 from declab import ParseError, ValidationError
 from declab.cli import MAX_TIME_POINTS, main, parse_config, run_scenario
 
@@ -256,6 +257,33 @@ def test_main_validate_bad_config(tmp_path, capsys):
 def test_main_missing_config_file(capsys):
     assert main(["validate", "--config", "/nonexistent/scenario.cfg"]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_main_reuses_its_parser_without_carrying_state(tmp_path, capsys):
+    # One parser per process serves every call: a validate, a bad argv and a
+    # run in turn give what each gives in a process of its own.
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(CHI_CONFIG)
+    calls = [["validate", "--config", str(cfg)], ["run", "--config", str(cfg), "--bogus"],
+             ["run", "--config", str(cfg), "--out", str(tmp_path)], ["--help"], ["validate"]]
+
+    def outcome(argv):
+        (tmp_path / "chi_scan.csv").unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out, err = capsys.readouterr()
+        ran = argv[0] == "run" and code == 0
+        return code, out, err, (tmp_path / "chi_scan.csv").read_bytes() if ran else None
+
+    shared = [outcome(argv) for argv in calls]
+    assert [code for code, *_ in shared] == [0, ("exit", 2), 0, ("exit", 0), ("exit", 2)]
+    fresh = []
+    for argv in calls:
+        declab.cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert fresh == shared
 
 
 def test_main_run_writes_outputs(tmp_path, capsys):
@@ -573,8 +601,8 @@ NO_DECAY = [
      "model.a = 0,0,0\nmodel.b = 1.0\nmodel.lam = 0.0\ninitial.bloch = 0,0,0", "envelope points"),
     # Uncoupled: the spin precesses for ever, no envelope decays.
     ("model.lam = 1.0", "model.lam = 0.0", "not negative"),
-    # A subnormal delta leaves a degenerate regression.
-    ("fit.delta = 1.0", "fit.delta = 5e-324", "Least Squares"),
+    # A subnormal delta leaves log(1 + delta t) subnormal: the slope overflows.
+    ("fit.delta = 1.0", "fit.delta = 5e-324", "not finite"),
 ]
 
 
@@ -590,17 +618,36 @@ def test_main_run_writes_series_and_reports_why_no_decay_fit(tmp_path, old, new,
     assert reason in report["decay_fit"]["error"]
 
 
+def test_main_run_fit_window_below_the_square_root_of_the_smallest_double(tmp_path, capfd):
+    # log(1 + t) at t <= 3.6e-201 squares to 0: a least-squares solver that
+    # scales its columns by their norms divides by 0, and LAPACK then writes
+    # to the process's stdout, past the CLI.
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(SPIN_ASYMPTOTICS_CONFIG.replace("t_grid.start = 2.0", "t_grid.start = 0")
+                   .replace("t_grid.stop = 14.0", "t_grid.stop = 3.6e-201")
+                   .replace("env.kind = gaussian\nenv.s = 1.0",
+                            "env.kind = uniform\nenv.a = -5e299\nenv.b = 5e299")
+                   .replace("model.a = 1,0,2", "model.a = 1,1,1.27e228")
+                   .replace("model.lam = 1.0", "model.lam = -1")
+                   .replace("fit.window = 2,14\n", ""))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    out, err = capfd.readouterr()
+    assert out.startswith("wrote ") and out.count("\n") == 1 and err == ""
+    report = json.loads((tmp_path / "spin_asymptotics_report.json").read_text())
+    assert "window [1.8e-201, 3.6e-201]" in report["decay_fit"]["error"]
+
+
 # Inputs at which numpy arithmetic inside declab overflows or divides by 0,
 # which must not reach stderr as a RuntimeWarning: points and lambdas spanning
-# more than the double range, a subnormal fit.delta (polyfit's column scaling
-# before its LinAlgError) and a subnormal lam.  A validate fails with one
+# more than the double range, a subnormal fit.delta (the regression slope
+# overflows) and a subnormal lam.  A validate fails with one
 # line naming the key; a run reports why no fit was made.
 WARNING_INPUTS = [
     ("validate", SPIN_CONFIG.replace("env.kind = gaussian\nenv.s = 1.0", FAR_FIELD.format("1e308"))
      .replace("t_grid.stop = 20000.0", "t_grid.stop = 1.0"), "declab: invalid config: t_grid.stop:"),
     ("validate", AZ_CONFIG.replace("model.lambdas = 1,-1", "model.lambdas = -1e308,1e308"),
      "declab: invalid config: t_grid.stop:"),
-    ("run", SPIN_ASYMPTOTICS_CONFIG.replace("fit.delta = 1.0", "fit.delta = 5e-324"), "Least Squares"),
+    ("run", SPIN_ASYMPTOTICS_CONFIG.replace("fit.delta = 1.0", "fit.delta = 5e-324"), "not finite"),
     ("run", SPIN_ASYMPTOTICS_CONFIG.replace("model.lam = 1.0", "model.lam = 1e-310"), "not negative"),
 ]
 # 2x2 matrices with entries near the double range: abs() of an entry, the

@@ -32,6 +32,7 @@ from declab.quadrature import (
     MAX_PANELS,
     MIN_PANELS,
     NODES_PER_PANEL,
+    ORDER,
     kernel_adaptive,
     legendre_panels,
     spherical_jn,
@@ -665,6 +666,52 @@ def test_constant_density_is_one_term_on_one_panel():
     expansion = SpectralDensity.uniform(-1.5, 0.5).expansion()
     assert expansion.coeffs.shape == (1, 1)
     assert expansion.coeffs[0, 0] == 1.0
+
+
+def test_each_kind_is_expanded_once_per_process(monkeypatch):
+    calls = []
+
+    def counted(f, a, b):
+        calls.append((a, b))
+        return legendre_panels(f, a, b)
+
+    monkeypatch.setattr(declab.models, "_unit_cache", {})
+    monkeypatch.setattr(declab.models, "legendre_panels", counted)
+    envs = [SpectralDensity.gaussian(0.5), SpectralDensity.gaussian(3e7),
+            SpectralDensity.uniform(-1.5, 0.5), SpectralDensity.uniform(1e6, 1e6 + 2.0),
+            SpectralDensity.bump(-2.0, 1.0), SpectralDensity.bump(5.0, 1e4)]
+    for env in envs:
+        chi_trajectory(env, [0.0, 2.5, 1e5])
+    assert sorted(calls) == [(-10.0, 10.0), (-1.0, 1.0), (-1.0, 1.0)]
+
+
+@pytest.mark.parametrize("s", [1e-3, 0.37, 7.3, 1e100])
+def test_gaussian_is_the_unit_gaussian_scaled(s):
+    unit, total = declab.models._unit_expansion("gaussian")
+    assert total == 1.0
+    got = SpectralDensity.gaussian(s).expansion()
+    assert np.array_equal(got.centres, s * unit.centres)
+    assert np.array_equal(got.halves, s * unit.halves)
+    assert np.array_equal(got.width_of, unit.width_of)
+    assert np.array_equal(got.coeffs, unit.coeffs) and got.tail == unit.tail
+    z = np.linspace(-60.0, 60.0, 1201)
+    chi = chi_trajectory(SpectralDensity.gaussian(s), z / s)
+    assert np.abs(chi - np.exp(-((s * (z / s)) ** 2) / 2.0)).max() <= 1e-15
+
+
+def test_cached_rules_and_unit_expansions_are_read_only():
+    # A caller writing into what a process-wide cache handed out would
+    # change every later density and rule.
+    x, w = declab.quadrature._rule(ORDER)
+    nodes, transform = declab.quadrature._legendre_rule(LEGENDRE_ORDER)
+    shared = [x, w, nodes, transform]
+    for kind in FRESH_CONTINUOUS:
+        unit, _ = declab.models._unit_expansion(kind)
+        shared += [unit.centres, unit.halves, unit.width_of, unit.coeffs]
+        shared.append(FRESH_CONTINUOUS[kind]().expansion().width_of)
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_tolerance_below_the_tail_estimate_raises():

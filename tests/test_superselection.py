@@ -21,6 +21,7 @@ from declab import (
     sector_project,
     validate_sectors,
 )
+from declab.superselection import _envelope_indices
 
 Z_SECTORS = SectorStructure([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
@@ -278,3 +279,34 @@ def test_fit_delta_is_honored():
     fit = fit_power_law_decay(samples, delta=delta)
     assert fit.gamma == pytest.approx(4.0, abs=0.05)
     assert fit.delta == delta
+
+
+@pytest.mark.parametrize("values", [lambda t: (1.0 + t) ** -2 * (1.0 + 0.2 / (1.0 + t)),
+                                    lambda t: np.abs(np.sin(t) / t)], ids=["monotone", "sinc"])
+def test_fit_regression_matches_polyfit(values):
+    # The closed-form fit gives np.polyfit's line through the envelope points.
+    t = np.arange(0.5, 60.0, 0.05)
+    v = values(t)
+    fit = fit_power_law_decay(np.column_stack([t, v]), delta=0.7, window=(10.0, 60.0))
+    inside = (t >= 10.0) & (t <= 60.0)
+    env = _envelope_indices(v[inside])
+    x, y = np.log1p(0.7 * t[inside][env]), np.log(v[inside][env])
+    slope, intercept = np.polyfit(x, y, 1)
+    assert fit.gamma == pytest.approx(-slope, rel=1e-12)
+    residual = np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+    assert fit.residual == pytest.approx(residual, rel=1e-12)
+    assert fit.C >= np.exp(intercept) * (1.0 - 1e-12)
+
+
+def test_fit_at_subnormal_scales_prints_nothing(capfd):
+    # log(1 + delta t) at t <= 3.6e-201, or with a subnormal delta, squares to
+    # 0, where np.polyfit's LAPACK call writes to stdout and raises LinAlgError.
+    t = np.linspace(0.0, 3.6e-201, 25)
+    fit = fit_power_law_decay(np.column_stack([t, 1e-100 * (1.0 + 1e201 * t) ** -2]), delta=1.0)
+    assert 0.0 < fit.gamma < np.inf and fit.superpolynomial
+    t = np.linspace(2.0, 14.0, 25)
+    with pytest.raises(NonDecaying, match=r"slope -inf in window \[8, 14\] is not finite"):
+        fit_power_law_decay(np.column_stack([t, (1.0 + t) ** -2]), delta=5e-324)
+    with pytest.raises(InsufficientData, match=r"no finite range .* window \[8, 14\]"):
+        fit_power_law_decay(np.column_stack([t, (1.0 + t) ** -2]), delta=1e308)
+    assert capfd.readouterr() == ("", "")
