@@ -46,6 +46,7 @@ from .states import (
 from .superselection import (
     MIN_ENVELOPE_POINTS,
     block_diagonal_sectors,
+    default_fit_window,
     fit_power_law_decay,
     sector_probabilities,
 )
@@ -303,8 +304,7 @@ def _parse_spin_asymptotics(e: _Entries, t_grid, env) -> dict:
     if inputs["fit_delta"] <= 0:
         raise ValidationError("fit.delta", "delta must be positive")
     inputs["fit_window"] = tuple(e.floats("fit.window", 2)) if "fit.window" in e.raw else None
-    # The fit's own default window: the last half of the grid.
-    lo, hi = inputs["fit_window"] or (t_grid[0] + (t_grid[-1] - t_grid[0]) / 2.0, t_grid[-1])
+    lo, hi = inputs["fit_window"] or default_fit_window(t_grid)
     inside = np.count_nonzero((t_grid >= lo) & (t_grid <= hi))
     if inside < MIN_ENVELOPE_POINTS:
         raise ValidationError("fit.window" if inputs["fit_window"] else "t_grid.count",

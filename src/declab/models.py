@@ -8,7 +8,8 @@ transform of the environment's spectral weight along the coupling operator.
 Its coherence norms and sector probabilities depend on that damped state
 alone, not on the free evolution under h_s, so ``az_coherence`` takes them
 over a time grid from stacks of masked copies of the initial state, while
-``az_trajectory`` yields the reduced states themselves.
+``az_trajectory`` yields the reduced states themselves, evolved by h_s one
+sector block at a time in the sector-adapted frame.
 In the spin model a transverse system field no longer commutes with the
 coupling; the reduced state is an average of rigidly rotated polarization
 vectors and contracts toward a fixed linear image q = M p of the initial
@@ -36,8 +37,6 @@ from .errors import (
 from .operators import (
     finite_times,
     hs_norm,
-    propagator,
-    propagators,
     require_hermitian,
     unit_scale,
 )
@@ -356,7 +355,11 @@ class ArakiZurekModel:
 
     ``lambdas`` are the coupling eigenvalues on the sectors, separated
     pairwise by at least ``delta``; ``h_s`` must commute with every sector
-    projector.  The environment enters reduced quantities only through chi.
+    projector, to 1e-10 relative.  The environment enters reduced quantities
+    only through chi.  The evolution takes h_s as exactly block-diagonal in
+    the sector-adapted frame: an intersector leak within that tolerance is
+    dropped, so sector probabilities stay exactly conserved, as the closed
+    form states.
     """
 
     sectors: SectorStructure
@@ -439,23 +442,63 @@ def _chi_tables(lambdas, env: SpectralDensity, ts, tol: float, stack: int = 1):
         yield chi
 
 
+def _sector_propagators(model: ArakiZurekModel, ts):
+    """exp(-i h_s t) F = F u(t) for every t in ``ts``, yielded one at a time,
+    with F the sector-adapted frame (the identity when None) and u(t) the
+    frame unitary exp(-i g t) of g = F^H h_s F.
+
+    The index is sorted, so each sector is a contiguous range of the frame,
+    and h_s is taken as exactly block-diagonal there: the intersector entries
+    of g that ``ArakiZurekModel`` tolerates are dropped.  The sector blocks
+    of g are diagonalised at the call, one batched ``eigh`` per distinct
+    sector size; each unitary is built when it is taken.
+    """
+    frame, index = model.sectors._adapted_frame()
+    g = in_sector_frame(model.h_s, model.sectors)
+    sizes = np.bincount(index, minlength=len(model.sectors))
+    starts = np.cumsum(sizes) - sizes
+    groups = []
+    for d in sorted(set(sizes.tolist())):
+        idx = starts[sizes == d][:, np.newaxis] + np.arange(d)
+        try:
+            vals, vecs = np.linalg.eigh(g[idx[:, :, np.newaxis], idx[:, np.newaxis, :]])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+        groups.append((idx, vals, vecs))
+
+    def unitaries():
+        for t in ts:
+            u = np.zeros(g.shape, dtype=complex)
+            for idx, vals, vecs in groups:
+                phased = vecs * np.exp(-1j * vals * t)[:, np.newaxis, :]
+                u[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] = phased @ vecs.conj().swapaxes(1, 2)
+            yield u if frame is None else frame @ u
+
+    return unitaries()
+
+
 def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float = 1e-9):
     """Reduced states at every t in ``ts``, yielded one DensityOperator at a time.
 
     Each intersector block of rho0 is damped by chi((l_m - l_n) t) and the
-    whole result is conjugated by exp(-i h_s t).  Diagonal blocks carry
-    chi(0) = 1, so sector probabilities are conserved exactly.  The inputs
-    are checked and h_s diagonalised at the call.  Chi is evaluated in
-    chunks of times, one table over all their (t, sector pair) phases
+    whole result is conjugated by exp(-i h_s t).  In the sector-adapted
+    frame, with x0 = F^H rho0 F, the state is F u (C o x0) u^H F^H for
+    C_ij = chi((l_m - l_n) t) over the sectors m, n of i, j and the frame
+    unitary u of ``_sector_propagators``.  Diagonal blocks carry chi(0) = 1,
+    so sector probabilities are conserved exactly.  The inputs are checked,
+    x0 formed and h_s diagonalised at the call.  Chi is evaluated in chunks
+    of times, one table over all their (t, sector pair) phases
     (``_chi_tables``), when the first state of a chunk is taken; each state
     is built as it is taken.
     """
     if rho0.dim != model.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} does not match model dim {model.dim}")
     ts = finite_times(ts)
+    _, index = model.sectors._adapted_frame()
+    x0 = in_sector_frame(rho0.matrix, model.sectors)
     chis = itertools.chain.from_iterable(_chi_tables(model.lambdas, model.env, ts, tol))
-    return (DensityOperator(u @ sector_mask(rho0.matrix, model.sectors, chi) @ u.conj().T)
-            for u, chi in zip(propagators(model.h_s, ts), chis))
+    return (DensityOperator(v @ (chi[index[:, np.newaxis], index] * x0) @ v.conj().T)
+            for v, chi in zip(_sector_propagators(model, ts), chis))
 
 
 def az_coherence(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float = 1e-9):
@@ -579,14 +622,15 @@ def az_evolve_correlated(model: ArakiZurekModel, w0: CorrelatedInitialState, t: 
     sensitive to the initial conditions.
     """
     ts = finite_times([t])
+    _, index = model.sectors._adapted_frame()
     total = np.zeros((model.dim, model.dim), dtype=complex)
     for rho_mu, env_mu in w0.terms:
         if rho_mu.shape[0] != model.dim:
             raise DimensionMismatch("initial-state terms do not match the model dimension")
         chi = next(_chi_tables(model.lambdas, env_mu, ts, tol))[0]
-        total += sector_mask(rho_mu, model.sectors, chi)
-    u = propagator(model.h_s, t)
-    return DensityOperator(u @ total @ u.conj().T)
+        total += chi[index[:, np.newaxis], index] * in_sector_frame(rho_mu, model.sectors)
+    v = next(_sector_propagators(model, ts))
+    return DensityOperator(v @ total @ v.conj().T)
 
 
 @dataclass(frozen=True, eq=False)

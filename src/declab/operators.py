@@ -1,15 +1,12 @@
 """Dense complex-matrix substrate: eigendecomposition, propagators, Schatten
 norms, tensor products and the partial trace over the environment factor.
 
-All functions are pure and operate on square ``numpy`` arrays.  ``propagators``
-diagonalises a Hamiltonian once per time grid, one connected block at a time:
-the blocks are the connected components of the pattern of its exact nonzero
-entries, so a direct sum costs one small ``eigh`` per summand, while a dense
-irreducible matrix is a single block.  Within declab only system Hamiltonians
-reach it; no caller passes a joint Hamiltonian any more, since the
-joint-evolution oracle builds its per-environment-point blocks itself.
-``tensor_product`` and ``partial_trace_env`` serve outside callers and
-tests.  Dense storage only; the supported dimension is documented up to 1024.
+All functions are pure and operate on square ``numpy`` arrays.
+``propagators`` diagonalises a Hamiltonian once per time grid.  The models
+evolve in their own sector blocks and the oracle builds its own joint
+blocks, so ``propagators``, ``tensor_product`` and ``partial_trace_env``
+serve outside callers and tests.  Dense storage only; the supported
+dimension is documented up to 1024.
 """
 
 import math
@@ -120,99 +117,34 @@ def hermitian_eig(m) -> HermitianEig:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
     vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    vecs, first = _canonical_phase(vecs)
+    vecs, first = _canonical_phase(vecs[:, ::-1])
 
     scale = max(np.abs(vals).max(initial=0.0), 1e-300)
-    gap = DEGENERACY_RTOL * scale
-    n = vals.size
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and vals[stop - 1] - vals[stop] < gap:
-            stop += 1
-        if stop - start > 1:
-            lead = np.abs(vecs[first[start:stop], np.arange(start, stop)])
-            order = sorted(range(stop - start), key=lambda k: (-lead[k], first[start + k]))
-            vecs[:, start:stop] = vecs[:, [start + k for k in order]]
-            first[start:stop] = first[[start + k for k in order]]
-        start = stop
-    return HermitianEig(vals, vecs)
-
-
-def _components(h):
-    """Connected component of each index in the graph of h's exact nonzero
-    entries (h Hermitian, so the graph is undirected), labelled by the
-    component's smallest index."""
-    n = h.shape[0]
-    linked = h != 0
-    np.fill_diagonal(linked, True)  # every row non-empty, so reduceat sees each index
-    rows, cols = np.nonzero(linked)
-    starts = np.searchsorted(rows, np.arange(n))
-    labels = np.arange(n)
-    while True:
-        # Hook each index to its smallest neighbouring label, then jump to roots.
-        # Labels only fall and stay inside their component, so a fixed point is
-        # one label per component.
-        hooked = np.minimum.reduceat(labels[cols], starts)
-        while not np.array_equal(hooked[hooked], hooked):
-            hooked = hooked[hooked]
-        if np.array_equal(hooked, labels):
-            return labels
-        labels = hooked
-
-
-def _spectrum(h):
-    """Spectra of the connected blocks of the symmetrized h.
-
-    Returns one (indices, vals, vecs) triple per block size d, with indices
-    (K, d) ascending within each of the K blocks, vals (K, d) and vecs
-    (K, d, d) from one batched ``eigh`` of the K blocks.
-    """
-    labels = _components(h)
-    sizes = np.bincount(labels, minlength=labels.size)[labels]
-    order = np.lexsort((labels, sizes))  # stable: by size, then block, then index
-    sizes = sizes[order]
-    groups = []
-    for d in sorted(set(sizes.tolist())):
-        idx = order[sizes == d].reshape(-1, d)
-        try:
-            vals, vecs = np.linalg.eigh(h[idx[:, :, np.newaxis], idx[:, np.newaxis, :]])
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-        groups.append((idx, vals, vecs))
-    return groups
+    # A group starts wherever the next eigenvalue is a full gap lower.
+    group = np.cumsum(np.diff(vals, prepend=vals[:1]) <= -DEGENERACY_RTOL * scale)
+    lead = np.abs(vecs[first, np.arange(vals.size)])
+    return HermitianEig(vals, vecs[:, np.lexsort((first, -lead, group))])
 
 
 def propagators(h, ts):
     """Unitaries exp(-iHt) for every t in ``ts``, yielded one at a time.
 
-    H and the times are checked, and H diagonalised, at the call: a grid
-    costs one eigendecomposition.  Indices linked by exact nonzero entries
-    form a block, blocks of one size share one batched ``eigh``, and each
-    block's exp(-iH_k t) is scattered into an otherwise zero matrix.  The
+    H and the times are checked, and H diagonalised by one ``eigh``, at the
+    call; each unitary is (V e^{-i vals t}) V^H, built when it is taken.  The
     spectral route keeps each result unitary to roundoff; exp(-iHt) does not
     depend on the eigenbasis, so the plain ``eigh`` output is used.
     """
     ts = finite_times(ts)
     h = require_hermitian(h)
-    groups = _spectrum(h)
-
-    def unitaries():
-        for t in ts:
-            u = np.zeros(h.shape, dtype=complex)
-            for idx, vals, vecs in groups:
-                phased = vecs * np.exp(-1j * vals * t)[:, np.newaxis, :]
-                u[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] = phased @ vecs.conj().swapaxes(1, 2)
-            yield u
-
-    return unitaries()
+    try:
+        vals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    return ((vecs * np.exp(-1j * vals * t)) @ vecs.conj().T for t in ts)
 
 
 def propagator(h, t: float) -> np.ndarray:
     """Unitary exp(-iHt) for Hermitian H: the single-time case of ``propagators``."""
-    if not np.isfinite(float(t)):
-        raise ValueError("t must be finite")
     return next(propagators(h, [t]))
 
 

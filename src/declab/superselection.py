@@ -242,6 +242,11 @@ def _envelope_indices(values: np.ndarray) -> np.ndarray:
     return np.arange(n)
 
 
+def default_fit_window(t) -> Tuple[float, float]:
+    """The fit's default window: the last half of the time range of the grid t."""
+    return (t[0] + (t[-1] - t[0]) / 2.0, t[-1]) if len(t) else (0.0, 0.0)
+
+
 def fit_power_law_decay(samples, delta: float,
                         window: Optional[Tuple[float, float]] = None) -> DecayFit:
     """Fit a dominating power-law envelope to a decaying |value| series.
@@ -257,7 +262,8 @@ def fit_power_law_decay(samples, delta: float,
     NonDecaying when the envelope slope is not negative or not finite, or
     when the envelope is flat to within FLAT_ENVELOPE_EPS epsilons, and
     InsufficientData when log(1 + delta t) does not separate the envelope
-    points; both name the window.
+    points or when C is not a finite double (a steep envelope on a long
+    window); both name the window.
     """
     data = np.asarray(samples, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
@@ -269,9 +275,7 @@ def fit_power_law_decay(samples, delta: float,
     if delta <= 0:
         raise ValueError("delta must be positive")
 
-    if window is None:
-        window = (t[0] + (t[-1] - t[0]) / 2.0, t[-1]) if t.size else (0.0, 0.0)
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = map(float, default_fit_window(t) if window is None else window)
     in_window = (t >= lo) & (t <= hi)
     tw = t[in_window]
     vw = values[in_window]
@@ -311,11 +315,17 @@ def fit_power_law_decay(samples, delta: float,
     intercept = y.mean() - slope_u * u.mean()
     residual = float(np.sqrt(np.mean((y - (slope_u * u + intercept)) ** 2)))
 
-    # Smallest C that keeps the bound above every windowed sample.
+    # Smallest C that keeps the bound above every windowed sample, and above
+    # the regression line at t = 0; in logs, since a steep envelope's C may
+    # leave the double range.
     positive = vw > 0
-    c_reg = float(np.exp(intercept))
-    c_dominate = float(np.max(vw[positive] * (1.0 + delta * tw[positive]) ** gamma, initial=0.0))
-    c = max(c_reg, c_dominate)
+    with np.errstate(over="ignore"):
+        logs = np.log(vw[positive]) + gamma * np.log1p(delta * tw[positive])
+        log_c = max(intercept, logs.max())
+        c = float(np.exp(log_c))
+    if not np.isfinite(c):
+        raise InsufficientData(f"prefactor C = exp({log_c:g}) of the envelope {where} "
+                               f"is not a finite double")
     return DecayFit(
         C=c,
         delta=float(delta),

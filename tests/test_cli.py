@@ -640,8 +640,9 @@ def test_main_run_fit_window_below_the_square_root_of_the_smallest_double(tmp_pa
 # Inputs at which numpy arithmetic inside declab overflows or divides by 0,
 # which must not reach stderr as a RuntimeWarning: points and lambdas spanning
 # more than the double range, a subnormal fit.delta (the regression slope
-# overflows) and a subnormal lam.  A validate fails with one
-# line naming the key; a run reports why no fit was made.
+# overflows), a subnormal lam and a steep envelope on a long window (the
+# prefactor C overflows).  A validate fails with one line naming the key; a
+# run reports why no fit was made, in a report that is strict JSON.
 WARNING_INPUTS = [
     ("validate", SPIN_CONFIG.replace("env.kind = gaussian\nenv.s = 1.0", FAR_FIELD.format("1e308"))
      .replace("t_grid.stop = 20000.0", "t_grid.stop = 1.0"), "declab: invalid config: t_grid.stop:"),
@@ -649,6 +650,11 @@ WARNING_INPUTS = [
      "declab: invalid config: t_grid.stop:"),
     ("run", SPIN_ASYMPTOTICS_CONFIG.replace("fit.delta = 1.0", "fit.delta = 5e-324"), "not finite"),
     ("run", SPIN_ASYMPTOTICS_CONFIG.replace("model.lam = 1.0", "model.lam = 1e-310"), "not negative"),
+    ("run", SPIN_ASYMPTOTICS_CONFIG.replace("t_grid.start = 2.0", "t_grid.start = 0")
+     .replace("t_grid.stop = 14.0", "t_grid.stop = 4")
+     .replace("t_grid.count = 25", "t_grid.count = 201").replace("model.a = 1,0,2", "model.a = 1,0,60")
+     .replace("fit.delta = 1.0", "fit.delta = 1e9").replace("fit.window = 2,14\n", ""),
+     "of the envelope in window [2, 4] is not a finite double"),
 ]
 # 2x2 matrices with entries near the double range: abs() of an entry, the
 # Hermitian check's norms, (a + a^dagger) / 2 and the phase |h_s| t overflow.
@@ -681,8 +687,9 @@ WARNING_INPUTS += [
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, text, outcome", WARNING_INPUTS,
-                         ids=["spin_points", "az_lambdas", "tiny_delta", "tiny_lam", "huge_state",
-                              "overflowing_state", "overflowing_h_s", "h_s_phase", "huge_h_s_leak"])
+                         ids=["spin_points", "az_lambdas", "tiny_delta", "tiny_lam", "huge_prefactor",
+                              "huge_state", "overflowing_state", "overflowing_h_s", "h_s_phase",
+                              "huge_h_s_leak"])
 def test_main_reaches_its_outcome_without_numpy_warnings(tmp_path, capsys, command, text, outcome):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(text)
@@ -693,8 +700,13 @@ def test_main_reaches_its_outcome_without_numpy_warnings(tmp_path, capsys, comma
     else:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
-        report = json.loads((tmp_path / "spin_asymptotics_report.json").read_text())
+        report = json.loads((tmp_path / "spin_asymptotics_report.json").read_text(),
+                            parse_constant=_reject_constant)
         assert outcome in report["decay_fit"]["error"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"the report holds {name}, which is not JSON")
 
 
 @pytest.mark.filterwarnings("error")

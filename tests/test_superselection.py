@@ -21,7 +21,7 @@ from declab import (
     sector_project,
     validate_sectors,
 )
-from declab.superselection import _envelope_indices
+from declab.superselection import _envelope_indices, default_fit_window
 
 Z_SECTORS = SectorStructure([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
@@ -269,7 +269,7 @@ def test_fit_flags_superpolynomial_decay():
 def test_fit_window_default_is_tail_half():
     t = np.linspace(0.0, 20.0, 100)
     fit = fit_power_law_decay(np.column_stack([t, (1.0 + t) ** -2]), delta=1.0)
-    assert fit.window == (10.0, 20.0)
+    assert fit.window == default_fit_window(t) == (10.0, 20.0)
 
 
 def test_fit_delta_is_honored():
@@ -296,6 +296,17 @@ def test_fit_regression_matches_polyfit(values):
     residual = np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
     assert fit.residual == pytest.approx(residual, rel=1e-12)
     assert fit.C >= np.exp(intercept) * (1.0 - 1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_prefactor_past_the_double_range_is_insufficient_data():
+    # A gaussian envelope read as a power law: gamma is about 731, and the C
+    # that dominates the window is exp(2064.68), past the largest double.
+    t = np.linspace(0.0, 36.0, 361)
+    with pytest.raises(InsufficientData,
+                       match=r"C = exp\(2064\.68\) .* window \[18, 36\] is not a finite double"):
+        fit_power_law_decay(np.column_stack([t, np.exp(-t**2 / 2.0)]), delta=1.0,
+                            window=(18.0, 36.0))
 
 
 def test_fit_at_subnormal_scales_prints_nothing(capfd):
