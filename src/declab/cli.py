@@ -2,10 +2,13 @@
 
 Configs are flat ``key = value`` lines with dotted key paths (no nesting, no
 quoting), chosen so diffs stay reviewable and parsing needs nothing beyond
-the standard library.  Each experiment writes one CSV (comma separated, LF
-endings, 17 significant digits so doubles round-trip losslessly) plus a
-report echoing the scenario and summarizing every numeric series.  Identical
-config and seed produce byte-identical CSV.
+the standard library.  Each experiment's runner returns a header, its columns
+(1-d float arrays; a list for a column of strings) and a fit or None.  The
+columns are streamed into one CSV (comma separated, LF endings, 17
+significant digits so doubles round-trip losslessly), CSV_CHUNK_ROWS rows at
+a time, beside a report echoing the scenario and summarizing every numeric
+series.  Both files are created 0666 under the umask.  Identical config and
+seed produce byte-identical CSV.
 """
 
 import argparse
@@ -14,7 +17,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -53,6 +55,8 @@ from .superselection import (
 
 # Largest t_grid.count a config may ask for; the checked-in scenarios use at most 601.
 MAX_TIME_POINTS = 10**6
+# Rows of CSV text formatted and written at a time.
+CSV_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -361,21 +365,21 @@ def parse_config(text) -> ScenarioConfig:
     return cfg
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _atomic_write(path: str, data: str):
-    directory = os.path.dirname(os.path.abspath(path))
+def _atomic_write(path: str, parts):
+    """Write the strings ``parts`` to a temporary file beside ``path``, created
+    0666 under the umask, and move it onto ``path`` once it is whole."""
+    directory, name = os.path.split(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    while True:
+        tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(data)
+            handle.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -383,64 +387,55 @@ def _atomic_write(path: str, data: str):
         raise
 
 
-def _write_csv(path: str, header, cells):
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in cells)
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _columns(rows):
-    """(cells, values) per column of ``rows``: its CSV cells, and its values as
-    floats, None for a column holding strings.  A column of floats (numpy's
-    too) is formatted from Python floats in one pass; other cells by ``_fmt``."""
-    columns = []
-    for column in zip(*rows):
-        if all(isinstance(v, float) for v in column):
-            values = np.array(column, dtype=float).tolist()
-            columns.append((["%.17g" % v for v in values], values))
-        else:
-            numeric = not any(isinstance(v, str) for v in column)
-            values = [float(v) for v in column] if numeric else None
-            columns.append(([_fmt(v) for v in column], values))
-    return columns
+def _csv_lines(header, columns):
+    """The CSV text of ``columns`` under ``header``, CSV_CHUNK_ROWS rows at a
+    time: ``%.17g`` for each float of a float array, ``%s`` for each string of
+    a list."""
+    row = ",".join("%s" if isinstance(column, list) else "%.17g" for column in columns) + "\n"
+    yield ",".join(header) + "\n"
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        cells = (np.asarray(column[start : start + CSV_CHUNK_ROWS]).tolist() for column in columns)
+        yield "".join(row % values for values in zip(*cells))
 
 
 def _series_summary(header, columns) -> dict:
-    """min, max and final value of every numeric column.  ``.17g`` round-trips
-    every double, so these are the values that land in the file."""
-    return {name: {"min": min(values), "max": max(values), "final": values[-1]}
-            for name, (_, values) in zip(header, columns) if values is not None}
+    """min, max and final value of every float column, as Python floats.
+    ``.17g`` round-trips every double, so these are the values that land in
+    the file."""
+    floats = ((name, column.tolist()) for name, column in zip(header, columns)
+              if not isinstance(column, list))
+    return {name: {"min": min(v), "max": max(v), "final": v[-1]} for name, v in floats}
 
 
 def _run_araki_zurek(t_grid, model, initial_state):
-    norms, chis = az_coherence(model, initial_state, t_grid)
+    (hs, trace), chis = az_coherence(model, initial_state, t_grid)
     probs = sector_probabilities(initial_state, model.sectors)
     header = ["t", "offdiag_hs", "offdiag_tr", *(f"prob_{i}" for i in range(probs.size)),
               "chi_re", "chi_im"]
-    rows = [[t, hs, tr, *probs, chi.real, chi.imag] for t, hs, tr, chi in zip(t_grid, *norms, chis)]
-    return header, rows, None
+    columns = [t_grid, hs, trace, *(np.broadcast_to(p, t_grid.shape) for p in probs),
+               chis.real, chis.imag]
+    return header, columns, None
 
 
 def _run_spin(t_grid, model, initial_bloch):
-    rows = [[t, *pol] for t, pol in zip(t_grid, spin_trajectory(model, initial_bloch, t_grid))]
-    return ["t", "p_x", "p_y", "p_z"], rows, None
+    pols = spin_trajectory(model, initial_bloch, t_grid)
+    return ["t", "p_x", "p_y", "p_z"], [t_grid, *pols.T], None
 
 
 def _run_spin_asymptotics(t_grid, model, initial_bloch, fit_delta, fit_window):
     samples = spin_asymptotics(model, initial_bloch, t_grid)
-    rows = [[t, d] for t, d in samples]
+    columns = list(samples.T)
     try:
         fit = fit_power_law_decay(samples, fit_delta, fit_window)
     except (InsufficientData, NonDecaying) as exc:
         # Whether the series decays and fits is known only once it is computed.
-        return ["t", "trace_dist"], rows, {"error": str(exc)}
-    return ["t", "trace_dist"], rows, {**asdict(fit), "window": list(fit.window)}
+        return ["t", "trace_dist"], columns, {"error": str(exc)}
+    return ["t", "trace_dist"], columns, {**asdict(fit), "window": list(fit.window)}
 
 
 def _run_chi_scan(t_grid, env):
     chis = chi_trajectory(env, t_grid)
-    rows = [[t, chi.real, chi.imag, abs(chi)] for t, chi in zip(t_grid, chis)]
-    return ["t", "chi_re", "chi_im", "chi_abs"], rows, None
+    return ["t", "chi_re", "chi_im", "chi_abs"], [t_grid, chis.real, chis.imag, np.abs(chis)], None
 
 
 def _run_decompose_demo(seed, dim):
@@ -449,15 +444,19 @@ def _run_decompose_demo(seed, dim):
     unitary = haar_unitary(dim, rng)
     spectral = spectral_decomposition(w)
     alternate = alternate_decomposition(w, unitary)
-    rows = [["spectral", i, weight, 0.0] for i, weight in enumerate(spectral.weights)]
-    for i, (weight, proj) in enumerate(zip(alternate.weights, alternate.projectors)):
-        dist = min(float(np.linalg.norm(proj.matrix - sp.matrix)) for sp in spectral.projectors)
-        rows.append(["alternate", i, weight, dist])
-    return ["kind", "index", "weight", "min_dist_to_spectral"], rows, None
+    dists = [min(float(np.linalg.norm(proj.matrix - sp.matrix)) for sp in spectral.projectors)
+             for proj in alternate.projectors]
+    n, m = len(spectral.weights), len(dists)
+    columns = [["spectral"] * n + ["alternate"] * m,
+               np.concatenate([np.arange(float(n)), np.arange(float(m))]),
+               np.concatenate([spectral.weights, alternate.weights]),
+               np.concatenate([np.zeros(n), dists])]
+    return ["kind", "index", "weight", "min_dist_to_spectral"], columns, None
 
 
 class Experiment(NamedTuple):
-    """parse(entries[, t_grid, env if timed]) -> inputs; run(**inputs) -> header, rows, fit."""
+    """parse(entries[, t_grid, env if timed]) -> inputs; run(**inputs) -> header,
+    columns, fit: a 1-d float array per column (a list of strings for text)."""
 
     timed: bool
     parse: Callable[..., dict]
@@ -476,7 +475,7 @@ EXPERIMENTS = {
 def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunReport:
     """Run the configured experiment; write its CSV and JSON report."""
     started = time.perf_counter()
-    header, rows, fit_dict = EXPERIMENTS[cfg.experiment].run(**cfg.inputs)
+    header, columns, fit_dict = EXPERIMENTS[cfg.experiment].run(**cfg.inputs)
 
     if out_dir is not None:
         csv_path = os.path.join(out_dir, os.path.basename(cfg.out_csv))
@@ -484,8 +483,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
     else:
         csv_path = cfg.out_csv
         report_path = cfg.out_report
-    columns = _columns(rows)
-    _write_csv(csv_path, header, zip(*(cells for cells, _ in columns)))
+    _atomic_write(csv_path, _csv_lines(header, columns))
 
     report = RunReport(
         scenario=cfg.raw,
@@ -495,7 +493,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> RunRepor
         decay_fit=fit_dict,
         wall_time_s=time.perf_counter() - started,
     )
-    _atomic_write(report_path, json.dumps(report.as_dict(), indent=2) + "\n")
+    _atomic_write(report_path, [json.dumps(report.as_dict(), indent=2) + "\n"])
     return report
 
 

@@ -77,7 +77,8 @@ SUPPORT_WIDTHS = (1e-300, 1e300)
 # Bound on times x sector pairs in one chunk of chi tables, on times x
 # distinct gaps x environment points in the phases evaluated for it, on
 # times x d^2 in one state stack of az_coherence (unless a single state
-# exceeds it), and on times x points in one trig table of a discrete chi.
+# exceeds it), and on times x points in one trig table of a discrete
+# environment's trajectory.
 DEPHASING_ELEMENTS = 2**16
 
 
@@ -283,14 +284,22 @@ def _trajectory(env, ts, kernel, tol):
 
     ``kernel(x, weight)`` maps (m,) abscissae and the environment weights at
     them to (omega, a, b, c), weighted as in ``quadrature.trig_sum``.  A
-    discrete environment is one exact ``trig_sum`` over its points;
-    otherwise the whole grid is one ``kernel_adaptive`` call over the
-    support.  Returns (T, d).
+    discrete environment is one exact sum over its points, each t on
+    ``trig_sum``'s batch axis: a row is computed as a call at that t alone
+    computes it, to the bit.  Its times are taken in chunks whose trig tables
+    hold at most DEPHASING_ELEMENTS (times x points) entries.  Otherwise the
+    whole grid is one ``kernel_adaptive`` call over the support.  Returns (T, d).
     """
     ts = finite_times(ts)
-    if env.is_discrete:
-        return trig_sum(ts, *kernel(env.points[:, 0], env.points[:, 1]))
-    return kernel_adaptive(lambda x: kernel(x, env.density(x)), ts, *env.support(), tol)
+    if not env.is_discrete:
+        return kernel_adaptive(lambda x: kernel(x, env.density(x)), ts, *env.support(), tol)
+    omega, *amplitudes = kernel(env.points[:, 0], env.points[:, 1])
+    out = np.empty((ts.size, next(q for q in amplitudes if q is not None).shape[-1]))
+    step = max(1, DEPHASING_ELEMENTS // omega.size)
+    for start in range(0, ts.size, step):
+        chunk = slice(start, start + step)
+        out[chunk] = trig_sum(np.ones(1), np.multiply.outer(ts[chunk], omega), *amplitudes)[:, 0]
+    return out
 
 
 def chi_trajectory(env: SpectralDensity, ts, tol: float = 1e-9) -> np.ndarray:
@@ -300,26 +309,19 @@ def chi_trajectory(env: SpectralDensity, ts, tol: float = 1e-9) -> np.ndarray:
     expansion (``SpectralDensity.expansion``), built once per density: the
     cost per time does not depend on |t|, and the expansion's tail estimate
     bounds the error at every t.  Raises QuadratureFailure when ``tol`` is
-    below that estimate.  A discrete density is one exact sum over its points,
-    each t on ``trig_sum``'s batch axis: a row of the table is computed as a
-    call at that t alone computes it, to the bit.  Its times are taken in
-    chunks whose trig tables hold at most DEPHASING_ELEMENTS (times x points)
-    entries.
+    below that estimate.  A discrete density is one exact sum over its points
+    (``_trajectory``).
     """
     ts = finite_times(ts)
     if not env.is_discrete:
         return legendre_fourier(env.expansion(), ts, tol)
-    v, weight = env.points.T
-    # w exp(-ivt) as (real, imaginary): a = (w, 0), b = (0, -w).
-    zero = np.zeros_like(weight)
-    a, b = np.column_stack([weight, zero]), np.column_stack([zero, -weight])
-    out = np.empty(ts.size, dtype=complex)
-    step = max(1, DEPHASING_ELEMENTS // v.size)
-    for start in range(0, ts.size, step):
-        chunk = slice(start, start + step)
-        parts = trig_sum(np.ones(1), np.multiply.outer(ts[chunk], v), a, b, None)[:, 0]
-        out[chunk] = parts[:, 0] + 1j * parts[:, 1]
-    return out
+
+    def phases(v, weight):  # w exp(-ivt) as (real, imaginary): a = (w, 0), b = (0, -w)
+        zero = np.zeros_like(weight)
+        return v, np.column_stack([weight, zero]), np.column_stack([zero, -weight]), None
+
+    parts = _trajectory(env, ts, phases, tol)
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def decoherence_function(env: SpectralDensity, t: float, tol: float = 1e-9) -> complex:

@@ -1,11 +1,18 @@
+import io
 import json
+import os
+import re
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import declab.cli
 from declab import ParseError, ValidationError
-from declab.cli import MAX_TIME_POINTS, main, parse_config, run_scenario
+from declab.cli import EXPERIMENTS, MAX_TIME_POINTS, main, parse_config, run_scenario
 
 AZ_CONFIG = """
 # minimal dephasing scenario
@@ -292,6 +299,88 @@ def test_main_run_writes_outputs(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "chi_scan.csv").exists()
     assert (tmp_path / "chi_scan_report.json").exists()
+
+
+def test_main_run_creates_outputs_under_the_umask(tmp_path):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(CHI_CONFIG)
+    names = ["chi_scan.csv", "chi_scan_report.json"]
+    old = tmp_path / "old"
+    old.mkdir()
+    for name in names:
+        (old / name).write_text("old\n")
+        (old / name).chmod(0o644)
+    previous = os.umask(0o022)
+    try:
+        for out in (tmp_path / "fresh", old):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            assert sorted(os.listdir(out)) == names
+            for name in names:
+                assert stat.S_IMODE((out / name).stat().st_mode) == 0o644
+                assert (out / name).read_text() != "old\n"
+    finally:
+        os.umask(previous)
+
+
+def test_atomic_write_keeps_the_target_and_leaves_no_temporary_file_on_failure(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def parts():
+        yield "new\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        declab.cli._atomic_write(str(target), parts())
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_atomic_write_retries_a_taken_temporary_name(tmp_path, monkeypatch):
+    taken = tmp_path / f".out.csv.{os.getpid()}.00000000.tmp"
+    taken.write_text("someone else's\n")
+    draws = iter([bytes(4), bytes([1] * 4)])
+    monkeypatch.setattr(declab.cli.os, "urandom", lambda n: next(draws))
+    declab.cli._atomic_write(str(tmp_path / "out.csv"), ["a\n", "b\n"])
+    assert (tmp_path / "out.csv").read_text() == "a\nb\n"
+    assert taken.read_text() == "someone else's\n"
+    assert sorted(os.listdir(tmp_path)) == [taken.name, "out.csv"]
+
+
+# Points of the large-grid runs: 48 chunk boundaries of the CSV writer.
+LARGE_GRID = 200000
+# Pre-registered bound on the run's peak RSS, in MiB.  A writer that builds
+# rows of Python objects peaks at 211 (chi_uniform) and 352 (az_dephasing).
+LARGE_GRID_RSS_MIB = 128
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is read in KiB, as on Linux")
+@pytest.mark.parametrize("name", ["chi_uniform", "az_dephasing"])
+def test_main_runs_a_large_grid_within_its_memory_bound(tmp_path, name):
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.cfg").read_text()
+    text = re.sub(r"(?m)^t_grid\.count = .*$", f"t_grid.count = {LARGE_GRID}", text)
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    # The child reports its own peak: RUSAGE_CHILDREN would count earlier children too.
+    code = ("import resource, sys\n"
+            "from declab.cli import main\n"
+            "assert main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = str(Path(declab.cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert int(done.stdout.splitlines()[-1]) <= LARGE_GRID_RSS_MIB * 1024
+    # The same columns through an independent formatter.
+    parsed = parse_config(text)
+    header, columns, _ = EXPERIMENTS[parsed.experiment].run(**parsed.inputs)
+    expected = io.BytesIO()
+    np.savetxt(expected, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+    assert (tmp_path / parsed.out_csv).read_bytes() == expected.getvalue()
 
 
 def test_main_run_reports_runtime_failure(tmp_path, capsys):

@@ -220,7 +220,17 @@ def test_chi_discrete_matches_direct_sum():
     assert decoherence_function(env, t) == pytest.approx(direct, abs=1e-14)
 
 
-def test_chi_discrete_chunks_bound_its_tables():
+def _spin_discrete(env, ts):
+    return spin_trajectory(SpinModel(a=[1, 0, 0.4], b=0.3, lam=1.0, env_diag=env), [0.7, 0.2, 0.5], ts)
+
+
+DISCRETE_TRAJECTORIES = pytest.mark.parametrize(
+    "trajectory", [chi_trajectory, _spin_discrete], ids=["chi", "spin"]
+)
+
+
+@DISCRETE_TRAJECTORIES
+def test_chi_discrete_chunks_bound_its_tables(trajectory):
     import tracemalloc
 
     points = np.linspace(-1.0, 1.0, 200)
@@ -228,15 +238,17 @@ def test_chi_discrete_chunks_bound_its_tables():
     ts = np.linspace(0.0, 50.0, 4000)
     tracemalloc.start()
     try:
-        chi_trajectory(env, ts)
+        trajectory(env, ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # One table of all 4000 x 200 phases, their cos and sin took 18.4 MiB.
+    # One table of all 4000 x 200 phases, their cos and sin took 18.4 MiB
+    # for chi and 12.4 MiB for spin.
     assert peak < 4 * 2**20
 
 
-def test_chi_discrete_chunks_match_one_table(monkeypatch):
+@DISCRETE_TRAJECTORIES
+def test_chi_discrete_chunks_match_one_table(monkeypatch, trajectory):
     import declab.models as models
 
     env = lattice_env()  # 21 points
@@ -245,10 +257,10 @@ def test_chi_discrete_chunks_match_one_table(monkeypatch):
     trig_sum = models.trig_sum
     monkeypatch.setattr(models, "trig_sum", lambda *a: calls.append(a[1].shape) or trig_sum(*a))
     monkeypatch.setattr(models, "DEPHASING_ELEMENTS", 16 * 21)
-    chunked = chi_trajectory(env, ts)
+    chunked = trajectory(env, ts)
     assert len(calls) == 63 and calls[0] == (16, 21) and calls[-1] == (9, 21)
     monkeypatch.setattr(models, "DEPHASING_ELEMENTS", ts.size * 21)
-    whole = chi_trajectory(env, ts)
+    whole = trajectory(env, ts)
     assert len(calls) == 64 and calls[-1] == (1001, 21)
     assert np.array_equal(chunked, whole)
 
