@@ -172,16 +172,19 @@ def _parse_env(e: _Entries) -> SpectralDensity:
             ctor = SpectralDensity.uniform if kind == "uniform" else SpectralDensity.bump
             return ctor(a, b)
         if kind == "discrete":
-            text = e.require("env.points")
             pairs = []
-            for chunk in text.split(","):
-                v, _, w = chunk.partition(":")
-                pairs.append(_finite("env.points", [float(v), float(w)]))
+            for pair in e.require("env.points").split(","):
+                try:  # unpacking other than two values raises ValueError as well
+                    v, w = (float(x) for x in pair.split(":"))
+                except ValueError:
+                    raise ValidationError("env.points",
+                                          f"expected a v:w pair of numbers, got {pair.strip()!r}")
+                pairs.append(_finite("env.points", [v, w]))
             return SpectralDensity.discrete(np.asarray(pairs))
     except ValidationError:
         raise
     except (ValueError, DeclabError) as exc:
-        raise ValidationError("env", str(exc))
+        raise ValidationError("env.points" if kind == "discrete" else "env", str(exc))
     raise ValidationError("env.kind", f"unknown kind {kind!r}")
 
 

@@ -18,6 +18,7 @@ environment point at a time, exactly, and partial-traces, sharing no code
 path with the closed forms.
 """
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -413,6 +414,44 @@ class ArakiZurekModel:
         return sector_mask(np.eye(self.dim, dtype=complex), self.sectors, np.diag(self.lambdas))
 
 
+@dataclass(frozen=True, eq=False)
+class CorrelatedInitialState:
+    """Initial joint state sum_mu rho_mu x omega_mu with classical S-E correlations.
+
+    The system parts rho_mu are Hermitian but need not be positive on their
+    own; only their sum must be a state.  ``az_trajectory`` and
+    ``az_evolve`` take it in place of a DensityOperator: each term is damped
+    by the chi of its own environment part, so sectors still emerge while
+    the summed chi contributions decay, whatever the initial correlations.
+    """
+
+    terms: tuple
+
+    def __post_init__(self):
+        if not self.terms:
+            raise NotAState("need at least one (rho_mu, omega_mu) term")
+        cooked = []
+        for i, (rho_mu, env_mu) in enumerate(self.terms):
+            try:
+                mat = require_hermitian(rho_mu, name=f"term {i} system part")
+            except NotHermitian as exc:
+                raise NotAState(str(exc)) from exc
+            if not isinstance(env_mu, SpectralDensity):
+                raise NotAState(f"term {i} environment part must be a SpectralDensity")
+            cooked.append((mat, env_mu))
+        dims = {mat.shape[0] for mat, _ in cooked}
+        if len(dims) != 1:
+            raise DimensionMismatch("system parts must share a dimension")
+        total = sum(mat for mat, _ in cooked)
+        DensityOperator(total)  # raises NotAState when the sum is not a state
+        object.__setattr__(self, "terms", tuple(cooked))
+
+    @property
+    def reduced(self) -> DensityOperator:
+        """The reduced system state sum_mu rho_mu at time zero."""
+        return DensityOperator(sum(mat for mat, _ in self.terms))
+
+
 def _chi_tables(lambdas, env: SpectralDensity, ts, tol: float, stack: int = 1):
     """Sector coefficients chi((l_m - l_n) t) for the finite times ``ts``, as
     (B, k, k) arrays over consecutive chunks of B times, conjugate-symmetric
@@ -479,7 +518,8 @@ def _sector_propagators(model: ArakiZurekModel, ts):
     return unitaries()
 
 
-def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float = 1e-9):
+def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator | CorrelatedInitialState, ts,
+                  tol: float = 1e-9):
     """Reduced states at every t in ``ts``, yielded one DensityOperator at a time.
 
     Each intersector block of rho0 is damped by chi((l_m - l_n) t) and the
@@ -487,20 +527,30 @@ def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float 
     frame, with x0 = F^H rho0 F, the state is F u (C o x0) u^H F^H for
     C_ij = chi((l_m - l_n) t) over the sectors m, n of i, j and the frame
     unitary u of ``_sector_propagators``.  Diagonal blocks carry chi(0) = 1,
-    so sector probabilities are conserved exactly.  The inputs are checked,
-    x0 formed and h_s diagonalised at the call.  Chi is evaluated in chunks
+    so sector probabilities are conserved exactly.  A CorrelatedInitialState
+    sum_mu rho_mu x omega_mu gives F u (sum_mu C_mu o x_mu) u^H F^H, each
+    C_mu from the chi of its own omega_mu; a DensityOperator is the one term
+    (rho0, model.env).  The terms' dimensions are checked, every x_mu formed
+    and h_s diagonalised at the call.  Each term's chi is evaluated in chunks
     of times, one table over all their (t, sector pair) phases
     (``_chi_tables``), when the first state of a chunk is taken; each state
     is built as it is taken.
     """
-    if rho0.dim != model.dim:
-        raise DimensionMismatch(f"state dim {rho0.dim} does not match model dim {model.dim}")
+    terms = rho0.terms if isinstance(rho0, CorrelatedInitialState) else [(rho0.matrix, model.env)]
+    if len(terms[0][0]) != model.dim:  # the terms of a correlated state share their dimension
+        raise DimensionMismatch(f"state dim {len(terms[0][0])} does not match model dim {model.dim}")
     ts = finite_times(ts)
     _, index = model.sectors._adapted_frame()
-    x0 = in_sector_frame(rho0.matrix, model.sectors)
-    chis = itertools.chain.from_iterable(_chi_tables(model.lambdas, model.env, ts, tol))
-    return (DensityOperator(v @ (chi[index[:, np.newaxis], index] * x0) @ v.conj().T)
-            for v, chi in zip(_sector_propagators(model, ts), chis))
+    pairs = index[:, np.newaxis], index
+    xs = [in_sector_frame(mat, model.sectors) for mat, _ in terms]
+    streams = [itertools.chain.from_iterable(_chi_tables(model.lambdas, env, ts, tol))
+               for _, env in terms]
+
+    def damped(chis):  # sum_mu C_mu o x_mu; one term is not added onto a zero, keeping -0.0
+        return functools.reduce(operator.add, (chi[pairs] * x for chi, x in zip(chis, xs)))
+
+    return (DensityOperator(v @ damped(chis) @ v.conj().T)
+            for v, *chis in zip(_sector_propagators(model, ts), *streams))
 
 
 def az_coherence(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float = 1e-9):
@@ -573,66 +623,11 @@ def _uncertified(table, spectrum):
     return ~finite | ~(tau0 + eps * (top + tau0) + margin <= STATE_TOL)
 
 
-def az_evolve(model: ArakiZurekModel, rho0: DensityOperator, t: float,
+def az_evolve(model: ArakiZurekModel, rho0: DensityOperator | CorrelatedInitialState, t: float,
               tol: float = 1e-9) -> DensityOperator:
-    """Reduced state at time t: the single-time case of ``az_trajectory``."""
+    """Reduced state at time t from a DensityOperator or a CorrelatedInitialState:
+    the single-time case of ``az_trajectory``."""
     return next(az_trajectory(model, rho0, [t], tol))
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelatedInitialState:
-    """Initial joint state sum_mu rho_mu x omega_mu with classical S-E correlations.
-
-    The system parts rho_mu are Hermitian but need not be positive on their
-    own; only their sum must be a state.
-    """
-
-    terms: tuple
-
-    def __post_init__(self):
-        if not self.terms:
-            raise NotAState("need at least one (rho_mu, omega_mu) term")
-        cooked = []
-        for i, (rho_mu, env_mu) in enumerate(self.terms):
-            try:
-                mat = require_hermitian(rho_mu, name=f"term {i} system part")
-            except NotHermitian as exc:
-                raise NotAState(str(exc)) from exc
-            if not isinstance(env_mu, SpectralDensity):
-                raise NotAState(f"term {i} environment part must be a SpectralDensity")
-            cooked.append((mat, env_mu))
-        dims = {mat.shape[0] for mat, _ in cooked}
-        if len(dims) != 1:
-            raise DimensionMismatch("system parts must share a dimension")
-        total = sum(mat for mat, _ in cooked)
-        DensityOperator(total)  # raises NotAState when the sum is not a state
-        object.__setattr__(self, "terms", tuple(cooked))
-
-    @property
-    def reduced(self) -> DensityOperator:
-        """The reduced system state sum_mu rho_mu at time zero."""
-        return DensityOperator(sum(mat for mat, _ in self.terms))
-
-
-def az_evolve_correlated(model: ArakiZurekModel, w0: CorrelatedInitialState, t: float,
-                         tol: float = 1e-9) -> DensityOperator:
-    """Reduced dephasing dynamics from a correlated initial state.
-
-    Applies the factorized formula termwise, each term with the chi of its
-    own environment part.  Sector emergence survives as long as the summed
-    chi contributions still decay, which is why the induced structure is not
-    sensitive to the initial conditions.
-    """
-    ts = finite_times([t])
-    _, index = model.sectors._adapted_frame()
-    total = np.zeros((model.dim, model.dim), dtype=complex)
-    for rho_mu, env_mu in w0.terms:
-        if rho_mu.shape[0] != model.dim:
-            raise DimensionMismatch("initial-state terms do not match the model dimension")
-        chi = next(_chi_tables(model.lambdas, env_mu, ts, tol))[0]
-        total += chi[index[:, np.newaxis], index] * in_sector_frame(rho_mu, model.sectors)
-    v = next(_sector_propagators(model, ts))
-    return DensityOperator(v @ total @ v.conj().T)
 
 
 @dataclass(frozen=True, eq=False)

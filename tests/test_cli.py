@@ -158,6 +158,15 @@ def test_parse_discrete_env_points():
     assert np.allclose(cfg.inputs["env"].points, [[-0.5, 0.5], [0.5, 0.5]])
 
 
+@pytest.mark.parametrize("points", ["0.5", "0.5:x", "a:0.5", "0.5:0.5:0.5", "0.5:0.5, 0.2:0.5"])
+def test_parse_names_env_points_for_a_malformed_pair(points):
+    bad = CHI_CONFIG.replace("env.kind = uniform\nenv.a = -1.0\nenv.b = 1.0",
+                             f"env.kind = discrete\nenv.points = {points}")
+    with pytest.raises(ValidationError) as err:
+        parse_config(bad)
+    assert err.value.key == "env.points"
+
+
 # --- running
 
 

@@ -20,7 +20,6 @@ from declab import (
     asymptotic_map,
     az_coherence,
     az_evolve,
-    az_evolve_correlated,
     az_trajectory,
     bloch_to_density,
     block_diagonal_sectors,
@@ -70,17 +69,17 @@ def lattice_env(spacing=0.1, half_width=1.0):
 
 @pytest.mark.parametrize(
     "env",
-    [GAUSS, SpectralDensity.uniform(-1.5, 0.5), SpectralDensity.bump(-2.0, 1.0)],
-    ids=["gaussian", "uniform", "bump"],
+    [GAUSS, SpectralDensity.uniform(-1.5, 0.5), SpectralDensity.uniform(0.1, 0.7),
+     SpectralDensity.bump(-2.0, 1.0)],
+    ids=["gaussian", "uniform", "uniform_offset", "bump"],
 )
 def test_density_normalization(env):
-    from declab import gauss_legendre_adaptive
-
+    # A trapezoid sum over the closed support, sharing no code with declab's quadrature.
     lo, hi = env.support()
-    total = gauss_legendre_adaptive(env.density, lo, hi, tol=1e-12)
-    assert abs(np.real(total) - 1.0) < 1e-10
-    v = np.linspace(lo, hi, 101)
-    assert env.density(v).min() >= 0.0
+    values = env.density(np.linspace(lo, hi, 4001))
+    total = (hi - lo) / 4000 * (values.sum() - (values[0] + values[-1]) / 2.0)
+    assert abs(total - 1.0) < 1e-10
+    assert values.min() >= 0.0
 
 
 @pytest.mark.parametrize("make", [
@@ -690,18 +689,19 @@ def test_chi_tables_evaluate_each_distinct_gap_once(monkeypatch, lambdas, distin
 
 
 def test_correlated_single_term_reduces_to_factorized():
-    model = simple_az(h_s=np.diag([0.4, -0.4]))
     rho0 = random_density(2, np.random.default_rng(34))
-    w0 = CorrelatedInitialState(((rho0.matrix, GAUSS),))
-    for t in (0.0, 0.7, 2.1):
-        assert trace_distance(az_evolve_correlated(model, w0, t), az_evolve(model, rho0, t)) < 1e-12
+    for env in (GAUSS, lattice_env()):
+        model = simple_az(h_s=np.diag([0.4, -0.4]), env=env)
+        w0 = CorrelatedInitialState(((rho0.matrix, env),))
+        for t in (0.0, 0.7, 2.1):
+            assert np.array_equal(az_evolve(model, w0, t).matrix, az_evolve(model, rho0, t).matrix)
 
 
 def test_correlated_zero_time_recovers_reduced_state():
     rho_a = 0.5 * bloch_to_density([0.8, 0, 0.2]).matrix
     rho_b = 0.5 * bloch_to_density([-0.8, 0, -0.2]).matrix
     w0 = CorrelatedInitialState(((rho_a, GAUSS), (rho_b, SpectralDensity.gaussian(2.0))))
-    out = az_evolve_correlated(simple_az(), w0, 0.0)
+    out = az_evolve(simple_az(), w0, 0.0)
     assert trace_distance(out, w0.reduced) < 1e-12
 
 
@@ -713,7 +713,7 @@ def test_correlated_offdiagonal_triangle_bound():
     envs = (GAUSS, SpectralDensity.gaussian(2.0))
     w0 = CorrelatedInitialState(((rho_a, envs[0]), (rho_b, envs[1])))
     for t in (0.2, 0.6, 1.1):
-        out = az_evolve_correlated(model, w0, t)
+        out = az_evolve(model, w0, t)
         hs = off_diagonal_norms(out, model.sectors).hs
         bound = sum(
             abs(decoherence_function(env, 2.0 * t)) * np.linalg.norm(np.triu(mat, 1)) * np.sqrt(2)
@@ -726,6 +726,12 @@ def test_correlated_rejects_non_state_sum():
     bad = 0.6 * bloch_to_density([1, 0, 0]).matrix
     with pytest.raises(NotAState):
         CorrelatedInitialState(((bad, GAUSS),))
+
+
+def test_correlated_term_of_wrong_dimension_fails_at_the_call():
+    w0 = CorrelatedInitialState(((np.eye(3) / 3, GAUSS),))
+    with pytest.raises(DimensionMismatch):
+        az_trajectory(simple_az(), w0, [0.0, 1.0])
 
 
 # --- dephasing against brute force, in the standard basis and in rotated frames
@@ -776,7 +782,12 @@ def test_correlated_matches_brute_force_on_one_grid(frame):
     model = ArakiZurekModel(sectors, SECTOR_LAMBDAS, h_s, w0.terms[0][1], 1.5)
     for t in (0.0, 0.8, 3.7):
         expected = _brute_force_reduced(h_s, v_s, points, terms, t)
-        assert np.abs(az_evolve_correlated(model, w0, t).matrix - expected).max() < 1e-12
+        assert np.abs(az_evolve(model, w0, t).matrix - expected).max() < 1e-12
+    ts = np.linspace(0.0, 3.7, 7)
+    for t, state in zip(ts, az_trajectory(model, w0, ts), strict=True):
+        expected = _brute_force_reduced(h_s, v_s, points, terms, t)
+        assert np.abs(state.matrix - expected).max() < 1e-12
+        assert np.array_equal(state.matrix, az_evolve(model, w0, t).matrix)
 
 
 def test_az_trajectory_in_a_rotated_frame_matches_brute_force():
