@@ -161,6 +161,10 @@ class _Entries:
         return sorted(set(self.raw) - self.used)
 
 
+# The key at fault when a density kind's constructor rejects its parameters.
+_ENV_KEYS = {"gaussian": "env.s", "uniform": "env.b", "bump": "env.b", "discrete": "env.points"}
+
+
 def _parse_env(e: _Entries) -> SpectralDensity:
     kind = e.require("env.kind")
     try:
@@ -184,7 +188,7 @@ def _parse_env(e: _Entries) -> SpectralDensity:
     except ValidationError:
         raise
     except (ValueError, DeclabError) as exc:
-        raise ValidationError("env.points" if kind == "discrete" else "env", str(exc))
+        raise ValidationError(_ENV_KEYS[kind], str(exc))
     raise ValidationError("env.kind", f"unknown kind {kind!r}")
 
 

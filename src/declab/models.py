@@ -372,7 +372,6 @@ class ArakiZurekModel:
     delta: float
 
     def __post_init__(self):
-        _, index = self.sectors._adapted_frame()  # validates a family given as projectors
         lambdas = np.asarray(self.lambdas, dtype=float)
         if lambdas.ndim != 1 or lambdas.size != len(self.sectors):
             raise DimensionMismatch("need one coupling eigenvalue per sector")
@@ -396,6 +395,7 @@ class ArakiZurekModel:
         scale = unit_scale(h_s)
         scaled = scale * h_s
         g = in_sector_frame(scaled, self.sectors)
+        index = self.sectors.index
         rows = (np.abs(g) ** 2 * (index[:, None] != index)).sum(axis=1)
         leak = np.sqrt(2.0 * np.bincount(index, weights=rows, minlength=len(self.sectors)))
         bad = np.flatnonzero(leak > 1e-10 * max(scale, hs_norm(scaled)))
@@ -494,7 +494,7 @@ def _sector_propagators(model: ArakiZurekModel, ts):
     of g are diagonalised at the call, one batched ``eigh`` per distinct
     sector size; each unitary is built when it is taken.
     """
-    frame, index = model.sectors._adapted_frame()
+    frame, index = model.sectors.frame, model.sectors.index
     g = in_sector_frame(model.h_s, model.sectors)
     sizes = np.bincount(index, minlength=len(model.sectors))
     starts = np.cumsum(sizes) - sizes
@@ -540,8 +540,7 @@ def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator | CorrelatedInit
     if len(terms[0][0]) != model.dim:  # the terms of a correlated state share their dimension
         raise DimensionMismatch(f"state dim {len(terms[0][0])} does not match model dim {model.dim}")
     ts = finite_times(ts)
-    _, index = model.sectors._adapted_frame()
-    pairs = index[:, np.newaxis], index
+    pairs = np.ix_(model.sectors.index, model.sectors.index)
     xs = [in_sector_frame(mat, model.sectors) for mat, _ in terms]
     streams = [itertools.chain.from_iterable(_chi_tables(model.lambdas, env, ts, tol))
                for _, env in terms]
@@ -592,7 +591,7 @@ def az_coherence(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float =
     """
     ts = finite_times(ts)
     x0, spectrum = require_state(in_sector_frame(rho0.matrix, model.sectors))
-    _, index = model.sectors._adapted_frame()
+    index = model.sectors.index
     pair = min(1, len(model.sectors) - 1)
     hs, trace, chi = np.empty(ts.size), np.empty(ts.size), np.empty(ts.size, dtype=complex)
     start = 0

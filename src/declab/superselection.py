@@ -3,8 +3,9 @@ channel, off-diagonal coherence norms, sector probabilities and power-law
 envelope fits for their decay.
 
 A sector structure is a complete family of mutually orthogonal projectors
-P_m, held as an orthonormal frame F (None for the standard basis) and the
-sector of each of its columns, so that P_m = F_m F_m^H is never stored.
+P_m, checked when it is made and held as an orthonormal frame F (None for
+the standard basis) and the sector of each of its columns, so that
+P_m = F_m F_m^H is never stored.
 States compatible with it are exactly the fixed points of the channel
 W -> sum_m P_m W P_m; the distance of a state from its projection measures
 how much intersector coherence it still carries.  Norms and probabilities
@@ -14,6 +15,7 @@ at once, its trace norm from one batched ``eigvalsh`` of their Hermitian
 intersector parts, and ``off_diagonal_norms`` is its single-state case.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -34,24 +36,65 @@ PROJECTOR_TOL = 1e-10
 
 
 class SectorStructure:
-    """Complete family of mutually orthogonal projectors with labels.
+    """Complete family of mutually orthogonal projectors P_m, checked when it
+    is made.
 
-    Held as a sector-adapted orthonormal frame F, None for the standard
-    basis, and the sector index of each column: P_m = F_m F_m^H.  A family
-    given as projector matrices is kept as given until ``validate_sectors``
-    checks it and converts it to that frame.
+    Held as a sector-adapted orthonormal frame ``frame`` (F, None for the
+    standard basis) and the sector ``index`` of each of its columns, so that
+    P_m = F_m F_m^H is never stored.  Given as projector matrices, each P_m
+    is checked Hermitian and, from the one ``hermitian_eig`` whose leading
+    columns become F_m, idempotent (||l^2 - l|| = ||P_m^2 - P_m||_F over its
+    eigenvalues l).  Orthogonality is read from the blocks of the one Gram
+    product F^H F, whose (m, n) block has the norm ||P_m P_n||_F, and
+    completeness from ||sum P_m - 1||_F.  An error names the first offending
+    index or index pair.
     """
 
-    __slots__ = ("labels", "_given", "_frame")
+    __slots__ = ("frame", "index", "_count")
 
-    def __init__(self, projectors, labels=None):
-        self._given = tuple(np.asarray(p, dtype=complex) for p in projectors)
-        self.labels = _labels(labels, len(self._given))
-        self._frame = None
+    def __init__(self, projectors):
+        given = [np.asarray(p, dtype=complex) for p in projectors]
+        if not given:
+            raise DimensionMismatch("need at least one projector")
+        dim = given[0].shape[0] if given[0].ndim else 0
+        if not dim:
+            raise DimensionMismatch(f"projector 0 has shape {given[0].shape}: need dimension >= 1")
+        frames = []
+        for m, p in enumerate(given):
+            if p.shape != (dim, dim):
+                raise DimensionMismatch(f"projector {m} has shape {p.shape}, expected {(dim, dim)}")
+            if hs_norm(p - p.conj().T) > PROJECTOR_TOL:
+                raise NotIdempotent(m, f"projector {m} is not Hermitian")
+            vals, vecs = hermitian_eig(p)
+            if np.linalg.norm(vals * vals - vals) > PROJECTOR_TOL:
+                raise NotIdempotent(m)
+            frames.append(vecs[:, :np.count_nonzero(vals > 0.5)])  # eigenvalues descend
+        frame = np.hstack(frames)
+        sizes = [f.shape[1] for f in frames]
+        # ||F_m^H F_n||_F^2: the sum of |F^H F|^2 over its (m, n) block.
+        member = np.repeat(np.eye(len(given)), sizes, axis=0)
+        blocks = member.T @ (np.abs(frame.conj().T @ frame) ** 2) @ member
+        overlapping = np.argwhere(np.triu(np.sqrt(blocks) > PROJECTOR_TOL, 1))
+        if overlapping.size:
+            raise NotOrthogonal(overlapping[0].tolist())
+        distance = hs_norm(sum(given) - np.eye(dim))
+        if distance > PROJECTOR_TOL:
+            raise NotComplete(f"projectors sum to distance {distance:.2e} from identity")
+        self._hold(frame, sizes)
+
+    @classmethod
+    def _from_frame(cls, frame: Optional[np.ndarray], sizes: Sequence[int]) -> "SectorStructure":
+        s = cls.__new__(cls)
+        s._hold(frame, sizes)
+        return s
+
+    def _hold(self, frame, sizes):
+        self.frame, self._count = frame, len(sizes)
+        self.index = np.repeat(np.arange(len(sizes)), sizes)
 
     @property
     def dim(self) -> int:
-        return self._frame[1].size if self._given is None else self._given[0].shape[0]
+        return self.index.size
 
     @property
     def projectors(self) -> Tuple[np.ndarray, ...]:
@@ -60,67 +103,23 @@ class SectorStructure:
         eye = np.eye(self.dim, dtype=complex)
         return tuple(sector_mask(eye, self, np.diag(unit)) for unit in np.eye(len(self)))
 
-    def _adapted_frame(self) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """The frame F (None for the standard basis) and the sector of each column;
-        a family still held as projector matrices is validated first."""
-        return validate_sectors(self)._frame
-
     def __len__(self):
-        return len(self.labels)
+        return self._count
 
     def __repr__(self):
-        return f"SectorStructure(labels={list(self.labels)}, dim={self.dim})"
+        return f"SectorStructure(sectors={len(self)}, dim={self.dim})"
 
 
-def _labels(labels, k):
-    if not k:
-        raise DimensionMismatch("need at least one projector")
-    labels = tuple(str(label) for label in (range(k) if labels is None else labels))
-    if len(labels) != k:
-        raise DimensionMismatch("need one label per projector")
-    return labels
-
-
-def block_diagonal_sectors(block_dims: Sequence[int], labels=None) -> SectorStructure:
-    """Sectors projecting onto consecutive basis blocks of the given sizes:
-    the standard basis as frame, valid by construction."""
-    s = SectorStructure.__new__(SectorStructure)
-    s.labels = _labels(labels, len(block_dims))
-    s._given = None
-    s._frame = (None, np.repeat(np.arange(len(block_dims)), block_dims))
-    return s
-
-
-def validate_sectors(s: SectorStructure) -> SectorStructure:
-    """Return the input iff every projector invariant holds.
-
-    A family given as projector matrices is checked once: each P for
-    Hermitian idempotency, each pair for orthogonality and the family for
-    completeness, the raised error naming the offending index or index pair.
-    It is then converted to its frame, F_m from ``hermitian_eig`` of P_m, and
-    the matrices are dropped.  A frame is valid by construction.
-    """
-    if s._given is None:
-        return s
-    dim = s.dim
-    for m, p in enumerate(s._given):
-        if p.shape != (dim, dim):
-            raise DimensionMismatch(f"projector {m} has shape {p.shape}, expected {(dim, dim)}")
-        if hs_norm(p - p.conj().T) > PROJECTOR_TOL:
-            raise NotIdempotent(m, f"projector {m} is not Hermitian")
-        if hs_norm(p @ p - p) > PROJECTOR_TOL:
-            raise NotIdempotent(m)
-    for m in range(len(s)):
-        for n in range(m + 1, len(s)):
-            if hs_norm(s._given[m] @ s._given[n]) > PROJECTOR_TOL:
-                raise NotOrthogonal((m, n))
-    total = sum(s._given)
-    if hs_norm(total - np.eye(dim)) > PROJECTOR_TOL:
-        raise NotComplete(f"projectors sum to distance {hs_norm(total - np.eye(dim)):.2e} from identity")
-    frames = [hermitian_eig(p).eigenvectors[:, :int(round(np.trace(p).real))] for p in s._given]
-    s._frame = (np.hstack(frames), np.repeat(np.arange(len(s)), [f.shape[1] for f in frames]))
-    s._given = None
-    return s
+def block_diagonal_sectors(block_dims: Sequence[int]) -> SectorStructure:
+    """Sectors projecting onto consecutive basis blocks of the given sizes,
+    nonnegative integers of positive sum: the standard basis as frame, a
+    complete orthogonal family by construction."""
+    for m, size in enumerate(block_dims):
+        if not isinstance(size, numbers.Integral) or size < 0:
+            raise DimensionMismatch(f"block {m} has size {size!r}, not a nonnegative integer")
+    if not sum(block_dims):
+        raise DimensionMismatch("need blocks of positive total dimension")
+    return SectorStructure._from_frame(None, block_dims)
 
 
 def sector_mask(x, s: SectorStructure, c) -> np.ndarray:
@@ -132,9 +131,8 @@ def sector_mask(x, s: SectorStructure, c) -> np.ndarray:
     c = np.asarray(c)
     if c.shape != (len(s), len(s)):
         raise DimensionMismatch(f"need a {len(s)}x{len(s)} coefficient array, got shape {c.shape}")
-    frame, index = s._adapted_frame()
-    y = c[np.ix_(index, index)] * in_sector_frame(x, s)
-    return y if frame is None else frame @ y @ frame.conj().T
+    y = c[np.ix_(s.index, s.index)] * in_sector_frame(x, s)
+    return y if s.frame is None else s.frame @ y @ s.frame.conj().T
 
 
 def in_sector_frame(x, s: SectorStructure) -> np.ndarray:
@@ -143,8 +141,7 @@ def in_sector_frame(x, s: SectorStructure) -> np.ndarray:
     of this module are read there."""
     if np.shape(x) != (s.dim, s.dim):
         raise DimensionMismatch(f"need a {s.dim}x{s.dim} matrix, got shape {np.shape(x)}")
-    frame, _ = s._adapted_frame()
-    return x if frame is None else frame.conj().T @ x @ frame
+    return x if s.frame is None else s.frame.conj().T @ x @ s.frame
 
 
 def sector_project(w: DensityOperator, s: SectorStructure) -> DensityOperator:
@@ -170,8 +167,9 @@ def coherence_norms(x, s: SectorStructure) -> OffDiagonalNorms:
     intersector part is Hermitian: its trace norm is the sum of the absolute
     values of its eigenvalues, one batched ``eigvalsh`` for the stack.
     """
-    _, index = s._adapted_frame()
-    residual = np.where(index[:, None] != index, x, 0.0)
+    if np.shape(x)[-2:] != (s.dim, s.dim):
+        raise DimensionMismatch(f"need a (..., {s.dim}, {s.dim}) stack, got shape {np.shape(x)}")
+    residual = np.where(s.index[:, None] != s.index, x, 0.0)
     return OffDiagonalNorms(hs_norm(residual),
                             np.abs(np.linalg.eigvalsh(residual)).sum(axis=-1))
 
@@ -191,8 +189,7 @@ def sector_probabilities(w: DensityOperator, s: SectorStructure) -> np.ndarray:
     with unit diagonal coefficients leaves as it is.
     """
     x = in_sector_frame(w.matrix, s)
-    _, index = s._adapted_frame()
-    return np.bincount(index, weights=np.diagonal(x).real, minlength=len(s))
+    return np.bincount(s.index, weights=np.diagonal(x).real, minlength=len(s))
 
 
 @dataclass(frozen=True)

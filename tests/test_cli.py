@@ -167,6 +167,18 @@ def test_parse_names_env_points_for_a_malformed_pair(points):
     assert err.value.key == "env.points"
 
 
+@pytest.mark.parametrize("env, key", [("gaussian\nenv.s = -1", "env.s"),
+                                      ("gaussian\nenv.s = 1e300", "env.s"),
+                                      ("uniform\nenv.a = 1\nenv.b = 0", "env.b"),
+                                      ("bump\nenv.a = 0\nenv.b = 1e301", "env.b")],
+                         ids=["negative_width", "huge_width", "reversed", "huge_support"])
+def test_parse_names_the_key_a_density_constructor_rejects(env, key):
+    bad = CHI_CONFIG.replace("env.kind = uniform\nenv.a = -1.0\nenv.b = 1.0", f"env.kind = {env}")
+    with pytest.raises(ValidationError) as err:
+        parse_config(bad)
+    assert err.value.key == key
+
+
 # --- running
 
 
@@ -446,7 +458,7 @@ def test_main_validate_rejects_dimension_above_dense_cap(tmp_path, capsys, base,
 
 
 def test_parse_checks_sector_dims_before_building_projectors(monkeypatch):
-    def forbidden(dims, labels=None):
+    def forbidden(dims):
         raise AssertionError("projectors built for an over-cap system")
 
     monkeypatch.setattr("declab.cli.block_diagonal_sectors", forbidden)

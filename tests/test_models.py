@@ -42,7 +42,6 @@ from declab import (
     spin_trajectory,
     tensor_product,
     trace_distance,
-    validate_sectors,
 )
 from declab.states import STATE_TOL
 from declab.superselection import sector_mask
@@ -480,7 +479,7 @@ def test_az_coherence_rejects_bad_input(dim, ts, error):
 def rotated_az(rng, env=GAUSS):
     """Three rotated sectors of a 7-dimensional space, with an h_s that commutes
     with them and is dense in every basis block."""
-    sectors = validate_sectors(random_sectors(7, 3, rng))
+    sectors = random_sectors(7, 3, rng)
     h_s = sector_mask(random_hermitian(7, rng), sectors, np.eye(3))
     return ArakiZurekModel(sectors, [1.0, -0.5, 0.25], h_s, env, 0.5)
 

@@ -6,13 +6,13 @@ import pytest
 from declab import (
     ArakiZurekModel,
     DensityOperator,
+    NotOrthogonal,
     SectorStructure,
     SpectralDensity,
     az_evolve,
     block_diagonal_sectors,
     off_diagonal_norms,
     sector_probabilities,
-    validate_sectors,
 )
 
 
@@ -20,10 +20,19 @@ def test_validated_rotated_family_rebuilds_its_projectors():
     rng = np.random.default_rng(46)
     q, _ = np.linalg.qr(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
     given = [q[:, lo:hi] @ q[:, lo:hi].conj().T for lo, hi in ((0, 2), (2, 3), (3, 7))]
-    s = validate_sectors(SectorStructure(given))
+    s = SectorStructure(given)
     assert s.dim == 7 and len(s) == 3
     for rebuilt, p in zip(s.projectors, given):
         assert np.abs(rebuilt - p).max() < 1e-12
+
+
+def test_rotated_family_with_an_overlap_raises_when_made():
+    rng = np.random.default_rng(47)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    given = [q[:, lo:hi] @ q[:, lo:hi].conj().T for lo, hi in ((0, 2), (2, 4), (3, 6))]
+    with pytest.raises(NotOrthogonal) as err:
+        SectorStructure(given)
+    assert err.value.pair == (1, 2)
 
 
 def test_many_unit_sectors_never_build_a_projector(monkeypatch):

@@ -19,7 +19,6 @@ from declab import (
     schatten_norms,
     sector_probabilities,
     sector_project,
-    validate_sectors,
 )
 from declab.superselection import _envelope_indices, default_fit_window
 
@@ -38,42 +37,65 @@ def random_sectors(dim, n_sectors, rng):
     return SectorStructure(projectors)
 
 
-# --- validation
+# --- validation, when a structure is made
 
 
 def test_validate_accepts_z_sectors():
-    assert validate_sectors(Z_SECTORS) is Z_SECTORS
+    assert Z_SECTORS.dim == 2 and len(Z_SECTORS) == 2
+    assert np.array_equal(Z_SECTORS.index, [0, 1])
 
 
 def test_validate_rejects_duplicate_projector():
-    s = SectorStructure([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])
     with pytest.raises(NotOrthogonal) as err:
-        validate_sectors(s)
+        SectorStructure([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])
     assert err.value.pair == (0, 1)
+
+
+@pytest.mark.parametrize("diagonals, pair", [([[1, 0, 0], [0, 1, 0], [0, 1, 1]], (1, 2)),
+                                             ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 0, 0],
+                                               [1, 0, 1, 1]], (0, 3))],
+                         ids=["last_pair", "row_before_column"])
+def test_validate_names_the_first_overlapping_pair(diagonals, pair):
+    with pytest.raises(NotOrthogonal) as err:
+        SectorStructure([np.diag(np.array(d, dtype=float)) for d in diagonals])
+    assert err.value.pair == pair
 
 
 def test_validate_rejects_incomplete_family():
     with pytest.raises(NotComplete):
-        validate_sectors(SectorStructure([np.diag([1.0, 0.0])]))
+        SectorStructure([np.diag([1.0, 0.0])])
 
 
 def test_validate_rejects_non_idempotent():
-    s = SectorStructure([np.diag([0.5, 0.0]), np.diag([0.5, 1.0])])
     with pytest.raises(NotIdempotent) as err:
-        validate_sectors(s)
+        SectorStructure([np.diag([0.5, 0.0]), np.diag([0.5, 1.0])])
     assert err.value.index == 0
 
 
 def test_validate_rejects_non_hermitian_projector():
     p = np.array([[1.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NotIdempotent):
-        validate_sectors(SectorStructure([p, np.eye(2) - p]))
+    with pytest.raises(NotIdempotent) as err:
+        SectorStructure([p, np.eye(2) - p])
+    assert err.value.index == 0
 
 
 def test_block_diagonal_sectors_are_valid():
-    s = validate_sectors(block_diagonal_sectors([2, 3, 1]))
-    assert s.dim == 6
-    assert s.labels == ("0", "1", "2")
+    s = block_diagonal_sectors([2, 3, 1])
+    assert s.dim == 6 and len(s) == 3 and s.frame is None
+    assert np.array_equal(s.index, [0, 0, 1, 1, 1, 2])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: block_diagonal_sectors([2.5, 1]), "block 0"),
+    (lambda: block_diagonal_sectors([2, -1]), "block 1"),
+    (lambda: block_diagonal_sectors([0]), "positive total dimension"),
+    (lambda: block_diagonal_sectors([]), "positive total dimension"),
+    (lambda: SectorStructure([np.zeros((0, 0))]), "dimension >= 1"),
+    (lambda: SectorStructure([]), "at least one projector"),
+], ids=["fractional", "negative", "zero", "empty", "zero_matrix", "no_projector"])
+def test_sector_structures_reject_bad_sizes(make, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        make()
 
 
 # --- projection channel
@@ -155,7 +177,7 @@ def test_offdiag_vanishes_after_projection():
 
 
 @pytest.mark.parametrize("make", [lambda rng: block_diagonal_sectors([2, 3, 1]),
-                                  lambda rng: validate_sectors(random_sectors(6, 3, rng))],
+                                  lambda rng: random_sectors(6, 3, rng)],
                          ids=["blocks", "rotated"])
 def test_coherence_norms_of_a_stack_match_the_svd(make):
     rng = np.random.default_rng(26)
@@ -164,12 +186,17 @@ def test_coherence_norms_of_a_stack_match_the_svd(make):
     stack = [in_sector_frame(m + m.conj().T, s) for m in g]
     hs, tr = coherence_norms(np.array(stack), s)
     assert hs.shape == tr.shape == (5,)
-    frame = s._adapted_frame()[0]
-    frame = np.eye(6) if frame is None else frame
+    frame = np.eye(6) if s.frame is None else s.frame
     for x, hs_i, tr_i in zip(stack, hs, tr):
         w = frame @ x @ frame.conj().T
         expected = schatten_norms(w - sum(p @ w @ p for p in s.projectors))
         assert abs(hs_i - expected.hs) < 1e-13 and abs(tr_i - expected.trace) < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (1, 2), (2,), (3, 3), (4, 2, 3)])
+def test_coherence_norms_reject_a_stack_of_the_wrong_shape(shape):
+    with pytest.raises(DimensionMismatch):
+        coherence_norms(np.ones(shape), Z_SECTORS)
 
 
 # --- sector probabilities
