@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import DeclabError, InsufficientData, NonDecaying, ParseError, ValidationError
 from .models import (
+    DENSITY_KINDS,
     MAX_DENSE_DIM,
     ArakiZurekModel,
     SpectralDensity,
@@ -161,35 +162,27 @@ class _Entries:
         return sorted(set(self.raw) - self.used)
 
 
-# The key at fault when a density kind's constructor rejects its parameters.
-_ENV_KEYS = {"gaussian": "env.s", "uniform": "env.b", "bump": "env.b", "discrete": "env.points"}
-
-
 def _parse_env(e: _Entries) -> SpectralDensity:
     kind = e.require("env.kind")
+    if kind == "discrete":
+        pairs = []
+        for pair in e.require("env.points").split(","):
+            try:  # unpacking other than two values raises ValueError as well
+                v, w = (float(x) for x in pair.split(":"))
+            except ValueError:
+                raise ValidationError("env.points",
+                                      f"expected a v:w pair of numbers, got {pair.strip()!r}")
+            pairs.append(_finite("env.points", [v, w]))
+        params, key = {"points": np.asarray(pairs)}, "env.points"
+    elif kind in DENSITY_KINDS:
+        names = DENSITY_KINDS[kind].params
+        params, key = {name: e.number(f"env.{name}") for name in names}, f"env.{names[-1]}"
+    else:
+        raise ValidationError("env.kind", f"unknown kind {kind!r}")
     try:
-        if kind == "gaussian":
-            return SpectralDensity.gaussian(e.number("env.s"))
-        if kind in ("uniform", "bump"):
-            a = e.number("env.a")
-            b = e.number("env.b")
-            ctor = SpectralDensity.uniform if kind == "uniform" else SpectralDensity.bump
-            return ctor(a, b)
-        if kind == "discrete":
-            pairs = []
-            for pair in e.require("env.points").split(","):
-                try:  # unpacking other than two values raises ValueError as well
-                    v, w = (float(x) for x in pair.split(":"))
-                except ValueError:
-                    raise ValidationError("env.points",
-                                          f"expected a v:w pair of numbers, got {pair.strip()!r}")
-                pairs.append(_finite("env.points", [v, w]))
-            return SpectralDensity.discrete(np.asarray(pairs))
-    except ValidationError:
-        raise
+        return SpectralDensity(kind, **params)
     except (ValueError, DeclabError) as exc:
-        raise ValidationError(_ENV_KEYS[kind], str(exc))
-    raise ValidationError("env.kind", f"unknown kind {kind!r}")
+        raise ValidationError(key, str(exc))
 
 
 def _parse_complex_matrix(e: _Entries, key: str, dim: int) -> np.ndarray:

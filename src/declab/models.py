@@ -22,7 +22,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,29 +86,23 @@ DEPHASING_ELEMENTS = 2**16
 class SpectralDensity:
     """Normalized nonnegative weight over the environment coupling spectrum.
 
-    Continuous kinds: ``gaussian`` (width s), ``uniform`` and ``bump`` on a
-    finite support.  The bump is exp(-1/(1-u^2)) mapped onto its support,
+    A continuous kind (a row of ``DENSITY_KINDS``) is its unit shape in
+    u = (v - mid) / half, normalized: ``gaussian`` (width s, mid 0 and
+    half s) and ``uniform`` and ``bump`` on a finite support [a, b] (mid
+    and half its midpoint and half-width).  The bump is exp(-1/(1-u^2)),
     smooth and vanishing to all orders at the endpoints, which is what makes
-    arbitrarily fast power-law suppression reachable.  ``discrete`` holds
-    explicit (point, weight) pairs and models a finite environment.
+    arbitrarily fast power-law suppression reachable.  The gaussian is the
+    full normal density, also beyond ``support()``; uniform and bump are
+    zero outside their closed support.  ``discrete`` holds explicit
+    (point, weight) pairs and models a finite environment.
     """
 
-    __slots__ = ("kind", "s", "a", "b", "points", "_expansion")
+    __slots__ = ("kind", "s", "a", "b", "points", "_frame", "_expansion")
 
     def __init__(self, kind, s=None, a=None, b=None, points=None):
-        self.kind = kind
-        self.s = s
-        self.a = a
-        self.b = b
-        self.points = points
+        self.kind, self.s, self.a, self.b, self.points = kind, s, a, b, points
         self._expansion = None
-        if kind == "gaussian":
-            if not s > 0:
-                raise ValueError("gaussian width must be positive")
-        elif kind in ("uniform", "bump"):
-            if not b > a:
-                raise ValueError(f"support must satisfy b > a, got [{a}, {b}]")
-        elif kind == "discrete":
+        if kind == "discrete":
             pts = np.asarray(points, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
                 raise ValueError("discrete points must be a nonempty sequence of (v, w) pairs")
@@ -123,12 +117,17 @@ class SpectralDensity:
             if abs(pts[:, 1].sum() - 1.0) > NORMALIZATION_TOL:
                 raise ValueError(f"discrete weights sum to {pts[:, 1].sum()!r}, not 1")
             self.points = pts
-        else:
+            self._frame = (float(pts[0, 0]), float(pts[-1, 0]), None, None)
+            return
+        if kind not in DENSITY_KINDS:
             raise ValueError(f"unknown spectral density kind {kind!r}")
-        if kind != "discrete":
-            lo, hi = self.support()
-            if not SUPPORT_WIDTHS[0] <= hi - lo <= SUPPORT_WIDTHS[1]:
-                raise ValueError(f"support width {hi - lo:g} is outside {SUPPORT_WIDTHS}")
+        spec = DENSITY_KINDS[kind]
+        params = [getattr(self, name) for name in spec.params]
+        self._frame = lo, hi, _, _ = spec.frame(*params)
+        if not lo < hi:
+            raise ValueError(spec.invalid.format(*params))
+        if not SUPPORT_WIDTHS[0] <= hi - lo <= SUPPORT_WIDTHS[1]:
+            raise ValueError(f"support width {hi - lo:g} is outside {SUPPORT_WIDTHS}")
 
     @classmethod
     def gaussian(cls, s: float) -> "SpectralDensity":
@@ -152,70 +151,51 @@ class SpectralDensity:
 
     def support(self):
         """Interval carrying (numerically) all of the weight."""
-        if self.kind == "gaussian":
-            r = GAUSSIAN_TAIL_SIGMAS * self.s
-            return (-r, r)
-        if self.kind == "discrete":
-            return (float(self.points[0, 0]), float(self.points[-1, 0]))
-        return (self.a, self.b)
+        return self._frame[:2]
 
     def density(self, v):
-        """Weight density at v; vectorized.
-
-        The gaussian is the full normal density, also beyond ``support()``;
-        uniform and bump are zero outside their support.
-        """
-        v = np.asarray(v, dtype=float)
-        if self.kind == "gaussian":
-            z = v / self.s  # not v**2 / s**2, which under- or overflows for extreme s
-            return np.exp(-(z**2) / 2.0) / (self.s * np.sqrt(2.0 * np.pi))
-        if self.kind == "uniform":
-            inside = (v >= self.a) & (v <= self.b)
-            return np.where(inside, 1.0 / (self.b - self.a), 0.0)
-        if self.kind == "bump":
-            return self._bump_norm() * _bump((2.0 * v - self.a - self.b) / (self.b - self.a))
-        raise NotDiscrete("a discrete density has weights, not a density function")
+        """Weight density at v; vectorized: ``density_at`` with a zero offset."""
+        return self.density_at(np.asarray(v, dtype=float), 0.0)[..., 0]
 
     def density_at(self, centres, offsets):
-        """Density at centres[:, None] + offsets: nodes given as panel centres plus offsets.
+        """Density at centres[..., None] + offsets: nodes given as panel centres plus offsets.
 
-        A narrow bump far from 0 is steep on the scale of an ulp of its
-        abscissae, so rounding the sums would put noise into its values; the
-        bump adds centre and offset in its own coordinate instead.  Every
-        other kind adds them in x.
+        A narrow density far from 0 is steep on the scale of an ulp of its
+        abscissae, so rounding the sums would put noise into its values;
+        centre and offset are added in the kind's own coordinate u instead,
+        and the unit shape divided by half times its integral
+        (``_unit_expansion``).  A bounded kind is zero outside its closed
+        support, tested in v, where both ends are exact.
         """
-        if self.kind != "bump":
-            return self.density(centres[:, None] + offsets)
-        half = (self.b - self.a) / 2.0
-        u = (2.0 * centres - self.a - self.b) / (self.b - self.a)
-        return self._bump_norm() * _bump(u[:, None] + offsets / half)
-
-    def _bump_norm(self):
-        # 1 / the bump's integral over [a, b]: half-width times the unit total.
-        return 1.0 / ((self.b - self.a) / 2.0 * _unit_expansion("bump")[1])
+        if self.is_discrete:
+            raise NotDiscrete("a discrete density has weights, not a density function")
+        spec, (lo, hi, mid, half) = DENSITY_KINDS[self.kind], self._frame
+        centres = np.asarray(centres, dtype=float)[..., None]
+        values = spec.shape((centres - mid) / half + offsets / half) / (
+            half * _unit_expansion(self.kind)[1])
+        if spec.bounded:
+            v = centres + offsets
+            values = np.where((v >= lo) & (v <= hi), values, 0.0)
+        return values
 
     def expansion(self) -> LegendrePanels:
         """Legendre panels of a continuous density, built on first use and kept.
 
         They depend on the density alone and serve every chi evaluation.
         Each kind has one unit shape, expanded once per process
-        (``_unit_expansion``): N(0, 1) on [-10, 10], 1/2 or the bump on
-        [-1, 1].  Its panels are mapped onto the support, centres to
-        mid + half centres and half-widths to half times theirs, and its
-        coefficients and tail divided by the unit's integral, the sum of
-        its panel integrals 2h a_0 (1.0 exactly for the gaussian and the
-        uniform).  Sampling a density at points of a far-off or wide support
-        would put rounding of the abscissae into steep flanks; the unit
-        shapes never see the support.
+        (``_unit_expansion``).  Its panels are mapped onto the support,
+        centres to mid + half centres and half-widths to half times theirs,
+        and its coefficients and tail divided by the unit's integral, the
+        sum of its panel integrals 2h a_0 (1.0 exactly for the gaussian and
+        the uniform).  Sampling a density at points of a far-off or wide
+        support would put rounding of the abscissae into steep flanks; the
+        unit shapes never see the support.
         """
         if self.is_discrete:
             raise NotDiscrete("a discrete density has weights, not a Legendre expansion")
         if self._expansion is None:
             unit, total = _unit_expansion(self.kind)
-            if self.kind == "gaussian":
-                mid, half = 0.0, self.s
-            else:
-                mid, half = (self.a + self.b) / 2.0, (self.b - self.a) / 2.0
+            _, _, mid, half = self._frame
             self._expansion = unit._replace(centres=mid + half * unit.centres,
                                             halves=half * unit.halves,
                                             coeffs=unit.coeffs / total, tail=unit.tail / total)
@@ -242,11 +222,11 @@ class SpectralDensity:
         return SpectralDensity.discrete(np.column_stack([v, weights]))
 
     def __repr__(self):
-        if self.kind == "gaussian":
-            return f"SpectralDensity.gaussian(s={self.s!r})"
-        if self.kind == "discrete":
+        if self.is_discrete:
             return f"SpectralDensity.discrete(<{self.points.shape[0]} points>)"
-        return f"SpectralDensity.{self.kind}(a={self.a!r}, b={self.b!r})"
+        params = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in DENSITY_KINDS[self.kind].params)
+        return f"SpectralDensity.{self.kind}({params})"
 
 
 def _bump(u):
@@ -256,12 +236,39 @@ def _bump(u):
     return np.where(inside, np.exp(-1.0 / (1.0 - safe**2)), 0.0)
 
 
-# Unit shape of each continuous kind in u = (v - mid) / half, and the reach
-# of its expansion on [-reach, reach].
-_UNIT_SHAPES = {
-    "gaussian": (lambda u: np.exp(-(u**2) / 2.0) / np.sqrt(2.0 * np.pi), GAUSSIAN_TAIL_SIGMAS),
-    "uniform": (lambda u: np.full_like(u, 0.5), 1.0),
-    "bump": (_bump, 1.0),
+class DensityKind(NamedTuple):
+    """A continuous kind of SpectralDensity.
+
+    ``params`` names its constructor parameters; a config gives them as
+    ``env.<param>`` and a constructor error is keyed by the last.
+    ``frame(*params)`` is (lo, hi, mid, half): the support and the place of
+    the unit shape, ``shape`` in u = (v - mid) / half, whose expansion is
+    taken on [-reach, reach].  ``invalid`` is the error, formatted with the
+    parameters, when the support is empty.  A ``bounded`` kind is zero
+    outside its closed support.
+    """
+
+    params: tuple
+    frame: Callable
+    shape: Callable
+    reach: float
+    invalid: str
+    bounded: bool
+
+
+def _interval(a, b):
+    return a, b, (a + b) / 2.0, (b - a) / 2.0
+
+
+_EMPTY_INTERVAL = "support must satisfy b > a, got [{}, {}]"
+DENSITY_KINDS = {
+    "gaussian": DensityKind(
+        ("s",), lambda s: (-GAUSSIAN_TAIL_SIGMAS * s, GAUSSIAN_TAIL_SIGMAS * s, 0.0, s),
+        lambda u: np.exp(-(u**2) / 2.0) / np.sqrt(2.0 * np.pi), GAUSSIAN_TAIL_SIGMAS,
+        "gaussian width must be positive", False),
+    "uniform": DensityKind(("a", "b"), _interval, lambda u: np.full_like(u, 0.5), 1.0,
+                           _EMPTY_INTERVAL, True),
+    "bump": DensityKind(("a", "b"), _interval, _bump, 1.0, _EMPTY_INTERVAL, True),
 }
 _unit_cache: dict = {}
 
@@ -273,8 +280,8 @@ def _unit_expansion(kind):
     panels' arrays are read-only: densities share them.
     """
     if kind not in _unit_cache:
-        shape, reach = _UNIT_SHAPES[kind]
-        unit = legendre_panels(lambda c, off: shape(c[:, None] + off), -reach, reach)
+        spec = DENSITY_KINDS[kind]
+        unit = legendre_panels(lambda c, off: spec.shape(c[:, None] + off), -spec.reach, spec.reach)
         _frozen(unit.centres, unit.halves, unit.width_of, unit.coeffs)
         _unit_cache[kind] = unit, float(unit.coeffs[:, 0].sum())
     return _unit_cache[kind]

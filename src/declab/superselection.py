@@ -42,12 +42,12 @@ class SectorStructure:
     Held as a sector-adapted orthonormal frame ``frame`` (F, None for the
     standard basis) and the sector ``index`` of each of its columns, so that
     P_m = F_m F_m^H is never stored.  Given as projector matrices, each P_m
-    is checked Hermitian and, from the one ``hermitian_eig`` whose leading
-    columns become F_m, idempotent (||l^2 - l|| = ||P_m^2 - P_m||_F over its
-    eigenvalues l).  Orthogonality is read from the blocks of the one Gram
-    product F^H F, whose (m, n) block has the norm ||P_m P_n||_F, and
-    completeness from ||sum P_m - 1||_F.  An error names the first offending
-    index or index pair.
+    is checked finite and Hermitian and, from the one ``hermitian_eig``
+    whose leading columns become F_m, idempotent (||l^2 - l|| =
+    ||P_m^2 - P_m||_F over its eigenvalues l).  Orthogonality is read from
+    the blocks of the one Gram product F^H F, whose (m, n) block has the
+    norm ||P_m P_n||_F, and completeness from ||sum P_m - 1||_F.  An error
+    names the first offending index or index pair.
     """
 
     __slots__ = ("frame", "index", "_count")
@@ -63,6 +63,8 @@ class SectorStructure:
         for m, p in enumerate(given):
             if p.shape != (dim, dim):
                 raise DimensionMismatch(f"projector {m} has shape {p.shape}, expected {(dim, dim)}")
+            if not np.isfinite(p).all():
+                raise NotIdempotent(m, f"projector {m} has non-finite entries")
             if hs_norm(p - p.conj().T) > PROJECTOR_TOL:
                 raise NotIdempotent(m, f"projector {m} is not Hermitian")
             vals, vecs = hermitian_eig(p)

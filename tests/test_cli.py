@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import declab.cli
-from declab import ParseError, ValidationError
+from declab import ParseError, SpectralDensity, ValidationError
 from declab.cli import EXPERIMENTS, MAX_TIME_POINTS, main, parse_config, run_scenario
+from declab.models import DENSITY_KINDS
 
 AZ_CONFIG = """
 # minimal dephasing scenario
@@ -177,6 +178,18 @@ def test_parse_names_the_key_a_density_constructor_rejects(env, key):
     with pytest.raises(ValidationError) as err:
         parse_config(bad)
     assert err.value.key == key
+
+
+@pytest.mark.parametrize("kind, values", [("gaussian", [0.37]), ("uniform", [0.1, 0.7]),
+                                          ("bump", [-3e-5, 7e-5])])
+def test_each_density_kind_parses_to_its_classmethod(kind, values):
+    names = DENSITY_KINDS[kind].params
+    lines = [f"env.kind = {kind}"] + [f"env.{n} = {v!r}" for n, v in zip(names, values)]
+    text = CHI_CONFIG.replace("env.kind = uniform\nenv.a = -1.0\nenv.b = 1.0", "\n".join(lines))
+    env = parse_config(text).inputs["env"]
+    want = getattr(SpectralDensity, kind)(*values)
+    assert (env.kind, env.s, env.a, env.b) == (want.kind, want.s, want.a, want.b)
+    assert env.support() == want.support() and repr(env) == repr(want)
 
 
 # --- running
@@ -375,18 +388,25 @@ LARGE_GRID = 200000
 LARGE_GRID_RSS_MIB = 128
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is read in KiB, as on Linux")
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the peak is read in KiB, as Linux reports it")
 @pytest.mark.parametrize("name", ["chi_uniform", "az_dephasing"])
 def test_main_runs_a_large_grid_within_its_memory_bound(tmp_path, name):
     text = (Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.cfg").read_text()
     text = re.sub(r"(?m)^t_grid\.count = .*$", f"t_grid.count = {LARGE_GRID}", text)
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(text)
-    # The child reports its own peak: RUSAGE_CHILDREN would count earlier children too.
-    code = ("import resource, sys\n"
+    # The child reports its own peak: RUSAGE_CHILDREN would count earlier children too,
+    # and on Linux its ru_maxrss keeps the forking test process's peak across exec, where
+    # VmHWM starts afresh.
+    code = ("import re, resource, sys\n"
             "from declab.cli import main\n"
             "assert main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "try:\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        print(re.search(r'VmHWM:\\s*(\\d+) kB', status.read()).group(1))\n"
+            "except OSError:\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     src = str(Path(declab.cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path)],

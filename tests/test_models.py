@@ -43,6 +43,7 @@ from declab import (
     tensor_product,
     trace_distance,
 )
+from declab.models import DENSITY_KINDS
 from declab.states import STATE_TOL
 from declab.superselection import sector_mask
 from test_operators import random_hermitian
@@ -174,6 +175,41 @@ def test_discretize_builds_each_rule_once(monkeypatch):
 def test_gaussian_width_must_be_positive():
     with pytest.raises(ValueError):
         SpectralDensity.gaussian(0.0)
+
+
+# Two densities of each kind in DENSITY_KINDS, one centred and one off 0.
+OF_EACH_KIND = {"gaussian": [(0.37,), (1e-3,)], "uniform": [(-1.5, 0.5), (0.1, 0.7)],
+                "bump": [(-2.0, 1.0), (-3e-5, 7e-5)]}
+
+
+@pytest.mark.parametrize("kind", DENSITY_KINDS)
+def test_density_at_adds_centre_and_offset_as_density_does(kind):
+    # |u| <= 3/4 of the unit shape, where no kind's slope amplifies the
+    # rounding of c + off by more than a few ulps.
+    for params in OF_EACH_KIND[kind]:
+        env = getattr(SpectralDensity, kind)(*params)
+        _, _, mid, half = DENSITY_KINDS[kind].frame(*params)
+        centres = mid + half * np.linspace(-0.5, 0.5, 11)
+        offsets = half * np.linspace(-0.25, 0.25, 9)
+        want = env.density(centres[:, None] + offsets)
+        got = env.density_at(centres, offsets)
+        assert np.all(np.abs(got - want) <= 8 * np.spacing(want)), (kind, params)
+
+
+@pytest.mark.parametrize("a, b", [(0.1, 0.7), (-3e-5, 7e-5), (1e12, 1e12 + 1.0)])
+def test_bounded_kinds_vanish_just_outside_their_closed_support(a, b):
+    outside = np.array([np.nextafter(a, -np.inf), np.nextafter(b, np.inf)])
+    assert np.all(SpectralDensity.uniform(a, b).density(outside) == 0.0)
+    assert np.all(SpectralDensity.bump(a, b).density(outside) == 0.0)
+    assert np.all(SpectralDensity.uniform(a, b).density(np.array([a, b])) == 1.0 / (b - a))
+
+
+def test_gaussian_is_the_full_normal_density_beyond_its_support():
+    env = SpectralDensity.gaussian(0.5)
+    v = np.array([-7.5, 5.0, 6.0])  # 15, 10 and 12 widths out; support() ends at 10
+    want = np.exp(-((v / 0.5) ** 2) / 2.0) / (0.5 * np.sqrt(2.0 * np.pi))
+    assert np.all(want > 0.0)
+    assert np.allclose(env.density(v), want, rtol=1e-14, atol=0.0)
 
 
 # --- decoherence function

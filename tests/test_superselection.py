@@ -79,6 +79,13 @@ def test_validate_rejects_non_hermitian_projector():
     assert err.value.index == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_names_a_projector_with_non_finite_entries(bad):
+    with pytest.raises(NotIdempotent, match="projector 1 has non-finite entries") as err:
+        SectorStructure([np.diag([1.0, 0.0]), np.diag([bad, 1.0])])
+    assert err.value.index == 1
+
+
 def test_block_diagonal_sectors_are_valid():
     s = block_diagonal_sectors([2, 3, 1])
     assert s.dim == 6 and len(s) == 3 and s.frame is None
