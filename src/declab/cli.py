@@ -68,7 +68,6 @@ class ScenarioConfig:
     raw: dict
     out_csv: str
     out_report: str
-    seed: Optional[int] = None
     inputs: dict = field(default_factory=dict)
 
 
@@ -354,8 +353,8 @@ def parse_config(text) -> ScenarioConfig:
         raw=dict(raw),
         out_csv=e.get("out.csv", f"{experiment}.csv"),
         out_report=e.get("out.report", f"{experiment}_report.json"),
-        seed=e.number("seed", kind=int) if "seed" in raw else None,
     )
+    e.number("seed", kind=int, default=0)  # any experiment takes a seed; decompose_demo uses it
     timed = (_parse_t_grid(e), _parse_env(e)) if spec.timed else ()
     cfg.inputs = spec.parse(e, *timed)
 

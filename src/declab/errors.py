@@ -71,6 +71,10 @@ class QuadratureFailure(DeclabError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
+class OutOfDomain(DeclabError, ValueError):
+    """A time, phase or interval a computation cannot take; a ValueError too."""
+
+
 class NotDiscrete(DeclabError):
     """Operation requires a discrete spectral density."""
 

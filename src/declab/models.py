@@ -46,6 +46,7 @@ from .quadrature import (
     LegendrePanels,
     _frozen,
     _rule,
+    gauss_legendre_adaptive,
     kernel_adaptive,
     legendre_fourier,
     legendre_panels,
@@ -287,22 +288,18 @@ def _unit_expansion(kind):
     return _unit_cache[kind]
 
 
-def _trajectory(env, ts, kernel, tol):
-    """Sum or integral over x of c + a cos(omega t) + b sin(omega t) for every t in ts.
+def _trajectory(env, ts, kernel):
+    """Exact sum of c + a cos(omega t) + b sin(omega t) over a discrete
+    environment's points for every t in the finite times ts, shape (T, d).
 
-    ``kernel(x, weight)`` maps (m,) abscissae and the environment weights at
-    them to (omega, a, b, c), weighted as in ``quadrature.trig_sum``.  A
-    discrete environment is one exact sum over its points, each t on
+    ``kernel(x, weight)`` maps the (m,) points and their weights to
+    (omega, a, b, c), weighted as in ``quadrature.trig_sum``.  Each t is on
     ``trig_sum``'s batch axis: a row is computed as a call at that t alone
-    computes it, to the bit.  Its times are taken in chunks whose trig tables
-    hold at most DEPHASING_ELEMENTS (times x points) entries.  Otherwise the
-    whole grid is one ``kernel_adaptive`` call over the support.  Returns (T, d).
+    computes it, to the bit.  The times are taken in chunks whose trig tables
+    hold at most DEPHASING_ELEMENTS (times x points) entries.
     """
-    ts = finite_times(ts)
-    if not env.is_discrete:
-        return kernel_adaptive(lambda x: kernel(x, env.density(x)), ts, *env.support(), tol)
     omega, *amplitudes = kernel(env.points[:, 0], env.points[:, 1])
-    out = np.empty((ts.size, next(q for q in amplitudes if q is not None).shape[-1]))
+    out = np.empty((ts.size, amplitudes[0].shape[-1]))
     step = max(1, DEPHASING_ELEMENTS // omega.size)
     for start in range(0, ts.size, step):
         chunk = slice(start, start + step)
@@ -328,7 +325,7 @@ def chi_trajectory(env: SpectralDensity, ts, tol: float = 1e-9) -> np.ndarray:
         zero = np.zeros_like(weight)
         return v, np.column_stack([weight, zero]), np.column_stack([zero, -weight]), None
 
-    parts = _trajectory(env, ts, phases, tol)
+    parts = _trajectory(env, ts, phases)
     return parts[:, 0] + 1j * parts[:, 1]
 
 
@@ -879,9 +876,9 @@ def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
     def near(s):  # offsets from the fold, where a_3 + lam x = lam s
         return rotation(s, env.density_at(np.array([centre]), s[None])[0], 0.0)
 
-    if env.is_discrete:
-        return _trajectory(env, ts, rotation, tol)
     ts = finite_times(ts)
+    if env.is_discrete:
+        return _trajectory(env, ts, rotation)
     centre, (lo, hi), branches = _fold(model, float(np.abs(ts).max()))
     out = np.zeros((ts.size, 3))
     if hi > lo:
@@ -913,15 +910,18 @@ def asymptotic_map(model: SpinModel, tol: float = 1e-9) -> np.ndarray:
     Oscillating parts of the conditional rotations dephase away and only the
     projections onto the local axes survive.  M is a symmetric contraction:
     a density-weighted average of rank-one projectors, so its eigenvalues
-    lie in [0, 1].
+    lie in [0, 1].  A continuous density takes one ``gauss_legendre_adaptive``
+    call to ``tol`` over its support, a discrete one a weighted sum.
     """
+    env = model.env_diag
 
     def projectors(x, weight):
-        n, omega = _axes(model, x)
-        return omega, None, None, weight[:, None] * (n[:, :, None] * n[:, None, :]).reshape(-1, 9)
+        n, _ = _axes(model, x)
+        return weight[:, None] * (n[:, :, None] * n[:, None, :]).reshape(-1, 9)
 
-    # The trajectory integral at the one time t = 0.
-    return _trajectory(model.env_diag, [0.0], projectors, tol)[0].reshape(3, 3)
+    total = (projectors(*env.points.T).sum(axis=0) if env.is_discrete else
+             gauss_legendre_adaptive(lambda x: projectors(x, env.density(x)), *env.support(), tol))
+    return total.reshape(3, 3)
 
 
 def spin_asymptotics(model: SpinModel, p, t_grid, tol: float = 1e-9) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
+from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, OutOfDomain
 
 HERMITICITY_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-10
@@ -30,14 +30,14 @@ def _as_square_matrix(m, name="matrix"):
 
 
 def finite_times(ts) -> np.ndarray:
-    """A nonempty 1-d grid of finite times as floats, or ValueError naming the first bad t."""
+    """A nonempty 1-d grid of finite times as floats, or OutOfDomain naming the first bad t."""
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("times must be a nonempty 1-d sequence")
+        raise OutOfDomain("times must be a nonempty 1-d sequence")
     bad = np.flatnonzero(~np.isfinite(ts))
     if bad.size:
         more = f" and {bad.size - 1} more" if bad.size > 1 else ""
-        raise ValueError(f"times must be finite: t[{bad[0]}] = {float(ts[bad[0]])!r}{more}")
+        raise OutOfDomain(f"times must be finite: t[{bad[0]}] = {float(ts[bad[0]])!r}{more}")
     return ts
 
 

@@ -1,22 +1,21 @@
-"""Quadrature rules: adaptive panel-based Gauss-Legendre and Legendre-Filon.
+"""Quadrature rules, one per integral (a discrete environment is a sum).
 
-``gauss_legendre_adaptive`` is built for smooth integrands.  Panels are
-bisected until the discrepancy between the order-n and order-2n rules falls
-below their share of the error budget.  Integrands may be scalar or array
-valued; everything is evaluated vectorized over the nodes of all pending
-panels at once, and panel contributions are summed in the order of their
-left edges so results do not depend on evaluation scheduling.  That loop
-(``_bisect``) also splits densities into Legendre panels.
+``gauss_legendre_adaptive`` integrates smooth integrands that do not
+oscillate: the spin model's map int w n n^T dx (``models.asymptotic_map``).
+Panels are bisected until the discrepancy between the order-n and order-2n
+rules falls below their share of the error budget.  Integrands may be
+scalar or array valued; everything is evaluated vectorized over the nodes
+of all pending panels at once, and panel contributions are summed in the
+order of their left edges so results do not depend on evaluation
+scheduling.  That loop (``_bisect``) also splits densities into panels.
 
 ``kernel_adaptive`` is the same rule for a whole grid of times, on
 integrands of the form
 
     c(x) + a(x) cos(omega(x) t) + b(x) sin(omega(x) t)
 
-(the spin rotation kernel: a rigid rotation about n(x) at rate omega(x)).
-It takes the times in ascending |t|, in blocks whose cos and sin tables on
-MIN_PANELS initial panels stay within KERNEL_ELEMENTS entries, and runs one
-adaptive call per block.  It starts from MIN_PANELS panels at any t, so it
+(the spin rotation kernel: a rigid rotation about n(x) at rate omega(x)),
+in blocks of ascending |t|.  It starts from MIN_PANELS panels at any t, so it
 is meant for a range of x on which the phase omega(x) t varies by no more
 than about pi: the spin model calls it on a strip about the fold of omega,
 narrowed with the grid's largest |t| until that holds (``models._fold``),
@@ -61,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import OutOfDomain, QuadratureFailure
 
 MAX_PANELS = 2**14
 MIN_PANELS = 8
@@ -164,7 +163,7 @@ def _bisect(evaluate, a, b, initial_panels, max_panels, what):
     a = float(a)
     b = float(b)
     if not b > a:
-        raise ValueError(f"empty integration interval [{a}, {b}]")
+        raise OutOfDomain(f"empty integration interval [{a}, {b}]")
     n0 = int(min(max(initial_panels, 1), max_panels))
     # Steps between subnormal ends round up: linspace may pass b before its last edge.
     edges = np.minimum(np.linspace(a, b, n0 + 1), b)
@@ -225,12 +224,8 @@ def trig_sum(ts, omega, a, b, c):
     """sum_k c_k + a_k cos(omega_k t) + b_k sin(omega_k t) for every t in ``ts``.
 
     ``omega`` is (..., k) and the amplitudes (..., k, d), leading axes being
-    batches (panels); a and b are None when nothing oscillates, c when
-    nothing is constant.  Returns (..., T, d).
+    batches (panels); c is None when nothing is constant.  Returns (..., T, d).
     """
-    if a is None:
-        total = c.sum(axis=-2)[..., None, :]
-        return np.broadcast_to(total, omega.shape[:-1] + (ts.size, total.shape[-1]))
     phase = ts[:, None] * omega[..., None, :]
     out = np.cos(phase) @ a
     out += np.sin(phase) @ b
@@ -243,18 +238,16 @@ def kernel_adaptive(kernel, ts, lo, hi, tol):
     """int_lo^hi c(x) + a(x) cos(omega(x) t) + b(x) sin(omega(x) t) dx for every t in ``ts``.
 
     ``kernel`` maps (m,) abscissae to (omega, a, b, c): (m,) rates and (m, d)
-    amplitudes, or None as in ``trig_sum``.  The times are taken in ascending
-    |t|, in blocks of at most KERNEL_ELEMENTS // (MIN_PANELS x NODES_PER_PANEL),
-    which bounds the trig tables of the initial panels; each block is one
-    adaptive call, its panels accepted and bisected as in
-    ``gauss_legendre_adaptive``, every (t, component) meeting ``tol``.
-    Returns (T, d) in the order of ``ts``.
+    amplitudes.  The times are taken in ascending |t|, in blocks of at most
+    KERNEL_ELEMENTS // (MIN_PANELS x NODES_PER_PANEL), which bounds the trig
+    tables of the initial panels; each block is one adaptive call, its
+    panels accepted and bisected as in ``gauss_legendre_adaptive``, every
+    (t, component) meeting ``tol``.  Returns (T, d) in the order of ``ts``.
     """
 
     def panel_values(tb, nodes, scale):
         omega, *amplitudes = kernel(nodes.ravel())
-        folded = [None if q is None else q.reshape(nodes.shape + (-1,)) * scale[..., None]
-                  for q in amplitudes]
+        folded = [q.reshape(nodes.shape + (-1,)) * scale[..., None] for q in amplitudes]
         return trig_sum(tb, omega.reshape(nodes.shape), *folded)
 
     order = np.argsort(np.abs(ts), kind="stable")
@@ -423,7 +416,7 @@ def legendre_fourier(panels, ts, tol):
     evaluated in chunks of at most LEGENDRE_ELEMENTS (term, panel, time)
     triples; negative times are the complex conjugates of |t|, as for every
     real f.  Raises QuadratureFailure when ``tol`` is below the panels' tail
-    estimate, which bounds the error at every t, and ValueError naming the
+    estimate, which bounds the error at every t, and OutOfDomain naming the
     first t at which a panel's phase h |t| overflows.
     """
     if not tol >= panels.tail:
@@ -435,8 +428,8 @@ def legendre_fourier(panels, ts, tol):
     with np.errstate(over="ignore"):
         bad = np.flatnonzero(~np.isfinite(panels.halves.max() * at))
     if bad.size:
-        raise ValueError(f"t[{bad[0]}] = {float(ts[bad[0]])!r} times the panel half-width "
-                         f"{panels.halves.max():g} overflows")
+        raise OutOfDomain(f"t[{bad[0]}] = {float(ts[bad[0]])!r} times the panel half-width "
+                          f"{panels.halves.max():g} overflows")
     n_panels, n_terms = panels.coeffs.shape[:2]
     coeffs = panels.coeffs.reshape(n_panels, n_terms, -1)
     # (p, k, 2d): 2h a_k (-i)^k as (real, imaginary) pairs, d components.

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import declab.cli
+import declab.models
+import declab.quadrature
 from declab import ParseError, SpectralDensity, ValidationError
 from declab.cli import EXPERIMENTS, MAX_TIME_POINTS, main, parse_config, run_scenario
 from declab.models import DENSITY_KINDS
@@ -875,3 +877,53 @@ def test_main_run_rejects_a_dephased_state_that_is_not_positive(tmp_path, capsys
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["declab: run failed: smallest eigenvalue -1 below -1e-10"]
+
+
+# Checks past validate, each hit by making a runner's model call misbehave:
+# (config, the call replaced in declab.cli, its replacement, what the line names).
+def _chi_at_nan(env, ts):
+    return declab.models.chi_trajectory(env, np.append(ts, np.nan))
+
+
+def _chi_beyond_the_double_range(env, ts):
+    return declab.models.chi_trajectory(SpectralDensity.gaussian(1e150), ts * 1e200)
+
+
+def _spin_on_an_empty_strip(model, p, ts):
+    return declab.quadrature.kernel_adaptive(None, ts, 0.5, 0.5, 1e-9)
+
+
+RUNTIME_CHECKS = {
+    "finite_times": (CHI_CONFIG, "chi_trajectory", _chi_at_nan, r"t\[13\] = nan"),
+    "phase_overflow": (CHI_CONFIG, "chi_trajectory", _chi_beyond_the_double_range,
+                       r"t\[1\] = 5e\+199 times the panel half-width 1\.25e\+150 overflows"),
+    "empty_interval": (SPIN_CONFIG, "spin_trajectory", _spin_on_an_empty_strip,
+                       r"empty integration interval \[0\.5, 0\.5\]"),
+}
+
+
+@pytest.mark.parametrize("check", RUNTIME_CHECKS)
+def test_main_run_reports_a_failed_runtime_check_in_one_line(tmp_path, capsys, monkeypatch,
+                                                             check):
+    # These raised a bare ValueError, which main printed as a traceback.
+    config, call, replacement, names = RUNTIME_CHECKS[check]
+    monkeypatch.setattr(declab.cli, call, replacement)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(config)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("declab: run failed: ")
+    assert re.search(names, err[0]), err[0]
+
+
+@pytest.mark.parametrize("config", [AZ_CONFIG, SPIN_CONFIG, SPIN_ASYMPTOTICS_CONFIG, CHI_CONFIG,
+                                    DEMO_CONFIG],
+                         ids=["araki_zurek", "spin", "spin_asymptotics", "chi_scan",
+                              "decompose_demo"])
+def test_main_validate_checks_the_seed_of_every_experiment(tmp_path, capsys, config):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(config.replace("seed = 7", "") + "seed = 1.5\n")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("declab: invalid config: seed:")
+    cfg.write_text(config.replace("seed = 7", "") + "seed = 12\n")
+    assert main(["validate", "--config", str(cfg)]) == 0

@@ -1116,7 +1116,8 @@ def test_oracle_shares_no_code_with_the_closed_forms(monkeypatch):
     for module, names in ((operators, ("propagator", "propagators", "hermitian_eig",
                                        "tensor_product", "partial_trace_env")),
                           (models, ("_sector_propagators", "chi_trajectory", "trig_sum",
-                                    "kernel_adaptive", "legendre_fourier", "_axes"))):
+                                    "kernel_adaptive", "gauss_legendre_adaptive",
+                                    "legendre_fourier", "_axes"))):
         for name in names:
             monkeypatch.setattr(module, name, forbidden)
     env = GAUSS.discretize(16)

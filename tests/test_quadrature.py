@@ -92,14 +92,6 @@ def test_budget_exhaustion_names_budget_and_tolerance():
                                 max_panels=16)
 
 
-def half_period_panels(a, b, rate):
-    """Panels of [a, b] on which a phase advancing by ``rate`` per unit x turns
-    by at most pi, and no fewer than MIN_PANELS: the references' pre-split."""
-    if rate <= 0:
-        return MIN_PANELS
-    return int(max(MIN_PANELS, np.ceil((b - a) / (np.pi / rate))))
-
-
 # --- trajectories
 
 ENVS = [
@@ -126,8 +118,7 @@ def count_calls(monkeypatch, owner, name):
 
 
 def count_adaptive_calls(monkeypatch):
-    # Every adaptive Gauss-Legendre entry (gauss_legendre_adaptive,
-    # kernel_adaptive) runs the order-16/order-32 rule pair.
+    # Every adaptive Gauss-Legendre entry runs the order-16/order-32 rule pair.
     return count_calls(monkeypatch, declab.quadrature, "_rule_pair")
 
 
@@ -250,7 +241,7 @@ def test_blocks_cover_the_grid_in_ascending_abs_t_within_the_bound(monkeypatch):
     calls = record_blocks(monkeypatch)
 
     def kernel(x):  # int_-1^1 cos(x t) dx = 2 sin(t) / t
-        return x, np.ones((x.size, 1)), np.zeros((x.size, 1)), None
+        return x, np.ones((x.size, 1)), np.zeros((x.size, 1)), np.zeros((x.size, 1))
 
     got = kernel_adaptive(kernel, ts, -1.0, 1.0, 1e-12)
     blocks = [tb for *_, tb in calls]
@@ -271,39 +262,82 @@ def test_spin_trajectory_rows_follow_a_shuffled_grid_bit_for_bit(monkeypatch):
     assert len(calls) == 4  # two blocks each
 
 
-# --- the rotation kernel against the per-time integrand closures it replaced
+# --- the rotation kernel and the map against a composite rule sharing no declab code
+
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
-def reference_trajectory(env, ts, rate, integrand, tol):
-    # integrand(x, tb, weight) -> (m, len(tb), ...), one generic adaptive call
-    # per time, pre-split into half periods of the rate bound ``rate``.
+def reference_nodes(env, width):
+    """Nodes of ``env`` and its normalized weights at them.
+
+    A discrete environment's are its points.  Otherwise composite 20-node
+    Gauss-Legendre on the support, on panels at most ``width`` and a
+    sixteenth of the support wide, weighted by the density's shape and
+    divided by the rule's own integral of it.  The bump is not analytic at
+    the ends of its support: its panels are halved toward both ends, down to
+    2**-12 of the support, each no wider than its distance from the end.
+    """
     if env.is_discrete:
-        return integrand(env.points[:, 0], ts, env.points[:, 1]).sum(axis=0)
+        return env.points[:, 0], env.points[:, 1]
     lo, hi = env.support()
-    return np.stack([
-        gauss_legendre_adaptive(lambda x: integrand(x, ts[i : i + 1], env.density(x))[:, 0], lo, hi,
-                                tol=tol, initial_panels=half_period_panels(lo, hi, rate * abs(t)))
-        for i, t in enumerate(ts)])
+    fractions = [0.0, 1.0]
+    if env.kind == "bump":
+        steps = [2.0**-k for k in range(12, 1, -1)]
+        fractions = [0.0, *steps, 0.5, *(1.0 - f for f in reversed(steps)), 1.0]
+    edges = lo + (hi - lo) * np.array(fractions)
+    width = min(width, (hi - lo) / 16.0)
+    x, w = [], []
+    for start, stop in zip(edges[:-1], edges[1:]):
+        n = int(np.ceil((stop - start) / width))
+        half = (stop - start) / (2 * n)
+        centres = start + (2 * np.arange(n) + 1) * half
+        x.append((centres[:, None] + half * _NODES).ravel())
+        w.append(np.tile(half * _WEIGHTS, n))
+    x, w = np.concatenate(x), np.concatenate(w)
+    if env.kind == "gaussian":
+        w *= np.exp(-((x / env.s) ** 2) / 2.0)
+    elif env.kind == "bump":
+        u = (2.0 * x - lo - hi) / (hi - lo)
+        w *= np.exp(-1.0 / ((1.0 - u) * (1.0 + u)))
+    return x, w / w.sum()
 
 
-def reference_spin_trajectory(model, p, ts, tol=1e-9):
-    def rotated(x, tb, weight):
-        n, omega = declab.models._axes(model, x)
-        along = (n @ p)[:, None] * n
-        phi = np.multiply.outer(omega, tb)[..., None]
-        out = np.cos(phi) * (weight[:, None] * (p - along))[:, None, :]
-        out += np.sin(phi) * (weight[:, None] * np.cross(n, p))[:, None, :]
-        return out + (weight[:, None] * along)[:, None, :]
-
-    return reference_trajectory(model.env_diag, ts, 2.0 * abs(model.lam), rotated, tol)
+def reference_axes(model, x):
+    """Unit field axes n(x), as (3, m), and rates omega = 2 |(a_1, a_2, a_3 + lam x)|."""
+    h = np.stack([np.full_like(x, model.a[0]), np.full_like(x, model.a[1]),
+                  model.a[2] + model.lam * x])
+    norm = np.sqrt((h * h).sum(axis=0))
+    return h / norm, 2.0 * norm
 
 
-def reference_asymptotic_map(model, tol=1e-9):
-    def projectors(x, tb, weight):
-        n, _ = declab.models._axes(model, x)
-        return (weight[:, None, None] * (n[:, :, None] * n[:, None, :]))[:, None]
+def reference_width(model, t_max):
+    """Panel width on which the phase turns by at most 3 rad up to t_max, no
+    wider than the distance m / |lam| of the poles of n n^T from the fold."""
+    lam, m = abs(model.lam), np.hypot(*model.a[:2])
+    width = 3.0 / (2.0 * lam * t_max) if lam * t_max > 0 else np.inf
+    return min(width, m / lam) if lam * m > 0 else width
 
-    return reference_trajectory(model.env_diag, np.zeros(1), 0.0, projectors, tol)[0]
+
+# The references keep the nodes on the last, contiguous axis, where numpy sums
+# pairwise: a running sum over 1e5 nodes would be off by more than the bounds.
+
+
+def reference_spin_trajectory(model, p, ts):
+    # p rotated about n by omega t, averaged: along + cos (p - along) + sin n x p.
+    x, w = reference_nodes(model.env_diag, reference_width(model, np.abs(ts).max()))
+    n, omega = reference_axes(model, x)
+    along = (p @ n) * n
+    turn = np.stack([n[1] * p[2] - n[2] * p[1], n[2] * p[0] - n[0] * p[2],
+                     n[0] * p[1] - n[1] * p[0]])
+    phase = np.multiply.outer(ts, omega)[:, None, :]
+    return ((w * along).sum(axis=-1) + (np.cos(phase) * w * (p[:, None] - along)).sum(axis=-1)
+            + (np.sin(phase) * w * turn).sum(axis=-1))
+
+
+def reference_asymptotic_map(model):
+    x, w = reference_nodes(model.env_diag, reference_width(model, 0.0))
+    n, _ = reference_axes(model, x)
+    return (w * n[:, None, :] * n[None, :, :]).sum(axis=-1)
 
 
 # A generic field; one along the coupling axis, whose axis flips sign at
@@ -322,9 +356,23 @@ def test_kernel_path_matches_the_integrand_closures(env, a, lam):
     p = np.array([0.6, -0.3, 0.4])
     got = spin_trajectory(model, p, TIMES)
     assert np.abs(got - reference_spin_trajectory(model, p, TIMES)).max() < 1e-13
+    want = reference_asymptotic_map(model)
     for tol in (1e-9, 1e-12):
-        want = reference_asymptotic_map(model, tol)
         assert np.abs(asymptotic_map(model, tol) - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("env", ENVS, ids=ENV_IDS)
+def test_asymptotic_map_is_one_plain_adaptive_call_and_never_the_kernel(env, monkeypatch):
+    # Nothing oscillates in M: over a continuous density it is one
+    # gauss_legendre_adaptive call, over a discrete one the weighted sum.
+    plain = count_calls(monkeypatch, declab.models, "gauss_legendre_adaptive")
+    kernel = [count_calls(monkeypatch, module, name)
+              for module in (declab.models, declab.quadrature)
+              for name in ("kernel_adaptive", "trig_sum")]
+    for a, lam in FIELDS:
+        asymptotic_map(SpinModel(a=a, b=0.3, lam=lam, env_diag=env))
+    assert len(plain) == (0 if env.is_discrete else len(FIELDS))
+    assert not any(kernel)
 
 
 def test_kernel_path_matches_the_integrand_closures_at_the_horizon():
@@ -354,8 +402,6 @@ def test_kernel_path_matches_the_integrand_closures_below_the_old_horizon(env, a
 
 
 # --- beyond the whole support's horizon, against a dense rule sharing no declab code
-
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
 def dense_spin_reference(a, lam, p, t):
