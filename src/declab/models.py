@@ -773,10 +773,10 @@ def _fold(model: SpinModel, t_max: float):
     return x_star if inside else None, tuple(near), branches
 
 
-def _far_panels(model: SpinModel, branch: _Branch) -> LegendrePanels:
-    """Legendre panels of the five factors of a far branch's kernel, placed in omega.
+def _far_panels(model: SpinModel, p, branches):
+    """Legendre panels of the far branches' amplitudes (a, b) of p, placed in omega, and their c.
 
-    On the branch x = x0 + sign (|z| - z0) / |lam|, with z^2 = rho^2 - m^2,
+    On a branch x = x0 + sign (|z| - z0) / |lam|, with z^2 = rho^2 - m^2,
     so dx/drho = rho / (|lam| |z|).  The axis is n = alpha e_t + beta e_3
     with e_t = (a_1, a_2, 0) / m, alpha = m / rho and |beta| = |z| / rho.
     The amplitudes (a, b, c) times dx/drho are linear in
@@ -784,43 +784,106 @@ def _far_panels(model: SpinModel, branch: _Branch) -> LegendrePanels:
     = w / |lam| (m^2 / (rho |z|), |z| / rho, m / rho, m / |z|, 1)
     (``_far_mixing``); being products of positive numbers, these keep the
     relative accuracy of the density w, where a component of a may be a
-    difference of O(1) terms.  A node at v = c + d is placed as x(c) plus an
-    offset, (z^2 - z(c)^2) / (|z| + |z(c)|) / |lam| with
-    z^2 - z(c)^2 = d (2 (rho0 + c) + d): no rounding of rho0 + v, or of x*
-    (both large beside the offsets when the fold is far off), enters the
+    difference of O(1) terms.  A node at v = c + d (v = rho - rho0) is
+    placed as x(c) plus an offset, (z^2 - z(c)^2) / (|z| + |z(c)|) / |lam|
+    with z^2 - z(c)^2 = d (2 (rho0 + c) + d): no rounding of rho0 + v, or of
+    x* (both large beside the offsets when the fold is far off), enters the
     abscissae, and the density takes the two apart
-    (``SpectralDensity.density_at``).  The panels are built in v / scale,
-    scale the power of two in (length / 2, length]: an exact change of
-    variable that keeps the panels' edges, and the factors, which then
+    (``SpectralDensity.density_at``).
+
+    All branches share one bisection: a branch lies at u = sign v / scale,
+    scale the power of two in (length / 2, length], so that the branch on
+    each side of the fold has its own side of u = 0 and a panel's centre
+    tells which branch's (x0, z0, rho0, scale) it reads.  Both changes of
+    variable are exact: they keep the panels' edges, and the factors, which
     carry w scale / |lam| rather than w / |lam|, within the double range
-    however small or large lam and the branch are.  Values are (p, n, 5).
-    The panels' integrals are over rho, their centres and half-widths in
-    omega = 2 rho, so that ``legendre_fourier`` at t gives
-    int g exp(-2i rho t) drho: 2t may overflow where omega t does not.
+    however small or large lam and the branch are.  Each branch starts from
+    the edges 0, 2^-J, ..., 1/2, 1 and length / scale in |u| (``_graded``),
+    graded toward the strip's edge, where m / |z| has its peak.  The series
+    of the branch at u < 0 are turned back into v (a_k times (-1)^k) and
+    mixed into (a, b, c) by its ``_far_mixing``; the panels' tail, times
+    the largest column sum of |mixing| over (a, b), bounds the mixed series'.
+    Returns the panels of (a, b), as (p, k, 6), with their integrals over
+    rho, centres and half-widths in omega = 2 rho, so that
+    ``legendre_fourier`` at t gives int g exp(-2i rho t) drho (2t may
+    overflow where omega t does not), and c, the sum of the panels'
+    integrals of c, as (3,).
     """
-    x0, sign, z0, rho0, length = branch
     lam = abs(model.lam)
     m = np.hypot(*model.a[:2])
-    scale = np.ldexp(1.0, np.frexp(length)[1] - 1)
+    # Per side of u = 0, index 0 for sign -1 and 1 for sign +1.
+    x0, z0, rho0, scale = np.ones((4, 2))
+    mixing = np.zeros((2, 5, 9))
+    edges = [[], []]
+    for branch in branches:
+        side = int(branch.sign > 0)
+        x0[side], z0[side], rho0[side] = branch.x0, branch.z0, branch.rho0
+        scale[side] = np.ldexp(1.0, np.frexp(branch.length)[1] - 1)
+        mixing[side] = _far_mixing(model, p, branch)
+        edges[side] = _graded(model, branch, scale[side])
+    sign = np.array([-1.0, 1.0])
 
-    def z_of(v):  # squaring neither z0 nor rho0
+    def z_of(v, z0, rho0):  # squaring neither z0 nor rho0
         return np.hypot(z0, np.sqrt(v) * np.sqrt(2.0 * rho0 + v))
 
     def values(centres, offsets):
-        c, d = scale * centres, scale * offsets
-        z_c = z_of(c)
-        x_c = x0 + sign * (c * ((2.0 * rho0 + c) / (z_c + z0)) / lam)
-        c, z_c = c[:, None], z_c[:, None]
-        z_v = z_of(c + d)
+        side = (centres > 0.0).astype(int)
+        s, z0_p, rho0_p = sign[side], z0[side], rho0[side]
+        turn = s * scale[side]
+        c, d = turn * centres, turn[:, None] * offsets
+        z_c = z_of(c, z0_p, rho0_p)
+        x_c = x0[side] + s * (c * ((2.0 * rho0_p + c) / (z_c + z0_p)) / lam)
+        c, z_c, z0_p, rho0_p = c[:, None], z_c[:, None], z0_p[:, None], rho0_p[:, None]
+        z_v = z_of(c + d, z0_p, rho0_p)
         w = model.env_diag.density_at(
-            x_c, sign * (d * ((2.0 * (rho0 + c) + d) / (z_v + z_c)) / lam)) * (scale / lam)
-        rho = rho0 + (c + d)
+            x_c, s[:, None] * (d * ((2.0 * (rho0_p + c) + d) / (z_v + z_c)) / lam)) * (
+                scale[side] / lam)[:, None]
+        rho = rho0_p + (c + d)
         return np.stack([w * (m / rho) * (m / z_v), w * (z_v / rho), w * (m / rho),
                          w * (m / z_v), w], axis=-1)
 
-    panels = legendre_panels(values, 0.0, length / scale)
-    return panels._replace(centres=2.0 * (rho0 + scale * panels.centres),
-                           halves=2.0 * scale * panels.halves)
+    panels = legendre_panels(values, *(-np.array(edges[0][::-1])), 0.0, *edges[1])
+    side = (panels.centres > 0.0).astype(int)
+    odd = np.arange(panels.coeffs.shape[1]) % 2 == 1
+    coeffs = np.where(((side == 0)[:, None] & odd)[..., None], -panels.coeffs, panels.coeffs)
+    mixed = np.einsum("pkf,pfg->pkg", coeffs, mixing[side])
+    bound = np.abs(mixing[..., :6]).sum(axis=1).max()  # a side without a branch mixes to 0
+    halves, width_of = np.unique(2.0 * scale[side] * panels.halves[panels.width_of],
+                                 return_inverse=True)
+    far = LegendrePanels(2.0 * (rho0[side] + scale[side] * np.abs(panels.centres)), halves,
+                         width_of, mixed[..., :6], panels.tail * bound)
+    return far, mixed[:, 0, 6:].sum(axis=0)
+
+
+def _graded(model: SpinModel, branch: _Branch, scale: float):
+    """Initial edges of a far branch in |u| = v / scale after 0: 2^-J, ..., 1/2, 1 and
+    L = length / scale, or L alone when J = 0.
+
+    Near the strip's edge the factor m / |z| peaks at F = w(x0) scale m / (|lam| z0)
+    (in u) and falls off like 1 / sqrt(u) beyond u_d, the width over which |z|
+    doubles from z0: v_d = 3 z0^2 / (rho0 + sqrt(rho0^2 + 3 z0^2)).  The
+    Legendre tail of that peak on a panel [0, h] is about F sqrt(u_d h) / 4
+    for h >> u_d, and still 1e-5 F h at h = 2 u_d, so bisection from
+    [0, 1] refines the panel at u = 0 to below u_d / 4, one level per round,
+    wherever F sqrt(u_d) is well above the budget.  2^-J is the largest
+    power of two not above u_d, taken where F sqrt(u_d) >= 2^-20 (so
+    F >= 2^-20 too); elsewhere, and where m = 0 and nothing peaks, J = 0.
+    The start is thus never finer than bisection from [0, 1], [1, L] would
+    make it, and gives the same panels in fewer rounds.
+    """
+    m = np.hypot(*model.a[:2])
+    z0, rho0, lam = branch.z0, branch.rho0, abs(model.lam)
+    last = branch.length / scale
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        spread = rho0 + np.hypot(rho0, np.sqrt(3.0) * z0)
+        doubling = 3.0 * z0 * (z0 / spread) / scale
+        # F sqrt(u_d), with sqrt(u_d) / z0 = sqrt(3 / (spread scale)).
+        mass = (model.env_diag.density(np.array([branch.x0]))[0] * (scale / lam) * m
+                * np.sqrt(3.0 / (spread * scale)))
+    depth = 1 - int(np.frexp(doubling)[1])
+    if depth > 0 and mass >= 2.0**-20:
+        return [e for e in np.ldexp(1.0, np.arange(-depth, 1)) if e < last] + [last]
+    return [last]
 
 
 def _far_mixing(model: SpinModel, p, branch: _Branch) -> np.ndarray:
@@ -838,8 +901,8 @@ def _far_mixing(model: SpinModel, p, branch: _Branch) -> np.ndarray:
     mixing = np.zeros((5, 9))
     mixing[:3, :3] = np.array([p, p, np.zeros(3)]) - along
     mixing[:3, 6:] = along
-    mixing[3, 3:6] = np.cross(e_t, p)
-    mixing[4, 3:6] = axial * np.cross(e_3, p)
+    mixing[3, 3:6] = e_t[1] * p[2], -e_t[0] * p[2], e_t[0] * p[1] - e_t[1] * p[0]  # e_t x p
+    mixing[4, 3:6] = -axial * p[1], axial * p[0], 0.0  # e_3 x p
     return mixing
 
 
@@ -852,15 +915,15 @@ def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
     continuous one the support is split at the fold of omega (``_fold``):
     - the near region, a strip about the fold that shrinks with the grid's
       largest |t| so that the phase varies by at most pi on it, takes one
-      adaptive quadrature for the whole grid
+      adaptive quadrature from one panel for the whole grid
       (``quadrature.kernel_adaptive``), at the same cost at any t;
-    - on each far branch, where omega = 2 rho is monotone, a and b become
-      int g(rho) exp(-2i rho t) drho with g = (a, b) |dx/drho|: Legendre
-      panels in rho (``_far_panels``), integrated exactly at every t by
-      ``quadrature.legendre_fourier``, taking times in ascending |t| as the
-      adaptive blocks do.  The cos integral is the real part, the sin
-      integral minus the imaginary part; c, which does not oscillate, is the
-      sum of the panels' integrals.
+    - on the far branches, where omega = 2 rho is monotone, a and b become
+      int g(rho) exp(-2i rho t) drho with g = (a, b) |dx/drho|: the Legendre
+      panels in rho of every branch, from one bisection (``_far_panels``),
+      integrated exactly at every t by one ``quadrature.legendre_fourier``
+      call, taking times in ascending |t| as the adaptive blocks do.  The
+      cos integral is the real part, the sin integral minus the imaginary
+      part; c, which does not oscillate, is the sum of the panels' integrals.
     Integrated apart from a and b over the whole support, c would meet tol
     alone: a fold narrower than tol would then go missing from c + a.
     """
@@ -884,13 +947,12 @@ def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
     if hi > lo:
         kernel = near if centre is not None else lambda x: rotation(x, env.density(x))
         out += kernel_adaptive(kernel, ts, lo, hi, tol)
-    order = np.argsort(np.abs(ts), kind="stable")
-    for branch in branches:
-        panels = _far_panels(model, branch)
-        mixing = _far_mixing(model, p, branch)
-        far = legendre_fourier(panels, ts[order], tol) @ mixing[:, :6]
+    if branches:
+        panels, settled = _far_panels(model, p, branches)
+        order = np.argsort(np.abs(ts), kind="stable")
+        far = legendre_fourier(panels, ts[order], tol)
         out[order] += far[:, :3].real - far[:, 3:].imag
-        out += panels.coeffs[:, 0].sum(axis=0) @ mixing[:, 6:]  # c: the panels' integrals
+        out += settled
     return out
 
 

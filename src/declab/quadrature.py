@@ -7,7 +7,9 @@ rules falls below their share of the error budget.  Integrands may be
 scalar or array valued; everything is evaluated vectorized over the nodes
 of all pending panels at once, and panel contributions are summed in the
 order of their left edges so results do not depend on evaluation
-scheduling.  That loop (``_bisect``) also splits densities into panels.
+scheduling.  That loop (``_bisect``) also splits densities into panels; it
+starts from the panels between given edges, so that a caller who knows
+where an integrand needs small panels can start there.
 
 ``kernel_adaptive`` is the same rule for a whole grid of times, on
 integrands of the form
@@ -15,9 +17,9 @@ integrands of the form
     c(x) + a(x) cos(omega(x) t) + b(x) sin(omega(x) t)
 
 (the spin rotation kernel: a rigid rotation about n(x) at rate omega(x)),
-in blocks of ascending |t|.  It starts from MIN_PANELS panels at any t, so it
-is meant for a range of x on which the phase omega(x) t varies by no more
-than about pi: the spin model calls it on a strip about the fold of omega,
+in blocks of ascending |t|.  It starts from one panel at any t, so it is
+meant for a range of x on which the phase omega(x) t varies by no more than
+about pi: the spin model calls it on a strip about the fold of omega,
 narrowed with the grid's largest |t| until that holds (``models._fold``),
 at the same cost at any t.  The kernel gives the rate and the amplitudes
 once per node; each panel's amplitudes carry the rule's weights times its
@@ -41,9 +43,10 @@ offsets to (p, n, ...) values, one bisection serves all components, and the
 transforms come out as (T, ...).  The same rule integrates the spin kernel
 away from the strip about the fold of its rate: where omega = 2 rho is
 monotone, rho itself becomes the variable v, and the kernel's amplitudes
-times dx/dv are the f (``models.spin_trajectory``); the bisection grades the
-panels toward the strip's edge, where dx/dv grows like sqrt(t), and judges
-the large values there against their own rounding noise (NOISE_ULPS).
+times dx/dv are the f (``models.spin_trajectory``); the panels grade toward
+the strip's edge, where dx/dv grows like sqrt(t) (the spin model starts the
+bisection from edges already graded there), and the large values there are
+judged against their own rounding noise (NOISE_ULPS).
 Centre and offset come apart so that such a change of variable can place
 its nodes without rounding them.
 
@@ -79,8 +82,8 @@ LEGENDRE_BUDGET = 1e-15
 NOISE_ULPS = 64
 # Bound on Legendre terms x panels x times held at once by legendre_fourier.
 LEGENDRE_ELEMENTS = 2**16
-# Bound on initial panels x nodes per panel x times for one block of
-# kernel_adaptive, and so on the cos and sin tables of its kernel quadrature.
+# Bound on nodes per panel x times for one block of kernel_adaptive, which
+# starts from one panel, and so on the cos and sin tables of its first round.
 KERNEL_ELEMENTS = 2**18
 EPS = np.finfo(float).eps
 
@@ -151,25 +154,22 @@ def _rule(order):
     return _rule_cache[order]
 
 
-def _bisect(evaluate, a, b, initial_panels, max_panels, what):
-    """The adaptive loop: accept panels of [a, b] or bisect them, within a budget.
+def _bisect(evaluate, edges, max_panels, what):
+    """The adaptive loop: accept panels of [edges[0], edges[-1]] or bisect them, within a budget.
 
+    Bisection starts from the panels between consecutive ``edges`` (ascending).
     ``evaluate(lo, hi)`` maps (p,) panel edges to (ok, values): which panels
     pass, and a tuple of (p, ...) arrays of per-panel results.  Returns those
     arrays for the accepted panels, ordered by left edge so results do not
     depend on evaluation scheduling.  Raises QuadratureFailure, naming
     ``what`` ran out, when more than ``max_panels`` panels are needed.
     """
-    a = float(a)
-    b = float(b)
-    if not b > a:
-        raise OutOfDomain(f"empty integration interval [{a}, {b}]")
-    n0 = int(min(max(initial_panels, 1), max_panels))
-    # Steps between subnormal ends round up: linspace may pass b before its last edge.
-    edges = np.minimum(np.linspace(a, b, n0 + 1), b)
+    edges = np.asarray(edges, dtype=float)
+    if not edges[-1] > edges[0]:
+        raise OutOfDomain(f"empty integration interval [{edges[0]}, {edges[-1]}]")
     lo, hi = edges[:-1], edges[1:]
     accepted_lo, accepted = [], []
-    n_panels = n0
+    n_panels = lo.size
 
     while lo.size:
         ok, values = evaluate(lo, hi)
@@ -198,7 +198,12 @@ def _rule_pair(panel_values, a, b, tol, initial_panels, max_panels):
         err = np.abs(fine - coarse).reshape(lo.size, -1).max(axis=1)
         return err <= tol * ((hi - lo) / (b - a)), (fine,)  # tol * (hi - lo) may underflow
 
-    (fine,) = _bisect(evaluate, a, b, initial_panels, max_panels, f"panels for tolerance {tol:g}")
+    a, b = float(a), float(b)
+    n0 = int(min(max(initial_panels, 1), max_panels))
+    # Steps between subnormal ends round up: linspace may pass b before its last edge.
+    edges = np.linspace(a, b, n0 + 1)
+    edges[1:] = np.minimum(edges[1:], b)
+    (fine,) = _bisect(evaluate, edges, max_panels, f"panels for tolerance {tol:g}")
     return fine.sum(axis=0)
 
 
@@ -239,10 +244,11 @@ def kernel_adaptive(kernel, ts, lo, hi, tol):
 
     ``kernel`` maps (m,) abscissae to (omega, a, b, c): (m,) rates and (m, d)
     amplitudes.  The times are taken in ascending |t|, in blocks of at most
-    KERNEL_ELEMENTS // (MIN_PANELS x NODES_PER_PANEL), which bounds the trig
-    tables of the initial panels; each block is one adaptive call, its
-    panels accepted and bisected as in ``gauss_legendre_adaptive``, every
-    (t, component) meeting ``tol``.  Returns (T, d) in the order of ``ts``.
+    KERNEL_ELEMENTS // NODES_PER_PANEL, which bounds the trig tables of the
+    initial panel; each block is one adaptive call from one panel on
+    [lo, hi], its panels accepted and bisected as in
+    ``gauss_legendre_adaptive``, every (t, component) meeting ``tol``.
+    Returns (T, d) in the order of ``ts``.
     """
 
     def panel_values(tb, nodes, scale):
@@ -251,12 +257,11 @@ def kernel_adaptive(kernel, ts, lo, hi, tol):
         return trig_sum(tb, omega.reshape(nodes.shape), *folded)
 
     order = np.argsort(np.abs(ts), kind="stable")
-    step = KERNEL_ELEMENTS // (MIN_PANELS * NODES_PER_PANEL)
+    step = KERNEL_ELEMENTS // NODES_PER_PANEL
     out = None
     for start in range(0, ts.size, step):
         idx = order[start : start + step]
-        part = _rule_pair(functools.partial(panel_values, ts[idx]), lo, hi, tol, MIN_PANELS,
-                          MAX_PANELS)
+        part = _rule_pair(functools.partial(panel_values, ts[idx]), lo, hi, tol, 1, MAX_PANELS)
         if out is None:
             out = np.empty((ts.size, part.shape[1]))
         out[idx] = part
@@ -322,10 +327,11 @@ class LegendrePanels(NamedTuple):
     scales every panel.  ``coeffs[p, k, ...]`` is 2h a_k, the Legendre
     coefficient a_k of f on panel p times the panel's width, so
     ``coeffs[:, 0]`` are the panels' integrals; trailing axes are f's
-    components, none for a scalar f.  Rows are ordered by centre; trailing
-    terms that no panel needs are dropped.  ``tail`` bounds the integral of
-    what the series leave out, for every component: the sum over panels of
-    2h (|a_(n-2)| + |a_(n-1)|), plus what the dropped terms could contribute.
+    components, none for a scalar f.  ``legendre_panels`` orders rows by
+    centre and drops trailing terms that no panel needs.  ``tail`` bounds
+    the integral of what the series leave out, for every component: the sum
+    over panels of 2h (|a_(n-2)| + |a_(n-1)|), plus what the dropped terms
+    could contribute.
     """
 
     centres: np.ndarray
@@ -356,8 +362,8 @@ def _legendre_rule(order):
     return _rule_cache[key]
 
 
-def legendre_panels(f, a, b):
-    """Split [a, b] into panels on which f is a Legendre series P_0 .. P_(n-1).
+def legendre_panels(f, *edges):
+    """Split [edges[0], edges[-1]] into panels on which f is a Legendre series P_0 .. P_(n-1).
 
     ``f(centres, offsets)`` maps (p,) panel centres and the (p, n) offsets of
     their nodes to (p, n, ...) real values at centres[:, None] + offsets; n
@@ -370,9 +376,12 @@ def legendre_panels(f, a, b):
     of the values' largest magnitude on the panel (the series' noise
     plateau; Aurentz and Trefethen, ACM TOMS 43, 2017).  Large values of f
     on a few thin panels then add only ~EPS times the integral of |f| to
-    the tail.  All pending panels are transformed at once.  Raises
-    QuadratureFailure when f needs more than MAX_PANELS panels.
+    the tail.  Bisection starts from the panels between consecutive
+    ``edges`` (ascending; two edges make one panel), and all pending panels
+    are transformed at once.  Raises QuadratureFailure when f needs more
+    than MAX_PANELS panels.
     """
+    a, b = edges[0], edges[-1]
     x, transform = _legendre_rule(LEGENDRE_ORDER)
     noise = EPS * np.abs(transform[-2:].astype(float))
 
@@ -392,7 +401,7 @@ def legendre_panels(f, a, b):
         return ok.reshape(p, -1).all(axis=1), (centres, widths / 2.0, coeffs,
                                                tails.reshape(p, -1).max(axis=1))
 
-    centres, halves, coeffs, tails = _bisect(evaluate, a, b, 1, MAX_PANELS,
+    centres, halves, coeffs, tails = _bisect(evaluate, edges, MAX_PANELS,
                                              f"Legendre panels for budget {LEGENDRE_BUDGET:g}")
     # Drop trailing terms whose total contribution, in any component, is below
     # a tenth of an ulp of 1.

@@ -30,7 +30,6 @@ from declab.quadrature import (
     KERNEL_ELEMENTS,
     LEGENDRE_ORDER,
     MAX_PANELS,
-    MIN_PANELS,
     NODES_PER_PANEL,
     ORDER,
     kernel_adaptive,
@@ -210,7 +209,8 @@ def record_blocks(monkeypatch):
     return calls
 
 
-BLOCK = KERNEL_ELEMENTS // (MIN_PANELS * NODES_PER_PANEL)
+# Times per block: kernel_adaptive starts each from one panel.
+BLOCK = KERNEL_ELEMENTS // NODES_PER_PANEL
 
 
 def test_spin_trajectory_spans_several_blocks(monkeypatch):
@@ -223,10 +223,10 @@ def test_spin_trajectory_spans_several_blocks(monkeypatch):
     # The near region is the strip |z| <= zeta about the fold x* = -2, in
     # offsets from it, with m = 1, eps = pi / (2 max|t|) and
     # zeta = sqrt(eps (2 m + eps)), not [x* - m, x* + m] = [-3, -1]; every
-    # block starts from MIN_PANELS panels.
+    # block starts from one panel.
     eps = np.pi / (2.0 * 1200.0)
     zeta = np.sqrt(eps * (2.0 + eps))
-    assert [(len(tb), n0) for *_, n0, tb in calls] == [(BLOCK, MIN_PANELS)] * 2 + [(1, MIN_PANELS)]
+    assert [(len(tb), n0) for *_, n0, tb in calls] == [(BLOCK, 1)] * 2 + [(1, 1)]
     ((lo, hi),) = {(lo, hi) for lo, hi, *_ in calls}
     assert -lo == hi == pytest.approx(zeta, rel=1e-15)
     picks = [0, ts.size // 2, ts.size - 1]
@@ -247,7 +247,7 @@ def test_blocks_cover_the_grid_in_ascending_abs_t_within_the_bound(monkeypatch):
     blocks = [tb for *_, tb in calls]
     assert np.array_equal(np.concatenate(blocks), ts[np.argsort(np.abs(ts), kind="stable")])
     assert [tb.size for tb in blocks] == [BLOCK, BLOCK, 6]
-    assert all(n0 == MIN_PANELS for _, _, n0, _ in calls)
+    assert all(n0 == 1 for _, _, n0, _ in calls)
     assert np.abs(got[:, 0] - 2.0 * np.sinc(ts / np.pi)).max() < 1e-12
 
 
@@ -620,9 +620,174 @@ def test_spin_strip_nodes_do_not_grow_with_t(monkeypatch):
         nodes_seen = []
         spin_trajectory(model, p, [t])
         counts[t] = sum(nodes_seen)
-    # One call, MIN_PANELS panels of the order-16 and order-32 rules, bisected
-    # no more at 1e6 than at 1e3.
-    assert MIN_PANELS * NODES_PER_PANEL <= counts[1e6] <= counts[1e3]
+    # One call, one panel of the order-16 and order-32 rules, bisected no
+    # more at 1e6 than at 1e3.
+    assert NODES_PER_PANEL <= counts[1e6] <= counts[1e3]
+
+
+# Strip models whose field coordinate z = a_3 + lam x spans 0.02, so that the
+# reference's panels stay few at t = 1e6: (density, a_3, lam).  The uniform's
+# fold x* = -a_3 / lam lies inside its support, outside it, and on its end -1
+# exactly.  With m >= 1 and t <= 50 the strip |z| <= zeta covers the whole
+# support.
+STRIP_MODELS = {
+    "gaussian_s1e-3": (SpectralDensity.gaussian(1e-3), 0.002, 1.0),
+    "gaussian_s1": (SpectralDensity.gaussian(1.0), 0.002, 1e-3),
+    "uniform_fold_inside": (SpectralDensity.uniform(-1.0, 1.0), 0.003, 0.01),
+    "uniform_fold_outside": (SpectralDensity.uniform(-1.0, 1.0), 0.015, 0.01),
+    "uniform_fold_at_an_end": (SpectralDensity.uniform(-1.0, 1.0), 0.01, 0.01),
+    "bump": (SpectralDensity.bump(-1.0, 1.0), 0.003, 0.01),
+}
+
+
+@pytest.mark.parametrize("t_max", [1.0, 50.0, 1e6], ids=["t1", "t50", "t1e6"])
+@pytest.mark.parametrize("m", [1e-3, 1.0, 10.0], ids=["m1e-3", "m1", "m10"])
+@pytest.mark.parametrize("kind", STRIP_MODELS)
+def test_one_panel_strip_matches_the_integrand_closures(kind, m, t_max, monkeypatch):
+    # The bound is 1e-13 plus the phase's conditioning, 2 rho t rounded
+    # relative to its size: at t = 1e6 and m = 10 that alone is 4.4e-9, for
+    # declab and the reference alike.  The strip is asked for that bound (at
+    # the default tol = 1e-9 one panel of 32 nodes leaves ~6e-13 on a bump
+    # that fills the strip, where the order-16 rule's error passes the
+    # estimate).
+    env, a3, lam = STRIP_MODELS[kind]
+    model = SpinModel(a=[m, 0.0, a3], b=0.3, lam=lam, env_diag=env)
+    assert (-a3 / lam == -1.0) == (kind == "uniform_fold_at_an_end")
+    p = np.array([0.6, -0.3, 0.4])
+    ts = np.array([t_max, -t_max / 3.0, 0.25])
+    lo, hi = env.support()
+    rho_max = np.hypot(m, max(abs(a3 + lam * lo), abs(a3 + lam * hi)))
+    bound = 1e-13 + EPS * 2.0 * rho_max * np.abs(ts)
+    calls = record_blocks(monkeypatch)
+    got = spin_trajectory(model, p, ts, tol=bound.max())
+    assert all(n0 == 1 for _, _, n0, _ in calls)
+    assert (np.abs(got - reference_spin_trajectory(model, p, ts)) <= bound[:, None]).all()
+
+
+# --- far branches: graded dyadic panels, every branch in one bisection and one transform
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# The scenarios' spin model, and two bounded densities, each with its fold inside.
+FAR_MODELS = {
+    "gaussian": SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0,
+                          env_diag=SpectralDensity.gaussian(1.0)),
+    "uniform": SpinModel(a=[1.0, 0.4, 2.0], b=0.3, lam=0.8,
+                         env_diag=SpectralDensity.uniform(-3.5, 0.5)),
+    "bump": SpinModel(a=[1.0, 0.4, 2.0], b=0.3, lam=0.8, env_diag=SpectralDensity.bump(-4.0, 1.0)),
+}
+
+
+def record_far_panels(monkeypatch, seen=None):
+    """(f, edges, panels) of every legendre_panels call made from declab.models; with
+    ``seen``, also (centres, offsets, values) of every evaluation of f."""
+    calls = []
+    original = declab.models.legendre_panels
+
+    def recorded(f, *edges):
+        def watched(centres, offsets):
+            values = f(centres, offsets)
+            if seen is not None:
+                seen.append((centres, offsets, values))
+            return values
+
+        panels = original(watched, *edges)
+        calls.append((f, edges, panels))
+        return panels
+
+    monkeypatch.setattr(declab.models, "legendre_panels", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("t_max", [10.0, 50.0, 1e6, 1e16], ids=["t10", "t50", "t1e6", "t1e16"])
+@pytest.mark.parametrize("kind", FAR_MODELS)
+def test_graded_far_panels_are_those_of_bisection_from_0_1_and_1_l(kind, t_max, monkeypatch):
+    # The start 0, 2^-J, ..., 1/2, 1, L on each side of u = 0 gives, bit for
+    # bit, the panels of bisection from [0, 1], [1, L] (from [0, L] on a side
+    # that is not graded): never finer than bisection makes them.
+    model = FAR_MODELS[kind]
+    _, _, branches = declab.models._fold(model, t_max)
+    declab.models._unit_expansion(kind)  # built once per process
+    calls = record_far_panels(monkeypatch)
+    declab.models._far_panels(model, np.array([0.6, -0.3, 0.4]), branches)
+    ((f, edges, got),) = calls
+    edges = np.array(edges)
+    plain = edges[(np.abs(edges) >= 1.0) | (edges == 0.0)]
+    assert plain.size < edges.size
+    for part_got, part_want in zip(got, legendre_panels(f, *plain)):
+        assert np.array_equal(part_got, part_want)
+
+
+@pytest.mark.parametrize("a, lam, env", [([1.0, 0.0, 9.5], 1.0, SpectralDensity.gaussian(1.0)),
+                                         ([1.0, 1.0, 1.27e228], -1.0,
+                                          SpectralDensity.uniform(-5e299, 5e299))],
+                         ids=["fold_in_the_tail", "doubling_width_2^-995"])
+def test_far_branch_whose_peak_carries_no_weight_starts_from_one_panel(a, lam, env):
+    # The peak of m / |z| is narrow, but the density there is ~1e-20, or the
+    # branch is ~2^995 doubling widths long: bisection from [0, L] accepts
+    # the panel at u = 0 at once, and a graded start would be finer.
+    model = SpinModel(a=a, b=0.3, lam=lam, env_diag=env)
+    for t_max in (50.0, 1e6):
+        for branch in declab.models._fold(model, t_max)[2]:
+            scale = np.ldexp(1.0, np.frexp(branch.length)[1] - 1)
+            assert declab.models._graded(model, branch, scale) == [branch.length / scale]
+
+
+@pytest.mark.parametrize("a, lam, env", [([1.0, 0.0, 2.0], 1.0, SpectralDensity.gaussian(1.0)),
+                                         ([1.0, 0.0, 1e-290], 1e-300,
+                                          SpectralDensity.uniform(-4e299, 4e299))],
+                         ids=["lam1", "lam1e-300"])
+def test_far_nodes_lie_on_their_branch_with_finite_factors_at_t_1e20(a, lam, env, monkeypatch):
+    # A branch at u < 0 is the mirror image of one at u > 0: v = |u| scale
+    # must be >= 0 at every node, where z_of takes its square root.
+    model = SpinModel(a=a, b=0.3, lam=lam, env_diag=env)
+    assert len(declab.models._fold(model, 1e20)[2]) == 2
+    declab.models._unit_expansion(env.kind)  # built once per process
+    seen = []
+    calls = record_far_panels(monkeypatch, seen)
+    got = spin_trajectory(model, np.array([0.7, 0.2, 0.5]), [1e20, -3e19, 0.5])
+    assert len(calls) == 1 and np.isfinite(got).all()
+    for centres, offsets, values in seen:
+        assert (np.sign(centres)[:, None] * (centres[:, None] + offsets) >= 0.0).all()
+        assert np.isfinite(values).all()
+
+
+def test_spin_precession_takes_few_bisection_rounds_and_one_transform(monkeypatch):
+    # Bisection of each far branch from one panel takes 16 to 50 rounds at
+    # these t_max, and a transform per branch.
+    inputs = declab.cli.parse_config((SCENARIOS / "spin_precession.cfg").read_text()).inputs
+    model, p = inputs["model"], inputs["initial_bloch"]
+    declab.models._unit_expansion(model.env_diag.kind)  # built once per process
+    rounds = []
+    original = declab.quadrature._bisect
+
+    def counted(evaluate, *args):
+        def counting(lo, hi):
+            rounds.append(lo.size)
+            return evaluate(lo, hi)
+
+        return original(counting, *args)
+
+    monkeypatch.setattr(declab.quadrature, "_bisect", counted)
+    transforms = count_calls(monkeypatch, declab.models, "legendre_fourier")
+    for t_max in (10.0, 50.0, 1e6):
+        rounds.clear()
+        transforms.clear()
+        spin_trajectory(model, p, np.linspace(0.0, t_max, 201))
+        assert len(rounds) <= 6 and len(transforms) == 1, (t_max, rounds)
+
+
+@pytest.mark.parametrize("a", [[1.0, 0.0, 2.0], [1.0, 0.0, 20.0]],
+                         ids=["two_branches", "one_branch"])
+def test_spin_tolerance_below_the_far_panels_tail_raises_naming_it(a):
+    model = SpinModel(a=a, b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
+    p = np.array([0.6, -0.3, 0.4])
+    ts = np.linspace(0.0, 50.0, 11)
+    branches = declab.models._fold(model, 50.0)[2]
+    tail = declab.models._far_panels(model, p, branches)[0].tail
+    assert 0.0 < tail < 1e-14
+    with pytest.raises(QuadratureFailure, match=f"tolerance {tail / 2:g} .* estimate {tail:g}"):
+        spin_trajectory(model, p, ts, tol=tail / 2)
+    assert np.isfinite(spin_trajectory(model, p, ts, tol=tail)).all()
 
 
 @pytest.mark.parametrize("env", [ENVS[-1], SpectralDensity.gaussian(1.0).discretize(40)],
