@@ -667,7 +667,8 @@ class SpinModel:
 
 def _axes(model: SpinModel, x: np.ndarray, a3=None):
     """Unit axis of the effective field (a_1, a_2, a_3 + lam x), e_3 where it
-    vanishes, and twice the field's norm, per point.  ``a3`` replaces a_3:
+    vanishes, and twice the field's norm, per point: the axis and rate of the
+    conditional precession of the polarization at x.  ``a3`` replaces a_3:
     with a3 = 0, x is an offset from the fold x* = -a_3 / lam."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h = np.empty((x.size, 3))
@@ -681,19 +682,6 @@ def _axes(model: SpinModel, x: np.ndarray, a3=None):
     n = h / np.where(zero, 1.0, norms)[:, None]
     n[zero] = (0.0, 0.0, 1.0)
     return n, 2.0 * norms
-
-
-def rotation_axis(model: SpinModel, x: float):
-    """Rotation axis and angular speed of the conditional spin precession.
-
-    The conditional evolution at environment coordinate x is generated by
-    the 2x2 field a.sigma + lam x sigma_3; the induced rotation of the
-    polarization vector has axis along that field and speed twice its norm
-    (the usual spin-to-rotation angle doubling).  A vanishing field returns
-    speed zero with axis e_3 by convention.
-    """
-    n, omega = _axes(model, np.array([float(x)]))
-    return n[0], float(omega[0])
 
 
 class _Branch(NamedTuple):

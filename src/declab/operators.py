@@ -1,12 +1,12 @@
-"""Dense complex-matrix substrate: eigendecomposition, propagators, Schatten
-norms, tensor products and the partial trace over the environment factor.
+"""Dense complex-matrix substrate: eigendecomposition, the propagator, Schatten
+norms and the partial trace over the environment factor.
 
-All functions are pure and operate on square ``numpy`` arrays.
-``propagators`` diagonalises a Hamiltonian once per time grid.  The models
-evolve in their own sector blocks and the oracle builds its own joint
-blocks, so ``propagators``, ``tensor_product`` and ``partial_trace_env``
-serve outside callers and tests.  Dense storage only; the supported
-dimension is documented up to 1024.
+All functions are pure and operate on square ``numpy`` arrays.  The models
+evolve in their own sector blocks and the oracle builds its own joint blocks,
+so nothing in the library calls ``propagator`` or ``partial_trace_env``.  Both
+stay because the benchmark in ``perfbench/`` traces them by name: a traced
+function that no longer exists turns its registered metrics absent.  Dense
+storage only; the supported dimension is documented up to 1024.
 """
 
 import math
@@ -126,26 +126,20 @@ def hermitian_eig(m) -> HermitianEig:
     return HermitianEig(vals, vecs[:, np.lexsort((first, -lead, group))])
 
 
-def propagators(h, ts):
-    """Unitaries exp(-iHt) for every t in ``ts``, yielded one at a time.
+def propagator(h, t: float) -> np.ndarray:
+    """Unitary exp(-iHt) for Hermitian H, as (V e^{-i vals t}) V^H from one ``eigh``.
 
-    H and the times are checked, and H diagonalised by one ``eigh``, at the
-    call; each unitary is (V e^{-i vals t}) V^H, built when it is taken.  The
-    spectral route keeps each result unitary to roundoff; exp(-iHt) does not
-    depend on the eigenbasis, so the plain ``eigh`` output is used.
+    The time and H are checked first.  The spectral route keeps the result
+    unitary to roundoff; exp(-iHt) does not depend on the eigenbasis, so the
+    plain ``eigh`` output is used.
     """
-    ts = finite_times(ts)
+    (t,) = finite_times([t])
     h = require_hermitian(h)
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    return ((vecs * np.exp(-1j * vals * t)) @ vecs.conj().T for t in ts)
-
-
-def propagator(h, t: float) -> np.ndarray:
-    """Unitary exp(-iHt) for Hermitian H: the single-time case of ``propagators``."""
-    return next(propagators(h, [t]))
+    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
 
 
 class SchattenNorms(NamedTuple):
@@ -164,16 +158,12 @@ def schatten_norms(a) -> SchattenNorms:
     return SchattenNorms(float(s.max(initial=0.0)), float(np.sqrt(np.sum(s**2))), float(np.sum(s)))
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the (system ⊗ environment) index convention."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def partial_trace_env(w, dim_s: int, dim_e: int) -> np.ndarray:
     """Trace out the environment factor of an operator on H_S ⊗ H_E.
 
-    Index layout matches ``tensor_product``: row index i*dim_e + k.  The
-    result r satisfies tr(r A) = tr(W (A ⊗ I)) for every system operator A.
+    Index layout matches ``np.kron(system, environment)``: row index
+    i*dim_e + k.  The result r satisfies tr(r A) = tr(W (A ⊗ I)) for every
+    system operator A.
     """
     a = _as_square_matrix(w, "joint operator")
     if dim_s < 1 or dim_e < 1 or a.shape[0] != dim_s * dim_e:

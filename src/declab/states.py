@@ -7,8 +7,8 @@ the closed unit ball in R^3, isometrically for the trace norm.  Mixed states
 decompose into pure states in infinitely many ways; ``spectral_decomposition``
 gives the canonical one and ``alternate_decomposition`` produces the others,
 one for every unitary parameter.  Classical probability vectors, by contrast,
-decompose uniquely (``classical_decompose``), which is the whole geometric
-difference the decomposition machinery is there to exhibit.
+decompose uniquely into the vertices of their simplex, which is the whole
+geometric difference the decomposition machinery is there to exhibit.
 """
 
 from dataclasses import dataclass, field
@@ -194,37 +194,6 @@ def alternate_decomposition(w: DensityOperator, u) -> PureStateDecomposition:
         for i in np.flatnonzero(keep_w)
     ]
     return PureStateDecomposition(weights[keep_w], projectors)
-
-
-def mix(states, weights) -> DensityOperator:
-    """Convex combination of states with the given weights."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size != len(states) or w.size == 0:
-        raise BadWeights("need one weight per state")
-    if w.min() < -1e-12 or abs(w.sum() - 1.0) > STATE_TOL:
-        raise BadWeights(f"weights must be nonnegative and sum to 1, got sum {w.sum()!r}")
-    dim = states[0].dim
-    if any(s.dim != dim for s in states):
-        raise DimensionMismatch("states in a mixture must share a dimension")
-    total = np.zeros((dim, dim), dtype=complex)
-    for wi, s in zip(w, states):
-        total += wi * s.matrix
-    return DensityOperator(total)
-
-
-def classical_decompose(d):
-    """Unique barycentric decomposition of a probability vector.
-
-    Returns (weights, vertex_indices).  Classical distributions live on a
-    simplex, so unlike the quantum decompositions above this one admits no
-    freedom at all: the weights are the probabilities themselves.
-    """
-    probs = np.asarray(d, dtype=float)
-    if probs.ndim != 1 or probs.size == 0:
-        raise BadWeights("distribution must be a nonempty vector")
-    if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-12:
-        raise BadWeights("entries must be nonnegative and sum to 1 within 1e-12")
-    return probs.copy(), np.arange(probs.size)
 
 
 def haar_unitary(dim: int, rng=None) -> np.ndarray:

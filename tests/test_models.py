@@ -30,20 +30,16 @@ from declab import (
     full_simulation_oracle,
     haar_unitary,
     off_diagonal_norms,
-    partial_trace_env,
-    propagator,
     random_density,
     recurrence_window,
-    rotation_axis,
     schatten_norms,
     sector_probabilities,
     spin_asymptotics,
     spin_evolve,
     spin_trajectory,
-    tensor_product,
     trace_distance,
 )
-from declab.models import DENSITY_KINDS
+from declab.models import DENSITY_KINDS, _axes
 from declab.states import STATE_TOL
 from declab.superselection import sector_mask
 from test_operators import random_hermitian
@@ -860,21 +856,21 @@ def test_az_trajectory_drops_a_tolerated_intersector_leak(frame):
 
 
 def test_rotation_axis_examples():
-    n, omega = rotation_axis(SpinModel(a=[0, 0, 1], b=1.0, lam=0.0, env_diag=GAUSS), 5.0)
-    assert np.allclose(n, [0, 0, 1]) and omega == pytest.approx(2.0)
+    n, omega = _axes(SpinModel(a=[0, 0, 1], b=1.0, lam=0.0, env_diag=GAUSS), 5.0)
+    assert np.allclose(n, [[0, 0, 1]]) and omega == pytest.approx([2.0])
 
-    n, omega = rotation_axis(SpinModel(a=[0, 0, 0], b=1.0, lam=1.0, env_diag=GAUSS), 2.0)
-    assert np.allclose(n, [0, 0, 1]) and omega == pytest.approx(4.0)
+    n, omega = _axes(SpinModel(a=[0, 0, 0], b=1.0, lam=1.0, env_diag=GAUSS), 2.0)
+    assert np.allclose(n, [[0, 0, 1]]) and omega == pytest.approx([4.0])
 
-    n, omega = rotation_axis(SpinModel(a=[1, 0, 1], b=1.0, lam=1.0, env_diag=GAUSS), 1.0)
-    assert np.allclose(n, np.array([1, 0, 2]) / np.sqrt(5))
-    assert omega == pytest.approx(2 * np.sqrt(5))
+    n, omega = _axes(SpinModel(a=[1, 0, 1], b=1.0, lam=1.0, env_diag=GAUSS), 1.0)
+    assert np.allclose(n, [np.array([1, 0, 2]) / np.sqrt(5)])
+    assert omega == pytest.approx([2 * np.sqrt(5)])
 
 
 def test_rotation_axis_zero_field_convention():
-    n, omega = rotation_axis(SpinModel(a=[0, 0, 1], b=1.0, lam=1.0, env_diag=GAUSS), -1.0)
-    assert omega == pytest.approx(0.0)
-    assert np.allclose(n, [0, 0, 1])
+    n, omega = _axes(SpinModel(a=[0, 0, 1], b=1.0, lam=1.0, env_diag=GAUSS), -1.0)
+    assert np.array_equal(omega, [0.0])
+    assert np.array_equal(n, [[0.0, 0.0, 1.0]])
 
 
 def test_spin_rotation_matches_brute_force_exponential():
@@ -1050,25 +1046,6 @@ def test_oracle_matches_az_closed_form_on_discrete_spectrum():
         assert trace_distance(closed, oracle) < 1e-11
 
 
-def test_oracle_contracts_the_joint_state_exactly():
-    rng = np.random.default_rng(41)
-    env = GAUSS.discretize(24)
-    sectors = block_diagonal_sectors([2, 1])
-    h_s = np.zeros((3, 3), dtype=complex)
-    h_s[:2, :2] = [[0.4, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]]
-    h_s[2, 2] = 0.7
-    model = ArakiZurekModel(sectors, [1.0, -1.0], h_s, env, 2.0)
-    rho0 = random_density(3, rng)
-    v, w = env.points[:, 0], env.points[:, 1]
-    h_joint = tensor_product(h_s, np.eye(v.size)) + tensor_product(model.v_s, np.diag(v))
-    for t in (0.0, 1.3, 7.9):
-        u = propagator(h_joint, t)
-        w0 = tensor_product(rho0.matrix, np.diag(w))
-        expected = partial_trace_env(u @ w0 @ u.conj().T, 3, v.size)
-        got = full_simulation_oracle(model, rho0, t, v.size).matrix
-        assert np.abs(got - expected).max() < 1e-13
-
-
 def _kron_expm_oracle(terms, rho0, w, t):
     """tr_E e^(-iHt) (rho0 x diag w) e^(iHt), H = sum of kron(system, diag(env)) terms."""
     h = sum(np.kron(a, np.diag(e)) for a, e in terms)
@@ -1105,6 +1082,19 @@ def test_oracle_matches_a_dense_kron_expm_reference():
         expected = _kron_expm_oracle(terms, rho0.matrix, w, t)
         assert np.abs(full_simulation_oracle(az, rho0, t, v.size).matrix - expected).max() < 1e-13
 
+    # h_s couples the two states of the [2, 1] model's first sector.
+    env = GAUSS.discretize(24)
+    v, w = env.points[:, 0], env.points[:, 1]
+    h_s = np.zeros((3, 3), dtype=complex)
+    h_s[:2, :2] = [[0.4, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]]
+    h_s[2, 2] = 0.7
+    az = ArakiZurekModel(block_diagonal_sectors([2, 1]), [1.0, -1.0], h_s, env, 2.0)
+    rho0 = random_density(3, np.random.default_rng(41))
+    terms = [(h_s, np.ones(v.size)), (np.diag([1.0, 1.0, -1.0]), v)]
+    for t in (0.0, 1.3, 7.9):
+        expected = _kron_expm_oracle(terms, rho0.matrix, w, t)
+        assert np.abs(full_simulation_oracle(az, rho0, t, v.size).matrix - expected).max() < 1e-13
+
 
 def test_oracle_shares_no_code_with_the_closed_forms(monkeypatch):
     import declab.models as models
@@ -1113,8 +1103,7 @@ def test_oracle_shares_no_code_with_the_closed_forms(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle called a closed-form or propagator path")
 
-    for module, names in ((operators, ("propagator", "propagators", "hermitian_eig",
-                                       "tensor_product", "partial_trace_env")),
+    for module, names in ((operators, ("propagator", "hermitian_eig", "partial_trace_env")),
                           (models, ("_sector_propagators", "chi_trajectory", "trig_sum",
                                     "kernel_adaptive", "gauss_legendre_adaptive",
                                     "legendre_fourier", "_axes"))):

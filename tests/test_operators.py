@@ -8,9 +8,7 @@ from declab import (
     hermitian_eig,
     partial_trace_env,
     propagator,
-    propagators,
     schatten_norms,
-    tensor_product,
 )
 from declab.operators import hs_norm, require_hermitian
 
@@ -149,9 +147,16 @@ def test_propagator_matches_scipy_expm():
     assert np.linalg.norm(propagator(h, 0.77) - scipy.linalg.expm(-1j * 0.77 * h)) < 1e-11
 
 
-def test_propagator_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+@pytest.mark.parametrize("h, t, error", [
+    (np.ones((2, 3)), 1.0, DimensionMismatch),
+    (SZ, np.nan, ValueError),
+    (SZ, np.inf, ValueError),
+    (SX + 1j * SZ, 1.0, NotHermitian),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, NotHermitian),
+], ids=["not_square", "nan", "inf", "not_hermitian", "triangular"])
+def test_propagator_rejects_bad_input(h, t, error):
+    with pytest.raises(error):
+        propagator(h, t)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
@@ -230,37 +235,6 @@ def test_propagator_blocks_follow_exact_zeros_only(monkeypatch):
     assert calls == [(6, 6)]
 
 
-# --- time grids: one eigendecomposition per grid
-
-
-@pytest.mark.parametrize("kind", ["dense", "direct_sum"])
-def test_propagators_diagonalise_once_per_grid(monkeypatch, kind):
-    rng = np.random.default_rng(20)
-    h = random_hermitian(12, rng) if kind == "dense" else permuted_direct_sum([1, 2, 3, 5, 3], rng)
-    ts = np.linspace(-3.0, 4.0, 24)
-    calls = count_eigh(monkeypatch)
-    grid = propagators(h, ts)
-    assert calls == [h.shape]  # at the call, before the first matrix
-    unitaries = list(grid)
-    assert calls == [h.shape]
-    assert len(unitaries) == ts.size
-    for t, u in zip(ts, unitaries):
-        assert np.array_equal(u, propagator(h, t))
-        assert np.linalg.norm(u - scipy.linalg.expm(-1j * t * h)) < 1e-11
-
-
-@pytest.mark.parametrize("h, ts, error", [
-    (np.ones((2, 3)), [0.0, 1.0], DimensionMismatch),
-    (SZ, [0.0, np.nan], ValueError),
-    (SZ, [np.inf], ValueError),
-    (SZ, [], ValueError),
-    (SX + 1j * SZ, [1.0], NotHermitian),
-], ids=["not_square", "nan", "inf", "empty", "not_hermitian"])
-def test_propagators_reject_bad_input_at_the_call(h, ts, error):
-    with pytest.raises(error):
-        propagators(h, ts)
-
-
 def test_schatten_diagonal():
     assert schatten_norms(np.diag([3.0, -4.0])) == pytest.approx((4.0, 5.0, 7.0))
 
@@ -305,27 +279,13 @@ def test_hs_norm_overflows_to_inf_without_a_warning():
     assert np.isnan(hs_norm(np.array([[np.nan, 0.0], [0.0, 1.0]])))
 
 
-def test_tensor_identities():
-    assert np.array_equal(tensor_product(np.eye(2), np.eye(3)), np.eye(6))
-    out = tensor_product(SZ, np.diag([2.0, 3.0]))
-    assert np.allclose(out, np.diag([2.0, 3.0, -2.0, -3.0]))
-
-
-def test_tensor_mixed_product_identity():
-    rng = np.random.default_rng(9)
-    a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4))
-    lhs = tensor_product(a, b) @ tensor_product(c, d)
-    rhs = tensor_product(a @ c, b @ d)
-    assert np.abs(lhs - rhs).max() < 1e-13
-
-
 def test_partial_trace_factorized():
     rng = np.random.default_rng(10)
     rho = random_hermitian(3, rng)
     omega = random_hermitian(4, rng)
     omega = omega @ omega.conj().T
     omega /= np.trace(omega)
-    assert np.allclose(partial_trace_env(tensor_product(rho, omega), 3, 4), rho, atol=1e-12)
+    assert np.allclose(partial_trace_env(np.kron(rho, omega), 3, 4), rho, atol=1e-12)
 
 
 def test_partial_trace_maximally_entangled():
@@ -342,7 +302,7 @@ def test_partial_trace_defining_property():
     for _ in range(10):
         a = random_hermitian(3, rng)
         lhs = np.trace(reduced @ a)
-        rhs = np.trace(w @ tensor_product(a, np.eye(4)))
+        rhs = np.trace(w @ np.kron(a, np.eye(4)))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 

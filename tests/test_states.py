@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from declab import (
-    BadWeights,
     DensityOperator,
     DimensionMismatch,
     NotAState,
@@ -10,10 +9,8 @@ from declab import (
     OutsideBall,
     alternate_decomposition,
     bloch_to_density,
-    classical_decompose,
     density_to_bloch,
     haar_unitary,
-    mix,
     random_density,
     spectral_decomposition,
     trace_distance,
@@ -195,78 +192,6 @@ def test_alternate_needs_enough_rows():
     w = random_density(4, np.random.default_rng(108))
     with pytest.raises(DimensionMismatch):
         alternate_decomposition(w, haar_unitary(2, np.random.default_rng(0)))
-
-
-# --- mixing
-
-
-def test_mix_single_state():
-    rho = random_density(3, np.random.default_rng(109))
-    assert np.allclose(mix([rho], [1.0]).matrix, rho.matrix)
-
-
-def test_mix_antipodal_average():
-    out = mix([bloch_to_density([0, 0, 1]), bloch_to_density([0, 0, -1])], [0.5, 0.5])
-    assert np.allclose(out.matrix, np.eye(2) / 2)
-
-
-def test_mix_is_linear_on_polarizations():
-    rng = np.random.default_rng(110)
-    for _ in range(50):
-        p1, p2 = random_ball_point(rng), random_ball_point(rng)
-        lam = rng.uniform(0, 1)
-        mixed = mix([bloch_to_density(p1), bloch_to_density(p2)], [lam, 1 - lam])
-        direct = bloch_to_density(lam * p1 + (1 - lam) * p2)
-        assert np.abs(mixed.matrix - direct.matrix).max() < 1e-13
-
-
-def test_mix_rejects_bad_weights():
-    rho = random_density(2, np.random.default_rng(111))
-    with pytest.raises(BadWeights):
-        mix([rho, rho], [0.7, 0.7])
-    with pytest.raises(BadWeights):
-        mix([rho, rho], [1.5, -0.5])
-
-
-def test_mix_rejects_mixed_dimensions():
-    with pytest.raises(DimensionMismatch):
-        mix(
-            [random_density(2, np.random.default_rng(1)), random_density(3, np.random.default_rng(2))],
-            [0.5, 0.5],
-        )
-
-
-# --- classical contrast
-
-
-def test_classical_point_mass():
-    weights, vertices = classical_decompose([1.0, 0.0, 0.0])
-    assert np.allclose(weights, [1.0, 0.0, 0.0])
-    assert np.array_equal(vertices, [0, 1, 2])
-
-
-def test_classical_fair_coin():
-    weights, vertices = classical_decompose([0.5, 0.5])
-    assert np.allclose(weights, [0.5, 0.5])
-    assert np.array_equal(vertices, [0, 1])
-
-
-def test_classical_recomposition_is_exact():
-    rng = np.random.default_rng(112)
-    d = rng.uniform(0, 1, size=6)
-    d /= d.sum()
-    weights, vertices = classical_decompose(d)
-    rebuilt = np.zeros(6)
-    for w, v in zip(weights, vertices):
-        rebuilt[v] += w
-    assert np.array_equal(rebuilt, d)
-
-
-def test_classical_rejects_invalid():
-    with pytest.raises(BadWeights):
-        classical_decompose([0.5, 0.6])
-    with pytest.raises(BadWeights):
-        classical_decompose([1.2, -0.2])
 
 
 # --- random helpers
