@@ -34,6 +34,7 @@ from .errors import (
     NotDiscrete,
     NotHermitian,
     OutsideBall,
+    QuadratureFailure,
 )
 from .operators import (
     finite_times,
@@ -67,7 +68,6 @@ from .superselection import (
     coherence_norms,
     in_sector_frame,
     sector_mask,
-    sector_probabilities,
 )
 
 NORMALIZATION_TOL = 1e-10
@@ -76,11 +76,10 @@ MAX_DENSE_DIM = 1024
 # Support widths of a continuous density: beyond them its peak value, or the
 # products of its abscissae, leave the double range.
 SUPPORT_WIDTHS = (1e-300, 1e300)
-# Bound on times x sector pairs in one chunk of chi tables, on times x
-# distinct gaps x environment points in the phases evaluated for it, on
-# times x d^2 in one state stack of az_coherence (unless a single state
-# exceeds it), and on times x points in one trig table of a discrete
-# environment's trajectory.
+# Bound on times x sector pairs in one chunk of chi tables, on times x d^2
+# in one state stack of az_coherence (unless a single state exceeds it),
+# and on times x points in one trig table of a discrete environment's
+# trajectory.
 DEPHASING_ELEMENTS = 2**16
 
 
@@ -307,19 +306,19 @@ def _trajectory(env, ts, kernel):
     return out
 
 
-def chi_trajectory(env: SpectralDensity, ts, tol: float = 1e-9) -> np.ndarray:
+def chi_trajectory(env: SpectralDensity, ts) -> np.ndarray:
     """chi(t) for every t in ``ts`` (any order, sign or repetition), shape (T,).
 
     A continuous density is integrated term by term from its Legendre
     expansion (``SpectralDensity.expansion``), built once per density: the
-    cost per time does not depend on |t|, and the expansion's tail estimate
-    bounds the error at every t.  Raises QuadratureFailure when ``tol`` is
-    below that estimate.  A discrete density is one exact sum over its points
-    (``_trajectory``).
+    cost per time does not depend on |t|, and the error is at most
+    ``env.expansion().tail`` at every t, a bound fixed by the density's kind
+    (below 1e-14 for each).  A discrete density is one exact sum over its
+    points (``_trajectory``).
     """
     ts = finite_times(ts)
     if not env.is_discrete:
-        return legendre_fourier(env.expansion(), ts, tol)
+        return legendre_fourier(env.expansion(), ts)
 
     def phases(v, weight):  # w exp(-ivt) as (real, imaginary): a = (w, 0), b = (0, -w)
         zero = np.zeros_like(weight)
@@ -329,16 +328,17 @@ def chi_trajectory(env: SpectralDensity, ts, tol: float = 1e-9) -> np.ndarray:
     return parts[:, 0] + 1j * parts[:, 1]
 
 
-def decoherence_function(env: SpectralDensity, t: float, tol: float = 1e-9) -> complex:
+def decoherence_function(env: SpectralDensity, t: float) -> complex:
     """Environment overlap chi(t): the Fourier transform of the density.
 
     chi(0) = 1 and |chi(t)| <= 1 for every density; its decay rate is what
     suppresses intersector coherence.  Continuous kinds are integrated
     exactly term by term from the density's Legendre expansion, at a cost
-    that does not depend on t; this is the single-time case of
+    that does not depend on t and within ``env.expansion().tail``; a
+    discrete density is an exact sum.  This is the single-time case of
     ``chi_trajectory``.
     """
-    return complex(chi_trajectory(env, [float(t)], tol)[0])
+    return complex(chi_trajectory(env, [float(t)])[0])
 
 
 def recurrence_window(env: SpectralDensity) -> float:
@@ -346,14 +346,16 @@ def recurrence_window(env: SpectralDensity) -> float:
 
     A finite environment makes chi almost periodic, so decay statements only
     hold up to this horizon; for an equally spaced grid it is the exact
-    revival time.
+    revival time.  It is inf where it leaves the double range.
     """
     if not env.is_discrete:
         raise NotDiscrete("recurrence windows only exist for discrete spectra")
     v = env.points[:, 0]
     if v.size < 2:
         return float("inf")
-    return float(2.0 * np.pi / np.max(np.diff(v)))
+    # Half-spacings of neighbours, not np.diff, which overflows for points spanning > 1.8e308.
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(np.pi / np.max(v[1:] / 2.0 - v[:-1] / 2.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,32 +458,29 @@ class CorrelatedInitialState:
         return DensityOperator(sum(mat for mat, _ in self.terms))
 
 
-def _chi_tables(lambdas, env: SpectralDensity, ts, tol: float, stack: int = 1):
+def _chi_tables(lambdas, env: SpectralDensity, ts, stack: int = 1):
     """Sector coefficients chi((l_m - l_n) t) for the finite times ``ts``, as
     (B, k, k) arrays over consecutive chunks of B times, conjugate-symmetric
     with a unit diagonal.
 
     Each chunk is one ``chi_trajectory`` call over its (t, gap) phases, one
     per distinct gap l_m - l_n (equally spaced l repeat most of them), with B
-    times x distinct gaps x environment points within DEPHASING_ELEMENTS: a
-    discrete environment's trig tables hold that many entries, and a
-    continuous one bounds its own (``quadrature.LEGENDRE_ELEMENTS``).  B
-    times x sector pairs is within it as well, so a chunk's tables hold at
-    most four times that many entries however few the gaps.  A caller that
-    builds a stack of ``stack`` entries per time from a chunk also has
+    times x sector pairs within DEPHASING_ELEMENTS, so a chunk's tables hold
+    at most four times that many entries; ``chi_trajectory`` bounds its own
+    tables (``_trajectory``, ``quadrature.LEGENDRE_ELEMENTS``).  A caller
+    that builds a stack of ``stack`` entries per time from a chunk also has
     B x stack within DEPHASING_ELEMENTS.  B is at least 1.  Nothing is
     evaluated before the first chunk is taken.
     """
     k = lambdas.size
     m, n = np.triu_indices(k, 1)
     gaps, pair_gap = np.unique(lambdas[m] - lambdas[n], return_inverse=True)
-    points = env.points.shape[0] if env.is_discrete else 1
-    step = max(1, DEPHASING_ELEMENTS // max(1, m.size, gaps.size * points, stack))
+    step = max(1, DEPHASING_ELEMENTS // max(1, m.size, stack))
     for start in range(0, ts.size, step):
         chunk = ts[start : start + step]
         chi = np.ones((chunk.size, k, k), dtype=complex)
         if gaps.size:
-            values = chi_trajectory(env, np.multiply.outer(chunk, gaps).ravel(), tol)
+            values = chi_trajectory(env, np.multiply.outer(chunk, gaps).ravel())
             chi[:, m, n] = values.reshape(chunk.size, -1)[:, pair_gap]
             chi[:, n, m] = np.conj(chi[:, m, n])
         yield chi
@@ -522,8 +521,7 @@ def _sector_propagators(model: ArakiZurekModel, ts):
     return unitaries()
 
 
-def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator | CorrelatedInitialState, ts,
-                  tol: float = 1e-9):
+def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator | CorrelatedInitialState, ts):
     """Reduced states at every t in ``ts``, yielded one DensityOperator at a time.
 
     Each intersector block of rho0 is damped by chi((l_m - l_n) t) and the
@@ -538,7 +536,9 @@ def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator | CorrelatedInit
     and h_s diagonalised at the call.  Each term's chi is evaluated in chunks
     of times, one table over all their (t, sector pair) phases
     (``_chi_tables``), when the first state of a chunk is taken; each state
-    is built as it is taken.
+    is built as it is taken.  Chi is the only approximation: within
+    ``env.expansion().tail`` of each continuous omega_mu at every t, and an
+    exact sum for a discrete one.
     """
     terms = rho0.terms if isinstance(rho0, CorrelatedInitialState) else [(rho0.matrix, model.env)]
     if len(terms[0][0]) != model.dim:  # the terms of a correlated state share their dimension
@@ -546,7 +546,7 @@ def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator | CorrelatedInit
     ts = finite_times(ts)
     pairs = np.ix_(model.sectors.index, model.sectors.index)
     xs = [in_sector_frame(mat, model.sectors) for mat, _ in terms]
-    streams = [itertools.chain.from_iterable(_chi_tables(model.lambdas, env, ts, tol))
+    streams = [itertools.chain.from_iterable(_chi_tables(model.lambdas, env, ts))
                for _, env in terms]
 
     def damped(chis):  # sum_mu C_mu o x_mu; one term is not added onto a zero, keeping -0.0
@@ -556,7 +556,7 @@ def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator | CorrelatedInit
             for v, *chis in zip(_sector_propagators(model, ts), *streams))
 
 
-def az_coherence(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float = 1e-9):
+def az_coherence(model: ArakiZurekModel, rho0: DensityOperator, ts):
     """Intersector coherence norms of the reduced state (``OffDiagonalNorms`` of
     arrays) and chi((l_0 - l_1) t) (1 for a single sector) at every t in
     ``ts``, without building the states.
@@ -567,7 +567,9 @@ def az_coherence(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float =
     chunk of ``_chi_tables`` the states form one (B, d, d) stack, B d^2
     within DEPHASING_ELEMENTS, whose norms are ``coherence_norms``.  C is
     conjugate-symmetric with a unit diagonal, so each state keeps the
-    Hermiticity and the trace of x0, which are checked once.
+    Hermiticity and the trace of x0, which are checked once.  Chi is within
+    ``model.env.expansion().tail`` at every t for a continuous environment
+    and an exact sum for a discrete one.
 
     Every state is checked positive as a DensityOperator is, mostly at the
     size of C (k x k) rather than of the state.  With E the d x k sector
@@ -599,7 +601,7 @@ def az_coherence(model: ArakiZurekModel, rho0: DensityOperator, ts, tol: float =
     pair = min(1, len(model.sectors) - 1)
     hs, trace, chi = np.empty(ts.size), np.empty(ts.size), np.empty(ts.size, dtype=complex)
     start = 0
-    for table in _chi_tables(model.lambdas, model.env, ts, tol, model.dim**2):
+    for table in _chi_tables(model.lambdas, model.env, ts, model.dim**2):
         x = table[:, index[:, None], index] * x0
         checked = x if table.shape[-1] == model.dim else x[_uncertified(table, spectrum)]
         if checked.size:
@@ -626,11 +628,11 @@ def _uncertified(table, spectrum):
     return ~finite | ~(tau0 + eps * (top + tau0) + margin <= STATE_TOL)
 
 
-def az_evolve(model: ArakiZurekModel, rho0: DensityOperator | CorrelatedInitialState, t: float,
-              tol: float = 1e-9) -> DensityOperator:
+def az_evolve(model: ArakiZurekModel, rho0: DensityOperator | CorrelatedInitialState,
+              t: float) -> DensityOperator:
     """Reduced state at time t from a DensityOperator or a CorrelatedInitialState:
-    the single-time case of ``az_trajectory``."""
-    return next(az_trajectory(model, rho0, [t], tol))
+    the single-time case of ``az_trajectory``, with its limit on chi."""
+    return next(az_trajectory(model, rho0, [t]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -894,6 +896,16 @@ def _far_mixing(model: SpinModel, p, branch: _Branch) -> np.ndarray:
     return mixing
 
 
+def _polarization(p) -> np.ndarray:
+    """The initial polarization ``p`` as a finite 3-vector, checked at the call."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (3,):
+        raise DimensionMismatch(f"polarization p must have shape (3,), got {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("polarization p must be finite")
+    return p
+
+
 def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
     """Averaged rotated polarization for every t in ``ts``, shape (T, 3).
 
@@ -914,8 +926,10 @@ def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
       part; c, which does not oscillate, is the sum of the panels' integrals.
     Integrated apart from a and b over the whole support, c would meet tol
     alone: a fold narrower than tol would then go missing from c + a.
+    Raises QuadratureFailure when ``tol`` is below the far panels' tail,
+    which bounds their error at every t, before the strip is integrated.
     """
-    p = np.asarray(p, dtype=float)
+    p = _polarization(p)
     env = model.env_diag
 
     def rotation(x, weight, a3=None):
@@ -931,14 +945,18 @@ def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
     if env.is_discrete:
         return _trajectory(env, ts, rotation)
     centre, (lo, hi), branches = _fold(model, float(np.abs(ts).max()))
+    if branches:  # before the strip, which a tol this small could keep bisecting for seconds
+        panels, settled = _far_panels(model, p, branches)
+        if not tol >= panels.tail:
+            raise QuadratureFailure(
+                f"tolerance {tol:g} is below the Legendre tail estimate {panels.tail:g}")
     out = np.zeros((ts.size, 3))
     if hi > lo:
         kernel = near if centre is not None else lambda x: rotation(x, env.density(x))
         out += kernel_adaptive(kernel, ts, lo, hi, tol)
     if branches:
-        panels, settled = _far_panels(model, p, branches)
         order = np.argsort(np.abs(ts), kind="stable")
-        far = legendre_fourier(panels, ts[order], tol)
+        far = legendre_fourier(panels, ts[order])
         out[order] += far[:, :3].real - far[:, 3:].imag
         out += settled
     return out
@@ -981,10 +999,11 @@ def spin_asymptotics(model: SpinModel, p, t_grid, tol: float = 1e-9) -> np.ndarr
     from the contracted target q = M p; ready for ``fit_power_law_decay``.
     For 2x2 states the trace distance is the distance of the polarization
     vectors (``trace_distance``), so the whole grid is |p(t) - q|, from one
-    ``spin_trajectory`` call.  q must be a state (``bloch_to_density``), and
-    OutsideBall names the first p(t) outside the unit ball.
+    ``spin_trajectory`` call.  p and the grid are checked before anything is
+    integrated; q must be a state (``bloch_to_density``), and OutsideBall
+    names the first p(t) outside the unit ball.
     """
-    p = np.asarray(p, dtype=float)
+    p = _polarization(p)
     ts = finite_times(t_grid)
     target = asymptotic_map(model, tol) @ p
     bloch_to_density(target)

@@ -2,8 +2,9 @@
 
 ``gauss_legendre_adaptive`` integrates smooth integrands that do not
 oscillate: the spin model's map int w n n^T dx (``models.asymptotic_map``).
-Panels are bisected until the discrepancy between the order-n and order-2n
-rules falls below their share of the error budget.  Integrands may be
+From MIN_PANELS equal panels, panels are bisected until the discrepancy
+between the order-n and order-2n rules falls below their share of the error
+budget, within a budget of MAX_PANELS panels.  Integrands may be
 scalar or array valued; everything is evaluated vectorized over the nodes
 of all pending panels at once, and panel contributions are summed in the
 order of their left edges so results do not depend on evaluation
@@ -49,6 +50,9 @@ bisection from edges already graded there), and the large values there are
 judged against their own rounding noise (NOISE_ULPS).
 Centre and offset come apart so that such a change of variable can place
 its nodes without rounding them.
+``legendre_fourier`` takes no tolerance: the tail is fixed by f, chi
+states it as its limit, and a caller with a tolerance checks it against the
+tail (the spin model's far branches).
 
 Every Gauss-Legendre rule here comes from one generator,
 ``_gauss_legendre``: Newton's method on the three-term recurrence from
@@ -154,7 +158,7 @@ def _rule(order):
     return _rule_cache[order]
 
 
-def _bisect(evaluate, edges, max_panels, what):
+def _bisect(evaluate, edges, what):
     """The adaptive loop: accept panels of [edges[0], edges[-1]] or bisect them, within a budget.
 
     Bisection starts from the panels between consecutive ``edges`` (ascending).
@@ -162,7 +166,7 @@ def _bisect(evaluate, edges, max_panels, what):
     pass, and a tuple of (p, ...) arrays of per-panel results.  Returns those
     arrays for the accepted panels, ordered by left edge so results do not
     depend on evaluation scheduling.  Raises QuadratureFailure, naming
-    ``what`` ran out, when more than ``max_panels`` panels are needed.
+    ``what`` ran out, when more than MAX_PANELS panels are needed.
     """
     edges = np.asarray(edges, dtype=float)
     if not edges[-1] > edges[0]:
@@ -177,8 +181,8 @@ def _bisect(evaluate, edges, max_panels, what):
         accepted.append([v[ok] for v in values])
         lo, hi = lo[~ok], hi[~ok]
         n_panels += lo.size
-        if lo.size and n_panels > max_panels:
-            raise QuadratureFailure(f"needed more than {max_panels} {what}")
+        if lo.size and n_panels > MAX_PANELS:
+            raise QuadratureFailure(f"needed more than {MAX_PANELS} {what}")
         mid = (lo + hi) / 2.0
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
@@ -186,7 +190,7 @@ def _bisect(evaluate, edges, max_panels, what):
     return [np.concatenate(part)[by_left_edge] for part in zip(*accepted)]
 
 
-def _rule_pair(panel_values, a, b, tol, initial_panels, max_panels):
+def _rule_pair(panel_values, a, b, tol, initial_panels):
     # panel_values(nodes, scale) maps the (p, k) nodes of a rule on each panel,
     # and its weights times the half-widths, to (p, ...) panel integrals.
     # Panels pass when the order-n and order-2n rules agree to their share of
@@ -199,30 +203,29 @@ def _rule_pair(panel_values, a, b, tol, initial_panels, max_panels):
         return err <= tol * ((hi - lo) / (b - a)), (fine,)  # tol * (hi - lo) may underflow
 
     a, b = float(a), float(b)
-    n0 = int(min(max(initial_panels, 1), max_panels))
     # Steps between subnormal ends round up: linspace may pass b before its last edge.
-    edges = np.linspace(a, b, n0 + 1)
+    edges = np.linspace(a, b, initial_panels + 1)
     edges[1:] = np.minimum(edges[1:], b)
-    (fine,) = _bisect(evaluate, edges, max_panels, f"panels for tolerance {tol:g}")
+    (fine,) = _bisect(evaluate, edges, f"panels for tolerance {tol:g}")
     return fine.sum(axis=0)
 
 
-def gauss_legendre_adaptive(f, a, b, tol=1e-9, initial_panels=MIN_PANELS, max_panels=MAX_PANELS):
+def gauss_legendre_adaptive(f, a, b, tol=1e-9):
     """Integrate ``f`` over [a, b] to an estimated absolute tolerance.
 
     ``f`` maps an (m,) array of abscissae to an (m, ...) array of values
     (complex allowed); for array values every component must meet ``tol``.
-    Bisection starts from ``initial_panels`` equal panels.
+    Bisection starts from MIN_PANELS equal panels.
 
-    Raises QuadratureFailure when the panel budget is exhausted before the
-    error estimate drops below ``tol``.
+    Raises QuadratureFailure when more than MAX_PANELS panels are needed
+    before the error estimate drops below ``tol``.
     """
 
     def panel_values(nodes, scale):
         vals = np.asarray(f(nodes.ravel()))
         return np.einsum("pk...,pk->p...", vals.reshape(nodes.shape + vals.shape[1:]), scale)
 
-    return _rule_pair(panel_values, a, b, tol, initial_panels, max_panels)
+    return _rule_pair(panel_values, a, b, tol, MIN_PANELS)
 
 
 def trig_sum(ts, omega, a, b, c):
@@ -261,7 +264,7 @@ def kernel_adaptive(kernel, ts, lo, hi, tol):
     out = None
     for start in range(0, ts.size, step):
         idx = order[start : start + step]
-        part = _rule_pair(functools.partial(panel_values, ts[idx]), lo, hi, tol, 1, MAX_PANELS)
+        part = _rule_pair(functools.partial(panel_values, ts[idx]), lo, hi, tol, 1)
         if out is None:
             out = np.empty((ts.size, part.shape[1]))
         out[idx] = part
@@ -401,7 +404,7 @@ def legendre_panels(f, *edges):
         return ok.reshape(p, -1).all(axis=1), (centres, widths / 2.0, coeffs,
                                                tails.reshape(p, -1).max(axis=1))
 
-    centres, halves, coeffs, tails = _bisect(evaluate, edges, MAX_PANELS,
+    centres, halves, coeffs, tails = _bisect(evaluate, edges,
                                              f"Legendre panels for budget {LEGENDRE_BUDGET:g}")
     # Drop trailing terms whose total contribution, in any component, is below
     # a tenth of an ulp of 1.
@@ -418,20 +421,16 @@ def legendre_panels(f, *edges):
 _POWERS_OF_MINUS_I = np.array([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 1.0]])
 
 
-def legendre_fourier(panels, ts, tol):
+def legendre_fourier(panels, ts):
     """int f(v) exp(-ivt) dv for every t in ``ts``, from f's Legendre panels.
 
-    Returns (T, ...) complex values, one per component of f.  Times are
-    evaluated in chunks of at most LEGENDRE_ELEMENTS (term, panel, time)
-    triples; negative times are the complex conjugates of |t|, as for every
-    real f.  Raises QuadratureFailure when ``tol`` is below the panels' tail
-    estimate, which bounds the error at every t, and OutOfDomain naming the
-    first t at which a panel's phase h |t| overflows.
+    Returns (T, ...) complex values, one per component of f, each within the
+    panels' ``tail`` of the transform of f at every t.  Times are evaluated
+    in chunks of at most LEGENDRE_ELEMENTS (term, panel, time) triples;
+    negative times are the complex conjugates of |t|, as for every real f.
+    Raises OutOfDomain naming the first t at which a panel's phase h |t|
+    overflows.
     """
-    if not tol >= panels.tail:
-        raise QuadratureFailure(
-            f"tolerance {tol:g} is below the Legendre tail estimate {panels.tail:g}"
-        )
     ts = np.asarray(ts, dtype=float)
     at = np.abs(ts)
     with np.errstate(over="ignore"):

@@ -176,7 +176,9 @@ def alternate_decomposition(w: DensityOperator, u) -> PureStateDecomposition:
     umat = np.asarray(u, dtype=complex)
     if umat.ndim != 2 or umat.shape[0] != umat.shape[1]:
         raise NotUnitary(f"unitary parameter must be square, got shape {umat.shape}")
-    if hs_norm(umat.conj().T @ umat - np.eye(umat.shape[0])) > 1e-10:
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect is not unitary
+        defect = hs_norm(umat.conj().T @ umat - np.eye(umat.shape[0]))
+    if not defect <= 1e-10:
         raise NotUnitary("parameter is not unitary within 1e-10")
     vals, vecs = hermitian_eig(w.matrix)
     keep = vals > WEIGHT_CUTOFF

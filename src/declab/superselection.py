@@ -271,8 +271,8 @@ def fit_power_law_decay(samples, delta: float,
     values = np.abs(data[:, 1])
     if t.size and (t[0] < 0 or np.any(np.diff(t) <= 0)):
         raise ValueError("times must be nonnegative and strictly increasing")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
 
     lo, hi = map(float, default_fit_window(t) if window is None else window)
     in_window = (t >= lo) & (t <= hi)

@@ -863,7 +863,7 @@ def test_main_run_az_grid_starting_at_subnormal_time(tmp_path):
 def test_main_run_rejects_a_dephased_state_that_is_not_positive(tmp_path, capsys, monkeypatch):
     import declab.models as models
 
-    def tables(lambdas, env, ts, tol, stack=1):
+    def tables(lambdas, env, ts, stack=1):
         # chi = 3 is no overlap of environment states: C o rho0 of the state
         # (1 + sigma_x)/2 then has the eigenvalue -1, in the second chunk only.
         for chi in (0.5, 3.0):

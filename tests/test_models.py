@@ -310,6 +310,12 @@ def test_recurrence_two_points():
     assert recurrence_window(env) == pytest.approx(2 * np.pi)
 
 
+def test_recurrence_of_points_spanning_past_the_double_range():
+    # np.diff of the points overflows to inf here, which gave 0 and a RuntimeWarning.
+    env = SpectralDensity.discrete([[-1e308, 0.5], [1e308, 0.5]])
+    assert recurrence_window(env) == pytest.approx(np.pi / 1e308, rel=1e-15)
+
+
 def test_recurrence_needs_discrete_spectrum():
     with pytest.raises(NotDiscrete):
         recurrence_window(GAUSS)
@@ -477,8 +483,8 @@ def test_az_trajectory_chunks_match_one_table_and_az_evolve(monkeypatch):
     calls = []
     chi_trajectory = models.chi_trajectory
     monkeypatch.setattr(models, "chi_trajectory", lambda *a: calls.append(a) or chi_trajectory(*a))
-    # 3 pairs x 21 points: two times per chunk.
-    monkeypatch.setattr(models, "DEPHASING_ELEMENTS", 2 * 3 * lattice_env().points.shape[0])
+    # 3 pairs: two times per chunk.
+    monkeypatch.setattr(models, "DEPHASING_ELEMENTS", 2 * 3)
     chunked = [rho_t.matrix for rho_t in az_trajectory(model, rho0, ts)]
     assert len(calls) == 12 and {a[1].size for a in calls} == {6, 3}
     monkeypatch.undo()
@@ -706,7 +712,7 @@ def test_chi_tables_evaluate_each_distinct_gap_once(monkeypatch, lambdas, distin
     m, n = np.triu_indices(lambdas.size, 1)
     sizes, chi = [], models.chi_trajectory
     monkeypatch.setattr(models, "chi_trajectory", lambda *a: sizes.append(a[1].size) or chi(*a))
-    tables = np.concatenate(list(models._chi_tables(lambdas, env, ts, 1e-9)))
+    tables = np.concatenate(list(models._chi_tables(lambdas, env, ts)))
     monkeypatch.undo()
     assert sum(sizes) == ts.size * distinct
     for i, j in zip(m, n):
@@ -1024,6 +1030,29 @@ def test_spin_asymptotics_rejects_a_polarization_outside_the_ball(monkeypatch):
     model = SpinModel(a=[1, 0, 2], b=0.3, lam=1.0, env_diag=GAUSS)
     with pytest.raises(OutsideBall, match=r"\|p\| = .*1\.000000001.* exceeds 1"):
         spin_asymptotics(model, [0.7, 0.2, 0.5], np.linspace(0.0, 2.0, 3))
+
+
+BAD_POLARIZATIONS = [([np.nan, 0.0, 0.0], ValueError), ([0.0, np.inf, 0.0], ValueError),
+                     ([0.6, 0.8], DimensionMismatch), ([[0.6, 0.0, 0.8]], DimensionMismatch)]
+
+
+@pytest.mark.parametrize("env", [GAUSS, GAUSS.discretize(16)], ids=["continuous", "discrete"])
+@pytest.mark.parametrize("p, error", BAD_POLARIZATIONS, ids=["nan", "inf", "two", "row"])
+def test_spin_rejects_a_bad_polarization_before_integrating(monkeypatch, env, p, error):
+    # A nan p used to run the strip until its panel budget ran out (8 s at
+    # 201 times), or return nan with warnings on a discrete environment.
+    import declab.models as models
+
+    calls = []
+    for name in ("kernel_adaptive", "gauss_legendre_adaptive", "_trajectory"):
+        monkeypatch.setattr(models, name, lambda *a, name=name: calls.append(name))
+    model = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=env)
+    match = "p must be finite" if error is ValueError else r"p must have shape \(3,\)"
+    with pytest.raises(error, match=match):
+        spin_trajectory(model, p, np.linspace(0.0, 10.0, 201))
+    with pytest.raises(error, match=match):
+        spin_asymptotics(model, p, np.linspace(0.0, 10.0, 201))
+    assert calls == []
 
 
 # --- joint-evolution oracle

@@ -84,11 +84,11 @@ def test_adaptive_rejects_empty_interval():
         gauss_legendre_adaptive(np.cos, 1.0, 1.0)
 
 
-def test_budget_exhaustion_names_budget_and_tolerance():
+def test_budget_exhaustion_names_budget_and_tolerance(monkeypatch):
     # 8 panels of 250 rad each cannot converge within a 16-panel budget.
+    monkeypatch.setattr(declab.quadrature, "MAX_PANELS", 16)
     with pytest.raises(QuadratureFailure, match=r"more than 16 panels for tolerance 1e-12"):
-        gauss_legendre_adaptive(lambda x: np.exp(-1j * 1000.0 * x), -1.0, 1.0, tol=1e-12,
-                                max_panels=16)
+        gauss_legendre_adaptive(lambda x: np.exp(-1j * 1000.0 * x), -1.0, 1.0, tol=1e-12)
 
 
 # --- trajectories
@@ -201,9 +201,9 @@ def record_blocks(monkeypatch):
     calls = []
     original = declab.quadrature._rule_pair
 
-    def recorded(panel_values, a, b, tol, initial_panels, max_panels):
+    def recorded(panel_values, a, b, tol, initial_panels):
         calls.append((a, b, initial_panels, panel_values.args[0]))
-        return original(panel_values, a, b, tol, initial_panels, max_panels)
+        return original(panel_values, a, b, tol, initial_panels)
 
     monkeypatch.setattr(declab.quadrature, "_rule_pair", recorded)
     return calls
@@ -778,15 +778,18 @@ def test_spin_precession_takes_few_bisection_rounds_and_one_transform(monkeypatc
 
 @pytest.mark.parametrize("a", [[1.0, 0.0, 2.0], [1.0, 0.0, 20.0]],
                          ids=["two_branches", "one_branch"])
-def test_spin_tolerance_below_the_far_panels_tail_raises_naming_it(a):
+def test_spin_tolerance_below_the_far_panels_tail_raises_naming_it(monkeypatch, a):
     model = SpinModel(a=a, b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
     p = np.array([0.6, -0.3, 0.4])
     ts = np.linspace(0.0, 50.0, 11)
     branches = declab.models._fold(model, 50.0)[2]
     tail = declab.models._far_panels(model, p, branches)[0].tail
     assert 0.0 < tail < 1e-14
-    with pytest.raises(QuadratureFailure, match=f"tolerance {tail / 2:g} .* estimate {tail:g}"):
-        spin_trajectory(model, p, ts, tol=tail / 2)
+    strips = count_calls(monkeypatch, declab.models, "kernel_adaptive")
+    for tol in (tail / 2, 1e-17):  # at 1e-17 the strip alone runs out of panels after seconds
+        with pytest.raises(QuadratureFailure, match=f"tolerance {tol:g} .* estimate {tail:g}"):
+            spin_trajectory(model, p, ts, tol=tol)
+    assert strips == []
     assert np.isfinite(spin_trajectory(model, p, ts, tol=tail)).all()
 
 
@@ -920,15 +923,19 @@ def test_cached_rules_and_unit_expansions_are_read_only():
             array[0] = 0.0
 
 
-def test_tolerance_below_the_tail_estimate_raises():
-    env = SpectralDensity.gaussian(1.0)
-    tail = env.expansion().tail
-    assert 0.0 < tail < 1e-14
-    assert chi_trajectory(env, [2.0], tol=tail)[0] == pytest.approx(np.exp(-2.0), abs=1e-15)
-    with pytest.raises(QuadratureFailure, match=f"tolerance {tail / 10:g} .* estimate {tail:g}"):
-        chi_trajectory(env, [2.0], tol=tail / 10)
-    with pytest.raises(QuadratureFailure):
-        decoherence_function(env, 2.0, tol=0.0)
+def test_each_kinds_tail_is_fixed_by_the_kind_and_below_1e_14():
+    # chi takes no tolerance: its error bound is the expansion's tail, the
+    # unit shape's, whatever the width or the place of the support.
+    for kind, envs in [
+        ("gaussian", [SpectralDensity.gaussian(s) for s in (1e-3, 1.0, 7.5, 1e100)]),
+        ("uniform", [SpectralDensity.uniform(a, b)
+                     for a, b in ((-1.0, 1.0), (0.5, 2.5), (1e6, 1e6 + 1e-3), (-1e100, 1e100))]),
+        ("bump", [SpectralDensity.bump(a, b)
+                  for a, b in ((-1.0, 1.0), (-2.0, 1.0), (3.0, 3.0 + 1e-12), (1e-250, 3e-250))]),
+    ]:
+        tails = {env.expansion().tail for env in envs}
+        assert len(tails) == 1, (kind, tails)
+        assert 0.0 < tails.pop() < 1e-14, kind
 
 
 def test_chi_phase_overflow_names_the_time():
@@ -956,7 +963,7 @@ def test_legendre_components_share_their_panels_and_transform_together():
     panels = legendre_panels(f, -10.0, 10.0)
     assert panels.coeffs.shape[0] == panels.centres.size and panels.coeffs.shape[2] == 2
     ts = np.array([0.0, 0.7, -2.5, 6.0, 40.0])
-    got = declab.quadrature.legendre_fourier(panels, ts, 1e-12)
+    got = declab.quadrature.legendre_fourier(panels, ts)
     assert got.shape == (ts.size, 2)
     want = np.exp(-ts**2 / 2.0)[:, None] * np.column_stack([np.ones_like(ts), 1.0 - ts**2])
     assert np.abs(got - want).max() < 1e-14

@@ -188,6 +188,15 @@ def test_alternate_rejects_non_unitary():
         alternate_decomposition(w, np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("u", [np.array([[np.nan, 0.0], [0.0, 1.0]]), np.full((2, 2), np.inf)],
+                         ids=["nan_entry", "all_inf"])
+def test_alternate_rejects_a_non_finite_unitary(u):
+    # A nan defect used to pass the unitarity check and return weights summing to 0.108.
+    w = random_density(2, np.random.default_rng(107))
+    with pytest.raises(NotUnitary):
+        alternate_decomposition(w, u)
+
+
 def test_alternate_needs_enough_rows():
     w = random_density(4, np.random.default_rng(108))
     with pytest.raises(DimensionMismatch):

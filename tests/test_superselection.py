@@ -315,6 +315,14 @@ def test_fit_delta_is_honored():
     assert fit.delta == delta
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
+def test_fit_rejects_a_delta_that_is_not_positive_and_finite(delta):
+    t = np.linspace(0.0, 30.0, 300)
+    samples = np.column_stack([t, (1.0 + t) ** -4])
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        fit_power_law_decay(samples, delta=delta)
+
+
 @pytest.mark.parametrize("values", [lambda t: (1.0 + t) ** -2 * (1.0 + 0.2 / (1.0 + t)),
                                     lambda t: np.abs(np.sin(t) / t)], ids=["monotone", "sinc"])
 def test_fit_regression_matches_polyfit(values):
