@@ -48,7 +48,6 @@ from .quadrature import (
     _frozen,
     _rule,
     gauss_legendre_adaptive,
-    kernel_adaptive,
     legendre_fourier,
     legendre_panels,
     trig_sum,
@@ -78,9 +77,13 @@ MAX_DENSE_DIM = 1024
 SUPPORT_WIDTHS = (1e-300, 1e300)
 # Bound on times x sector pairs in one chunk of chi tables, on times x d^2
 # in one state stack of az_coherence (unless a single state exceeds it),
-# and on times x points in one trig table of a discrete environment's
-# trajectory.
+# on times x points in one trig table of a discrete environment's
+# trajectory, and on times x terms in one table of the spin strip's series.
 DEPHASING_ELEMENTS = 2**16
+# Terms kept of the spin strip's phase series (``_strip``): with |psi| <= pi/2
+# the ones left out sum to at most (pi/2)^23 / 23! e^(pi/2) ~ 6e-18 of int |g|.
+STRIP_TERMS = 23
+_INVERSE_FACTORIALS = 1.0 / np.cumprod(np.maximum(np.arange(STRIP_TERMS), 1.0))
 
 
 class SpectralDensity:
@@ -298,12 +301,19 @@ def _trajectory(env, ts, kernel):
     hold at most DEPHASING_ELEMENTS (times x points) entries.
     """
     omega, *amplitudes = kernel(env.points[:, 0], env.points[:, 1])
-    out = np.empty((ts.size, amplitudes[0].shape[-1]))
-    step = max(1, DEPHASING_ELEMENTS // omega.size)
-    for start in range(0, ts.size, step):
-        chunk = slice(start, start + step)
-        out[chunk] = trig_sum(np.ones(1), np.multiply.outer(ts[chunk], omega), *amplitudes)[:, 0]
-    return out
+    return _by_chunks(lambda t: trig_sum(np.ones(1), np.multiply.outer(t, omega), *amplitudes)[:, 0],
+                      ts, omega.size)
+
+
+def _by_chunks(f, ts, width):
+    """f(chunk) for consecutive chunks of ``ts``, joined along the first axis.
+
+    A chunk holds at most DEPHASING_ELEMENTS // width times (at least one),
+    so that a table of ``width`` entries per time stays within
+    DEPHASING_ELEMENTS.  f must compute each row from its own time alone.
+    """
+    step = max(1, DEPHASING_ELEMENTS // width)
+    return np.concatenate([f(ts[start : start + step]) for start in range(0, ts.size, step)])
 
 
 def chi_trajectory(env: SpectralDensity, ts) -> np.ndarray:
@@ -716,7 +726,9 @@ def _fold(model: SpinModel, t_max: float):
     density; with the fold outside, the one branch starts at the support's
     end nearest the fold, z0 = |a_3 + lam x0|, or at the strip's edge beyond
     it.  A branch's span in |z| is |lam| times a difference of abscissae, so
-    that branches and near region share their ends.
+    that branches and near region share their ends.  The near region's
+    range of omega, times t_max, is what ``_strip``'s phase series is
+    written in: at most pi, so that each phase offset is within pi/2.
 
     Returns a centre, the near region (lo, hi), empty when lo >= hi, and one
     ``_Branch`` per side where the support reaches beyond the strip.  With
@@ -728,7 +740,8 @@ def _fold(model: SpinModel, t_max: float):
     of it when lam = 0, where omega is constant, and a side whose span in
     rho underflows to a subnormal (or leaves the double range), where its
     offsets in rho would lose their precision; its phase turns by at most
-    2 t_max times the least normal double.
+    2 t_max times the least normal double, within pi/2 at any t_max below
+    3.5e307.
     """
     lo, hi = model.env_diag.support()
     a1, a2, a3 = model.a
@@ -772,7 +785,7 @@ def _far_panels(model: SpinModel, p, branches):
     The amplitudes (a, b, c) times dx/drho are linear in
     w dx/drho (alpha^2, beta^2, alpha |beta|, alpha, |beta|)
     = w / |lam| (m^2 / (rho |z|), |z| / rho, m / rho, m / |z|, 1)
-    (``_far_mixing``); being products of positive numbers, these keep the
+    (``_mixing``); being products of positive numbers, these keep the
     relative accuracy of the density w, where a component of a may be a
     difference of O(1) terms.  A node at v = c + d (v = rho - rho0) is
     placed as x(c) plus an offset, (z^2 - z(c)^2) / (|z| + |z(c)|) / |lam|
@@ -791,7 +804,7 @@ def _far_panels(model: SpinModel, p, branches):
     the edges 0, 2^-J, ..., 1/2, 1 and length / scale in |u| (``_graded``),
     graded toward the strip's edge, where m / |z| has its peak.  The series
     of the branch at u < 0 are turned back into v (a_k times (-1)^k) and
-    mixed into (a, b, c) by its ``_far_mixing``; the panels' tail, times
+    mixed into (a, b, c) by its ``_mixing``; the panels' tail, times
     the largest column sum of |mixing| over (a, b), bounds the mixed series'.
     Returns the panels of (a, b), as (p, k, 6), with their integrals over
     rho, centres and half-widths in omega = 2 rho, so that
@@ -809,7 +822,7 @@ def _far_panels(model: SpinModel, p, branches):
         side = int(branch.sign > 0)
         x0[side], z0[side], rho0[side] = branch.x0, branch.z0, branch.rho0
         scale[side] = np.ldexp(1.0, np.frexp(branch.length)[1] - 1)
-        mixing[side] = _far_mixing(model, p, branch)
+        mixing[side] = _mixing(model, p, branch.sign * np.sign(model.lam))
         edges[side] = _graded(model, branch, scale[side])
     sign = np.array([-1.0, 1.0])
 
@@ -876,17 +889,18 @@ def _graded(model: SpinModel, branch: _Branch, scale: float):
     return [last]
 
 
-def _far_mixing(model: SpinModel, p, branch: _Branch) -> np.ndarray:
-    """(5, 9) map from ``_far_panels``' factors to the amplitudes (a, b, c) of p.
+def _mixing(model: SpinModel, p, axial: float) -> np.ndarray:
+    """(5, 9) map from factors (alpha^2, beta^2, alpha beta, alpha, beta) to amplitudes (a, b, c) of p.
 
-    With n = alpha e_t + beta e_3 and alpha^2 + beta^2 = 1:
-    c = (n.p) n = alpha^2 (e_t.p) e_t + beta^2 p_3 e_3 + alpha beta (p_3 e_t + (e_t.p) e_3),
-    a = p - c = alpha^2 p + beta^2 p - c, and b = n x p = alpha e_t x p + beta e_3 x p.
+    The axis is n = alpha e_t + axial beta e_3, e_t = (a_1, a_2, 0) / m, with
+    alpha^2 + beta^2 = 1: the far branches take |beta| and the sign of
+    a_3 + lam x on the branch, the strip a signed beta and axial = 1.  Then
+    c = (n.p) n = alpha^2 (e_t.p) e_t + beta^2 p_3 e_3 + axial alpha beta (p_3 e_t + (e_t.p) e_3),
+    a = p - c = alpha^2 p + beta^2 p - c, and b = n x p = alpha e_t x p + axial beta e_3 x p.
     """
     m = np.hypot(*model.a[:2])
     e_t = np.array([model.a[0] / m, model.a[1] / m, 0.0]) if m > 0 else np.zeros(3)
     e_3 = np.array([0.0, 0.0, 1.0])
-    axial = branch.sign * np.sign(model.lam)  # the sign of beta: of a_3 + lam x on the branch
     along = np.array([(e_t @ p) * e_t, p[2] * e_3, axial * (p[2] * e_t + (e_t @ p) * e_3)])
     mixing = np.zeros((5, 9))
     mixing[:3, :3] = np.array([p, p, np.zeros(3)]) - along
@@ -894,6 +908,74 @@ def _far_mixing(model: SpinModel, p, branch: _Branch) -> np.ndarray:
     mixing[3, 3:6] = e_t[1] * p[2], -e_t[0] * p[2], e_t[0] * p[1] - e_t[1] * p[0]  # e_t x p
     mixing[4, 3:6] = -axial * p[1], axial * p[0], 0.0  # e_3 x p
     return mixing
+
+
+def _near(model: SpinModel, centre):
+    """The density at abscissae about the fold, and the a_3 that ``_axes`` takes there.
+
+    With the fold inside the support (``_fold``'s centre x*) the abscissae
+    are offsets s = x - x*, placed by ``SpectralDensity.density_at``, and
+    a_3 + lam x = lam s exactly, however far off x* is; otherwise they are
+    x itself.  The strip (``_strip``) and the map (``asymptotic_map``) take
+    theirs so.
+    """
+    if centre is None:
+        return model.env_diag.density, model.a[2]
+    return lambda s: model.env_diag.density_at(np.array([centre]), s[None])[0], 0.0
+
+
+def _strip(model: SpinModel, p, ts, centre, lo, hi, tol: float) -> np.ndarray:
+    """int c + a cos(omega t) + b sin(omega t) over the near region [lo, hi], for every t in ``ts``.
+
+    ``_fold`` sizes the region so that omega t varies by at most pi on it at
+    every |t| <= t_max.  With rho = omega / 2 = m + d, d = z (z / (rho + m))
+    free of cancellation, take d_c, the midpoint of d's range over the
+    region (from its ends, and 0 at the fold when the region holds it), and
+    psi = 2 (d - d_c) t_max, the phase's offset at t_max, within
+    [-pi/2, pi/2].  Then
+
+        exp(-i omega t) = exp(-2i (m + d_c) t) sum_n (-i t / t_max)^n psi^n / n!,
+
+    a Filon-type expansion (Iserles and Norsett, Proc. R. Soc. A 461, 2005):
+    the moments int g psi^n / n! neither oscillate nor depend on t, and
+    one ``gauss_legendre_adaptive`` call to ``tol`` gives the first
+    STRIP_TERMS of them for the whole grid.  Each time then costs one
+    STRIP_TERMS-term sum and one phase, so the error does not grow with t,
+    and its rounding is that of the one phase.  At lam = 0 d is constant
+    and only the first term survives.  The amplitudes are linear in
+    w (alpha^2, beta^2, alpha beta, alpha, beta), with n = (m e_t + z e_3) / rho,
+    alpha = m / rho and beta = z / rho (``_mixing``): those five factors
+    carry the moments, and c is the first term's.
+    """
+    m = np.hypot(*model.a[:2])
+    weight, a3 = _near(model, centre)
+    t_max = float(np.abs(ts).max())
+
+    def rise(z):  # rho - m = z^2 / (rho + m), squaring nothing: 0 where rho = 0
+        return z * np.divide(z, np.hypot(m, z) + m, out=np.zeros_like(z), where=z != 0.0)
+
+    ends = rise(a3 + model.lam * np.array([lo, hi]))
+    d_c = (ends.max() + (0.0 if centre is not None else ends.min())) / 2.0
+
+    def factors(x):
+        z = a3 + model.lam * x
+        rho = np.hypot(m, z)  # n = e_3 where rho = 0, as in _axes
+        alpha, beta = (np.divide(v, rho, out=np.full_like(rho, at_zero), where=rho > 0.0)
+                       for v, at_zero in ((m, 0.0), (z, 1.0)))
+        w = weight(x)[:, None] * np.column_stack([alpha**2, beta**2, alpha * beta, alpha, beta])
+        terms = np.vander(2.0 * t_max * (rise(z) - d_c), STRIP_TERMS, increasing=True)
+        return (w[:, :, None] * (terms * _INVERSE_FACTORIALS)[:, None, :]).reshape(x.size, -1)
+
+    mixed = gauss_legendre_adaptive(factors, lo, hi, tol).reshape(5, -1).T @ _mixing(model, p, 1.0)
+    # The real part of (a + i b) exp(-i omega t) is a cos(omega t) + b sin(omega t).
+    series = mixed[:, :3] + 1j * mixed[:, 3:6]
+
+    def sums(t):  # einsum, not matmul: a row must not depend on where it falls in the grid
+        powers = np.vander(-1j * t / (t_max or 1.0), STRIP_TERMS, increasing=True)
+        return np.einsum("tn,nd->td", powers, series)
+
+    phases = np.exp(-2j * (m + d_c) * ts)[:, None]
+    return (phases * _by_chunks(sums, ts, STRIP_TERMS)).real + mixed[0, 6:]
 
 
 def _polarization(p) -> np.ndarray:
@@ -914,51 +996,45 @@ def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
     a = p - c and b = n x p.  A discrete environment is one exact sum.  On a
     continuous one the support is split at the fold of omega (``_fold``):
     - the near region, a strip about the fold that shrinks with the grid's
-      largest |t| so that the phase varies by at most pi on it, takes one
-      adaptive quadrature from one panel for the whole grid
-      (``quadrature.kernel_adaptive``), at the same cost at any t;
+      largest |t| so that the phase varies by at most pi on it, is a short
+      series in t whose moments take one adaptive quadrature for the whole
+      grid (``_strip``), at the same cost and accuracy at any t;
     - on the far branches, where omega = 2 rho is monotone, a and b become
       int g(rho) exp(-2i rho t) drho with g = (a, b) |dx/drho|: the Legendre
       panels in rho of every branch, from one bisection (``_far_panels``),
       integrated exactly at every t by one ``quadrature.legendre_fourier``
-      call, taking times in ascending |t| as the adaptive blocks do.  The
-      cos integral is the real part, the sin integral minus the imaginary
-      part; c, which does not oscillate, is the sum of the panels' integrals.
+      call.  The cos integral is the real part, the sin integral minus the
+      imaginary part; c, which does not oscillate, is the sum of the panels'
+      integrals.
     Integrated apart from a and b over the whole support, c would meet tol
     alone: a fold narrower than tol would then go missing from c + a.
     Raises QuadratureFailure when ``tol`` is below the far panels' tail,
-    which bounds their error at every t, before the strip is integrated.
+    which bounds their error at every t, before the strip is integrated,
+    and OutOfDomain when the strip's quadrature rejects it
+    (``gauss_legendre_adaptive``).
     """
     p = _polarization(p)
     env = model.env_diag
 
-    def rotation(x, weight, a3=None):
-        n, omega = _axes(model, x, a3)
+    def rotation(x, weight):
+        n, omega = _axes(model, x)
         along = (n @ p)[:, None] * n
         weight = weight[:, None]
         return omega, weight * (p - along), weight * np.cross(n, p), weight * along
-
-    def near(s):  # offsets from the fold, where a_3 + lam x = lam s
-        return rotation(s, env.density_at(np.array([centre]), s[None])[0], 0.0)
 
     ts = finite_times(ts)
     if env.is_discrete:
         return _trajectory(env, ts, rotation)
     centre, (lo, hi), branches = _fold(model, float(np.abs(ts).max()))
-    if branches:  # before the strip, which a tol this small could keep bisecting for seconds
+    if branches:  # before the strip, so that the message names the tail
         panels, settled = _far_panels(model, p, branches)
         if not tol >= panels.tail:
             raise QuadratureFailure(
                 f"tolerance {tol:g} is below the Legendre tail estimate {panels.tail:g}")
-    out = np.zeros((ts.size, 3))
-    if hi > lo:
-        kernel = near if centre is not None else lambda x: rotation(x, env.density(x))
-        out += kernel_adaptive(kernel, ts, lo, hi, tol)
+    out = _strip(model, p, ts, centre, lo, hi, tol) if hi > lo else np.zeros((ts.size, 3))
     if branches:
-        order = np.argsort(np.abs(ts), kind="stable")
-        far = legendre_fourier(panels, ts[order])
-        out[order] += far[:, :3].real - far[:, 3:].imag
-        out += settled
+        far = legendre_fourier(panels, ts)
+        out += far[:, :3].real - far[:, 3:].imag + settled
     return out
 
 
@@ -979,17 +1055,24 @@ def asymptotic_map(model: SpinModel, tol: float = 1e-9) -> np.ndarray:
     projections onto the local axes survive.  M is a symmetric contraction:
     a density-weighted average of rank-one projectors, so its eigenvalues
     lie in [0, 1].  A continuous density takes one ``gauss_legendre_adaptive``
-    call to ``tol`` over its support, a discrete one a weighted sum.
+    call to ``tol`` over its support, a discrete one a weighted sum.  With
+    the fold x* inside the support the support is taken in offsets from it
+    (``_near``): the axis flips over |z| ~ m about it, and where m is far
+    below the ulp of x*, abscissae rounded in x would put that flip out of
+    place in every panel.
     """
     env = model.env_diag
 
-    def projectors(x, weight):
-        n, _ = _axes(model, x)
+    def projectors(x, weight, a3=None):
+        n, _ = _axes(model, x, a3)
         return weight[:, None] * (n[:, :, None] * n[:, None, :]).reshape(-1, 9)
 
-    total = (projectors(*env.points.T).sum(axis=0) if env.is_discrete else
-             gauss_legendre_adaptive(lambda x: projectors(x, env.density(x)), *env.support(), tol))
-    return total.reshape(3, 3)
+    if env.is_discrete:
+        return projectors(*env.points.T).sum(axis=0).reshape(3, 3)
+    centre = _fold(model, 0.0)[0]
+    weight, a3 = _near(model, centre)
+    lo, hi = np.subtract(env.support(), 0.0 if centre is None else centre)
+    return gauss_legendre_adaptive(lambda x: projectors(x, weight(x), a3), lo, hi, tol).reshape(3, 3)
 
 
 def spin_asymptotics(model: SpinModel, p, t_grid, tol: float = 1e-9) -> np.ndarray:

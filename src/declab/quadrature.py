@@ -1,32 +1,19 @@
 """Quadrature rules, one per integral (a discrete environment is a sum).
 
 ``gauss_legendre_adaptive`` integrates smooth integrands that do not
-oscillate: the spin model's map int w n n^T dx (``models.asymptotic_map``).
-From MIN_PANELS equal panels, panels are bisected until the discrepancy
-between the order-n and order-2n rules falls below their share of the error
-budget, within a budget of MAX_PANELS panels.  Integrands may be
-scalar or array valued; everything is evaluated vectorized over the nodes
-of all pending panels at once, and panel contributions are summed in the
+oscillate: the spin model's map int w n n^T dx (``models.asymptotic_map``),
+and the moments of its rotation kernel on the strip about the fold of the
+rate, from which every time's integral there is a short series
+(``models._strip``).  From MIN_PANELS equal panels, panels are bisected
+until the discrepancy between the order-n and order-2n rules falls below
+their share of the error budget, within a budget of MAX_PANELS panels, and
+no tolerance below EPS is taken.  Integrands may be scalar or array valued;
+everything is evaluated vectorized, in one call per round, over the nodes of
+both rules on all pending panels, and panel contributions are summed in the
 order of their left edges so results do not depend on evaluation
 scheduling.  That loop (``_bisect``) also splits densities into panels; it
 starts from the panels between given edges, so that a caller who knows
 where an integrand needs small panels can start there.
-
-``kernel_adaptive`` is the same rule for a whole grid of times, on
-integrands of the form
-
-    c(x) + a(x) cos(omega(x) t) + b(x) sin(omega(x) t)
-
-(the spin rotation kernel: a rigid rotation about n(x) at rate omega(x)),
-in blocks of ascending |t|.  It starts from one panel at any t, so it is
-meant for a range of x on which the phase omega(x) t varies by no more than
-about pi: the spin model calls it on a strip about the fold of omega,
-narrowed with the grid's largest |t| until that holds (``models._fold``),
-at the same cost at any t.  The kernel gives the rate and the amplitudes
-once per node; each panel's amplitudes carry the rule's weights times its
-half-width, its cos and sin tables (times x nodes) are each contracted with
-them by one batched matmul (``trig_sum``), and the t-independent c is
-summed once per panel.
 
 The Fourier transform of a smooth density f, int f(v) exp(-ivt) dv, does not
 need any of that (Filon's idea; Iserles and Norsett, Proc. R. Soc. A 461,
@@ -62,7 +49,6 @@ long double for the Legendre transform (``_legendre_rule``).  Each rule is
 built once per process and kept, read-only.
 """
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -72,8 +58,6 @@ from .errors import OutOfDomain, QuadratureFailure
 MAX_PANELS = 2**14
 MIN_PANELS = 8
 ORDER = 16
-# Integrand nodes per panel and round: the order-n and order-2n rules.
-NODES_PER_PANEL = 3 * ORDER
 # Legendre terms per panel of the Filon rule, and its error budget for a
 # whole density (absolute, in units of the integral).
 LEGENDRE_ORDER = 16
@@ -86,9 +70,6 @@ LEGENDRE_BUDGET = 1e-15
 NOISE_ULPS = 64
 # Bound on Legendre terms x panels x times held at once by legendre_fourier.
 LEGENDRE_ELEMENTS = 2**16
-# Bound on nodes per panel x times for one block of kernel_adaptive, which
-# starts from one panel, and so on the cos and sin tables of its first round.
-KERNEL_ELEMENTS = 2**18
 EPS = np.finfo(float).eps
 
 _rule_cache: dict = {}
@@ -190,84 +171,56 @@ def _bisect(evaluate, edges, what):
     return [np.concatenate(part)[by_left_edge] for part in zip(*accepted)]
 
 
-def _rule_pair(panel_values, a, b, tol, initial_panels):
-    # panel_values(nodes, scale) maps the (p, k) nodes of a rule on each panel,
-    # and its weights times the half-widths, to (p, ...) panel integrals.
-    # Panels pass when the order-n and order-2n rules agree to their share of
-    # tol; the order-2n values are summed.
-    def evaluate(lo, hi):
-        half = ((hi - lo) / 2.0)[:, None]
-        coarse, fine = (panel_values(lo[:, None] + half * (x + 1.0), w * half)
-                        for x, w in (_rule(ORDER), _rule(2 * ORDER)))
-        err = np.abs(fine - coarse).reshape(lo.size, -1).max(axis=1)
-        return err <= tol * ((hi - lo) / (b - a)), (fine,)  # tol * (hi - lo) may underflow
-
-    a, b = float(a), float(b)
-    # Steps between subnormal ends round up: linspace may pass b before its last edge.
-    edges = np.linspace(a, b, initial_panels + 1)
-    edges[1:] = np.minimum(edges[1:], b)
-    (fine,) = _bisect(evaluate, edges, f"panels for tolerance {tol:g}")
-    return fine.sum(axis=0)
-
-
 def gauss_legendre_adaptive(f, a, b, tol=1e-9):
     """Integrate ``f`` over [a, b] to an estimated absolute tolerance.
 
     ``f`` maps an (m,) array of abscissae to an (m, ...) array of values
     (complex allowed); for array values every component must meet ``tol``.
-    Bisection starts from MIN_PANELS equal panels.
+    Bisection starts from MIN_PANELS equal panels; a panel passes when the
+    order-n and order-2n rules agree to its share of ``tol``, and the
+    order-2n values are summed.
 
+    Raises OutOfDomain, before any evaluation, when ``tol`` is not finite or
+    is below EPS (2.2e-16): the rules' rounding is not told apart from their
+    error below that, and bisection would run on to the panel budget,
+    holding gigabytes on the way.
     Raises QuadratureFailure when more than MAX_PANELS panels are needed
     before the error estimate drops below ``tol``.
     """
+    if not EPS <= tol < np.inf:
+        raise OutOfDomain(f"tolerance {tol:g} is not finite or below the floor EPS = {EPS:g}")
 
-    def panel_values(nodes, scale):
+    (x, w), (x2, w2) = _rule(ORDER), _rule(2 * ORDER)
+
+    def evaluate(lo, hi):  # f at the nodes of both rules on every panel, in one call
+        half = ((hi - lo) / 2.0)[:, None]
+        nodes = lo[:, None] + half * (np.concatenate([x, x2]) + 1.0)
         vals = np.asarray(f(nodes.ravel()))
-        return np.einsum("pk...,pk->p...", vals.reshape(nodes.shape + vals.shape[1:]), scale)
+        vals = vals.reshape(nodes.shape + vals.shape[1:])
+        coarse, fine = (np.einsum("pk...,pk->p...", part, weights * half)
+                        for part, weights in ((vals[:, :ORDER], w), (vals[:, ORDER:], w2)))
+        err = np.abs(fine - coarse).reshape(lo.size, -1).max(axis=1)
+        return err <= tol * ((hi - lo) / (b - a)), (fine,)  # tol * (hi - lo) may underflow
 
-    return _rule_pair(panel_values, a, b, tol, MIN_PANELS)
+    # Steps between subnormal ends round up: linspace may pass b before its last edge.
+    edges = np.linspace(a, b, MIN_PANELS + 1)
+    edges[1:] = np.minimum(edges[1:], b)
+    (fine,) = _bisect(evaluate, edges, f"panels for tolerance {tol:g}")
+    return fine.sum(axis=0)
 
 
 def trig_sum(ts, omega, a, b, c):
     """sum_k c_k + a_k cos(omega_k t) + b_k sin(omega_k t) for every t in ``ts``.
 
     ``omega`` is (..., k) and the amplitudes (..., k, d), leading axes being
-    batches (panels); c is None when nothing is constant.  Returns (..., T, d).
+    batches (a discrete environment's times, ``models._trajectory``); c is
+    None when nothing is constant.  Returns (..., T, d).
     """
     phase = ts[:, None] * omega[..., None, :]
     out = np.cos(phase) @ a
     out += np.sin(phase) @ b
     if c is not None:
         out += c.sum(axis=-2)[..., None, :]
-    return out
-
-
-def kernel_adaptive(kernel, ts, lo, hi, tol):
-    """int_lo^hi c(x) + a(x) cos(omega(x) t) + b(x) sin(omega(x) t) dx for every t in ``ts``.
-
-    ``kernel`` maps (m,) abscissae to (omega, a, b, c): (m,) rates and (m, d)
-    amplitudes.  The times are taken in ascending |t|, in blocks of at most
-    KERNEL_ELEMENTS // NODES_PER_PANEL, which bounds the trig tables of the
-    initial panel; each block is one adaptive call from one panel on
-    [lo, hi], its panels accepted and bisected as in
-    ``gauss_legendre_adaptive``, every (t, component) meeting ``tol``.
-    Returns (T, d) in the order of ``ts``.
-    """
-
-    def panel_values(tb, nodes, scale):
-        omega, *amplitudes = kernel(nodes.ravel())
-        folded = [q.reshape(nodes.shape + (-1,)) * scale[..., None] for q in amplitudes]
-        return trig_sum(tb, omega.reshape(nodes.shape), *folded)
-
-    order = np.argsort(np.abs(ts), kind="stable")
-    step = KERNEL_ELEMENTS // NODES_PER_PANEL
-    out = None
-    for start in range(0, ts.size, step):
-        idx = order[start : start + step]
-        part = _rule_pair(functools.partial(panel_values, ts[idx]), lo, hi, tol, 1)
-        if out is None:
-            out = np.empty((ts.size, part.shape[1]))
-        out[idx] = part
     return out
 
 

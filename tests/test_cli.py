@@ -5,6 +5,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -592,6 +593,51 @@ def test_main_runs_spin_with_the_fold_inside_at_very_large_t(tmp_path, capsys, k
     assert np.all(np.linalg.norm(values[:, 1:], axis=1) <= 1.0 + 1e-12)
 
 
+# A bump on [-1, 1] whose strip about the fold x* = -0.3 holds much of the
+# weight.  At t_grid.stop = 1e12 it ran for 29 s and exited 2 (out of panels).
+BUMP_STRIP = SPIN_CONFIG.replace("env.kind = gaussian\nenv.s = 1.0",
+                                 "env.kind = bump\nenv.a = -1\nenv.b = 1").replace(
+    "model.a = 1,0,2", "model.a = 1,0,0.003").replace("model.lam = 1.0", "model.lam = 0.01").replace(
+    "t_grid.count = 3", "t_grid.count = 201")
+# Pre-registered bound on one in-process run of BUMP_STRIP, in seconds.
+BUMP_STRIP_SECONDS = 2.0
+
+
+@pytest.mark.parametrize("stop", ["1e6", "1e8", "1e10", "1e12", "1e14"])
+def test_main_runs_a_strip_heavy_spin_config_at_any_t_within_its_time_bound(tmp_path, capsys,
+                                                                             stop):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(BUMP_STRIP.replace("t_grid.stop = 20000.0", f"t_grid.stop = {stop}"))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    start = time.perf_counter()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < BUMP_STRIP_SECONDS
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(tmp_path / "spin.csv")
+    values = np.array(rows, dtype=float)
+    assert values.shape == (201, 4) and values[-1, 0] == float(stop)
+    assert np.all(np.isfinite(values))
+    assert np.all(np.linalg.norm(values[:, 1:], axis=1) <= 1.0 + 1e-12)
+
+
+def test_main_runs_spin_asymptotics_with_an_axis_flip_narrower_than_an_ulp_of_the_fold(tmp_path,
+                                                                                       capsys):
+    # m = 1e-9 flips the axis over ~1e-9 about x* = -4/7, where doubles are
+    # 1.1e-16 apart.  Integrated in x, the map's abscissae put the flip out
+    # of place in every panel, which ran out of panels (exit 2).
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("experiment = spin_asymptotics\nt_grid.start = 0\nt_grid.stop = 1\n"
+                   "t_grid.count = 15\nenv.kind = gaussian\nenv.s = 0.3333333333333333\n"
+                   "model.a = 1e-9,0,0.5\nmodel.b = 0.3\nmodel.lam = 0.875\n"
+                   "initial.bloch = 0.7,0.2,0.5\n")
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(next(tmp_path.glob("*.csv")))
+    values = np.array(rows, dtype=float)
+    assert values.shape == (15, 2) and np.all(np.isfinite(values))
+
+
 def test_spin_grid_inside_horizon_or_on_discrete_env_validates():
     assert parse_config(SPIN_CONFIG.replace("t_grid.stop = 20000.0", "t_grid.stop = 1286.0"))
     # Neither the strip about the fold nor the far branches bound t, and no
@@ -890,7 +936,7 @@ def _chi_beyond_the_double_range(env, ts):
 
 
 def _spin_on_an_empty_strip(model, p, ts):
-    return declab.quadrature.kernel_adaptive(None, ts, 0.5, 0.5, 1e-9)
+    return declab.quadrature.gauss_legendre_adaptive(None, 0.5, 0.5, 1e-9)
 
 
 RUNTIME_CHECKS = {

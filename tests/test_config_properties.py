@@ -6,6 +6,7 @@ import io
 import os
 import re
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -131,6 +132,30 @@ def extreme_spin_configs(draw, experiment):
     return "".join(f"{key} = {value}\n" for key, value in e.items())
 
 
+@st.composite
+def strip_heavy_spin_configs(draw, experiment):
+    """A spin config whose strip about the fold holds much of the weight at
+    large t: a transverse field of order 1, |lam| in [1e-3, 1e-1], the fold
+    x* = -a_3 / lam at |x*| <= 1/2 and t_grid.stop log-uniform up to 1e14."""
+    m, angle = draw(st.floats(0.5, 2.0)), draw(st.floats(0.0, 2.0 * np.pi))
+    lam = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, -1.0))
+    x_star = draw(st.floats(-0.5, 0.5))
+    kind = draw(st.sampled_from(["gaussian", "uniform", "bump"]))
+    e = {"experiment": experiment, "t_grid.start": "0",
+         "t_grid.stop": repr(10.0 ** draw(st.floats(0.0, 14.0))), "t_grid.count": "51",
+         "env.kind": kind}
+    if kind == "gaussian":
+        e["env.s"] = "0.5"
+    else:
+        e["env.a"], e["env.b"] = "-1", "1"
+    field = (m * np.cos(angle), m * np.sin(angle), -lam * x_star)
+    e["model.a"] = ",".join(repr(float(v)) for v in field)
+    e["model.b"] = "0.3"
+    e["model.lam"] = repr(lam)
+    e["initial.bloch"] = "0.7,0.2,0.5"
+    return "".join(f"{key} = {value}\n" for key, value in e.items())
+
+
 def cli(*argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -173,3 +198,26 @@ def test_spin_config_at_extreme_magnitudes_validates_and_runs_or_fails_validate(
         assert code == 0, err
         code, err = cli("run", "--config", path, "--out", out)
         assert code == 0, err
+
+
+# Pre-registered bound on one in-process run of a strip-heavy config, in
+# seconds.  Such configs ran out of panels after up to 29 s.
+STRIP_HEAVY_SECONDS = 2.0
+
+
+@pytest.mark.parametrize("experiment", ["spin", "spin_asymptotics"])
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_strip_heavy_spin_config_validates_and_runs_within_its_time_bound(experiment, data):
+    text = data.draw(strip_heavy_spin_configs(experiment), label="config")
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "scenario.cfg")
+        with open(path, "w") as handle:
+            handle.write(text)
+        code, err = cli("validate", "--config", path)
+        assert code == 0, err
+        start = time.perf_counter()
+        code, err = cli("run", "--config", path, "--out", out)
+        assert code == 0, err
+        assert err == ""
+        assert time.perf_counter() - start < STRIP_HEAVY_SECONDS

@@ -1044,7 +1044,7 @@ def test_spin_rejects_a_bad_polarization_before_integrating(monkeypatch, env, p,
     import declab.models as models
 
     calls = []
-    for name in ("kernel_adaptive", "gauss_legendre_adaptive", "_trajectory"):
+    for name in ("_strip", "gauss_legendre_adaptive", "_trajectory"):
         monkeypatch.setattr(models, name, lambda *a, name=name: calls.append(name))
     model = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=env)
     match = "p must be finite" if error is ValueError else r"p must have shape \(3,\)"
@@ -1134,7 +1134,7 @@ def test_oracle_shares_no_code_with_the_closed_forms(monkeypatch):
 
     for module, names in ((operators, ("propagator", "hermitian_eig", "partial_trace_env")),
                           (models, ("_sector_propagators", "chi_trajectory", "trig_sum",
-                                    "kernel_adaptive", "gauss_legendre_adaptive",
+                                    "_strip", "gauss_legendre_adaptive",
                                     "legendre_fourier", "_axes"))):
         for name in names:
             monkeypatch.setattr(module, name, forbidden)

@@ -5,6 +5,7 @@ import os
 from fractions import Fraction
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import declab.cli
 import declab.models
 import declab.quadrature
 from declab import (
+    OutOfDomain,
     QuadratureFailure,
     SpectralDensity,
     SpinModel,
@@ -27,12 +29,9 @@ from declab import (
     spin_trajectory,
 )
 from declab.quadrature import (
-    KERNEL_ELEMENTS,
     LEGENDRE_ORDER,
     MAX_PANELS,
-    NODES_PER_PANEL,
     ORDER,
-    kernel_adaptive,
     legendre_panels,
     spherical_jn,
 )
@@ -84,6 +83,22 @@ def test_adaptive_rejects_empty_interval():
         gauss_legendre_adaptive(np.cos, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("tol", [2e-16, 1e-17, 0.0, -1.0, np.nan, np.inf])
+def test_adaptive_rejects_a_tolerance_below_eps_or_not_finite_before_evaluating(tol):
+    # Between 2.3e-16 and 5e-16 the bump strip's old rule bisected for 5-9 s
+    # and peaked at 1.3-1.7 GB before running out of panels.
+    def f(x):
+        raise AssertionError("evaluated")
+
+    with pytest.raises(OutOfDomain, match="tolerance"):
+        gauss_legendre_adaptive(f, -1.0, 1.0, tol=tol)
+
+
+def test_adaptive_accepts_a_tolerance_of_eps():
+    got = gauss_legendre_adaptive(np.cos, -1.0, 1.0, tol=np.finfo(float).eps)
+    assert abs(got - 2.0 * np.sin(1.0)) <= 4.0 * np.finfo(float).eps
+
+
 def test_budget_exhaustion_names_budget_and_tolerance(monkeypatch):
     # 8 panels of 250 rad each cannot converge within a 16-panel budget.
     monkeypatch.setattr(declab.quadrature, "MAX_PANELS", 16)
@@ -117,8 +132,11 @@ def count_calls(monkeypatch, owner, name):
 
 
 def count_adaptive_calls(monkeypatch):
-    # Every adaptive Gauss-Legendre entry runs the order-16/order-32 rule pair.
-    return count_calls(monkeypatch, declab.quadrature, "_rule_pair")
+    # gauss_legendre_adaptive, called from declab.models or from declab.quadrature.
+    calls = count_calls(monkeypatch, declab.quadrature, "gauss_legendre_adaptive")
+    monkeypatch.setattr(declab.models, "gauss_legendre_adaptive",
+                        declab.quadrature.gauss_legendre_adaptive)
+    return calls
 
 
 @pytest.mark.parametrize("env", ENVS, ids=ENV_IDS)
@@ -196,70 +214,13 @@ def test_spin_trajectory_matches_pointwise(env):
     assert np.abs(got - expected).max() < 1e-12
 
 
-def record_blocks(monkeypatch):
-    """(lo, hi, initial panels, times) of every adaptive call, as kernel_adaptive makes them."""
-    calls = []
-    original = declab.quadrature._rule_pair
-
-    def recorded(panel_values, a, b, tol, initial_panels):
-        calls.append((a, b, initial_panels, panel_values.args[0]))
-        return original(panel_values, a, b, tol, initial_panels)
-
-    monkeypatch.setattr(declab.quadrature, "_rule_pair", recorded)
-    return calls
-
-
-# Times per block: kernel_adaptive starts each from one panel.
-BLOCK = KERNEL_ELEMENTS // NODES_PER_PANEL
-
-
-def test_spin_trajectory_spans_several_blocks(monkeypatch):
-    model = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
-    p = np.array([0.7, 0.2, 0.5])
-    # More times than two blocks hold.
-    ts = np.linspace(600.0, 1200.0, 2 * BLOCK + 1)
-    calls = record_blocks(monkeypatch)
-    got = spin_trajectory(model, p, ts)
-    # The near region is the strip |z| <= zeta about the fold x* = -2, in
-    # offsets from it, with m = 1, eps = pi / (2 max|t|) and
-    # zeta = sqrt(eps (2 m + eps)), not [x* - m, x* + m] = [-3, -1]; every
-    # block starts from one panel.
-    eps = np.pi / (2.0 * 1200.0)
-    zeta = np.sqrt(eps * (2.0 + eps))
-    assert [(len(tb), n0) for *_, n0, tb in calls] == [(BLOCK, 1)] * 2 + [(1, 1)]
-    ((lo, hi),) = {(lo, hi) for lo, hi, *_ in calls}
-    assert -lo == hi == pytest.approx(zeta, rel=1e-15)
-    picks = [0, ts.size // 2, ts.size - 1]
-    expected = np.array([density_to_bloch(spin_evolve(model, p, t)) for t in ts[picks]])
-    assert np.abs(got[picks] - expected).max() < 1e-12
-
-
-def test_blocks_cover_the_grid_in_ascending_abs_t_within_the_bound(monkeypatch):
-    # Zero, repeated and negative times, more of them than one block holds.
-    ts = np.concatenate([[3.0, -0.5, 0.0, 3.0, -3.0, 12.0],
-                         np.random.default_rng(11).uniform(-40.0, 40.0, 2 * BLOCK)])
-    calls = record_blocks(monkeypatch)
-
-    def kernel(x):  # int_-1^1 cos(x t) dx = 2 sin(t) / t
-        return x, np.ones((x.size, 1)), np.zeros((x.size, 1)), np.zeros((x.size, 1))
-
-    got = kernel_adaptive(kernel, ts, -1.0, 1.0, 1e-12)
-    blocks = [tb for *_, tb in calls]
-    assert np.array_equal(np.concatenate(blocks), ts[np.argsort(np.abs(ts), kind="stable")])
-    assert [tb.size for tb in blocks] == [BLOCK, BLOCK, 6]
-    assert all(n0 == 1 for _, _, n0, _ in calls)
-    assert np.abs(got[:, 0] - 2.0 * np.sinc(ts / np.pi)).max() < 1e-12
-
-
-def test_spin_trajectory_rows_follow_a_shuffled_grid_bit_for_bit(monkeypatch):
+def test_spin_trajectory_rows_follow_a_shuffled_grid_bit_for_bit():
     model = SpinModel(a=[1.0, 0.4, 2.0], b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
     p = np.array([0.6, -0.3, 0.4])
-    ts = np.linspace(-120.0, -1.0, BLOCK + 5) * (-1.0) ** np.arange(BLOCK + 5)  # distinct |t|
+    ts = np.linspace(-120.0, -1.0, 5466) * (-1.0) ** np.arange(5466)  # distinct |t|
     shuffle = np.random.default_rng(10).permutation(ts.size)
-    calls = record_blocks(monkeypatch)
     assert np.array_equal(spin_trajectory(model, p, ts[shuffle]),
                           spin_trajectory(model, p, ts)[shuffle])
-    assert len(calls) == 4  # two blocks each
 
 
 # --- the rotation kernel and the map against a composite rule sharing no declab code
@@ -366,9 +327,8 @@ def test_asymptotic_map_is_one_plain_adaptive_call_and_never_the_kernel(env, mon
     # Nothing oscillates in M: over a continuous density it is one
     # gauss_legendre_adaptive call, over a discrete one the weighted sum.
     plain = count_calls(monkeypatch, declab.models, "gauss_legendre_adaptive")
-    kernel = [count_calls(monkeypatch, module, name)
-              for module in (declab.models, declab.quadrature)
-              for name in ("kernel_adaptive", "trig_sum")]
+    kernel = [count_calls(monkeypatch, declab.models, name)
+              for name in ("_strip", "trig_sum", "legendre_fourier")]
     for a, lam in FIELDS:
         asymptotic_map(SpinModel(a=a, b=0.3, lam=lam, env_diag=env))
     assert len(plain) == (0 if env.is_discrete else len(FIELDS))
@@ -605,24 +565,34 @@ def test_spin_branch_at_the_strip_edge_meets_the_budget_on_a_noisy_density():
 def test_spin_strip_nodes_do_not_grow_with_t(monkeypatch):
     model = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
     p = np.array([0.7, 0.2, 0.5])
-    original = declab.quadrature._rule_pair
+    original = declab.models.gauss_legendre_adaptive
 
-    def counted(panel_values, *args):
-        def counting(nodes, scale):
-            nodes_seen.append(nodes.size)
-            return panel_values(nodes, scale)
+    def counted(f, *args):
+        def counting(x):
+            nodes_seen.append(x.size)
+            return f(x)
 
         return original(counting, *args)
 
-    monkeypatch.setattr(declab.quadrature, "_rule_pair", counted)
+    monkeypatch.setattr(declab.models, "gauss_legendre_adaptive", counted)
     counts = {}
-    for t in (1e3, 1e6):
+    for t in (1e3, 1e6, 1e12):
         nodes_seen = []
         spin_trajectory(model, p, [t])
         counts[t] = sum(nodes_seen)
-    # One call, one panel of the order-16 and order-32 rules, bisected no
-    # more at 1e6 than at 1e3.
-    assert NODES_PER_PANEL <= counts[1e6] <= counts[1e3]
+    # One call for the moments, from 8 panels of the order-16 and order-32
+    # rules, bisected no more at 1e12 than at 1e3.
+    assert 8 * 3 * ORDER <= counts[1e12] <= counts[1e6] <= counts[1e3]
+
+
+def test_spin_near_region_is_the_strip_about_the_fold_in_offsets():
+    # With m = 1, eps = pi / (2 max|t|) and zeta = sqrt(eps (2 m + eps)), the
+    # strip |z| <= zeta about the fold x* = -2, not [x* - m, x* + m] = [-3, -1].
+    model = SpinModel(a=[1.0, 0.0, 2.0], b=0.3, lam=1.0, env_diag=SpectralDensity.gaussian(1.0))
+    eps = np.pi / (2.0 * 1200.0)
+    centre, (lo, hi), branches = declab.models._fold(model, 1200.0)
+    assert centre == -2.0 and len(branches) == 2
+    assert -lo == hi == pytest.approx(np.sqrt(eps * (2.0 + eps)), rel=1e-15)
 
 
 # Strip models whose field coordinate z = a_3 + lam x spans 0.02, so that the
@@ -643,13 +613,11 @@ STRIP_MODELS = {
 @pytest.mark.parametrize("t_max", [1.0, 50.0, 1e6], ids=["t1", "t50", "t1e6"])
 @pytest.mark.parametrize("m", [1e-3, 1.0, 10.0], ids=["m1e-3", "m1", "m10"])
 @pytest.mark.parametrize("kind", STRIP_MODELS)
-def test_one_panel_strip_matches_the_integrand_closures(kind, m, t_max, monkeypatch):
+def test_one_panel_strip_matches_the_integrand_closures(kind, m, t_max):
     # The bound is 1e-13 plus the phase's conditioning, 2 rho t rounded
     # relative to its size: at t = 1e6 and m = 10 that alone is 4.4e-9, for
-    # declab and the reference alike.  The strip is asked for that bound (at
-    # the default tol = 1e-9 one panel of 32 nodes leaves ~6e-13 on a bump
-    # that fills the strip, where the order-16 rule's error passes the
-    # estimate).
+    # declab and the reference alike.  The strip's moments are asked for
+    # that bound.
     env, a3, lam = STRIP_MODELS[kind]
     model = SpinModel(a=[m, 0.0, a3], b=0.3, lam=lam, env_diag=env)
     assert (-a3 / lam == -1.0) == (kind == "uniform_fold_at_an_end")
@@ -658,9 +626,7 @@ def test_one_panel_strip_matches_the_integrand_closures(kind, m, t_max, monkeypa
     lo, hi = env.support()
     rho_max = np.hypot(m, max(abs(a3 + lam * lo), abs(a3 + lam * hi)))
     bound = 1e-13 + EPS * 2.0 * rho_max * np.abs(ts)
-    calls = record_blocks(monkeypatch)
     got = spin_trajectory(model, p, ts, tol=bound.max())
-    assert all(n0 == 1 for _, _, n0, _ in calls)
     assert (np.abs(got - reference_spin_trajectory(model, p, ts)) <= bound[:, None]).all()
 
 
@@ -785,12 +751,60 @@ def test_spin_tolerance_below_the_far_panels_tail_raises_naming_it(monkeypatch, 
     branches = declab.models._fold(model, 50.0)[2]
     tail = declab.models._far_panels(model, p, branches)[0].tail
     assert 0.0 < tail < 1e-14
-    strips = count_calls(monkeypatch, declab.models, "kernel_adaptive")
-    for tol in (tail / 2, 1e-17):  # at 1e-17 the strip alone runs out of panels after seconds
+    strips = count_calls(monkeypatch, declab.models, "_strip")
+    for tol in (tail / 2, 1e-17):  # the far tail is named, not the strip's tol floor
         with pytest.raises(QuadratureFailure, match=f"tolerance {tol:g} .* estimate {tail:g}"):
             spin_trajectory(model, p, ts, tol=tol)
     assert strips == []
     assert np.isfinite(spin_trajectory(model, p, ts, tol=tail)).all()
+
+
+def test_a_tolerance_below_eps_raises_at_once_from_the_map_and_a_strip_only_trajectory():
+    # The bump's whole support lies in the strip at t = 10: no far branch
+    # names a tail first.
+    model = SpinModel(a=[1.0, 0.0, 0.003], b=0.3, lam=0.01, env_diag=SpectralDensity.bump(-1.0, 1.0))
+    assert not declab.models._fold(model, 10.0)[2]
+    for call in (lambda: asymptotic_map(model, tol=1e-17),
+                 lambda: spin_trajectory(model, [0.7, 0.2, 0.5], np.linspace(0.0, 10.0, 201),
+                                         tol=1e-17)):
+        start = time.perf_counter()
+        with pytest.raises(OutOfDomain, match="tolerance 1e-17"):
+            call()
+        assert time.perf_counter() - start < 0.05
+
+
+# Fields whose axis flips over |z| ~ m about a fold x* = -a_3 / lam inside a
+# gaussian of width 1/3, with m at or far below the spacing of doubles at x*.
+NARROW_FLIPS = [([1e-9, 0.0, 0.5], 0.875), ([1e-9, 0.0, 0.05], 1.0), ([1e-10, 0.0, 0.05], 1.0),
+                ([1e-20, 0.0, 0.5], 0.875)]
+
+
+def graded_map_reference(a, lam, s):
+    """M of a gaussian of width s by composite 40-node Gauss-Legendre in offsets
+    from the fold, on panels doubling in width away from it from 1e-24."""
+    x_star, m = -a[2] / lam, math.hypot(a[0], a[1])
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    total = np.zeros((3, 3))
+    for side, end in ((1.0, 10.0 * s - x_star), (-1.0, 10.0 * s + x_star)):
+        edges = [0.0] + [e for e in 1e-24 * 2.0 ** np.arange(100) if e < end] + [end]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            half = (hi - lo) / 2.0
+            offsets = side * (lo + half * (nodes + 1.0))
+            w = half * weights * np.exp(-(((x_star + offsets) / s) ** 2) / 2.0) / (
+                s * math.sqrt(2.0 * math.pi))
+            h = np.stack([np.full_like(offsets, a[0]), np.full_like(offsets, a[1]), lam * offsets])
+            n = h / np.sqrt(m * m + (lam * offsets) ** 2)
+            total += np.einsum("k,ik,jk->ij", w, n, n)
+    return total
+
+
+@pytest.mark.parametrize("a, lam", NARROW_FLIPS, ids=["m1e-9", "x*-0.05_m1e-9", "x*-0.05_m1e-10",
+                                                      "m1e-20"])
+def test_asymptotic_map_resolves_an_axis_flip_narrower_than_an_ulp_of_the_fold(a, lam):
+    # In x the first ran out of panels: node rounding of ~6e-17 against a
+    # flip 1.1e-9 wide kept every panel about x* failing.
+    model = SpinModel(a=a, b=0.3, lam=lam, env_diag=SpectralDensity.gaussian(1.0 / 3.0))
+    assert np.abs(asymptotic_map(model) - graded_map_reference(a, lam, 1.0 / 3.0)).max() < 1e-13
 
 
 @pytest.mark.parametrize("env", [ENVS[-1], SpectralDensity.gaussian(1.0).discretize(40)],
