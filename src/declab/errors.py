@@ -68,7 +68,7 @@ class NonDecaying(DeclabError):
 
 
 class QuadratureFailure(DeclabError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """A quadrature rule could not reach its error budget."""
 
 
 class OutOfDomain(DeclabError, ValueError):

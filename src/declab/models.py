@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import quadrature
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -37,6 +38,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .operators import (
+    finite_phases,
     finite_times,
     hs_norm,
     require_hermitian,
@@ -298,9 +300,11 @@ def _trajectory(env, ts, kernel):
     (omega, a, b, c), weighted as in ``quadrature.trig_sum``.  Each t is on
     ``trig_sum``'s batch axis: a row is computed as a call at that t alone
     computes it, to the bit.  The times are taken in chunks whose trig tables
-    hold at most DEPHASING_ELEMENTS (times x points) entries.
+    hold at most DEPHASING_ELEMENTS (times x points) entries.  Raises
+    OutOfDomain naming the first t at which a phase omega t overflows.
     """
     omega, *amplitudes = kernel(env.points[:, 0], env.points[:, 1])
+    finite_phases(ts, ("the frequency", np.abs(omega).max()))
     return _by_chunks(lambda t: trig_sum(np.ones(1), np.multiply.outer(t, omega), *amplitudes)[:, 0],
                       ts, omega.size)
 
@@ -480,9 +484,14 @@ def _chi_tables(lambdas, env: SpectralDensity, ts, stack: int = 1):
     tables (``_trajectory``, ``quadrature.LEGENDRE_ELEMENTS``).  A caller
     that builds a stack of ``stack`` entries per time from a chunk also has
     B x stack within DEPHASING_ELEMENTS.  B is at least 1.  Nothing is
-    evaluated before the first chunk is taken.
+    evaluated before the first chunk is taken.  Raises OutOfDomain naming
+    the first t at which a phase overflows and the sector pair of the
+    largest gap, max - min, which may overflow itself.
     """
     k = lambdas.size
+    top, bottom = int(lambdas.argmax()), int(lambdas.argmin())
+    finite_phases(ts, (f"the gap lambdas[{top}] - lambdas[{bottom}] =",
+                       float(lambdas[top]) - float(lambdas[bottom])))  # inf, not a warning
     m, n = np.triu_indices(k, 1)
     gaps, pair_gap = np.unique(lambdas[m] - lambdas[n], return_inverse=True)
     step = max(1, DEPHASING_ELEMENTS // max(1, m.size, stack))
@@ -776,8 +785,8 @@ def _fold(model: SpinModel, t_max: float):
     return x_star if inside else None, tuple(near), branches
 
 
-def _far_panels(model: SpinModel, p, branches):
-    """Legendre panels of the far branches' amplitudes (a, b) of p, placed in omega, and their c.
+def _far_panels(model: SpinModel, mixing, branches):
+    """Legendre panels of the far branches' amplitudes (a, b), placed in omega, and their c.
 
     On a branch x = x0 + sign (|z| - z0) / |lam|, with z^2 = rho^2 - m^2,
     so dx/drho = rho / (|lam| |z|).  The axis is n = alpha e_t + beta e_3
@@ -785,9 +794,10 @@ def _far_panels(model: SpinModel, p, branches):
     The amplitudes (a, b, c) times dx/drho are linear in
     w dx/drho (alpha^2, beta^2, alpha |beta|, alpha, |beta|)
     = w / |lam| (m^2 / (rho |z|), |z| / rho, m / rho, m / |z|, 1)
-    (``_mixing``); being products of positive numbers, these keep the
-    relative accuracy of the density w, where a component of a may be a
-    difference of O(1) terms.  A node at v = c + d (v = rho - rho0) is
+    (``mixing``, from ``_mixing``, with its rows odd in beta negated on a
+    branch where a_3 + lam x < 0); being products of positive numbers,
+    these keep the relative accuracy of the density w, where a component of
+    a may be a difference of O(1) terms.  A node at v = c + d (v = rho - rho0) is
     placed as x(c) plus an offset, (z^2 - z(c)^2) / (|z| + |z(c)|) / |lam|
     with z^2 - z(c)^2 = d (2 (rho0 + c) + d): no rounding of rho0 + v, or of
     x* (both large beside the offsets when the fold is far off), enters the
@@ -804,7 +814,7 @@ def _far_panels(model: SpinModel, p, branches):
     the edges 0, 2^-J, ..., 1/2, 1 and length / scale in |u| (``_graded``),
     graded toward the strip's edge, where m / |z| has its peak.  The series
     of the branch at u < 0 are turned back into v (a_k times (-1)^k) and
-    mixed into (a, b, c) by its ``_mixing``; the panels' tail, times
+    mixed into (a, b, c) by its side's mixing; the panels' tail, times
     the largest column sum of |mixing| over (a, b), bounds the mixed series'.
     Returns the panels of (a, b), as (p, k, 6), with their integrals over
     rho, centres and half-widths in omega = 2 rho, so that
@@ -816,13 +826,14 @@ def _far_panels(model: SpinModel, p, branches):
     m = np.hypot(*model.a[:2])
     # Per side of u = 0, index 0 for sign -1 and 1 for sign +1.
     x0, z0, rho0, scale = np.ones((4, 2))
-    mixing = np.zeros((2, 5, 9))
+    mixings = np.zeros((2, 5, 9))
     edges = [[], []]
     for branch in branches:
         side = int(branch.sign > 0)
         x0[side], z0[side], rho0[side] = branch.x0, branch.z0, branch.rho0
         scale[side] = np.ldexp(1.0, np.frexp(branch.length)[1] - 1)
-        mixing[side] = _mixing(model, p, branch.sign * np.sign(model.lam))
+        # beta = (a_3 + lam x) / rho has the sign of sign * lam on the branch.
+        mixings[side] = mixing * _BETA_ROWS if branch.sign * model.lam < 0.0 else mixing
         edges[side] = _graded(model, branch, scale[side])
     sign = np.array([-1.0, 1.0])
 
@@ -849,8 +860,8 @@ def _far_panels(model: SpinModel, p, branches):
     side = (panels.centres > 0.0).astype(int)
     odd = np.arange(panels.coeffs.shape[1]) % 2 == 1
     coeffs = np.where(((side == 0)[:, None] & odd)[..., None], -panels.coeffs, panels.coeffs)
-    mixed = np.einsum("pkf,pfg->pkg", coeffs, mixing[side])
-    bound = np.abs(mixing[..., :6]).sum(axis=1).max()  # a side without a branch mixes to 0
+    mixed = np.einsum("pkf,pfg->pkg", coeffs, mixings[side])
+    bound = np.abs(mixings[..., :6]).sum(axis=1).max()  # a side without a branch mixes to 0
     halves, width_of = np.unique(2.0 * scale[side] * panels.halves[panels.width_of],
                                  return_inverse=True)
     far = LegendrePanels(2.0 * (rho0[side] + scale[side] * np.abs(panels.centres)), halves,
@@ -889,25 +900,30 @@ def _graded(model: SpinModel, branch: _Branch, scale: float):
     return [last]
 
 
-def _mixing(model: SpinModel, p, axial: float) -> np.ndarray:
+def _mixing(model: SpinModel, p) -> np.ndarray:
     """(5, 9) map from factors (alpha^2, beta^2, alpha beta, alpha, beta) to amplitudes (a, b, c) of p.
 
-    The axis is n = alpha e_t + axial beta e_3, e_t = (a_1, a_2, 0) / m, with
-    alpha^2 + beta^2 = 1: the far branches take |beta| and the sign of
-    a_3 + lam x on the branch, the strip a signed beta and axial = 1.  Then
-    c = (n.p) n = alpha^2 (e_t.p) e_t + beta^2 p_3 e_3 + axial alpha beta (p_3 e_t + (e_t.p) e_3),
-    a = p - c = alpha^2 p + beta^2 p - c, and b = n x p = alpha e_t x p + axial beta e_3 x p.
+    The axis is n = alpha e_t + beta e_3, e_t = (a_1, a_2, 0) / m, with
+    alpha^2 + beta^2 = 1 and beta signed.  Then
+    c = (n.p) n = alpha^2 (e_t.p) e_t + beta^2 p_3 e_3 + alpha beta (p_3 e_t + (e_t.p) e_3),
+    a = p - c = alpha^2 p + beta^2 p - c, and b = n x p = alpha e_t x p + beta e_3 x p.
+    A far branch takes |beta|: where beta < 0 there, the rows of the factors
+    odd in beta change sign (``_BETA_ROWS``).
     """
     m = np.hypot(*model.a[:2])
     e_t = np.array([model.a[0] / m, model.a[1] / m, 0.0]) if m > 0 else np.zeros(3)
     e_3 = np.array([0.0, 0.0, 1.0])
-    along = np.array([(e_t @ p) * e_t, p[2] * e_3, axial * (p[2] * e_t + (e_t @ p) * e_3)])
+    along = np.array([(e_t @ p) * e_t, p[2] * e_3, p[2] * e_t + (e_t @ p) * e_3])
     mixing = np.zeros((5, 9))
     mixing[:3, :3] = np.array([p, p, np.zeros(3)]) - along
     mixing[:3, 6:] = along
     mixing[3, 3:6] = e_t[1] * p[2], -e_t[0] * p[2], e_t[0] * p[1] - e_t[1] * p[0]  # e_t x p
-    mixing[4, 3:6] = -axial * p[1], axial * p[0], 0.0  # e_3 x p
+    mixing[4, 3:6] = -p[1], p[0], 0.0  # e_3 x p
     return mixing
+
+
+# Signs of the rows of ``_mixing`` under beta -> -beta: alpha beta and beta change.
+_BETA_ROWS = np.array([1.0, 1.0, -1.0, 1.0, -1.0])[:, None]
 
 
 def _near(model: SpinModel, centre):
@@ -924,7 +940,7 @@ def _near(model: SpinModel, centre):
     return lambda s: model.env_diag.density_at(np.array([centre]), s[None])[0], 0.0
 
 
-def _strip(model: SpinModel, p, ts, centre, lo, hi, tol: float) -> np.ndarray:
+def _strip(model: SpinModel, mixing, ts, centre, lo, hi) -> np.ndarray:
     """int c + a cos(omega t) + b sin(omega t) over the near region [lo, hi], for every t in ``ts``.
 
     ``_fold`` sizes the region so that omega t varies by at most pi on it at
@@ -938,14 +954,16 @@ def _strip(model: SpinModel, p, ts, centre, lo, hi, tol: float) -> np.ndarray:
 
     a Filon-type expansion (Iserles and Norsett, Proc. R. Soc. A 461, 2005):
     the moments int g psi^n / n! neither oscillate nor depend on t, and
-    one ``gauss_legendre_adaptive`` call to ``tol`` gives the first
-    STRIP_TERMS of them for the whole grid.  Each time then costs one
-    STRIP_TERMS-term sum and one phase, so the error does not grow with t,
-    and its rounding is that of the one phase.  At lam = 0 d is constant
-    and only the first term survives.  The amplitudes are linear in
+    one ``gauss_legendre_adaptive`` call gives the first STRIP_TERMS of
+    them for the whole grid.  Each time then costs one STRIP_TERMS-term sum
+    and one phase, so the error does not grow with t, and its rounding is
+    that of the one phase.  At lam = 0 d is constant and only the first
+    term survives.  The amplitudes are linear in
     w (alpha^2, beta^2, alpha beta, alpha, beta), with n = (m e_t + z e_3) / rho,
-    alpha = m / rho and beta = z / rho (``_mixing``): those five factors
-    carry the moments, and c is the first term's.
+    alpha = m / rho and beta = z / rho (``mixing``, from ``_mixing``):
+    those five factors carry the moments, and c is the first term's.  Raises
+    OutOfDomain naming the first t at which the phase 2 (m + d_c) t
+    overflows, before anything is integrated.
     """
     m = np.hypot(*model.a[:2])
     weight, a3 = _near(model, centre)
@@ -956,6 +974,7 @@ def _strip(model: SpinModel, p, ts, centre, lo, hi, tol: float) -> np.ndarray:
 
     ends = rise(a3 + model.lam * np.array([lo, hi]))
     d_c = (ends.max() + (0.0 if centre is not None else ends.min())) / 2.0
+    finite_phases(ts, ("the strip's rate", 2.0 * (m + d_c)))
 
     def factors(x):
         z = a3 + model.lam * x
@@ -963,10 +982,10 @@ def _strip(model: SpinModel, p, ts, centre, lo, hi, tol: float) -> np.ndarray:
         alpha, beta = (np.divide(v, rho, out=np.full_like(rho, at_zero), where=rho > 0.0)
                        for v, at_zero in ((m, 0.0), (z, 1.0)))
         w = weight(x)[:, None] * np.column_stack([alpha**2, beta**2, alpha * beta, alpha, beta])
-        terms = np.vander(2.0 * t_max * (rise(z) - d_c), STRIP_TERMS, increasing=True)
+        terms = np.vander(t_max * (2.0 * (rise(z) - d_c)), STRIP_TERMS, increasing=True)
         return (w[:, :, None] * (terms * _INVERSE_FACTORIALS)[:, None, :]).reshape(x.size, -1)
 
-    mixed = gauss_legendre_adaptive(factors, lo, hi, tol).reshape(5, -1).T @ _mixing(model, p, 1.0)
+    mixed = gauss_legendre_adaptive(factors, lo, hi).reshape(5, -1).T @ mixing
     # The real part of (a + i b) exp(-i omega t) is a cos(omega t) + b sin(omega t).
     series = mixed[:, :3] + 1j * mixed[:, 3:6]
 
@@ -988,7 +1007,7 @@ def _polarization(p) -> np.ndarray:
     return p
 
 
-def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
+def spin_trajectory(model: SpinModel, p, ts) -> np.ndarray:
     """Averaged rotated polarization for every t in ``ts``, shape (T, 3).
 
     Conditioned on x the polarization is rotated (Rodrigues) about n(x) by
@@ -1006,12 +1025,14 @@ def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
       call.  The cos integral is the real part, the sin integral minus the
       imaginary part; c, which does not oscillate, is the sum of the panels'
       integrals.
-    Integrated apart from a and b over the whole support, c would meet tol
-    alone: a fold narrower than tol would then go missing from c + a.
-    Raises QuadratureFailure when ``tol`` is below the far panels' tail,
-    which bounds their error at every t, before the strip is integrated,
-    and OutOfDomain when the strip's quadrature rejects it
-    (``gauss_legendre_adaptive``).
+    Integrated apart from a and b over the whole support, c would meet the
+    adaptive rule's budget alone: a fold narrower than it would then go
+    missing from c + a.  The mixing of the factors into amplitudes is built
+    once (``_mixing``) for the strip and the branches.  Raises
+    QuadratureFailure, before the strip is integrated, when the far panels'
+    tail, which bounds their error at every t, is above
+    ``quadrature.ADAPTIVE_TOL``, and OutOfDomain naming the first t at which
+    a phase overflows.
     """
     p = _polarization(p)
     env = model.env_diag
@@ -1026,36 +1047,37 @@ def spin_trajectory(model: SpinModel, p, ts, tol: float = 1e-9) -> np.ndarray:
     if env.is_discrete:
         return _trajectory(env, ts, rotation)
     centre, (lo, hi), branches = _fold(model, float(np.abs(ts).max()))
+    mixing = _mixing(model, p)
     if branches:  # before the strip, so that the message names the tail
-        panels, settled = _far_panels(model, p, branches)
-        if not tol >= panels.tail:
-            raise QuadratureFailure(
-                f"tolerance {tol:g} is below the Legendre tail estimate {panels.tail:g}")
-    out = _strip(model, p, ts, centre, lo, hi, tol) if hi > lo else np.zeros((ts.size, 3))
+        panels, settled = _far_panels(model, mixing, branches)
+        if not quadrature.ADAPTIVE_TOL >= panels.tail:
+            raise QuadratureFailure(f"tolerance ADAPTIVE_TOL = {quadrature.ADAPTIVE_TOL:g} "
+                                    f"is below the Legendre tail estimate {panels.tail:g}")
+    out = _strip(model, mixing, ts, centre, lo, hi) if hi > lo else np.zeros((ts.size, 3))
     if branches:
         far = legendre_fourier(panels, ts)
         out += far[:, :3].real - far[:, 3:].imag + settled
     return out
 
 
-def spin_evolve(model: SpinModel, p, t: float, tol: float = 1e-9) -> DensityOperator:
+def spin_evolve(model: SpinModel, p, t: float) -> DensityOperator:
     """Reduced spin state at time t: the average of rotated polarizations.
 
     Conditioned on the environment coordinate x the spin precesses rigidly;
     the reduced state is the density-weighted average of those rotations
     applied to p; this is the single-time case of ``spin_trajectory``.
     """
-    return bloch_to_density(spin_trajectory(model, p, [float(t)], tol)[0])
+    return bloch_to_density(spin_trajectory(model, p, [float(t)])[0])
 
 
-def asymptotic_map(model: SpinModel, tol: float = 1e-9) -> np.ndarray:
+def asymptotic_map(model: SpinModel) -> np.ndarray:
     """Long-time contraction map M = avg of n(x) n(x)^T over the density.
 
     Oscillating parts of the conditional rotations dephase away and only the
     projections onto the local axes survive.  M is a symmetric contraction:
     a density-weighted average of rank-one projectors, so its eigenvalues
     lie in [0, 1].  A continuous density takes one ``gauss_legendre_adaptive``
-    call to ``tol`` over its support, a discrete one a weighted sum.  With
+    call over its support, a discrete one a weighted sum.  With
     the fold x* inside the support the support is taken in offsets from it
     (``_near``): the axis flips over |z| ~ m about it, and where m is far
     below the ulp of x*, abscissae rounded in x would put that flip out of
@@ -1072,10 +1094,10 @@ def asymptotic_map(model: SpinModel, tol: float = 1e-9) -> np.ndarray:
     centre = _fold(model, 0.0)[0]
     weight, a3 = _near(model, centre)
     lo, hi = np.subtract(env.support(), 0.0 if centre is None else centre)
-    return gauss_legendre_adaptive(lambda x: projectors(x, weight(x), a3), lo, hi, tol).reshape(3, 3)
+    return gauss_legendre_adaptive(lambda x: projectors(x, weight(x), a3), lo, hi).reshape(3, 3)
 
 
-def spin_asymptotics(model: SpinModel, p, t_grid, tol: float = 1e-9) -> np.ndarray:
+def spin_asymptotics(model: SpinModel, p, t_grid) -> np.ndarray:
     """Trace distances from the asymptotic state along a time grid.
 
     Returns (t, distance) rows measuring how far the evolved state still is
@@ -1088,9 +1110,9 @@ def spin_asymptotics(model: SpinModel, p, t_grid, tol: float = 1e-9) -> np.ndarr
     """
     p = _polarization(p)
     ts = finite_times(t_grid)
-    target = asymptotic_map(model, tol) @ p
+    target = asymptotic_map(model) @ p
     bloch_to_density(target)
-    pols = spin_trajectory(model, p, ts, tol)
+    pols = spin_trajectory(model, p, ts)
     radii = np.linalg.norm(pols, axis=1)
     outside = np.flatnonzero(~(radii <= 1.0 + BALL_TOL))  # nan is outside too
     if outside.size:

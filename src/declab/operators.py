@@ -41,6 +41,23 @@ def finite_times(ts) -> np.ndarray:
     return ts
 
 
+def finite_phases(ts, *rates) -> None:
+    """OutOfDomain naming the first t in ``ts`` at which a phase |t| r overflows.
+
+    ``rates`` are (description, r) pairs, r the largest |rate| of a kind of
+    phase; the message names the first kind that overflows at that t.
+    """
+    top = float(np.abs(ts).max(initial=0.0))  # Python floats overflow to inf without a warning
+    if all(math.isfinite(top * float(r)) for _, r in rates):
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        over = ~np.isfinite(np.multiply.outer(np.abs(ts), [r for _, r in rates]))
+    bad = np.flatnonzero(over.any(axis=1))
+    if bad.size:
+        what, r = rates[int(np.argmax(over[bad[0]]))]
+        raise OutOfDomain(f"t[{bad[0]}] = {float(ts[bad[0]])!r} times {what} {r:g} overflows")
+
+
 def hs_norm(a):
     """Hilbert-Schmidt (Frobenius) norm of a matrix, or of every matrix of a
     (..., n, m) stack as an array.

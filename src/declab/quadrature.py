@@ -6,10 +6,10 @@ and the moments of its rotation kernel on the strip about the fold of the
 rate, from which every time's integral there is a short series
 (``models._strip``).  From MIN_PANELS equal panels, panels are bisected
 until the discrepancy between the order-n and order-2n rules falls below
-their share of the error budget, within a budget of MAX_PANELS panels, and
-no tolerance below EPS is taken.  Integrands may be scalar or array valued;
-everything is evaluated vectorized, in one call per round, over the nodes of
-both rules on all pending panels, and panel contributions are summed in the
+their share of the error budget ADAPTIVE_TOL, within a budget of
+MAX_PANELS panels.  Integrands may be scalar or array valued; everything
+is evaluated vectorized, in one call per round, over the nodes of both
+rules on all pending panels, and panel contributions are summed in the
 order of their left edges so results do not depend on evaluation
 scheduling.  That loop (``_bisect``) also splits densities into panels; it
 starts from the panels between given edges, so that a caller who knows
@@ -37,9 +37,9 @@ bisection from edges already graded there), and the large values there are
 judged against their own rounding noise (NOISE_ULPS).
 Centre and offset come apart so that such a change of variable can place
 its nodes without rounding them.
-``legendre_fourier`` takes no tolerance: the tail is fixed by f, chi
-states it as its limit, and a caller with a tolerance checks it against the
-tail (the spin model's far branches).
+No rule takes a tolerance: the adaptive rule's budget is ADAPTIVE_TOL,
+and the Legendre panels' tail is fixed by f, which chi states as its limit
+and the spin model's far branches check against ADAPTIVE_TOL.
 
 Every Gauss-Legendre rule here comes from one generator,
 ``_gauss_legendre``: Newton's method on the three-term recurrence from
@@ -54,6 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfDomain, QuadratureFailure
+from .operators import finite_phases
 
 MAX_PANELS = 2**14
 MIN_PANELS = 8
@@ -62,6 +63,8 @@ ORDER = 16
 # whole density (absolute, in units of the integral).
 LEGENDRE_ORDER = 16
 LEGENDRE_BUDGET = 1e-15
+# Error budget of the adaptive rule for a whole integral (absolute).
+ADAPTIVE_TOL = 1e-9
 # Rounding noise of a panel's values, in ulps of their largest magnitude: a
 # Legendre tail below it cannot be told apart from noise.  The densities'
 # tails level off at up to 82 ulps (bump; 49 at the 99th percentile), 13
@@ -171,25 +174,16 @@ def _bisect(evaluate, edges, what):
     return [np.concatenate(part)[by_left_edge] for part in zip(*accepted)]
 
 
-def gauss_legendre_adaptive(f, a, b, tol=1e-9):
-    """Integrate ``f`` over [a, b] to an estimated absolute tolerance.
+def gauss_legendre_adaptive(f, a, b):
+    """Integrate ``f`` over [a, b] to an estimated absolute error of ADAPTIVE_TOL.
 
     ``f`` maps an (m,) array of abscissae to an (m, ...) array of values
-    (complex allowed); for array values every component must meet ``tol``.
-    Bisection starts from MIN_PANELS equal panels; a panel passes when the
-    order-n and order-2n rules agree to its share of ``tol``, and the
-    order-2n values are summed.
-
-    Raises OutOfDomain, before any evaluation, when ``tol`` is not finite or
-    is below EPS (2.2e-16): the rules' rounding is not told apart from their
-    error below that, and bisection would run on to the panel budget,
-    holding gigabytes on the way.
-    Raises QuadratureFailure when more than MAX_PANELS panels are needed
-    before the error estimate drops below ``tol``.
+    (complex allowed); for array values every component must meet the
+    budget.  Bisection starts from MIN_PANELS equal panels; a panel passes
+    when the order-n and order-2n rules agree to its share of ADAPTIVE_TOL,
+    and the order-2n values are summed.  Raises QuadratureFailure when more
+    than MAX_PANELS panels are needed.
     """
-    if not EPS <= tol < np.inf:
-        raise OutOfDomain(f"tolerance {tol:g} is not finite or below the floor EPS = {EPS:g}")
-
     (x, w), (x2, w2) = _rule(ORDER), _rule(2 * ORDER)
 
     def evaluate(lo, hi):  # f at the nodes of both rules on every panel, in one call
@@ -200,12 +194,13 @@ def gauss_legendre_adaptive(f, a, b, tol=1e-9):
         coarse, fine = (np.einsum("pk...,pk->p...", part, weights * half)
                         for part, weights in ((vals[:, :ORDER], w), (vals[:, ORDER:], w2)))
         err = np.abs(fine - coarse).reshape(lo.size, -1).max(axis=1)
-        return err <= tol * ((hi - lo) / (b - a)), (fine,)  # tol * (hi - lo) may underflow
+        # A panel's share, in this order: ADAPTIVE_TOL * (hi - lo) may underflow.
+        return err <= ADAPTIVE_TOL * ((hi - lo) / (b - a)), (fine,)
 
     # Steps between subnormal ends round up: linspace may pass b before its last edge.
     edges = np.linspace(a, b, MIN_PANELS + 1)
     edges[1:] = np.minimum(edges[1:], b)
-    (fine,) = _bisect(evaluate, edges, f"panels for tolerance {tol:g}")
+    (fine,) = _bisect(evaluate, edges, f"panels for ADAPTIVE_TOL = {ADAPTIVE_TOL:g}")
     return fine.sum(axis=0)
 
 
@@ -381,16 +376,13 @@ def legendre_fourier(panels, ts):
     panels' ``tail`` of the transform of f at every t.  Times are evaluated
     in chunks of at most LEGENDRE_ELEMENTS (term, panel, time) triples;
     negative times are the complex conjugates of |t|, as for every real f.
-    Raises OutOfDomain naming the first t at which a panel's phase h |t|
-    overflows.
+    Raises OutOfDomain naming the first t at which a panel's phase, h |t|
+    or c |t|, overflows.
     """
     ts = np.asarray(ts, dtype=float)
     at = np.abs(ts)
-    with np.errstate(over="ignore"):
-        bad = np.flatnonzero(~np.isfinite(panels.halves.max() * at))
-    if bad.size:
-        raise OutOfDomain(f"t[{bad[0]}] = {float(ts[bad[0]])!r} times the panel half-width "
-                          f"{panels.halves.max():g} overflows")
+    finite_phases(ts, ("the panel half-width", panels.halves.max()),
+                  ("the panel centre", np.abs(panels.centres).max()))
     n_panels, n_terms = panels.coeffs.shape[:2]
     coeffs = panels.coeffs.reshape(n_panels, n_terms, -1)
     # (p, k, 2d): 2h a_k (-i)^k as (real, imaginary) pairs, d components.

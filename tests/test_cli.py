@@ -457,6 +457,33 @@ def test_main_validate_names_key_of_bad_number(tmp_path, capsys, base, old, new,
     assert f"invalid config: {key}:" in capsys.readouterr().err
 
 
+# Malformed values and inconsistent entries: (base, old, new, what the one line names).
+BAD_ENTRIES = [
+    (CHI_CONFIG, "env.kind = uniform", "env.kind = uniform\n= 3", "line 7"),
+    (SPIN_ASYMPTOTICS_CONFIG, "model.a = 1,0,2", "model.a = 1,x,2", "model.a"),
+    (SPIN_ASYMPTOTICS_CONFIG, "model.a = 1,0,2", "model.a = 1,2", "model.a"),
+    (AZ_CONFIG, "initial.bloch = 1,0,0", "initial.matrix = 0.5,a,0,0.5", "initial.matrix"),
+    (AZ_CONFIG, "initial.bloch = 1,0,0", "initial.matrix = 0.5,0,0.5", "initial.matrix"),
+    (CHI_CONFIG, "t_grid.stop = 6.0", "t_grid.stop = 0.0", "t_grid.stop"),
+    (AZ_CONFIG, "initial.bloch = 1,0,0", "initial.bloch = 1,1,0", "initial.bloch"),
+    (AZ_CONFIG, "model.lambdas = 1,-1", "model.lambdas = 1,-1,3", "model.lambdas"),
+    (SPIN_ASYMPTOTICS_CONFIG, "model.b = 0.3", "model.b = 0", "model.b"),
+    (SPIN_ASYMPTOTICS_CONFIG, "fit.delta = 1.0", "fit.delta = -1", "fit.delta"),
+]
+
+
+@pytest.mark.parametrize("base, old, new, key", BAD_ENTRIES,
+                         ids=[c[2].splitlines()[-1] for c in BAD_ENTRIES])
+def test_main_validate_names_the_key_of_a_malformed_entry_in_one_line(tmp_path, capsys, base,
+                                                                       old, new, key):
+    assert old in base
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(base.replace(old, new))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"declab: invalid config: {key}:"), err
+
+
 def test_main_validate_rejects_bloch_vector_on_non_qubit_system(tmp_path, capsys):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(AZ_CONFIG.replace("model.sector_dims = 1,1", "model.sector_dims = 2,1"))
@@ -579,7 +606,7 @@ def test_main_runs_spin_with_the_fold_inside_at_very_large_t(tmp_path, capsys, k
     # The fold x* = -0.3 lies inside each support.  Far branches from the
     # strip's edge carry factors ~ w m / zeta ~ sqrt(t); their rounding used
     # to be rescaled into the Legendre tail estimate, which then exceeded
-    # tol = 1e-9 from t ~ 1e16 (exit 2).
+    # the budget 1e-9 from t ~ 1e16 (exit 2).
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(SPIN_CONFIG.replace("env.kind = gaussian\nenv.s = 1.0", FOLD_INSIDE_ENVS[kind])
                    .replace("model.a = 1,0,2", "model.a = 1,0,0.3")
@@ -936,7 +963,7 @@ def _chi_beyond_the_double_range(env, ts):
 
 
 def _spin_on_an_empty_strip(model, p, ts):
-    return declab.quadrature.gauss_legendre_adaptive(None, 0.5, 0.5, 1e-9)
+    return declab.quadrature.gauss_legendre_adaptive(None, 0.5, 0.5)
 
 
 RUNTIME_CHECKS = {

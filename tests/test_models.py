@@ -12,6 +12,7 @@ from declab import (
     NotAState,
     NotDiscrete,
     NotHermitian,
+    OutOfDomain,
     OutsideBall,
     PAULI,
     SectorStructure,
@@ -293,6 +294,46 @@ def test_chi_discrete_chunks_match_one_table(monkeypatch, trajectory):
     whole = trajectory(env, ts)
     assert len(calls) == 64 and calls[-1] == (1001, 21)
     assert np.array_equal(chunked, whole)
+
+
+# Phases past the double range, each a call and the message of its
+# OutOfDomain: the first time at which a phase overflows, and what it
+# multiplies (for a gap, its sector pair; the gap itself may overflow).
+P = [0.6, -0.3, 0.4]
+WIDE_GAP = ArakiZurekModel(Z_SECTORS, [-1e308, 1e308], np.zeros((2, 2)), GAUSS, 2.0)
+PLUS = DensityOperator(np.full((2, 2), 0.5))
+
+
+def field(a, env=GAUSS):
+    return SpinModel(a=a, b=0.3, lam=1.0, env_diag=env)
+
+
+PHASE_OVERFLOWS = {
+    "spin_far_centre": (lambda: spin_trajectory(field([0, 0, 0.5]), P, [0.0, 1e307]),
+                        r"t\[1\] = 1e\+307 times the panel centre"),
+    "spin_strip": (lambda: spin_trajectory(field([1, 0, 0.5]), P, [0.0, 1e308]),
+                   r"t\[1\] = 1e\+308 times the strip's rate"),
+    "spin_discrete": (lambda: spin_trajectory(field([1, 0, 0.5], GAUSS.discretize(8)), P, [0.0, 1e308]),
+                      r"t\[1\] = 1e\+308 times the frequency"),
+    "chi_gaussian": (lambda: chi_trajectory(GAUSS, [1e308]), r"t\[0\] = 1e\+308 times the panel centre"),
+    "chi_discrete": (lambda: chi_trajectory(SpectralDensity.discrete([[1e308, 1.0]]), [10.0]),
+                     r"t\[0\] = 10\.0 times the frequency 1e\+308"),
+    "az_coherence_gap": (lambda: az_coherence(WIDE_GAP, PLUS, [1.0]),
+                         r"t\[0\] = 1\.0 times the gap lambdas\[1\] - lambdas\[0\] = inf overflows"),
+    "az_evolve_gap": (lambda: az_evolve(WIDE_GAP, PLUS, 1.0),
+                      r"t\[0\] = 1\.0 times the gap lambdas\[1\] - lambdas\[0\] = inf overflows"),
+    "az_coherence_time": (lambda: az_coherence(simple_az(), PLUS, [0.0, 1e308]),
+                          r"t\[1\] = 1e\+308 times the gap lambdas\[0\] - lambdas\[1\] = 2 overflows"),
+    "az_evolve_time": (lambda: az_evolve(simple_az(env=lattice_env()), PLUS, 1e308),
+                       r"t\[0\] = 1e\+308 times the gap lambdas\[0\] - lambdas\[1\] = 2 overflows"),
+}
+
+
+@pytest.mark.parametrize("case", PHASE_OVERFLOWS)
+def test_a_phase_past_the_double_range_raises_naming_its_first_time(case):
+    call, message = PHASE_OVERFLOWS[case]
+    with pytest.raises(OutOfDomain, match=message):
+        call()
 
 
 # --- recurrence
@@ -1021,7 +1062,7 @@ def test_spin_asymptotics_distances_are_trace_distances():
 def test_spin_asymptotics_rejects_a_polarization_outside_the_ball(monkeypatch):
     import declab.models as models
 
-    def spin_trajectory(model, p, ts, tol):
+    def spin_trajectory(model, p, ts):
         pols = np.zeros((ts.size, 3))
         pols[1:, 0] = [1.0 + 1e-9, 0.5]
         return pols
