@@ -5,10 +5,11 @@ quoting), chosen so diffs stay reviewable and parsing needs nothing beyond
 the standard library.  Each experiment's runner returns a header, its columns
 (1-d float arrays; a list for a column of strings) and a fit or None.  The
 columns are streamed into one CSV (comma separated, LF endings, 17
-significant digits so doubles round-trip losslessly), CSV_CHUNK_ROWS rows at
-a time, beside a report echoing the scenario and summarizing every numeric
-series.  Both files are created 0666 under the umask.  Identical config and
-seed produce byte-identical CSV.
+significant digits so doubles round-trip losslessly), in chunks of rows
+whose cells stay within the one table budget (``operators.chunks``), beside
+a report echoing the scenario and summarizing every numeric series.  Both
+files are created 0666 under the umask.  Identical config and seed produce
+byte-identical CSV.
 """
 
 import argparse
@@ -36,7 +37,7 @@ from .models import (
     spin_asymptotics,
     spin_trajectory,
 )
-from .operators import hs_norm, unit_scale
+from .operators import chunks, hs_norm, unit_scale
 from .states import (
     BALL_TOL,
     DensityOperator,
@@ -56,8 +57,6 @@ from .superselection import (
 
 # Largest t_grid.count a config may ask for; the checked-in scenarios use at most 601.
 MAX_TIME_POINTS = 10**6
-# Rows of CSV text formatted and written at a time.
-CSV_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -387,13 +386,13 @@ def _atomic_write(path: str, parts):
 
 
 def _csv_lines(header, columns):
-    """The CSV text of ``columns`` under ``header``, CSV_CHUNK_ROWS rows at a
-    time: ``%.17g`` for each float of a float array, ``%s`` for each string of
-    a list."""
+    """The CSV text of ``columns`` under ``header``, in chunks of rows whose
+    cells stay within the one table budget (``operators.chunks``): ``%.17g``
+    for each float of a float array, ``%s`` for each string of a list."""
     row = ",".join("%s" if isinstance(column, list) else "%.17g" for column in columns) + "\n"
     yield ",".join(header) + "\n"
-    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        cells = (np.asarray(column[start : start + CSV_CHUNK_ROWS]).tolist() for column in columns)
+    for chunk in chunks(len(columns[0]), len(columns)):
+        cells = (np.asarray(column[chunk]).tolist() for column in columns)
         yield "".join(row % values for values in zip(*cells))
 
 

@@ -75,6 +75,18 @@ class OutOfDomain(DeclabError, ValueError):
     """A time, phase or interval a computation cannot take; a ValueError too."""
 
 
+class PhaseOverflow(OutOfDomain):
+    """A phase |t| r past the double range.
+
+    Carries the index of the first such t as ``index`` and what it
+    multiplies, a description and r, as ``rate``.
+    """
+
+    def __init__(self, index, t, rate):
+        self.index, self.rate = index, rate
+        super().__init__(f"t[{index}] = {t!r} times {rate} overflows")
+
+
 class NotDiscrete(DeclabError):
     """Operation requires a discrete spectral density."""
 

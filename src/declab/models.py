@@ -35,9 +35,11 @@ from .errors import (
     NotDiscrete,
     NotHermitian,
     OutsideBall,
+    PhaseOverflow,
     QuadratureFailure,
 )
 from .operators import (
+    chunks,
     finite_phases,
     finite_times,
     hs_norm,
@@ -52,7 +54,6 @@ from .quadrature import (
     gauss_legendre_adaptive,
     legendre_fourier,
     legendre_panels,
-    trig_sum,
 )
 from .states import (
     BALL_TOL,
@@ -77,11 +78,6 @@ MAX_DENSE_DIM = 1024
 # Support widths of a continuous density: beyond them its peak value, or the
 # products of its abscissae, leave the double range.
 SUPPORT_WIDTHS = (1e-300, 1e300)
-# Bound on times x sector pairs in one chunk of chi tables, on times x d^2
-# in one state stack of az_coherence (unless a single state exceeds it),
-# on times x points in one trig table of a discrete environment's
-# trajectory, and on times x terms in one table of the spin strip's series.
-DEPHASING_ELEMENTS = 2**16
 # Terms kept of the spin strip's phase series (``_strip``): with |psi| <= pi/2
 # the ones left out sum to at most (pi/2)^23 / 23! e^(pi/2) ~ 6e-18 of int |g|.
 STRIP_TERMS = 23
@@ -296,28 +292,30 @@ def _trajectory(env, ts, kernel):
     """Exact sum of c + a cos(omega t) + b sin(omega t) over a discrete
     environment's points for every t in the finite times ts, shape (T, d).
 
-    ``kernel(x, weight)`` maps the (m,) points and their weights to
-    (omega, a, b, c), weighted as in ``quadrature.trig_sum``.  Each t is on
-    ``trig_sum``'s batch axis: a row is computed as a call at that t alone
-    computes it, to the bit.  The times are taken in chunks whose trig tables
-    hold at most DEPHASING_ELEMENTS (times x points) entries.  Raises
-    OutOfDomain naming the first t at which a phase omega t overflows.
+    ``kernel(x, weight)`` maps the (m,) points and their weights to the (m,)
+    frequencies omega and the (m, d) weighted amplitudes a, b and c, or None
+    for a c that is all zero.  Each t takes its own (1, m) rows of cos and
+    sin, so a row is computed as a call at that t alone computes it, to the
+    bit, and the times are taken in chunks of (time, point) tables
+    (``_by_chunks``).  Raises OutOfDomain naming the first t at which a
+    phase omega t overflows.
     """
-    omega, *amplitudes = kernel(env.points[:, 0], env.points[:, 1])
+    omega, a, b, c = kernel(env.points[:, 0], env.points[:, 1])
     finite_phases(ts, ("the frequency", np.abs(omega).max()))
-    return _by_chunks(lambda t: trig_sum(np.ones(1), np.multiply.outer(t, omega), *amplitudes)[:, 0],
-                      ts, omega.size)
+
+    def sums(t):
+        phase = np.multiply.outer(t, omega)[:, None, :]
+        out = (np.cos(phase) @ a + np.sin(phase) @ b)[:, 0]
+        return out if c is None else out + c.sum(axis=0)
+
+    return _by_chunks(sums, ts, omega.size)
 
 
 def _by_chunks(f, ts, width):
-    """f(chunk) for consecutive chunks of ``ts``, joined along the first axis.
-
-    A chunk holds at most DEPHASING_ELEMENTS // width times (at least one),
-    so that a table of ``width`` entries per time stays within
-    DEPHASING_ELEMENTS.  f must compute each row from its own time alone.
-    """
-    step = max(1, DEPHASING_ELEMENTS // width)
-    return np.concatenate([f(ts[start : start + step]) for start in range(0, ts.size, step)])
+    """f(chunk) for consecutive chunks of ``ts`` (``operators.chunks``), joined
+    along the first axis: a table of ``width`` entries per time stays within
+    the one budget.  f must compute each row from its own time alone."""
+    return np.concatenate([f(ts[chunk]) for chunk in chunks(ts.size, width)])
 
 
 def chi_trajectory(env: SpectralDensity, ts) -> np.ndarray:
@@ -478,15 +476,15 @@ def _chi_tables(lambdas, env: SpectralDensity, ts, stack: int = 1):
     with a unit diagonal.
 
     Each chunk is one ``chi_trajectory`` call over its (t, gap) phases, one
-    per distinct gap l_m - l_n (equally spaced l repeat most of them), with B
-    times x sector pairs within DEPHASING_ELEMENTS, so a chunk's tables hold
-    at most four times that many entries; ``chi_trajectory`` bounds its own
-    tables (``_trajectory``, ``quadrature.LEGENDRE_ELEMENTS``).  A caller
-    that builds a stack of ``stack`` entries per time from a chunk also has
-    B x stack within DEPHASING_ELEMENTS.  B is at least 1.  Nothing is
-    evaluated before the first chunk is taken.  Raises OutOfDomain naming
-    the first t at which a phase overflows and the sector pair of the
-    largest gap, max - min, which may overflow itself.
+    per distinct gap l_m - l_n (equally spaced l repeat most of them).  A
+    chunk holds B times of the larger of the sector pairs and ``stack``
+    entries each (``operators.chunks``): its tables hold at most four times
+    the one table budget, and a caller that builds a stack of ``stack``
+    entries per time from it stays within the budget.  ``chi_trajectory``
+    bounds its own tables.  Nothing is evaluated before the first chunk is
+    taken.  Raises OutOfDomain naming the first t at which a phase
+    overflows: with the sector pair of the largest gap, max - min, which
+    may overflow itself, or with a gap at which chi's phases overflow.
     """
     k = lambdas.size
     top, bottom = int(lambdas.argmax()), int(lambdas.argmin())
@@ -494,13 +492,19 @@ def _chi_tables(lambdas, env: SpectralDensity, ts, stack: int = 1):
                        float(lambdas[top]) - float(lambdas[bottom])))  # inf, not a warning
     m, n = np.triu_indices(k, 1)
     gaps, pair_gap = np.unique(lambdas[m] - lambdas[n], return_inverse=True)
-    step = max(1, DEPHASING_ELEMENTS // max(1, m.size, stack))
-    for start in range(0, ts.size, step):
-        chunk = ts[start : start + step]
-        chi = np.ones((chunk.size, k, k), dtype=complex)
+    for chunk in chunks(ts.size, max(1, m.size, stack)):
+        t = ts[chunk]
+        chi = np.ones((t.size, k, k), dtype=complex)
         if gaps.size:
-            values = chi_trajectory(env, np.multiply.outer(chunk, gaps).ravel())
-            chi[:, m, n] = values.reshape(chunk.size, -1)[:, pair_gap]
+            try:
+                values = chi_trajectory(env, np.multiply.outer(t, gaps).ravel())
+            except PhaseOverflow as exc:  # name the caller's time, not the table's entry
+                row, gap = divmod(exc.index, gaps.size)
+                pair = int(np.argmax(pair_gap == gap))
+                raise PhaseOverflow(chunk.start + row, float(t[row]),
+                                    f"the gap lambdas[{m[pair]}] - lambdas[{n[pair]}] = "
+                                    f"{gaps[gap]:g} times {exc.rate}") from None
+            chi[:, m, n] = values.reshape(t.size, -1)[:, pair_gap]
             chi[:, n, m] = np.conj(chi[:, m, n])
         yield chi
 
@@ -514,7 +518,9 @@ def _sector_propagators(model: ArakiZurekModel, ts):
     and h_s is taken as exactly block-diagonal there: the intersector entries
     of g that ``ArakiZurekModel`` tolerates are dropped.  The sector blocks
     of g are diagonalised at the call, one batched ``eigh`` per distinct
-    sector size; each unitary is built when it is taken.
+    sector size; each unitary is built when it is taken.  Raises
+    OutOfDomain naming the first t at which a phase e t of an eigenvalue e
+    overflows, at the call.
     """
     frame, index = model.sectors.frame, model.sectors.index
     g = in_sector_frame(model.h_s, model.sectors)
@@ -528,6 +534,8 @@ def _sector_propagators(model: ArakiZurekModel, ts):
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
         groups.append((idx, vals, vecs))
+    finite_phases(ts, ("the largest |eigenvalue| of h_s",
+                       max(np.abs(vals).max() for _, vals, _ in groups)))
 
     def unitaries():
         for t in ts:
@@ -584,11 +592,11 @@ def az_coherence(model: ArakiZurekModel, rho0: DensityOperator, ts):
     and x0 is rho0 in the sector-adapted frame: h_s commutes with every P_m
     and the norms are unitarily invariant, so exp(-i h_s t) drops out.  Per
     chunk of ``_chi_tables`` the states form one (B, d, d) stack, B d^2
-    within DEPHASING_ELEMENTS, whose norms are ``coherence_norms``.  C is
-    conjugate-symmetric with a unit diagonal, so each state keeps the
-    Hermiticity and the trace of x0, which are checked once.  Chi is within
-    ``model.env.expansion().tail`` at every t for a continuous environment
-    and an exact sum for a discrete one.
+    within the one table budget (or B = 1), whose norms are
+    ``coherence_norms``.  C is conjugate-symmetric with a unit diagonal, so
+    each state keeps the Hermiticity and the trace of x0, which are checked
+    once.  Chi is within ``model.env.expansion().tail`` at every t for a
+    continuous environment and an exact sum for a discrete one.
 
     Every state is checked positive as a DensityOperator is, mostly at the
     size of C (k x k) rather than of the state.  With E the d x k sector
@@ -702,7 +710,8 @@ def _axes(model: SpinModel, x: np.ndarray, a3=None):
     zero = norms == 0.0
     n = h / np.where(zero, 1.0, norms)[:, None]
     n[zero] = (0.0, 0.0, 1.0)
-    return n, 2.0 * norms
+    with np.errstate(over="ignore"):  # inf past the double range, rejected where it is a phase
+        return n, 2.0 * norms
 
 
 class _Branch(NamedTuple):
@@ -1144,7 +1153,8 @@ def full_simulation_oracle(model, rho0: DensityOperator, t: float, n_grid: int) 
     sum_k w_k U_k rho0 U_k^dagger.  No closed form, chi or propagator
     enters, so agreement with ``az_evolve`` or ``spin_evolve`` validates
     those paths end to end.  The joint dimension d n_grid stays capped at
-    MAX_DENSE_DIM, although only n_grid d^2 entries are stored.
+    MAX_DENSE_DIM, although only n_grid d^2 entries are stored.  Raises
+    OutOfDomain when a phase e t of a block's eigenvalue e overflows.
     """
     n_grid = operator.index(n_grid)
     if n_grid < 2:
@@ -1174,6 +1184,7 @@ def full_simulation_oracle(model, rho0: DensityOperator, t: float, n_grid: int) 
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    finite_phases([t], ("the largest |eigenvalue|", np.abs(vals).max()))
     u = (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
     # sum_k w_k U_k rho0 U_k^dagger as one product of (d, n d) matrices, rows i and
     # columns (k, j): [w_k (U_k rho0)_ij] times the adjoint of [(U_k)_lj].

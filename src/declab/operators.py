@@ -7,6 +7,10 @@ so nothing in the library calls ``propagator`` or ``partial_trace_env``.  Both
 stay because the benchmark in ``perfbench/`` traces them by name: a traced
 function that no longer exists turns its registered metrics absent.  Dense
 storage only; the supported dimension is documented up to 1024.
+
+The module also holds what every evaluator over a time grid shares: the
+checks of the times and of their phases (``finite_times``,
+``finite_phases``) and the one budget of their tables (``chunks``).
 """
 
 import math
@@ -14,10 +18,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, OutOfDomain
+from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, OutOfDomain, PhaseOverflow
 
 HERMITICITY_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-10
+# Bound on the entries of one table over a chunk of a time grid (``chunks``).
+TABLE_ELEMENTS = 2**16
 
 
 def _as_square_matrix(m, name="matrix"):
@@ -42,7 +48,7 @@ def finite_times(ts) -> np.ndarray:
 
 
 def finite_phases(ts, *rates) -> None:
-    """OutOfDomain naming the first t in ``ts`` at which a phase |t| r overflows.
+    """PhaseOverflow naming the first t in ``ts`` at which a phase |t| r overflows.
 
     ``rates`` are (description, r) pairs, r the largest |rate| of a kind of
     phase; the message names the first kind that overflows at that t.
@@ -55,7 +61,20 @@ def finite_phases(ts, *rates) -> None:
     bad = np.flatnonzero(over.any(axis=1))
     if bad.size:
         what, r = rates[int(np.argmax(over[bad[0]]))]
-        raise OutOfDomain(f"t[{bad[0]}] = {float(ts[bad[0]])!r} times {what} {r:g} overflows")
+        raise PhaseOverflow(int(bad[0]), float(ts[bad[0]]), f"{what} {r:g}")
+
+
+def chunks(n, width):
+    """Consecutive slices of range(n) of at most max(1, TABLE_ELEMENTS // width) indices each.
+
+    A table of ``width`` entries per index then holds at most TABLE_ELEMENTS
+    entries per slice, or one index's worth.  Every table over a time grid
+    (chi, the spin model's sums, the dephasing stacks, the CSV rows) is
+    taken in these slices, so the one budget bounds them all.
+    """
+    step = max(1, TABLE_ELEMENTS // width)
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 def hs_norm(a):

@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfDomain, QuadratureFailure
-from .operators import finite_phases
+from .operators import chunks, finite_phases
 
 MAX_PANELS = 2**14
 MIN_PANELS = 8
@@ -71,8 +71,6 @@ ADAPTIVE_TOL = 1e-9
 # (gaussian) and 0.01 (uniform) on panels where they are at least 1e-3 of
 # their peak; 64 is the power of two above the bump's 99th percentile.
 NOISE_ULPS = 64
-# Bound on Legendre terms x panels x times held at once by legendre_fourier.
-LEGENDRE_ELEMENTS = 2**16
 EPS = np.finfo(float).eps
 
 _rule_cache: dict = {}
@@ -202,21 +200,6 @@ def gauss_legendre_adaptive(f, a, b):
     edges[1:] = np.minimum(edges[1:], b)
     (fine,) = _bisect(evaluate, edges, f"panels for ADAPTIVE_TOL = {ADAPTIVE_TOL:g}")
     return fine.sum(axis=0)
-
-
-def trig_sum(ts, omega, a, b, c):
-    """sum_k c_k + a_k cos(omega_k t) + b_k sin(omega_k t) for every t in ``ts``.
-
-    ``omega`` is (..., k) and the amplitudes (..., k, d), leading axes being
-    batches (a discrete environment's times, ``models._trajectory``); c is
-    None when nothing is constant.  Returns (..., T, d).
-    """
-    phase = ts[:, None] * omega[..., None, :]
-    out = np.cos(phase) @ a
-    out += np.sin(phase) @ b
-    if c is not None:
-        out += c.sum(axis=-2)[..., None, :]
-    return out
 
 
 def spherical_jn(kmax, z):
@@ -374,7 +357,7 @@ def legendre_fourier(panels, ts):
 
     Returns (T, ...) complex values, one per component of f, each within the
     panels' ``tail`` of the transform of f at every t.  Times are evaluated
-    in chunks of at most LEGENDRE_ELEMENTS (term, panel, time) triples;
+    in chunks (``operators.chunks``) of one (term, panel) table per time;
     negative times are the complex conjugates of |t|, as for every real f.
     Raises OutOfDomain naming the first t at which a panel's phase, h |t|
     or c |t|, overflows.
@@ -389,15 +372,14 @@ def legendre_fourier(panels, ts):
     weights = (coeffs[..., None] * _POWERS_OF_MINUS_I[np.arange(n_terms) % 4, None]).reshape(
         n_panels, n_terms, -1)
     out = np.empty((ts.size, coeffs.shape[2]), dtype=complex)
-    step = max(1, LEGENDRE_ELEMENTS // (n_panels * n_terms))
-    for s in range(0, ts.size, step):
-        tc = at[s : s + step]
+    for chunk in chunks(ts.size, n_panels * n_terms):
+        tc = at[chunk]
         # np.take keeps (k, p, t) in C order, as [:, width_of] would not: matmul
         # rounds by layout, and chi must not depend on how times are chunked.
         j = np.take(spherical_jn(n_terms - 1, np.multiply.outer(panels.halves, tc)),
                     panels.width_of, axis=1)
         sums = np.matmul(j.transpose(1, 2, 0), weights).view(complex)  # (p, t, d)
         phases = np.exp(np.multiply.outer(-1j * panels.centres, tc))
-        out[s : s + step] = np.einsum("pt,ptd->td", phases, sums)
+        out[chunk] = np.einsum("pt,ptd->td", phases, sums)
     np.conjugate(out, out=out, where=(ts < 0)[:, None])
     return out.reshape(ts.shape + panels.coeffs.shape[2:])

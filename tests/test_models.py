@@ -40,6 +40,7 @@ from declab import (
     spin_trajectory,
     trace_distance,
 )
+from declab.cli import _csv_lines
 from declab.models import DENSITY_KINDS, _axes
 from declab.states import STATE_TOL
 from declab.superselection import sector_mask
@@ -278,22 +279,77 @@ def test_chi_discrete_chunks_bound_its_tables(trajectory):
     assert peak < 4 * 2**20
 
 
-@DISCRETE_TRAJECTORIES
-def test_chi_discrete_chunks_match_one_table(monkeypatch, trajectory):
-    import declab.models as models
+CHUNK_TIMES = np.linspace(-3.0, 40.0, 1001)
 
-    env = lattice_env()  # 21 points
-    ts = np.linspace(-3.0, 40.0, 1001)
-    calls = []
-    trig_sum = models.trig_sum
-    monkeypatch.setattr(models, "trig_sum", lambda *a: calls.append(a[1].shape) or trig_sum(*a))
-    monkeypatch.setattr(models, "DEPHASING_ELEMENTS", 16 * 21)
-    chunked = trajectory(env, ts)
-    assert len(calls) == 63 and calls[0] == (16, 21) and calls[-1] == (9, 21)
-    monkeypatch.setattr(models, "DEPHASING_ELEMENTS", ts.size * 21)
-    whole = trajectory(env, ts)
-    assert len(calls) == 64 and calls[-1] == (1001, 21)
-    assert np.array_equal(chunked, whole)
+
+def _dephasing_az():
+    rng = np.random.default_rng(39)
+    h_s = scipy.linalg.block_diag(*(random_hermitian(d, rng) for d in (2, 1, 3)))
+    return ArakiZurekModel(block_diagonal_sectors([2, 1, 3]), [1.5, 0.0, -2.0], h_s, GAUSS, 1.5)
+
+
+# Every caller of operators.chunks, each a call on CHUNK_TIMES (or a CSV of as
+# many rows) and the module through which it steps them.
+CHUNKED_CALLS = {
+    "chi": ("models", lambda: chi_trajectory(lattice_env(), CHUNK_TIMES)),  # 21 points
+    "spin": ("models", lambda: _spin_discrete(lattice_env(), CHUNK_TIMES)),
+    "chi_continuous": ("quadrature", lambda: chi_trajectory(GAUSS, CHUNK_TIMES)),
+    # At |t| <= 40 the strip about the fold covers this bump's support.
+    "spin_strip": ("models", lambda: spin_trajectory(
+        SpinModel(a=[1, 0, 0.003], b=0.3, lam=0.01, env_diag=SpectralDensity.bump(-1, 1)),
+        P, CHUNK_TIMES)),
+    # With a_1 = a_2 = 0 the strip is empty: far branches alone.
+    "spin_far": ("quadrature", lambda: spin_trajectory(field([0, 0, 0.5]), P, CHUNK_TIMES)),
+    "az_coherence": ("models", lambda: az_coherence(
+        _dephasing_az(), random_density(6, np.random.default_rng(40)), CHUNK_TIMES)),
+    "az_trajectory": ("models", lambda: np.array([rho_t.matrix for rho_t in az_trajectory(
+        _dephasing_az(), random_density(6, np.random.default_rng(40)), CHUNK_TIMES)])),
+    "csv": ("cli", lambda: "".join(_csv_lines(
+        ["t", "cos", "kind"], [CHUNK_TIMES, np.cos(CHUNK_TIMES), ["x"] * CHUNK_TIMES.size]))),
+}
+
+
+def _as_bytes(result):
+    if isinstance(result, str):
+        return result.encode()
+    if isinstance(result, tuple):
+        return b"".join(map(_as_bytes, result))
+    return np.asarray(result).tobytes()
+
+
+@pytest.mark.parametrize("case", CHUNKED_CALLS)
+def test_chi_discrete_chunks_match_one_table(monkeypatch, case):
+    import importlib
+
+    import declab.operators as operators
+
+    owner, call = CHUNKED_CALLS[case]
+    chunks, handed = operators.chunks, []
+
+    def recorder(module):
+        def recorded(n, width):
+            slices = list(chunks(n, width))
+            handed.append((module, n, width, slices))
+            return iter(slices)
+        return recorded
+
+    for module in ("quadrature", "models", "cli"):
+        monkeypatch.setattr(importlib.import_module(f"declab.{module}"), "chunks", recorder(module))
+    whole = _as_bytes(call())
+    (n, width), = {(n, width) for module, n, width, _ in handed if module == owner}
+    assert n == CHUNK_TIMES.size
+    # One budget reaches every caller: 16 times per chunk here.
+    budget = 16 * width
+    monkeypatch.setattr(operators, "TABLE_ELEMENTS", budget)
+    handed.clear()
+    chunked = _as_bytes(call())
+    sizes = [[s.stop - s.start for s in slices] for module, _, _, slices in handed if module == owner]
+    assert sizes == [[16] * 62 + [9]]
+    for _, n, width, slices in handed:
+        assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
+        assert slices[-1].stop == n
+        assert all(width * (s.stop - s.start) <= budget or s.stop - s.start == 1 for s in slices)
+    assert chunked == whole
 
 
 # Phases past the double range, each a call and the message of its
@@ -302,6 +358,17 @@ def test_chi_discrete_chunks_match_one_table(monkeypatch, trajectory):
 P = [0.6, -0.3, 0.4]
 WIDE_GAP = ArakiZurekModel(Z_SECTORS, [-1e308, 1e308], np.zeros((2, 2)), GAUSS, 2.0)
 PLUS = DensityOperator(np.full((2, 2), 0.5))
+MIXED = DensityOperator(np.eye(2) / 2)
+# chi of the products gap t overflows at t[2] before the gap times t does.
+THREE_GAPS = ArakiZurekModel(block_diagonal_sectors([1, 1, 1]), [0.0, 1.0, 3.0], np.zeros((3, 3)),
+                             GAUSS, 1.0)
+THREE_PLUS = DensityOperator(np.full((3, 3), 1 / 3))
+CHI_TIMES = [0.0, 1.0, 2e307]
+CHI_OF_THE_GAP = r"t\[2\] = 2e\+307 times the gap lambdas\[0\] - lambdas\[2\] = -3 times the panel centre"
+
+
+def huge_h_s(h_s):
+    return ArakiZurekModel(Z_SECTORS, [1.0, -1.0], h_s, GAUSS, 1.0)
 
 
 def field(a, env=GAUSS):
@@ -326,6 +393,18 @@ PHASE_OVERFLOWS = {
                           r"t\[1\] = 1e\+308 times the gap lambdas\[0\] - lambdas\[1\] = 2 overflows"),
     "az_evolve_time": (lambda: az_evolve(simple_az(env=lattice_env()), PLUS, 1e308),
                        r"t\[0\] = 1e\+308 times the gap lambdas\[0\] - lambdas\[1\] = 2 overflows"),
+    "spin_discrete_field": (lambda: spin_trajectory(
+        field([1, 0, 0], SpectralDensity.discrete([[1e308, 1.0]])), P, [0.0]),
+        r"t\[0\] = 0\.0 times the frequency inf overflows"),
+    "az_coherence_chi": (lambda: az_coherence(THREE_GAPS, THREE_PLUS, CHI_TIMES), CHI_OF_THE_GAP),
+    "az_trajectory_chi": (lambda: list(az_trajectory(THREE_GAPS, THREE_PLUS, CHI_TIMES)),
+                          CHI_OF_THE_GAP),
+    "az_evolve_chi": (lambda: az_evolve(THREE_GAPS, THREE_PLUS, 2e307),
+                      r"t\[0\] = 2e\+307 times the gap lambdas\[0\] - lambdas\[2\] = -3 times"),
+    "az_evolve_h_s": (lambda: az_evolve(huge_h_s(np.diag([1e308, 0.0])), MIXED, 10.0),
+                      r"t\[0\] = 10\.0 times the largest \|eigenvalue\| of h_s 1e\+308 overflows"),
+    "oracle": (lambda: full_simulation_oracle(huge_h_s(np.diag([0.5, -0.5])), MIXED, 1e308, 16),
+               r"t\[0\] = 1e\+308 times the largest \|eigenvalue\| 10\.39"),
 }
 
 
@@ -512,6 +591,7 @@ def test_az_trajectory_streams_states_from_one_chi_call(monkeypatch):
 
 def test_az_trajectory_chunks_match_one_table_and_az_evolve(monkeypatch):
     import declab.models as models
+    import declab.operators as operators
 
     rng = np.random.default_rng(39)
     sectors = block_diagonal_sectors([2, 1, 3])
@@ -525,7 +605,7 @@ def test_az_trajectory_chunks_match_one_table_and_az_evolve(monkeypatch):
     chi_trajectory = models.chi_trajectory
     monkeypatch.setattr(models, "chi_trajectory", lambda *a: calls.append(a) or chi_trajectory(*a))
     # 3 pairs: two times per chunk.
-    monkeypatch.setattr(models, "DEPHASING_ELEMENTS", 2 * 3)
+    monkeypatch.setattr(operators, "TABLE_ELEMENTS", 2 * 3)
     chunked = [rho_t.matrix for rho_t in az_trajectory(model, rho0, ts)]
     assert len(calls) == 12 and {a[1].size for a in calls} == {6, 3}
     monkeypatch.undo()
@@ -587,6 +667,7 @@ def test_az_coherence_bounds_its_stacks(monkeypatch):
     import tracemalloc
 
     import declab.models as models
+    import declab.operators as operators
 
     d, count = 512, 1000
     model = ArakiZurekModel(block_diagonal_sectors([d]), [0.0], np.zeros((d, d)), lattice_env(), 1.0)
@@ -597,7 +678,7 @@ def test_az_coherence_bounds_its_stacks(monkeypatch):
         for table in tables(*args):
             sizes.append(table.shape[0])
             # Checked before the stack is built: B d^2 within the bound, or B = 1.
-            assert table.shape[0] <= max(1, models.DEPHASING_ELEMENTS // d**2)
+            assert table.shape[0] <= max(1, operators.TABLE_ELEMENTS // d**2)
             yield table
 
     monkeypatch.setattr(models, "_chi_tables", bounded)
@@ -723,6 +804,7 @@ def test_az_coherence_checks_no_state_stack_on_a_discrete_environment(monkeypatc
 
 def test_az_trajectory_bounds_its_chi_tables_by_sector_pairs(monkeypatch):
     import declab.models as models
+    import declab.operators as operators
 
     k = 64
     model = ArakiZurekModel(block_diagonal_sectors([1] * k), 0.25 * np.arange(k), np.zeros((k, k)),
@@ -739,8 +821,8 @@ def test_az_trajectory_bounds_its_chi_tables_by_sector_pairs(monkeypatch):
     # hold 1040 tables of 64 x 64, a 64 MiB chunk.
     rho0 = random_density(k, np.random.default_rng(54))
     next(az_trajectory(model, rho0, np.linspace(0.0, 50.0, 5000)))
-    assert sizes == [models.DEPHASING_ELEMENTS // (k * (k - 1) // 2)]
-    assert sizes[0] * k * k <= 4 * models.DEPHASING_ELEMENTS
+    assert sizes == [operators.TABLE_ELEMENTS // (k * (k - 1) // 2)]
+    assert sizes[0] * k * k <= 4 * operators.TABLE_ELEMENTS
 
 
 @pytest.mark.parametrize("lambdas, distinct", [(0.25 * np.arange(8) - 1.0, 7),
@@ -997,6 +1079,13 @@ def test_asymptotic_map_axial_case():
     assert np.abs(m - expected).max() < 1e-10
 
 
+def test_asymptotic_map_of_a_field_past_half_the_double_range_is_its_axis():
+    # Twice the field's norm, 3.4e308, overflowed with a RuntimeWarning.
+    model = SpinModel(a=[1.0, 0.0, 1.7e308], b=0.3, lam=1.0, env_diag=GAUSS)
+    # Within the spacing of doubles just below 1, 2^-53 = 1.1e-16.
+    assert np.abs(asymptotic_map(model) - np.diag([0.0, 0.0, 1.0])).max() <= 2.0**-53
+
+
 def test_asymptotic_map_uncoupled_projects_on_field_axis():
     a = np.array([1.0, 0.5, -0.3])
     model = SpinModel(a=a, b=0.3, lam=0.0, env_diag=GAUSS)
@@ -1174,7 +1263,7 @@ def test_oracle_shares_no_code_with_the_closed_forms(monkeypatch):
         raise AssertionError("the oracle called a closed-form or propagator path")
 
     for module, names in ((operators, ("propagator", "hermitian_eig", "partial_trace_env")),
-                          (models, ("_sector_propagators", "chi_trajectory", "trig_sum",
+                          (models, ("_sector_propagators", "chi_trajectory", "_trajectory",
                                     "_strip", "gauss_legendre_adaptive",
                                     "legendre_fourier", "_axes"))):
         for name in names:

@@ -309,7 +309,7 @@ def test_asymptotic_map_is_one_plain_adaptive_call_and_never_the_kernel(env, mon
     # gauss_legendre_adaptive call, over a discrete one the weighted sum.
     plain = count_calls(monkeypatch, declab.models, "gauss_legendre_adaptive")
     kernel = [count_calls(monkeypatch, declab.models, name)
-              for name in ("_strip", "trig_sum", "legendre_fourier")]
+              for name in ("_strip", "_trajectory", "legendre_fourier")]
     for a, lam in FIELDS:
         asymptotic_map(SpinModel(a=a, b=0.3, lam=lam, env_diag=env))
     assert len(plain) == (0 if env.is_discrete else len(FIELDS))
