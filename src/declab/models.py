@@ -288,25 +288,22 @@ def _unit_expansion(kind):
     return _unit_cache[kind]
 
 
-def _trajectory(env, ts, kernel):
-    """Exact sum of c + a cos(omega t) + b sin(omega t) over a discrete
+def _trajectory(ts, omega, a, b):
+    """Exact sum of a cos(omega t) + b sin(omega t) over a discrete
     environment's points for every t in the finite times ts, shape (T, d).
 
-    ``kernel(x, weight)`` maps the (m,) points and their weights to the (m,)
-    frequencies omega and the (m, d) weighted amplitudes a, b and c, or None
-    for a c that is all zero.  Each t takes its own (1, m) rows of cos and
-    sin, so a row is computed as a call at that t alone computes it, to the
-    bit, and the times are taken in chunks of (time, point) tables
+    omega holds the (m,) frequencies of the points, and a and b their (m, d)
+    weighted amplitudes.  Each t takes its own (1, m) rows of cos and sin,
+    so a row is computed as a call at that t alone computes it, to the bit,
+    and the times are taken in chunks of (time, point) tables
     (``_by_chunks``).  Raises OutOfDomain naming the first t at which a
     phase omega t overflows.
     """
-    omega, a, b, c = kernel(env.points[:, 0], env.points[:, 1])
     finite_phases(ts, ("the frequency", np.abs(omega).max()))
 
     def sums(t):
         phase = np.multiply.outer(t, omega)[:, None, :]
-        out = (np.cos(phase) @ a + np.sin(phase) @ b)[:, 0]
-        return out if c is None else out + c.sum(axis=0)
+        return (np.cos(phase) @ a + np.sin(phase) @ b)[:, 0]
 
     return _by_chunks(sums, ts, omega.size)
 
@@ -332,11 +329,9 @@ def chi_trajectory(env: SpectralDensity, ts) -> np.ndarray:
     if not env.is_discrete:
         return legendre_fourier(env.expansion(), ts)
 
-    def phases(v, weight):  # w exp(-ivt) as (real, imaginary): a = (w, 0), b = (0, -w)
-        zero = np.zeros_like(weight)
-        return v, np.column_stack([weight, zero]), np.column_stack([zero, -weight]), None
-
-    parts = _trajectory(env, ts, phases)
+    v, weight = env.points.T
+    # w exp(-ivt) as (real, imaginary): a = (w, 0), b = (0, -w)
+    parts = _trajectory(ts, v, np.outer(weight, [1.0, 0.0]), np.outer(weight, [0.0, -1.0]))
     return parts[:, 0] + 1j * parts[:, 1]
 
 
@@ -565,7 +560,8 @@ def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator | CorrelatedInit
     (``_chi_tables``), when the first state of a chunk is taken; each state
     is built as it is taken.  Chi is the only approximation: within
     ``env.expansion().tail`` of each continuous omega_mu at every t, and an
-    exact sum for a discrete one.
+    exact sum for a discrete one.  A state that is not one raises NotAState
+    naming its time.
     """
     terms = rho0.terms if isinstance(rho0, CorrelatedInitialState) else [(rho0.matrix, model.env)]
     if len(terms[0][0]) != model.dim:  # the terms of a correlated state share their dimension
@@ -579,8 +575,16 @@ def az_trajectory(model: ArakiZurekModel, rho0: DensityOperator | CorrelatedInit
     def damped(chis):  # sum_mu C_mu o x_mu; one term is not added onto a zero, keeping -0.0
         return functools.reduce(operator.add, (chi[pairs] * x for chi, x in zip(chis, xs)))
 
-    return (DensityOperator(v @ damped(chis) @ v.conj().T)
-            for v, *chis in zip(_sector_propagators(model, ts), *streams))
+    return (_at_time(ts, i, DensityOperator, v @ damped(chis) @ v.conj().T)
+            for i, (v, *chis) in enumerate(zip(_sector_propagators(model, ts), *streams)))
+
+
+def _at_time(ts, i, check, *args):
+    """check(*args), with a NotAState that it raises naming the time t[i]."""
+    try:
+        return check(*args)
+    except NotAState as exc:
+        raise NotAState(f"t[{i}] = {float(ts[i])!r}: {exc}") from None
 
 
 def az_coherence(model: ArakiZurekModel, rho0: DensityOperator, ts):
@@ -620,23 +624,29 @@ def az_coherence(model: ArakiZurekModel, rho0: DensityOperator, ts):
     go through ``require_positive``, with its tolerance and its message: the
     inputs accepted are those a full check of every state accepts.  With
     unit sectors (k = d) the table's ``eigvalsh`` would cost as much as the
-    check it spares, so every state takes the full check.
+    check it spares, so every state takes the full check.  Where a chunk
+    fails, its states are checked again one at a time (a cleared one
+    passes), so that the NotAState names the first time whose state fails.
     """
     ts = finite_times(ts)
     x0, spectrum = require_state(in_sector_frame(rho0.matrix, model.sectors))
     index = model.sectors.index
     pair = min(1, len(model.sectors) - 1)
     hs, trace, chi = np.empty(ts.size), np.empty(ts.size), np.empty(ts.size, dtype=complex)
-    start = 0
+    chunk = slice(0, 0)
     for table in _chi_tables(model.lambdas, model.env, ts, model.dim**2):
+        chunk = slice(chunk.stop, chunk.stop + table.shape[0])
         x = table[:, index[:, None], index] * x0
         checked = x if table.shape[-1] == model.dim else x[_uncertified(table, spectrum)]
         if checked.size:
-            require_positive(checked)
-        chunk = slice(start, start + table.shape[0])
+            try:
+                require_positive(checked)
+            except NotAState:  # one state at a time, to name the first that fails
+                for i, state in enumerate(x, chunk.start):
+                    _at_time(ts, i, require_positive, state)
+                raise
         hs[chunk], trace[chunk] = coherence_norms(x, model.sectors)
         chi[chunk] = table[:, 0, pair]
-        start = chunk.stop
     return OffDiagonalNorms(hs, trace), chi
 
 
@@ -694,24 +704,16 @@ class SpinModel:
         return self.a[0] * PAULI[0] + self.a[1] * PAULI[1] + self.a[2] * PAULI[2]
 
 
-def _axes(model: SpinModel, x: np.ndarray, a3=None):
-    """Unit axis of the effective field (a_1, a_2, a_3 + lam x), e_3 where it
-    vanishes, and twice the field's norm, per point: the axis and rate of the
-    conditional precession of the polarization at x.  ``a3`` replaces a_3:
-    with a3 = 0, x is an offset from the fold x* = -a_3 / lam."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = np.empty((x.size, 3))
-    h[:, :2] = model.a[:2]
-    h[:, 2] = (model.a[2] if a3 is None else a3) + model.lam * x
-    with np.errstate(over="ignore"):  # its squares overflow past ~1e154; hypot's do not
-        norms = np.linalg.norm(h, axis=1)
-    big = ~np.isfinite(norms)
-    norms[big] = np.hypot(np.hypot(h[big, 0], h[big, 1]), h[big, 2])
-    zero = norms == 0.0
-    n = h / np.where(zero, 1.0, norms)[:, None]
-    n[zero] = (0.0, 0.0, 1.0)
-    with np.errstate(over="ignore"):  # inf past the double range, rejected where it is a phase
-        return n, 2.0 * norms
+def _factors(model: SpinModel, x, a3=None) -> np.ndarray:
+    """The (P, 5) factors (``_mixing``) of the axes at the points x, with
+    n = e_3 (alpha = 0, beta = 1) where the field vanishes.  ``a3`` replaces
+    a_3: with a3 = 0, x is an offset from the fold x* = -a_3 / lam."""
+    m = np.hypot(*model.a[:2])
+    z = (model.a[2] if a3 is None else a3) + model.lam * x
+    rho = np.hypot(m, z)
+    alpha, beta = (np.divide(v, rho, out=np.full_like(rho, at_zero), where=rho > 0.0)
+                   for v, at_zero in ((m, 0.0), (z, 1.0)))
+    return np.column_stack([alpha**2, beta**2, alpha * beta, alpha, beta])
 
 
 class _Branch(NamedTuple):
@@ -909,19 +911,30 @@ def _graded(model: SpinModel, branch: _Branch, scale: float):
     return [last]
 
 
+def _plane(model: SpinModel):
+    """e_t = (a_1, a_2, 0) / m, 0 where m = 0, and e_3: the plane of every axis (``_mixing``)."""
+    m = np.hypot(*model.a[:2])
+    e_t = np.array([model.a[0] / m, model.a[1] / m, 0.0]) if m > 0 else np.zeros(3)
+    return e_t, np.array([0.0, 0.0, 1.0])
+
+
 def _mixing(model: SpinModel, p) -> np.ndarray:
     """(5, 9) map from factors (alpha^2, beta^2, alpha beta, alpha, beta) to amplitudes (a, b, c) of p.
 
-    The axis is n = alpha e_t + beta e_3, e_t = (a_1, a_2, 0) / m, with
-    alpha^2 + beta^2 = 1 and beta signed.  Then
+    The one representation of the spin model's axes.  In the field
+    coordinate z = a_3 + lam x the field at x is (a_1, a_2, z) = rho n with
+    rho = |(m, z)|, m = |(a_1, a_2)|, and the axis n = alpha e_t + beta e_3
+    (``_plane``), alpha = m / rho and beta = z / rho, so alpha^2 + beta^2 = 1
+    and beta is signed; ``_factors`` gives the five factors per point, and
+    every evaluator (the discrete sum, the strip, the far branches and
+    ``asymptotic_map``) works with them.  The polarization at x precesses
+    about n at the rate omega = 2 rho: c + a cos(omega t) + b sin(omega t) with
     c = (n.p) n = alpha^2 (e_t.p) e_t + beta^2 p_3 e_3 + alpha beta (p_3 e_t + (e_t.p) e_3),
     a = p - c = alpha^2 p + beta^2 p - c, and b = n x p = alpha e_t x p + beta e_3 x p.
     A far branch takes |beta|: where beta < 0 there, the rows of the factors
     odd in beta change sign (``_BETA_ROWS``).
     """
-    m = np.hypot(*model.a[:2])
-    e_t = np.array([model.a[0] / m, model.a[1] / m, 0.0]) if m > 0 else np.zeros(3)
-    e_3 = np.array([0.0, 0.0, 1.0])
+    e_t, e_3 = _plane(model)
     along = np.array([(e_t @ p) * e_t, p[2] * e_3, p[2] * e_t + (e_t @ p) * e_3])
     mixing = np.zeros((5, 9))
     mixing[:3, :3] = np.array([p, p, np.zeros(3)]) - along
@@ -936,7 +949,7 @@ _BETA_ROWS = np.array([1.0, 1.0, -1.0, 1.0, -1.0])[:, None]
 
 
 def _near(model: SpinModel, centre):
-    """The density at abscissae about the fold, and the a_3 that ``_axes`` takes there.
+    """The density at abscissae about the fold, and the a_3 that ``_factors`` takes there.
 
     With the fold inside the support (``_fold``'s centre x*) the abscissae
     are offsets s = x - x*, placed by ``SpectralDensity.density_at``, and
@@ -967,10 +980,9 @@ def _strip(model: SpinModel, mixing, ts, centre, lo, hi) -> np.ndarray:
     them for the whole grid.  Each time then costs one STRIP_TERMS-term sum
     and one phase, so the error does not grow with t, and its rounding is
     that of the one phase.  At lam = 0 d is constant and only the first
-    term survives.  The amplitudes are linear in
-    w (alpha^2, beta^2, alpha beta, alpha, beta), with n = (m e_t + z e_3) / rho,
-    alpha = m / rho and beta = z / rho (``mixing``, from ``_mixing``):
-    those five factors carry the moments, and c is the first term's.  Raises
+    term survives.  The moments are taken of w times the five factors
+    (``_factors``) and mixed into amplitudes by ``mixing`` (``_mixing``);
+    c is the first term's.  Raises
     OutOfDomain naming the first t at which the phase 2 (m + d_c) t
     overflows, before anything is integrated.
     """
@@ -986,12 +998,9 @@ def _strip(model: SpinModel, mixing, ts, centre, lo, hi) -> np.ndarray:
     finite_phases(ts, ("the strip's rate", 2.0 * (m + d_c)))
 
     def factors(x):
-        z = a3 + model.lam * x
-        rho = np.hypot(m, z)  # n = e_3 where rho = 0, as in _axes
-        alpha, beta = (np.divide(v, rho, out=np.full_like(rho, at_zero), where=rho > 0.0)
-                       for v, at_zero in ((m, 0.0), (z, 1.0)))
-        w = weight(x)[:, None] * np.column_stack([alpha**2, beta**2, alpha * beta, alpha, beta])
-        terms = np.vander(t_max * (2.0 * (rise(z) - d_c)), STRIP_TERMS, increasing=True)
+        w = weight(x)[:, None] * _factors(model, x, a3)
+        terms = np.vander(t_max * (2.0 * (rise(a3 + model.lam * x) - d_c)), STRIP_TERMS,
+                          increasing=True)
         return (w[:, :, None] * (terms * _INVERSE_FACTORIALS)[:, None, :]).reshape(x.size, -1)
 
     mixed = gauss_legendre_adaptive(factors, lo, hi).reshape(5, -1).T @ mixing
@@ -1020,9 +1029,12 @@ def spin_trajectory(model: SpinModel, p, ts) -> np.ndarray:
     """Averaged rotated polarization for every t in ``ts``, shape (T, 3).
 
     Conditioned on x the polarization is rotated (Rodrigues) about n(x) by
-    omega(x) t: c + a cos(omega t) + b sin(omega t) with c = (n.p) n,
-    a = p - c and b = n x p.  A discrete environment is one exact sum.  On a
-    continuous one the support is split at the fold of omega (``_fold``):
+    omega(x) t: c + a cos(omega t) + b sin(omega t), the amplitudes (a, b, c)
+    mixed from the axis factors by ``_mixing``, built once for every branch.
+    A discrete environment is one exact sum over its points, at the rate
+    omega = 2 sqrt((a_1^2 + a_2^2) + z^2), or 2 |(m, z)| by hypot where the
+    squares overflow.  On a continuous one the support is split at the fold
+    of omega (``_fold``):
     - the near region, a strip about the fold that shrinks with the grid's
       largest |t| so that the phase varies by at most pi on it, is a short
       series in t whose moments take one adaptive quadrature for the whole
@@ -1036,27 +1048,24 @@ def spin_trajectory(model: SpinModel, p, ts) -> np.ndarray:
       integrals.
     Integrated apart from a and b over the whole support, c would meet the
     adaptive rule's budget alone: a fold narrower than it would then go
-    missing from c + a.  The mixing of the factors into amplitudes is built
-    once (``_mixing``) for the strip and the branches.  Raises
-    QuadratureFailure, before the strip is integrated, when the far panels'
-    tail, which bounds their error at every t, is above
-    ``quadrature.ADAPTIVE_TOL``, and OutOfDomain naming the first t at which
-    a phase overflows.
+    missing from c + a.  Raises QuadratureFailure, before the strip is
+    integrated, when the far panels' tail, which bounds their error at every
+    t, is above ``quadrature.ADAPTIVE_TOL``, and OutOfDomain naming the first
+    t at which a phase overflows.
     """
-    p = _polarization(p)
-    env = model.env_diag
-
-    def rotation(x, weight):
-        n, omega = _axes(model, x)
-        along = (n @ p)[:, None] * n
-        weight = weight[:, None]
-        return omega, weight * (p - along), weight * np.cross(n, p), weight * along
-
+    mixing = _mixing(model, _polarization(p))
     ts = finite_times(ts)
-    if env.is_discrete:
-        return _trajectory(env, ts, rotation)
+    if model.env_diag.is_discrete:
+        x, w = model.env_diag.points.T
+        z = model.a[2] + model.lam * x
+        # The squares overflow past ~1e154, hypot's do not; an omega past the
+        # double range is inf, rejected where it is a phase.
+        with np.errstate(over="ignore"):
+            rho = np.sqrt((model.a[0] * model.a[0] + model.a[1] * model.a[1]) + z * z)
+            omega = 2.0 * np.where(np.isfinite(rho), rho, np.hypot(np.hypot(*model.a[:2]), z))
+        a, b, c = np.split((w[:, None] * _factors(model, x)) @ mixing, 3, axis=1)
+        return _trajectory(ts, omega, a, b) + c.sum(axis=0)
     centre, (lo, hi), branches = _fold(model, float(np.abs(ts).max()))
-    mixing = _mixing(model, p)
     if branches:  # before the strip, so that the message names the tail
         panels, settled = _far_panels(model, mixing, branches)
         if not quadrature.ADAPTIVE_TOL >= panels.tail:
@@ -1085,25 +1094,28 @@ def asymptotic_map(model: SpinModel) -> np.ndarray:
     Oscillating parts of the conditional rotations dephase away and only the
     projections onto the local axes survive.  M is a symmetric contraction:
     a density-weighted average of rank-one projectors, so its eigenvalues
-    lie in [0, 1].  A continuous density takes one ``gauss_legendre_adaptive``
-    call over its support, a discrete one a weighted sum.  With
+    lie in [0, 1].  With n = alpha e_t + beta e_3 (``_mixing``) it is
+    I_1 e_t e_t^T + I_2 e_3 e_3^T + I_3 (e_t e_3^T + e_3 e_t^T), the I the
+    averages of the factors alpha^2, beta^2 and alpha beta (``_factors``):
+    over a continuous density one ``gauss_legendre_adaptive`` call over its
+    support, over a discrete one a weighted sum.  With
     the fold x* inside the support the support is taken in offsets from it
     (``_near``): the axis flips over |z| ~ m about it, and where m is far
     below the ulp of x*, abscissae rounded in x would put that flip out of
     place in every panel.
     """
     env = model.env_diag
-
-    def projectors(x, weight, a3=None):
-        n, _ = _axes(model, x, a3)
-        return weight[:, None] * (n[:, :, None] * n[:, None, :]).reshape(-1, 9)
-
     if env.is_discrete:
-        return projectors(*env.points.T).sum(axis=0).reshape(3, 3)
-    centre = _fold(model, 0.0)[0]
-    weight, a3 = _near(model, centre)
-    lo, hi = np.subtract(env.support(), 0.0 if centre is None else centre)
-    return gauss_legendre_adaptive(lambda x: projectors(x, weight(x), a3), lo, hi).reshape(3, 3)
+        i1, i2, i3 = env.points[:, 1] @ _factors(model, env.points[:, 0])[:, :3]
+    else:
+        centre = _fold(model, 0.0)[0]
+        weight, a3 = _near(model, centre)
+        lo, hi = np.subtract(env.support(), 0.0 if centre is None else centre)
+        i1, i2, i3 = gauss_legendre_adaptive(
+            lambda x: weight(x)[:, None] * _factors(model, x, a3)[:, :3], lo, hi)
+    e_t, e_3 = _plane(model)
+    return (i1 * np.outer(e_t, e_t) + i2 * np.outer(e_3, e_3)
+            + i3 * (np.outer(e_t, e_3) + np.outer(e_3, e_t)))
 
 
 def spin_asymptotics(model: SpinModel, p, t_grid) -> np.ndarray:

@@ -101,11 +101,12 @@ def unit_scale(a) -> float:
     return float(2.0 ** -max(0, int(np.frexp(largest)[1])))
 
 
-def require_hermitian(m, rtol=HERMITICITY_RTOL, name="matrix"):
+def require_hermitian(m, name="matrix"):
     """Return the symmetrized matrix (A + A†)/2, or raise NotHermitian.
 
     Symmetrization absorbs roundoff accumulated by tensor assembly; inputs
-    further than ``rtol`` (relative, HS norm) from Hermitian are rejected.
+    further than HERMITICITY_RTOL (relative, HS norm) from Hermitian are
+    rejected.
     """
     a = _as_square_matrix(m, name)
     adjoint = a.conj().T
@@ -117,8 +118,8 @@ def require_hermitian(m, rtol=HERMITICITY_RTOL, name="matrix"):
         # and a + a†: compare a copy scaled by a power of two, and halve first.
         scaled = a * unit_scale(a)
         gap, size = hs_norm(scaled - scaled.conj().T), hs_norm(scaled)
-    if gap > rtol * max(size, 1e-300):
-        raise NotHermitian(f"{name} is not Hermitian within {rtol:g} relative")
+    if gap > HERMITICITY_RTOL * max(size, 1e-300):
+        raise NotHermitian(f"{name} is not Hermitian within {HERMITICITY_RTOL:g} relative")
     return a / 2.0 + adjoint / 2.0 if huge else (a + adjoint) / 2.0
 
 
@@ -165,7 +166,8 @@ def hermitian_eig(m) -> HermitianEig:
 def propagator(h, t: float) -> np.ndarray:
     """Unitary exp(-iHt) for Hermitian H, as (V e^{-i vals t}) V^H from one ``eigh``.
 
-    The time and H are checked first.  The spectral route keeps the result
+    The time and H are checked first, and PhaseOverflow raised where a phase
+    e t of an eigenvalue e overflows.  The spectral route keeps the result
     unitary to roundoff; exp(-iHt) does not depend on the eigenbasis, so the
     plain ``eigh`` output is used.
     """
@@ -175,6 +177,7 @@ def propagator(h, t: float) -> np.ndarray:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    finite_phases([t], ("the largest |eigenvalue|", np.abs(vals).max()))
     return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
 
 

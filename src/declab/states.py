@@ -72,7 +72,7 @@ def require_state(matrix):
     ``matrix`` and its ascending spectrum from ``require_positive``, or raises
     NotAState."""
     try:
-        mat = require_hermitian(matrix, rtol=STATE_TOL, name="state matrix")
+        mat = require_hermitian(matrix, name="state matrix")
     except Exception as exc:
         raise NotAState(str(exc)) from exc
     tr = np.trace(mat).real

@@ -949,7 +949,30 @@ def test_main_run_rejects_a_dephased_state_that_is_not_positive(tmp_path, capsys
     cfg.write_text(AZ_CONFIG.replace("t_grid.count = 9", "t_grid.count = 8"))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["declab: run failed: smallest eigenvalue -1 below -1e-10"]
+    assert err == ["declab: run failed: t[4] = 1.1428571428571428: "
+                   "smallest eigenvalue -1 below -1e-10"]
+
+
+def test_main_run_names_the_time_of_a_dephased_state_that_is_not_one(tmp_path, capsys):
+    # validate accepts this config; at t = 1e100 the chi table's phases are
+    # rounded by far more than 2 pi, and the dephased state is no state.
+    third = ",".join(["0.3333333333333333"] * 9)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(AZ_CONFIG.replace("t_grid.stop = 2.0", "t_grid.stop = 1e100")
+                   .replace("t_grid.count = 9", "t_grid.count = 3")
+                   .replace("env.kind = gaussian\nenv.s = 1.0",
+                            "env.kind = discrete\nenv.points = -1:0.5,2:0.5")
+                   .replace("model.sector_dims = 1,1", "model.sector_dims = 1,1,1")
+                   .replace("model.lambdas = 1,-1", "model.lambdas = 0,1,3")
+                   .replace("model.delta = 2.0", "model.delta = 1.0")
+                   .replace("initial.bloch = 1,0,0", f"initial.matrix = {third}"))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"declab: run failed: t\[2\] = 1e\+100: "
+                        r"smallest eigenvalue -0\.\d+ below -1e-10", err[0]), err[0]
 
 
 # Checks past validate, each hit by making a runner's model call misbehave:

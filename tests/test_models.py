@@ -41,7 +41,7 @@ from declab import (
     trace_distance,
 )
 from declab.cli import _csv_lines
-from declab.models import DENSITY_KINDS, _axes
+from declab.models import DENSITY_KINDS, _factors
 from declab.states import STATE_TOL
 from declab.superselection import sector_mask
 from test_operators import random_hermitian
@@ -754,16 +754,37 @@ def test_az_certificate_sends_only_uncleared_states_to_the_full_check(monkeypatc
     rho0 = DensityOperator(np.outer(psi, psi))
     index = np.repeat([0, 1], 2)
     x = table[:, index[:, None], index] * rho0.matrix
-    with pytest.raises(NotAState) as full:
-        require_positive(x)
+    # The error names the first state that fails, at t[1], by its own check.
+    with pytest.raises(NotAState) as first:
+        require_positive(x[1])
     checked = []
     monkeypatch.setattr(models, "_chi_tables", lambda *args: iter([table]))
     monkeypatch.setattr(models, "require_positive",
                         lambda a: checked.append(a) or require_positive(a))
+    ts = np.linspace(0.0, 1.0, table.shape[0])
     with pytest.raises(NotAState) as err:
-        az_coherence(model, rho0, np.linspace(0.0, 1.0, table.shape[0]))
-    assert str(err.value) == str(full.value)
-    assert len(checked) == 1 and np.array_equal(checked[0], x[1:-1], equal_nan=True)
+        az_coherence(model, rho0, ts)
+    assert str(err.value) == f"t[1] = {float(ts[1])!r}: {first.value}"
+    assert np.array_equal(checked[0], x[1:-1], equal_nan=True)
+    # Then, to name the time, the chunk's states one at a time up to the first that fails.
+    assert len(checked) == 3
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(checked[1:], x[:2]))
+
+
+def test_a_dephased_state_that_is_not_one_names_its_time():
+    # At t = 2e307 the phases v (l_m - l_n) t are rounded by far more than
+    # 2 pi, so the chi table is no Gram matrix and C o rho0 no state.
+    model = ArakiZurekModel(block_diagonal_sectors([1, 1, 1]), [0.0, 1.0, 3.0], np.zeros((3, 3)),
+                            SpectralDensity.discrete([[-1.0, 0.5], [2.0, 0.5]]), 1.0)
+    rho0 = DensityOperator(np.full((3, 3), 1.0 / 3.0))
+    ts = [0.0, 1.0, 2e307]
+    named = r"^t\[2\] = 2e\+307: smallest eigenvalue -0\.\d+ below -1e-10$"
+    with pytest.raises(NotAState, match=named):
+        az_coherence(model, rho0, ts)
+    states = az_trajectory(model, rho0, ts)
+    next(states), next(states)
+    with pytest.raises(NotAState, match=named):
+        next(states)
 
 
 def test_az_coherence_checks_every_state_of_unit_sectors_in_full(monkeypatch):
@@ -984,22 +1005,33 @@ def test_az_trajectory_drops_a_tolerated_intersector_leak(frame):
 # --- spin model kinematics
 
 
+def axis_factors(alpha, beta):
+    return [[alpha**2, beta**2, alpha * beta, alpha, beta]]
+
+
 def test_rotation_axis_examples():
-    n, omega = _axes(SpinModel(a=[0, 0, 1], b=1.0, lam=0.0, env_diag=GAUSS), 5.0)
-    assert np.allclose(n, [[0, 0, 1]]) and omega == pytest.approx([2.0])
+    # n = alpha e_t + beta e_3 for the field (a_1, a_2, a_3 + lam x).
+    factors = _factors(SpinModel(a=[0, 0, 1], b=1.0, lam=0.0, env_diag=GAUSS), np.array([5.0]))
+    assert np.allclose(factors, axis_factors(0.0, 1.0))
 
-    n, omega = _axes(SpinModel(a=[0, 0, 0], b=1.0, lam=1.0, env_diag=GAUSS), 2.0)
-    assert np.allclose(n, [[0, 0, 1]]) and omega == pytest.approx([4.0])
+    factors = _factors(SpinModel(a=[0, 0, 0], b=1.0, lam=1.0, env_diag=GAUSS), np.array([2.0]))
+    assert np.allclose(factors, axis_factors(0.0, 1.0))
 
-    n, omega = _axes(SpinModel(a=[1, 0, 1], b=1.0, lam=1.0, env_diag=GAUSS), 1.0)
-    assert np.allclose(n, [np.array([1, 0, 2]) / np.sqrt(5)])
-    assert omega == pytest.approx([2 * np.sqrt(5)])
+    factors = _factors(SpinModel(a=[1, 0, 1], b=1.0, lam=1.0, env_diag=GAUSS), np.array([1.0]))
+    assert np.allclose(factors, axis_factors(1 / np.sqrt(5), 2 / np.sqrt(5)))
+
+    factors = _factors(SpinModel(a=[0, 3, 1], b=1.0, lam=1.0, env_diag=GAUSS), np.array([-5.0]))
+    assert np.allclose(factors, axis_factors(3 / 5, -4 / 5))
 
 
 def test_rotation_axis_zero_field_convention():
-    n, omega = _axes(SpinModel(a=[0, 0, 1], b=1.0, lam=1.0, env_diag=GAUSS), -1.0)
-    assert np.array_equal(omega, [0.0])
-    assert np.array_equal(n, [[0.0, 0.0, 1.0]])
+    factors = _factors(SpinModel(a=[0, 0, 1], b=1.0, lam=1.0, env_diag=GAUSS), np.array([-1.0]))
+    assert np.array_equal(factors, axis_factors(0.0, 1.0))
+    # There the rate is 0 too: a point of zero field leaves p where it is.
+    point = SpectralDensity.discrete([[-1.0, 1.0]])
+    p = np.array([0.3, -0.5, 0.6])
+    model = SpinModel(a=[0, 0, 1], b=1.0, lam=1.0, env_diag=point)
+    assert np.array_equal(spin_trajectory(model, p, [0.0, 1.0, 1e300]), np.tile(p, (3, 1)))
 
 
 def test_spin_rotation_matches_brute_force_exponential():
@@ -1265,7 +1297,7 @@ def test_oracle_shares_no_code_with_the_closed_forms(monkeypatch):
     for module, names in ((operators, ("propagator", "hermitian_eig", "partial_trace_env")),
                           (models, ("_sector_propagators", "chi_trajectory", "_trajectory",
                                     "_strip", "gauss_legendre_adaptive",
-                                    "legendre_fourier", "_axes"))):
+                                    "legendre_fourier", "_factors"))):
         for name in names:
             monkeypatch.setattr(module, name, forbidden)
     env = GAUSS.discretize(16)

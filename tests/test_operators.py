@@ -3,8 +3,11 @@ import pytest
 import scipy.linalg
 
 from declab import (
+    DensityOperator,
     DimensionMismatch,
+    NotAState,
     NotHermitian,
+    PhaseOverflow,
     hermitian_eig,
     partial_trace_env,
     propagator,
@@ -67,6 +70,19 @@ def test_hermitian_check_holds_for_entries_near_the_double_range():
         require_hermitian(np.array([[1e308 + 1e308j, 0.0], [0.0, 1.0]]))
     with pytest.raises(NotHermitian):
         require_hermitian(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]))
+
+
+def test_hermitian_check_tolerance_and_messages():
+    # One relative tolerance, 1e-10 of the HS norm, for a matrix and for a state.
+    h = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    h[0, 1] += 1e-12
+    assert np.array_equal(require_hermitian(h), (h + h.conj().T) / 2)
+    assert np.array_equal(DensityOperator(h).matrix, (h + h.conj().T) / 2)
+    h[0, 1] += 1e-9
+    with pytest.raises(NotHermitian, match=r"^matrix is not Hermitian within 1e-10 relative$"):
+        require_hermitian(h)
+    with pytest.raises(NotAState, match=r"^state matrix is not Hermitian within 1e-10 relative$"):
+        DensityOperator(h)
 
 
 def test_eig_degenerate_ordering_is_canonical():
@@ -163,6 +179,14 @@ def test_propagator_rejects_bad_input(h, t, error):
 def test_propagator_rejects_non_finite_time(t):
     with pytest.raises(ValueError, match=rf"times must be finite: t\[0\] = {t!r}$"):
         propagator(SZ, t)
+
+
+def test_propagator_rejects_a_phase_that_overflows():
+    h = np.diag([1e308, 0.0])
+    with pytest.raises(PhaseOverflow,
+                       match=r"^t\[0\] = 10\.0 times the largest \|eigenvalue\| 1e\+308 overflows$"):
+        propagator(h, 10.0)
+    assert np.array_equal(propagator(h, 0.0), np.eye(2))
 
 
 def test_propagator_sees_in_place_change():
