@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .errors import DeclabError, InsufficientData, NonDecaying, ParseError, ValidationError
+from .errors import (DeclabError, InsufficientData, NonDecaying, OutOfDomain, ParseError,
+                     ValidationError)
 from .models import (
     DENSITY_KINDS,
     MAX_DENSE_DIM,
@@ -34,10 +35,13 @@ from .models import (
     SpinModel,
     az_coherence,
     chi_trajectory,
+    require_chi_phases,
+    require_dephasing_phases,
+    require_spin_phases,
     spin_asymptotics,
     spin_trajectory,
 )
-from .operators import chunks, hs_norm, unit_scale
+from .operators import chunks
 from .states import (
     BALL_TOL,
     DensityOperator,
@@ -211,35 +215,13 @@ def _parse_t_grid(e: _Entries) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _check_chi_phases(t_grid, env, gap):
-    # chi is taken at gap * t; its phases v gap t over the support, and their
-    # spread (hi - lo) gap t, must stay finite doubles.
-    lo, hi = env.support()
-    reach = max(hi - lo, abs(lo), abs(hi))
-    if not math.isfinite(float(t_grid[-1]) * gap * reach):
-        raise ValidationError("t_grid.stop", f"stop {t_grid[-1]:g} times the coupling gap {gap:g} "
-                              f"times the support's width or reach {reach:g} is not finite")
-
-
-def _check_hamiltonian_phases(t_grid, h_s):
-    # exp(-i h_s t) takes the phases e t of h_s's eigenvalues e, |e| <= its HS
-    # norm, which must stay finite doubles.  The norm is taken of h_s scaled to
-    # entries below 1, so it overflows only where it exceeds the double range.
-    scale = unit_scale(h_s)
-    norm = hs_norm(scale * h_s) / scale
-    if not math.isfinite(float(t_grid[-1]) * norm):
-        raise ValidationError("t_grid.stop", f"stop {t_grid[-1]:g} times the system Hamiltonian's "
-                              f"norm {norm:g} is not finite")
-
-
-def _check_spin_phases(t_grid, model):
-    # The rotation angle 2 |(a_1, a_2, a_3 + lam x)| t is largest at an end of
-    # the support, and must stay a finite double there.
-    a1, a2, a3 = model.a
-    field = max(math.hypot(a1, a2, a3 + model.lam * x) for x in model.env_diag.support())
-    if not math.isfinite(2.0 * field * float(t_grid[-1])):
-        raise ValidationError("t_grid.stop", f"stop {t_grid[-1]:g} times twice the largest field "
-                              f"{field:g} on the environment's support is not finite")
+def _phases(check, *args):
+    """check(*args), the phase check beside a model's evaluator, with the
+    OutOfDomain it raises, its message unchanged, keyed ``t_grid.stop``."""
+    try:
+        check(*args)
+    except OutOfDomain as exc:
+        raise ValidationError("t_grid.stop", str(exc))
 
 
 def _parse_bloch(e: _Entries) -> np.ndarray:
@@ -275,16 +257,13 @@ def _parse_araki_zurek(e: _Entries, t_grid, env) -> dict:
     if len(lambdas) != len(dims):
         raise ValidationError("model.lambdas", "need one eigenvalue per sector")
     delta = e.number("model.delta")
-    if "model.h_s" in e.raw:
-        h_s = _parse_complex_matrix(e, "model.h_s", dim)
-        _check_hamiltonian_phases(t_grid, h_s)
-    else:
-        h_s = np.zeros((dim, dim))
+    h_s = (_parse_complex_matrix(e, "model.h_s", dim) if "model.h_s" in e.raw
+           else np.zeros((dim, dim)))
     try:
         model = ArakiZurekModel(block_diagonal_sectors(dims), lambdas, h_s, env, delta)
     except (DeclabError, ValueError) as exc:
         raise ValidationError("model", str(exc))
-    _check_chi_phases(t_grid, env, max(lambdas) - min(lambdas))
+    _phases(require_dephasing_phases, model.lambdas, env, t_grid)
     return {"t_grid": t_grid, "model": model, "initial_state": _parse_initial(e, dim)}
 
 
@@ -296,7 +275,7 @@ def _parse_spin(e: _Entries, t_grid, env) -> dict:
         model = SpinModel(a=np.asarray(a), b=b, lam=lam, env_diag=env)
     except ValueError as exc:
         raise ValidationError("model.b", str(exc))
-    _check_spin_phases(t_grid, model)
+    _phases(require_spin_phases, model, t_grid)
     return {"t_grid": t_grid, "model": model, "initial_bloch": _parse_bloch(e)}
 
 
@@ -316,7 +295,7 @@ def _parse_spin_asymptotics(e: _Entries, t_grid, env) -> dict:
 
 
 def _parse_chi_scan(e: _Entries, t_grid, env) -> dict:
-    _check_chi_phases(t_grid, env, 1.0)
+    _phases(require_chi_phases, env, t_grid)
     return {"t_grid": t_grid, "env": env}
 
 

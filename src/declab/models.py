@@ -20,6 +20,7 @@ path with the closed forms.
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -299,13 +300,18 @@ def _trajectory(ts, omega, a, b):
     (``_by_chunks``).  Raises OutOfDomain naming the first t at which a
     phase omega t overflows.
     """
-    finite_phases(ts, ("the frequency", np.abs(omega).max()))
+    finite_phases(ts, _frequency(omega))
 
     def sums(t):
         phase = np.multiply.outer(t, omega)[:, None, :]
         return (np.cos(phase) @ a + np.sin(phase) @ b)[:, 0]
 
     return _by_chunks(sums, ts, omega.size)
+
+
+def _frequency(omega):
+    """The (what, rate) pair of the phases omega t that ``_trajectory`` takes."""
+    return "the frequency", np.abs(omega).max()
 
 
 def _by_chunks(f, ts, width):
@@ -333,6 +339,18 @@ def chi_trajectory(env: SpectralDensity, ts) -> np.ndarray:
     # w exp(-ivt) as (real, imaginary): a = (w, 0), b = (0, -w)
     parts = _trajectory(ts, v, np.outer(weight, [1.0, 0.0]), np.outer(weight, [0.0, -1.0]))
     return parts[:, 0] + 1j * parts[:, 1]
+
+
+def require_chi_phases(env: SpectralDensity, ts) -> None:
+    """The phase check of ``chi_trajectory`` at the times ``ts``, with its
+    message, and nothing evaluated: PhaseOverflow naming the first t at
+    which a phase of a continuous density's Legendre panels
+    (``LegendrePanels.rates``) or of a discrete one's points
+    (``_trajectory``) overflows.  The panels are built and kept on env
+    (``SpectralDensity.expansion``), so that chi reuses them.
+    """
+    finite_phases(ts, *([_frequency(env.points[:, 0])] if env.is_discrete
+                        else env.expansion().rates()))
 
 
 def decoherence_function(env: SpectralDensity, t: float) -> complex:
@@ -465,6 +483,30 @@ class CorrelatedInitialState:
         return DensityOperator(sum(mat for mat, _ in self.terms))
 
 
+def require_dephasing_phases(lambdas, env: SpectralDensity, ts) -> None:
+    """The phase check of the chi tables (``_chi_tables``) over the times
+    ``ts``, and nothing evaluated: PhaseOverflow naming the first t at which
+    the largest gap, lambdas[top] - lambdas[bottom], times t overflows (the
+    gap may overflow itself), or at which one of chi's phases at that gap
+    times t does (``require_chi_phases``), naming the sector pair m < n of
+    the tables as lambdas[m] - lambdas[n].  Every phase grows with |gap|, so
+    the largest gap decides where the first one overflows, and no
+    (time, gap) table is built.  With one sector chi is not taken.
+    """
+    top, bottom = int(lambdas.argmax()), int(lambdas.argmin())
+    finite_phases(ts, (f"the gap lambdas[{top}] - lambdas[{bottom}] =",
+                       float(lambdas[top]) - float(lambdas[bottom])))  # inf, not a warning
+    m, n = sorted((top, bottom))
+    if m == n:
+        return
+    gap = float(lambdas[m]) - float(lambdas[n])
+    try:
+        require_chi_phases(env, np.abs(ts) * gap)
+    except PhaseOverflow as exc:  # name the caller's time, not the product's
+        raise PhaseOverflow(exc.index, float(ts[exc.index]), f"the gap lambdas[{m}] - "
+                            f"lambdas[{n}] = {gap:g} times {exc.rate}") from None
+
+
 def _chi_tables(lambdas, env: SpectralDensity, ts, stack: int = 1):
     """Sector coefficients chi((l_m - l_n) t) for the finite times ``ts``, as
     (B, k, k) arrays over consecutive chunks of B times, conjugate-symmetric
@@ -477,28 +519,18 @@ def _chi_tables(lambdas, env: SpectralDensity, ts, stack: int = 1):
     the one table budget, and a caller that builds a stack of ``stack``
     entries per time from it stays within the budget.  ``chi_trajectory``
     bounds its own tables.  Nothing is evaluated before the first chunk is
-    taken.  Raises OutOfDomain naming the first t at which a phase
-    overflows: with the sector pair of the largest gap, max - min, which
-    may overflow itself, or with a gap at which chi's phases overflow.
+    taken; then every phase of the grid is checked
+    (``require_dephasing_phases``) before the first table is built.
     """
     k = lambdas.size
-    top, bottom = int(lambdas.argmax()), int(lambdas.argmin())
-    finite_phases(ts, (f"the gap lambdas[{top}] - lambdas[{bottom}] =",
-                       float(lambdas[top]) - float(lambdas[bottom])))  # inf, not a warning
+    require_dephasing_phases(lambdas, env, ts)
     m, n = np.triu_indices(k, 1)
     gaps, pair_gap = np.unique(lambdas[m] - lambdas[n], return_inverse=True)
     for chunk in chunks(ts.size, max(1, m.size, stack)):
         t = ts[chunk]
         chi = np.ones((t.size, k, k), dtype=complex)
         if gaps.size:
-            try:
-                values = chi_trajectory(env, np.multiply.outer(t, gaps).ravel())
-            except PhaseOverflow as exc:  # name the caller's time, not the table's entry
-                row, gap = divmod(exc.index, gaps.size)
-                pair = int(np.argmax(pair_gap == gap))
-                raise PhaseOverflow(chunk.start + row, float(t[row]),
-                                    f"the gap lambdas[{m[pair]}] - lambdas[{n[pair]}] = "
-                                    f"{gaps[gap]:g} times {exc.rate}") from None
+            values = chi_trajectory(env, np.multiply.outer(t, gaps).ravel())
             chi[:, m, n] = values.reshape(t.size, -1)[:, pair_gap]
             chi[:, n, m] = np.conj(chi[:, m, n])
         yield chi
@@ -1023,6 +1055,23 @@ def _polarization(p) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise ValueError("polarization p must be finite")
     return p
+
+
+def require_spin_phases(model: SpinModel, ts) -> None:
+    """A bound on the phases of ``spin_trajectory`` at the times ``ts``, and
+    nothing integrated: PhaseOverflow naming the first t at which the
+    rotation angle 2 |(a_1, a_2, a_3 + lam x)| t overflows at an end of the
+    support (its first and last point when discrete), where the field is
+    largest.  That rate bounds the strip's rate, every far panel's centre
+    and half-width and a discrete environment's frequencies.  Those round
+    the field otherwise than hypot, by up to 2 EPS relative (the strip's
+    m + d, the discrete sqrt of squares), so the bound is widened by 4 EPS:
+    at the largest t it accepts, none of their phases overflows.
+    """
+    a1, a2, a3 = model.a
+    field = max(math.hypot(a1, a2, a3 + model.lam * x) for x in model.env_diag.support())
+    finite_phases(ts, ("twice the largest field on the support",
+                       2.0 * field * (1.0 + 4.0 * float(EPS))))
 
 
 def spin_trajectory(model: SpinModel, p, ts) -> np.ndarray:

@@ -274,6 +274,12 @@ class LegendrePanels(NamedTuple):
     coeffs: np.ndarray
     tail: float
 
+    def rates(self):
+        """The (what, rate) pairs of the phases h |t| and c |t| that
+        ``legendre_fourier`` takes, as ``operators.finite_phases`` reads them."""
+        return (("the panel half-width", self.halves.max()),
+                ("the panel centre", np.abs(self.centres).max()))
+
 
 def _legendre_rule(order):
     """Gauss-Legendre nodes, and the transform from values at them to a_0 .. a_(n-1).
@@ -364,8 +370,7 @@ def legendre_fourier(panels, ts):
     """
     ts = np.asarray(ts, dtype=float)
     at = np.abs(ts)
-    finite_phases(ts, ("the panel half-width", panels.halves.max()),
-                  ("the panel centre", np.abs(panels.centres).max()))
+    finite_phases(ts, *panels.rates())
     n_panels, n_terms = panels.coeffs.shape[:2]
     coeffs = panels.coeffs.reshape(n_panels, n_terms, -1)
     # (p, k, 2d): 2h a_k (-i)^k as (real, imaginary) pairs, d components.

@@ -111,13 +111,6 @@ def bloch_to_density(p) -> DensityOperator:
     return DensityOperator(mat)
 
 
-def density_to_bloch(rho: DensityOperator) -> np.ndarray:
-    """Polarization vector p_i = tr(rho sigma_i) of a 2x2 state."""
-    if rho.dim != 2:
-        raise DimensionMismatch(f"polarization readout needs a 2x2 state, got dim {rho.dim}")
-    return np.array([np.trace(rho.matrix @ s).real for s in PAULI])
-
-
 def trace_distance(rho1: DensityOperator, rho2: DensityOperator) -> float:
     """Trace norm of the difference of two states.
 

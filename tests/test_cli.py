@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -14,9 +15,10 @@ import pytest
 import declab.cli
 import declab.models
 import declab.quadrature
-from declab import ParseError, SpectralDensity, ValidationError
+from declab import ParseError, PhaseOverflow, SpectralDensity, ValidationError
 from declab.cli import EXPERIMENTS, MAX_TIME_POINTS, main, parse_config, run_scenario
 from declab.models import DENSITY_KINDS
+from declab.quadrature import EPS
 
 AZ_CONFIG = """
 # minimal dephasing scenario
@@ -705,7 +707,7 @@ def test_main_validate_rejects_spin_phase_overflow(tmp_path, capsys, base):
     cfg.write_text(base.replace("env.kind = gaussian\nenv.s = 1.0", FAR_FIELD.format("1e308")))
     assert main(["validate", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "invalid config: t_grid.stop:" in err and "is not finite" in err
+    assert "invalid config: t_grid.stop:" in err and "overflows" in err
 
 
 def test_main_run_chi_scan_beyond_old_panel_budget(tmp_path):
@@ -746,11 +748,81 @@ def test_main_validate_rejects_chi_phase_overflow(tmp_path, capsys, base, edits)
     cfg.write_text(base)
     assert main(["validate", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "invalid config: t_grid.stop:" in err and "is not finite" in err
+    assert "invalid config: t_grid.stop:" in err and "overflows" in err
     # Just inside the bound the run completes.
     cfg.write_text(base.replace("1e200", "1e150").replace("1e300,-1e300", "1e150,-1e150")
                    .replace("t_grid.stop = 1e10", "t_grid.stop = 1e7"))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+def _largest(accepts):
+    """The largest double t >= 1 at which ``accepts`` holds, as it does at 1 and
+    at no t beyond some point: bisection over the doubles' ordered bit patterns."""
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (1.0, np.finfo(float).max))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepts(float(np.int64(mid).view(np.float64))) else (lo, mid)
+    return float(np.int64(lo).view(np.float64))
+
+
+def _finite_phases(*rates):
+    """accepts(t) of a check of the phases t r, as ``operators.finite_phases`` forms them."""
+    return lambda t: all(math.isfinite(t * r) for r in rates)
+
+
+GAUSS_RATES = [float(r) for _, r in SpectralDensity.gaussian(1.0).expansion().rates()]
+# Twice the largest field, which is at the support's end x = 10 (the unit
+# gaussian, a = (1, 0, 2), lam = 1) or x = 0.7 (points at -1 and 0.7,
+# a = (0.1, 0, 0.5)), widened by 4 EPS.  At x = 0.7 a discrete environment's
+# frequency 2 sqrt(0.1^2 + 1.2^2) rounds an ulp above 2 hypot(0.1, 1.2).
+SPIN_RATE = 2.0 * math.hypot(1.0, 0.0, 12.0) * (1.0 + 4.0 * float(EPS))
+SPIN_DISCRETE_RATE = 2.0 * math.hypot(0.1, 0.0, 0.5 + 0.7) * (1.0 + 4.0 * float(EPS))
+# (config, the line of its t_grid.stop, whether the check accepts a stop t,
+# from the rates that the check of its model reads).
+PHASE_BOUNDARY = {
+    "chi_gaussian": (CHI_CONFIG.replace(CHI_UNIFORM, "env.kind = gaussian\nenv.s = 1.0"),
+                     "t_grid.stop = 6.0", _finite_phases(*GAUSS_RATES)),
+    "chi_discrete": (CHI_CONFIG.replace(CHI_UNIFORM,
+                                        "env.kind = discrete\nenv.points = -1:0.5,2:0.5"),
+                     "t_grid.stop = 6.0", _finite_phases(2.0)),
+    # Every phase of the chi tables is a phase of chi at the largest gap, 2, times t.
+    "az_gaussian": (AZ_CONFIG, "t_grid.stop = 2.0",
+                    lambda t: math.isfinite(t * 2.0) and _finite_phases(*GAUSS_RATES)(t * 2.0)),
+    "spin_gaussian": (SPIN_CONFIG, "t_grid.stop = 20000.0", _finite_phases(SPIN_RATE)),
+    "spin_discrete": (SPIN_CONFIG.replace("env.kind = gaussian\nenv.s = 1.0",
+                                          "env.kind = discrete\nenv.points = -1:0.5,0.7:0.5")
+                      .replace("model.a = 1,0,2", "model.a = 0.1,0,0.5"),
+                      "t_grid.stop = 20000.0", _finite_phases(SPIN_DISCRETE_RATE)),
+}
+
+
+@pytest.mark.parametrize("case", PHASE_BOUNDARY)
+def test_main_validate_accepts_a_stop_exactly_where_the_run_takes_its_phases(tmp_path, capsys,
+                                                                            case):
+    # The largest stop that validate accepts runs; the next double is rejected,
+    # for chi and dephasing with the message that the run itself would raise.
+    base, line, accepts = PHASE_BOUNDARY[case]
+    stop = _largest(accepts)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(base.replace(line, f"t_grid.stop = {stop!r}"))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(next(tmp_path.glob("*.csv")))
+    values = np.array(rows, dtype=float)
+    assert values[-1, 0] == stop and np.all(np.isfinite(values))
+    accepted = parse_config(cfg.read_text())
+    beyond = math.nextafter(stop, math.inf)
+    cfg.write_text(base.replace(line, f"t_grid.stop = {beyond!r}"))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("declab: invalid config: t_grid.stop: "), err
+    if accepted.experiment != "spin":
+        grid = accepted.inputs["t_grid"]
+        inputs = {**accepted.inputs, "t_grid": np.linspace(grid[0], beyond, grid.size)}
+        with pytest.raises(PhaseOverflow) as exc:
+            EXPERIMENTS[accepted.experiment].run(**inputs)
+        assert err[0] == f"declab: invalid config: t_grid.stop: {exc.value}"
 
 
 @pytest.mark.parametrize("count", [MAX_TIME_POINTS + 1, 10000000000])
@@ -882,8 +954,6 @@ WARNING_INPUTS += [
      "declab: invalid config: initial.matrix: smallest eigenvalue"),
     ("validate", HUGE_MATRIX.format(stop=1, rho=HALF) + "model.h_s = 1e308+1e308j,0,0,1\n",
      "declab: invalid config: model:"),
-    ("validate", HUGE_MATRIX.format(stop=4, rho=HALF) + "model.h_s = 1e308,0,0,1\n",
-     "declab: invalid config: t_grid.stop:"),
     # Squared, these entries overflow the commutation check, whose leak then read nan.
     ("validate", HUGE_MATRIX.format(stop="1e-300", rho=HALF) + "model.h_s = 1e200,1e200,1e200,1\n",
      "declab: invalid config: model: system Hamiltonian does not commute"),
@@ -893,8 +963,7 @@ WARNING_INPUTS += [
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, text, outcome", WARNING_INPUTS,
                          ids=["spin_points", "az_lambdas", "tiny_delta", "tiny_lam", "huge_prefactor",
-                              "huge_state", "overflowing_state", "overflowing_h_s", "h_s_phase",
-                              "huge_h_s_leak"])
+                              "huge_state", "overflowing_state", "overflowing_h_s", "huge_h_s_leak"])
 def test_main_reaches_its_outcome_without_numpy_warnings(tmp_path, capsys, command, text, outcome):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(text)
@@ -920,6 +989,32 @@ def test_main_validate_accepts_a_huge_commuting_h_s(tmp_path, capsys):
     cfg.write_text(HUGE_MATRIX.format(stop="1e-300", rho=HALF) + "model.h_s = 1e200,0,0,1\n")
     assert main(["validate", "--config", str(cfg)]) == 0
     assert capsys.readouterr().err == ""
+
+
+# Configs that validate accepts because the models compute them: the runner
+# never forms exp(-i h_s t), and a discrete chi takes only the phases v t of
+# its points, not their spread.
+MODELS_COMPUTE = {
+    "h_s_phase": (HUGE_MATRIX.format(stop=4, rho=HALF) + "model.h_s = 1e308,0,0,1\n",
+                  "araki_zurek.csv"),
+    "chi_far_points": ("experiment = chi_scan\nt_grid.start = 0\nt_grid.stop = 1\n"
+                       "t_grid.count = 3\nenv.kind = discrete\n"
+                       "env.points = -1e308:0.5,1e308:0.5\n", "chi_scan.csv"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", MODELS_COMPUTE)
+def test_main_validates_and_runs_a_config_the_models_compute(tmp_path, capsys, case):
+    text, csv = MODELS_COMPUTE[case]
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text)
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(tmp_path / csv)
+    values = np.array(rows, dtype=float)
+    assert values.shape[0] == 3 and np.all(np.isfinite(values))
 
 
 def test_main_run_az_grid_starting_at_subnormal_time(tmp_path):

@@ -26,7 +26,6 @@ from declab import (
     block_diagonal_sectors,
     chi_trajectory,
     decoherence_function,
-    density_to_bloch,
     fit_power_law_decay,
     full_simulation_oracle,
     haar_unitary,
@@ -1084,7 +1083,7 @@ def test_spin_axial_field_keeps_p3():
     model = SpinModel(a=[0, 0, 1.0], b=0.3, lam=1.0, env_diag=GAUSS)
     p = np.array([0.6, 0.0, 0.35])
     for t in (0.5, 2.0):
-        out = density_to_bloch(spin_evolve(model, p, t))
+        out = spin_trajectory(model, p, [t])[0]
         assert out[2] == pytest.approx(p[2], abs=1e-9)
         assert np.hypot(out[0], out[1]) < np.hypot(p[0], p[1])
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from declab import (
+    PAULI,
     DensityOperator,
     DimensionMismatch,
     NotAState,
@@ -9,7 +10,6 @@ from declab import (
     OutsideBall,
     alternate_decomposition,
     bloch_to_density,
-    density_to_bloch,
     haar_unitary,
     random_density,
     spectral_decomposition,
@@ -68,21 +68,11 @@ def test_bloch_rejects_outside_ball():
         bloch_to_density([0.8, 0.8, 0.8])
 
 
-def test_bloch_readout_examples():
-    assert np.allclose(density_to_bloch(DensityOperator(np.eye(2) / 2)), 0.0)
-    assert np.allclose(density_to_bloch(DensityOperator(np.diag([0.75, 0.25]))), [0, 0, 0.5])
-
-
-def test_bloch_readout_needs_qubit():
-    with pytest.raises(DimensionMismatch):
-        density_to_bloch(DensityOperator(np.eye(3) / 3))
-
-
 def test_bloch_roundtrip_thousand_points():
     rng = np.random.default_rng(100)
     for _ in range(1000):
         p = random_ball_point(rng)
-        back = density_to_bloch(bloch_to_density(p))
+        back = np.array([np.trace(bloch_to_density(p).matrix @ s).real for s in PAULI])
         assert np.abs(back - p).max() < 1e-13
 
 
